@@ -41,7 +41,7 @@ Accelerator::Accelerator(sim::EventQueue& queue, net::Network& network,
                         stats_.cas_ops.increment();
                         if (replication_ != nullptr) {
                             replication_->mirror_cas(
-                                node_, cas_base_ + mem_off, desired,
+                                cas_base_ + mem_off, desired,
                                 queue_.now());
                         }
                     }
@@ -63,8 +63,8 @@ Accelerator::Accelerator(sim::EventQueue& queue, net::Network& network,
         if (replication_ != nullptr) {
             // Synchronous replication channel: the winning value is
             // applied to every live replica in the same event.
-            replication_->mirror_cas(node_, cas_base_ + mem_off,
-                                     desired, queue_.now());
+            replication_->mirror_cas(cas_base_ + mem_off, desired,
+                                     queue_.now());
         }
         return true;
     };
@@ -656,7 +656,7 @@ Accelerator::start_logic_phase(CoreId core_id, WorkspaceId ws,
                 stats_.stores.increment();
                 if (replication_ != nullptr) {
                     replication_->mirror_store(
-                        node_, iter_ptr + st.mem_offset,
+                        iter_ptr + st.mem_offset,
                         context.workspace.data.data() + st.data_offset,
                         st.length, done);
                 }
@@ -673,7 +673,7 @@ Accelerator::start_logic_phase(CoreId core_id, WorkspaceId ws,
         stats_.stores.increment();
         if (replication_ != nullptr) {
             replication_->mirror_store(
-                node_, iter_ptr + st.mem_offset,
+                iter_ptr + st.mem_offset,
                 context.workspace.data.data() + st.data_offset,
                 st.length, done);
         }

@@ -117,7 +117,8 @@ Cluster::Cluster(const ClusterConfig& config)
         replication_plane_ =
             std::make_unique<replication::ReplicationPlane>(
                 queue_, *network_, *memory_, *allocator_,
-                std::move(tcams), channel_ptrs, config.replication);
+                std::move(tcams), channel_ptrs, config.replication,
+                config.placement);
         replication_plane_->attach_replay_windows(std::move(replays));
         for (auto& accelerator : accelerators_) {
             accelerator->set_replication(replication_plane_.get());
@@ -126,10 +127,8 @@ Cluster::Cluster(const ClusterConfig& config)
         // span; the plane must know so its mirrors skip the owner.
         if (placement_plane_) {
             placement_plane_->set_cutover_observer(
-                [plane = replication_plane_.get()](
-                    NodeId src, NodeId dst, VirtAddr va_base,
-                    Bytes length) {
-                    plane->notify_cutover(src, dst, va_base, length);
+                [plane = replication_plane_.get()] {
+                    plane->notify_cutover();
                 });
         }
         // Scripted crash windows heal at their end: resume probing the

@@ -26,42 +26,24 @@ SwitchTable::remove_rule(NodeId node)
 }
 
 void
-SwitchTable::add_overlay_rule(const SwitchRule& rule)
-{
-    PULSE_ASSERT(rule.size > 0, "empty switch overlay rule");
-    auto pos = std::lower_bound(
-        overlay_.begin(), overlay_.end(), rule.base,
-        [](const SwitchRule& r, VirtAddr va) { return r.base < va; });
-    if (pos != overlay_.begin()) {
-        SwitchRule& prev = *(pos - 1);
-        PULSE_ASSERT(prev.base + prev.size <= rule.base,
-                     "overlapping switch overlay rule");
-        if (prev.node == rule.node && prev.base + prev.size == rule.base) {
-            prev.size += rule.size;
-            if (pos != overlay_.end() && pos->node == prev.node &&
-                prev.base + prev.size == pos->base) {
-                prev.size += pos->size;
-                overlay_.erase(pos);
-            }
-            return;
-        }
-    }
-    if (pos != overlay_.end()) {
-        PULSE_ASSERT(rule.base + rule.size <= pos->base,
-                     "overlapping switch overlay rule");
-        if (pos->node == rule.node && rule.base + rule.size == pos->base) {
-            pos->base = rule.base;
-            pos->size += rule.size;
-            return;
-        }
-    }
-    overlay_.insert(pos, rule);
-}
-
-void
-SwitchTable::clear_overlay()
+SwitchTable::set_overlay(const std::vector<mem::Remap>& remaps)
 {
     overlay_.clear();
+    for (const mem::Remap& remap : remaps) {
+        PULSE_ASSERT(remap.length > 0, "empty switch overlay rule");
+        if (!overlay_.empty()) {
+            SwitchRule& prev = overlay_.back();
+            PULSE_ASSERT(prev.base + prev.size <= remap.va_base,
+                         "overlapping switch overlay rule");
+            if (prev.node == remap.node &&
+                prev.base + prev.size == remap.va_base) {
+                prev.size += remap.length;
+                continue;
+            }
+        }
+        overlay_.push_back(
+            SwitchRule{remap.va_base, remap.length, remap.node});
+    }
 }
 
 std::optional<NodeId>

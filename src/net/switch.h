@@ -27,6 +27,7 @@
 
 #include "common/serial.h"
 #include "common/stats.h"
+#include "mem/address_map.h"
 #include "net/packet.h"
 
 namespace pulse::net {
@@ -68,18 +69,16 @@ class SwitchTable
     std::size_t num_rules() const { return rules_.size(); }
 
     /**
-     * Install a migration overlay rule: a sub-range carved out of some
-     * node's home region that now routes to a different node. Overlay
-     * rules are more specific than the per-node home rules and win the
-     * match. Rules must not overlap each other; VA-adjacent rules to
-     * the same node are coalesced. The placement plane re-installs the
-     * overlay at each cutover so the switch always mirrors the
+     * Replace the overlay with one rule per @p remaps entry: sub-ranges
+     * carved out of some node's home region that now route to a
+     * different node. Overlay rules are more specific than the
+     * per-node home rules and win the match. @p remaps must be sorted
+     * and non-overlapping (AddressMap::remaps()); VA-adjacent entries
+     * to the same node coalesce into one rule. Every route flip
+     * re-installs the overlay, so the switch always mirrors the
      * AddressMap's remap set.
      */
-    void add_overlay_rule(const SwitchRule& rule);
-
-    /** Drop every overlay rule (home rules are untouched). */
-    void clear_overlay();
+    void set_overlay(const std::vector<mem::Remap>& remaps);
 
     /** Number of installed overlay rules. */
     std::size_t num_overlay_rules() const { return overlay_.size(); }

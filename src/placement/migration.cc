@@ -1,16 +1,10 @@
 #include "placement/migration.h"
 
-#include <algorithm>
-#include <cstdint>
-#include <vector>
-
 #include "common/logging.h"
 
 namespace pulse::placement {
 
 namespace {
-/** Ack packets carry a chunk id + checksum: a NIC-header-sized frame. */
-constexpr Bytes kAckBytes = 64;
 /** Slab backing keeps data-structure node alignment. */
 constexpr Bytes kBackingAlign = 256;
 }  // namespace
@@ -22,50 +16,40 @@ MigrationEngine::MigrationEngine(sim::EventQueue& queue,
                                  std::vector<mem::RangeTcam*> tcams,
                                  std::vector<mem::ChannelSet*> channels,
                                  const PlacementConfig& config)
-    : queue_(queue), network_(network), memory_(memory),
-      allocator_(allocator), tcams_(std::move(tcams)),
-      channels_(std::move(channels)), config_(config)
+    : network_(network), memory_(memory), allocator_(allocator),
+      tcams_(std::move(tcams)),
+      copier_(queue, network, memory, allocator, std::move(channels),
+              config, stats_)
 {
-    PULSE_ASSERT(config_.copy_chunk_bytes > 0, "zero copy chunk");
-    PULSE_ASSERT(config_.copy_window > 0, "zero copy window");
-}
-
-Bytes
-MigrationEngine::chunk_offset(std::size_t chunk) const
-{
-    return static_cast<Bytes>(chunk) * config_.copy_chunk_bytes;
-}
-
-Bytes
-MigrationEngine::chunk_length(std::size_t chunk) const
-{
-    const Bytes offset = chunk_offset(chunk);
-    return std::min(config_.copy_chunk_bytes,
-                    active_->length - offset);
 }
 
 bool
 MigrationEngine::start(VirtAddr va_base, Bytes length, NodeId dst,
                        std::function<void(bool)> on_done)
 {
-    if (active_ || length == 0 || dst >= tcams_.size() ||
-        !memory_.address_map().node_for(va_base).has_value()) {
+    const mem::AddressMap& map = memory_.address_map();
+    if (active() || length == 0 || dst >= tcams_.size() ||
+        !map.node_for(va_base).has_value()) {
         return false;
     }
     // PLAN: the span must be contiguously placed on one (other) node
-    // and fully backed (below the owner's bump frontier).
-    const mem::Placement p =
-        memory_.address_map().placement_for(va_base);
+    // and fully backed. In its home frame that means below the node's
+    // application frontier: a partly filled tail slab's frame can also
+    // hold backing reserved for other slabs past that frontier, and
+    // freeing the whole frame at cutover would free their live bytes.
+    // A span already in migration backing owns its whole reservation.
+    const mem::Placement p = map.placement_for(va_base);
+    const bool home_frame = p.node == *map.home_node_for(va_base) &&
+                            p.phys == map.offset_in_region(va_base);
+    const Bytes backed = home_frame ? allocator_.app_allocated_on(p.node)
+                                    : allocator_.allocated_on(p.node);
     if (p.node == dst || p.contiguous < length ||
-        p.phys + length > allocator_.allocated_on(p.node)) {
+        p.phys + length > backed) {
         return false;
     }
     // Both TCAM updates must be guaranteed before anything moves, so
-    // cutover can never half-fail: the source entry must be punchable
-    // and the destination must have a free slot (coalescing may make
-    // the slot unnecessary, but the pre-check is conservative).
-    if (!tcams_[p.node]->can_punch(va_base, length) ||
-        tcams_[dst]->size() >= tcams_[dst]->capacity()) {
+    // cutover can never half-fail.
+    if (!route_flip_possible(tcams_, p.node, dst, va_base, length)) {
         return false;
     }
     const Bytes dst_phys =
@@ -74,160 +58,37 @@ MigrationEngine::start(VirtAddr va_base, Bytes length, NodeId dst,
         return false;
     }
 
-    const std::size_t chunks = static_cast<std::size_t>(
-        (length + config_.copy_chunk_bytes - 1) /
-        config_.copy_chunk_bytes);
-    active_.emplace();
-    active_->va_base = va_base;
-    active_->length = length;
-    active_->src = p.node;
-    active_->dst = dst;
-    active_->src_phys = p.phys;
-    active_->dst_phys = dst_phys;
-    active_->acked.assign(chunks, false);
-    active_->on_done = std::move(on_done);
     stats_.started.increment();
-
-    // COPY: open the selective-repeat window.
-    const std::size_t window =
-        std::min<std::size_t>(config_.copy_window, chunks);
-    for (std::size_t i = 0; i < window; i++) {
-        send_chunk(active_->next_unsent++, /*retransmit=*/false);
-    }
+    copier_.start(va_base, length, p.node, dst, dst_phys,
+                  [this, va_base, length, src = p.node,
+                   src_phys = p.phys, dst, dst_phys,
+                   on_done = std::move(on_done)](bool copied) {
+                      if (copied) {
+                          cutover(va_base, length, src, src_phys, dst,
+                                  dst_phys);
+                      } else {
+                          stats_.aborted.increment();
+                      }
+                      on_done(copied);
+                  });
     return true;
 }
 
 void
-MigrationEngine::send_chunk(std::size_t chunk, bool retransmit)
+MigrationEngine::cutover(VirtAddr va_base, Bytes length, NodeId src,
+                         Bytes src_phys, NodeId dst, Bytes dst_phys)
 {
-    Active& m = *active_;
-    const Bytes len = chunk_length(chunk);
-    stats_.chunks_sent.increment();
-    stats_.bytes_copied.increment(len);
-    if (retransmit) {
-        stats_.chunks_retransmitted.increment();
-    }
-    // The source DMA engine reads the chunk through the node's DRAM
-    // channels (copy traffic contends with traversal loads), then the
-    // chunk crosses the fabric as an ordinary message — the fault
-    // plane may drop/duplicate/delay it like any other.
-    const Time now = queue_.now();
-    const Time read_done = channels_[m.src]->access(now, len);
-    const std::uint64_t gen = generation_;
-    const NodeId src = m.src;
-    const NodeId dst = m.dst;
-    queue_.schedule_at(read_done, [this, gen, chunk, src, dst, len] {
-        if (generation_ != gen) {
-            return;  // migration ended while the read was in flight
-        }
-        network_.send_message(net::EndpointAddr::mem_node(src),
-                              net::EndpointAddr::mem_node(dst), len,
-                              [this, gen, chunk] {
-                                  on_chunk_delivered(gen, chunk);
-                              });
-    });
-    arm_rto(chunk);
-}
-
-void
-MigrationEngine::on_chunk_delivered(std::uint64_t generation,
-                                    std::size_t chunk)
-{
-    if (generation != generation_ || !active_) {
-        return;  // stale copy of a finished migration
-    }
-    Active& m = *active_;
-    // The destination DMA engine writes the chunk into the reserved
-    // backing (timed only — the authoritative bytes are copied in one
-    // atomic event at cutover, so chunks overwritten by racing stores
-    // after they were copied can never leak stale data). Duplicate
-    // deliveries re-ack: the previous ack may have been lost.
-    channels_[m.dst]->access(queue_.now(), chunk_length(chunk));
-    network_.send_message(
-        net::EndpointAddr::mem_node(m.dst),
-        net::EndpointAddr::mem_node(m.src), kAckBytes,
-        [this, generation, chunk] { on_ack(generation, chunk); });
-}
-
-void
-MigrationEngine::on_ack(std::uint64_t generation, std::size_t chunk)
-{
-    if (generation != generation_ || !active_) {
-        return;
-    }
-    Active& m = *active_;
-    if (m.acked[chunk]) {
-        return;  // duplicate ack
-    }
-    m.acked[chunk] = true;
-    m.acked_count++;
-    if (m.acked_count == m.acked.size()) {
-        cutover();
-        return;
-    }
-    if (m.next_unsent < m.acked.size()) {
-        send_chunk(m.next_unsent++, /*retransmit=*/false);
-    }
-}
-
-void
-MigrationEngine::arm_rto(std::size_t chunk)
-{
-    const std::uint64_t gen = generation_;
-    queue_.schedule_after(config_.copy_rto, [this, gen, chunk] {
-        if (generation_ != gen || !active_ || active_->acked[chunk]) {
-            return;
-        }
-        if (++active_->retries > config_.copy_max_retries) {
-            abort();
-            return;
-        }
-        send_chunk(chunk, /*retransmit=*/true);
-    });
-}
-
-void
-MigrationEngine::cutover()
-{
-    Active m = std::move(*active_);
-    active_.reset();
-    generation_++;  // quench copy-phase timers and stragglers
-
-    // Functional copy in the same event: the placement-aware read pulls
-    // the authoritative bytes from the current owner, so every store
-    // that landed during the copy phase is included. This bumps the
-    // destination's mutation counter, which automatically degrades the
-    // golden oracle to weak checks for operations in flight across the
-    // cutover.
-    std::vector<std::uint8_t> bytes(m.length);
-    memory_.read(m.va_base, bytes.data(), m.length);
-    memory_.node(m.dst).write(m.dst_phys, bytes.data(), m.length);
-
-    // Flip ownership: AddressMap overlay first (the authority), then
-    // the switch overlay and TCAMs are derived from it, so the route-
-    // agreement audit always sees the three in lockstep.
-    mem::AddressMap& map = memory_.mutable_address_map();
-    const NodeId home = *map.home_node_for(m.va_base);
-    if (m.dst == home && m.dst_phys == map.offset_in_region(m.va_base)) {
-        // Moved back into its home frame: the overlay dissolves.
-        map.clear_remap(m.va_base, m.length);
-    } else {
-        const bool remapped = map.install_remap(mem::Remap{
-            m.va_base, m.length, m.dst, m.dst_phys});
-        PULSE_ASSERT(remapped, "cutover remap rejected");
+    // The copier has just landed the authoritative bytes; flip
+    // ownership in the same event.
+    const RouteFlip flip =
+        flip_route(memory_.mutable_address_map(),
+                   network_.switch_table(), tcams_, src, dst, va_base,
+                   length, dst_phys);
+    PULSE_ASSERT(flip != RouteFlip::kRefused,
+                 "pre-checked cutover flip failed");
+    if (flip == RouteFlip::kRemapped) {
         stats_.remaps_installed.increment();
     }
-    net::SwitchTable& table = network_.switch_table();
-    table.clear_overlay();
-    for (const mem::Remap& r : map.remaps()) {
-        table.add_overlay_rule(net::SwitchRule{r.va_base, r.length,
-                                               r.node});
-    }
-    const bool punched = tcams_[m.src]->punch(m.va_base, m.length);
-    PULSE_ASSERT(punched, "pre-checked source TCAM punch failed");
-    const bool installed = tcams_[m.dst]->insert_coalesce(mem::RangeEntry{
-        m.va_base, m.length, m.dst_phys, mem::Perm::kReadWrite});
-    PULSE_ASSERT(installed, "pre-checked dest TCAM insert failed");
 
     // The reconfiguration message also carries the source's replay
     // digest: retransmitted requests now route to the destination, so
@@ -235,30 +96,13 @@ MigrationEngine::cutover()
     // executed — otherwise a lost response plus a retransmit chasing
     // the migrated slab would re-execute a store/CAS.
     if (on_cutover_) {
-        on_cutover_(m.src, m.dst, m.va_base, m.length);
+        on_cutover_(src, dst);
     }
 
     // RETIRE the vacated backing into the allocator's free list so a
     // later migration (possibly back here) reuses the address range.
-    allocator_.free_backing(m.src, m.src_phys, m.length);
-
+    allocator_.free_backing(src, src_phys, length);
     stats_.completed.increment();
-    if (m.on_done) {
-        m.on_done(true);
-    }
-}
-
-void
-MigrationEngine::abort()
-{
-    Active m = std::move(*active_);
-    active_.reset();
-    generation_++;
-    allocator_.free_backing(m.dst, m.dst_phys, m.length);
-    stats_.aborted.increment();
-    if (m.on_done) {
-        m.on_done(false);
-    }
 }
 
 }  // namespace pulse::placement

@@ -8,16 +8,11 @@
  *
  * PLAN reserves destination backing from the allocator's free list /
  * bump frontier and pre-checks both TCAMs (source punchable, room at
- * the destination). COPY streams the slab in chunks over the simulated
- * network with a selective-repeat window — each chunk pays DRAM channel
- * occupancy at both ends and link time in between, and is acked by the
- * destination; the fault plane may drop, duplicate, corrupt-deliver or
- * reorder any of it, so unacked chunks retransmit on a timeout and the
- * migration aborts (freeing the reserved backing) after too many
- * retries. CUTOVER is a single atomic event: the authoritative bytes
- * are copied functionally (the timed copy only modelled the cost),
- * the AddressMap remap overlay + switch overlay rule + destination
- * TCAM entry are installed, the source TCAM entry is punched, and the
+ * the destination). COPY is the shared chunked copy protocol
+ * (placement/slab_copier.h); an abort frees the reserved backing.
+ * CUTOVER is a single atomic event: the copier's functional copy
+ * lands the authoritative bytes, flip_route() moves the AddressMap
+ * remap, switch overlay and both TCAM entries together, and the
  * vacated source backing returns to the allocator. DUAL is the window
  * where traversals that loaded before cutover store after it: the
  * source TCAM now misses, and the accelerator forwards the write to
@@ -29,7 +24,6 @@
 #define PULSE_PLACEMENT_MIGRATION_H
 
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "common/stats.h"
@@ -39,19 +33,17 @@
 #include "mem/range_tcam.h"
 #include "net/network.h"
 #include "placement/placement_config.h"
+#include "placement/slab_copier.h"
 #include "sim/event_queue.h"
 
 namespace pulse::placement {
 
 /** Migration-engine statistics (exported under "placement."). */
-struct MigrationStats
+struct MigrationStats : CopyStats
 {
     Counter started;
     Counter completed;
     Counter aborted;
-    Counter bytes_copied;          ///< timed copy-phase traffic
-    Counter chunks_sent;
-    Counter chunks_retransmitted;  ///< losses/timeouts on copy traffic
     Counter remaps_installed;      ///< cutovers that left an overlay
 };
 
@@ -67,14 +59,16 @@ class MigrationEngine
                     const PlacementConfig& config);
 
     /** A migration is currently in its copy phase. */
-    bool active() const { return active_.has_value(); }
+    bool active() const { return copier_.active(); }
 
     /**
      * Begin migrating [@p va_base, @p va_base + @p length) to
      * @p dst. Returns false (synchronously, nothing changed) when the
      * span is not contiguously placed on a single other node, is not
-     * fully backed, either TCAM would refuse the cutover, or the
-     * destination is out of memory. @p on_done fires exactly once with
+     * fully backed (a span in its home frame must lie below the node's
+     * application frontier: backing reserved for other slabs can sit
+     * past it inside the same frame), either TCAM would refuse the
+     * cutover, or the destination is out of memory. @p on_done fires exactly once with
      * success after cutover or failure after an abort.
      */
     bool start(VirtAddr va_base, Bytes length, NodeId dst,
@@ -85,56 +79,27 @@ class MigrationEngine
 
     /**
      * Invoked inside the cutover event, after routing flips, with the
-     * (src, dst) nodes and the migrated span. The placement plane uses
-     * it to hand the source accelerator's replay-window digest to the
-     * destination — the exactly-once domain moves with the data — and
-     * forwards the span to the replication plane (when present) so
-     * replica bookkeeping can follow ownership changes.
+     * (src, dst) nodes. The placement plane uses it to hand the source
+     * accelerator's replay-window digest to the destination — the
+     * exactly-once domain moves with the data — and tells the
+     * replication plane (when present) that ownership changed.
      */
-    void set_cutover_listener(
-        std::function<void(NodeId, NodeId, VirtAddr, Bytes)> fn)
+    void set_cutover_listener(std::function<void(NodeId, NodeId)> fn)
     {
         on_cutover_ = std::move(fn);
     }
 
   private:
-    struct Active
-    {
-        VirtAddr va_base = 0;
-        Bytes length = 0;
-        NodeId src = kInvalidNode;
-        NodeId dst = kInvalidNode;
-        Bytes src_phys = 0;
-        Bytes dst_phys = 0;
-        std::vector<bool> acked;     // per chunk
-        std::size_t next_unsent = 0; // chunk index
-        std::size_t acked_count = 0;
-        std::uint32_t retries = 0;
-        std::function<void(bool)> on_done;
-    };
+    void cutover(VirtAddr va_base, Bytes length, NodeId src,
+                 Bytes src_phys, NodeId dst, Bytes dst_phys);
 
-    Bytes chunk_offset(std::size_t chunk) const;
-    Bytes chunk_length(std::size_t chunk) const;
-    void send_chunk(std::size_t chunk, bool retransmit);
-    void on_chunk_delivered(std::uint64_t generation, std::size_t chunk);
-    void on_ack(std::uint64_t generation, std::size_t chunk);
-    void arm_rto(std::size_t chunk);
-    void cutover();
-    void abort();
-
-    sim::EventQueue& queue_;
     net::Network& network_;
     mem::GlobalMemory& memory_;
     mem::ClusterAllocator& allocator_;
     std::vector<mem::RangeTcam*> tcams_;
-    std::vector<mem::ChannelSet*> channels_;
-    PlacementConfig config_;
-    std::function<void(NodeId, NodeId, VirtAddr, Bytes)> on_cutover_;
-    std::optional<Active> active_;
-    /** Bumped whenever a migration ends; stale timers/acks from a
-     *  finished migration check it and become no-ops. */
-    std::uint64_t generation_ = 0;
+    std::function<void(NodeId, NodeId)> on_cutover_;
     MigrationStats stats_;
+    SlabCopier copier_;
 };
 
 }  // namespace pulse::placement

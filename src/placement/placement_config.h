@@ -74,6 +74,10 @@ struct PlacementConfig
     /** Cap on migrations queued by one planning round. */
     std::uint32_t max_migrations_per_epoch = 16;
 
+    // Slab-copy knobs (placement/slab_copier.h). They govern every
+    // slab copy — migration and replica establishment alike — and
+    // apply whether or not this plane is on.
+
     /** Copy-phase transfer granularity over the network. */
     Bytes copy_chunk_bytes = 16 * kKiB;
 
@@ -87,8 +91,8 @@ struct PlacementConfig
      *  microseconds — a tight RTO would retransmit every chunk. */
     Time copy_rto = micros(50.0);
 
-    /** Total chunk retransmissions before the migration aborts and
-     *  frees its reserved destination backing. */
+    /** Total chunk retransmissions before the copy aborts and frees
+     *  its reserved destination backing. */
     std::uint32_t copy_max_retries = 32;
 
     bool enabled() const { return mode != PlacementMode::kOff; }

@@ -28,8 +28,7 @@ PlacementPlane::attach_replay_windows(
     std::vector<accel::ReplayWindow*> windows)
 {
     replay_windows_ = std::move(windows);
-    engine_.set_cutover_listener([this](NodeId src, NodeId dst,
-                                        VirtAddr va_base, Bytes length) {
+    engine_.set_cutover_listener([this](NodeId src, NodeId dst) {
         if (src < replay_windows_.size() &&
             dst < replay_windows_.size()) {
             const std::size_t copied =
@@ -38,7 +37,7 @@ PlacementPlane::attach_replay_windows(
             stats_.replay_entries_handed_off.increment(copied);
         }
         if (cutover_observer_) {
-            cutover_observer_(src, dst, va_base, length);
+            cutover_observer_();
         }
     });
 }

@@ -75,12 +75,10 @@ class PlacementPlane
 
     /**
      * Observe every migration cutover: fires inside the cutover event,
-     * after routing flips and the digest handoff, with (src, dst,
-     * va_base, length). The cluster wires the replication plane in
-     * here so its mirror bookkeeping can note ownership changes.
+     * after routing flips and the digest handoff. The cluster wires
+     * the replication plane in here so it notes ownership changes.
      */
-    void set_cutover_observer(
-        std::function<void(NodeId, NodeId, VirtAddr, Bytes)> fn)
+    void set_cutover_observer(std::function<void()> fn)
     {
         cutover_observer_ = std::move(fn);
     }
@@ -159,8 +157,7 @@ class PlacementPlane
     HotnessTracker hotness_;
     MigrationEngine engine_;
     std::vector<accel::ReplayWindow*> replay_windows_;
-    std::function<void(NodeId, NodeId, VirtAddr, Bytes)>
-        cutover_observer_;
+    std::function<void()> cutover_observer_;
     std::deque<std::pair<VirtAddr, NodeId>> pending_;
     bool epoch_armed_ = false;
     PlacementStats stats_;

@@ -63,18 +63,6 @@ struct ReplicationConfig
     /** Consecutive unacked probes required before declaring death. */
     std::uint32_t min_missed_probes = 4;
 
-    /** Replica-copy transfer granularity over the network. */
-    Bytes copy_chunk_bytes = 16 * kKiB;
-
-    /** Copy-phase chunks kept in flight (selective repeat window). */
-    std::uint32_t copy_window = 4;
-
-    /** Retransmit timeout for an unacked replica-copy chunk. */
-    Time copy_rto = micros(50.0);
-
-    /** Total chunk retransmissions before a replica copy aborts. */
-    std::uint32_t copy_max_retries = 32;
-
     /**
      * Background scan period: uncovered allocation is picked up for
      * replication and lost redundancy is restored. The scan timer

@@ -9,8 +9,6 @@
 namespace pulse::replication {
 
 namespace {
-/** Copy-ack frames are NIC-header-sized, like migration acks. */
-constexpr Bytes kAckBytes = 64;
 /** Replica backing keeps data-structure node alignment. */
 constexpr Bytes kBackingAlign = 256;
 }  // namespace
@@ -21,18 +19,20 @@ ReplicationPlane::ReplicationPlane(sim::EventQueue& queue,
                                    mem::ClusterAllocator& allocator,
                                    std::vector<mem::RangeTcam*> tcams,
                                    std::vector<mem::ChannelSet*> channels,
-                                   const ReplicationConfig& config)
+                                   const ReplicationConfig& config,
+                                   const placement::PlacementConfig&
+                                       copy_config)
     : queue_(queue), network_(network), memory_(memory),
       allocator_(allocator), tcams_(std::move(tcams)),
       channels_(std::move(channels)), config_(config),
       rng_(config.seed),
       detector_(memory.num_nodes(), config.heartbeat_interval,
                 config.suspicion_threshold, config.min_missed_probes),
-      covered_(memory.num_nodes(), 0)
+      covered_(memory.num_nodes(), 0),
+      copier_(queue, network, memory, allocator, channels_, copy_config,
+              stats_)
 {
     PULSE_ASSERT(config_.enabled(), "plane built with factor 1");
-    PULSE_ASSERT(config_.copy_chunk_bytes > 0, "zero copy chunk");
-    PULSE_ASSERT(config_.copy_window > 0, "zero copy window");
     PULSE_ASSERT(tcams_.size() == memory_.num_nodes() &&
                      channels_.size() == memory_.num_nodes(),
                  "replication plane wiring mismatch");
@@ -196,7 +196,7 @@ ReplicationPlane::plan_replication()
 void
 ReplicationPlane::pump()
 {
-    while (!active_ && !pending_.empty()) {
+    while (!copier_.active() && !pending_.empty()) {
         const auto [index, target] = pending_.front();
         pending_.pop_front();
         Extent& extent = extents_[index];
@@ -223,27 +223,14 @@ ReplicationPlane::pump()
             continue;
         }
         it->phys = phys;
-
-        const std::size_t chunks = static_cast<std::size_t>(
-            (extent.length + config_.copy_chunk_bytes - 1) /
-            config_.copy_chunk_bytes);
-        active_.emplace();
-        active_->extent = index;
-        active_->length = extent.length;
-        active_->src = *owner;
-        active_->dst = target;
-        active_->dst_phys = phys;
-        active_->rereplication = extent.established_once;
-        active_->acked.assign(chunks, false);
         stats_.copies_started.increment();
-        if (active_->rereplication) {
+        if (extent.established_once) {
             stats_.rereplications.increment();
         }
-        const std::size_t window =
-            std::min<std::size_t>(config_.copy_window, chunks);
-        for (std::size_t i = 0; i < window; i++) {
-            send_chunk(active_->next_unsent++, /*retransmit=*/false);
-        }
+        copier_.start(extent.va_base, extent.length, *owner, target,
+                      phys, [this, index, target](bool copied) {
+                          on_copy_done(index, target, copied);
+                      });
     }
 }
 
@@ -305,132 +292,39 @@ ReplicationPlane::on_probe_round()
 }
 
 // ---------------------------------------------------------------------
-// Replica copy protocol (the migration engine's COPY phase, re-aimed
-// at replica backing: same chunked selective repeat, same RTO shape)
+// Replica copy outcome
 // ---------------------------------------------------------------------
 
-Bytes
-ReplicationPlane::chunk_offset(std::size_t chunk) const
-{
-    return static_cast<Bytes>(chunk) * config_.copy_chunk_bytes;
-}
-
-Bytes
-ReplicationPlane::chunk_length(std::size_t chunk) const
-{
-    const Bytes offset = chunk_offset(chunk);
-    return std::min(config_.copy_chunk_bytes,
-                    active_->length - offset);
-}
-
 void
-ReplicationPlane::send_chunk(std::size_t chunk, bool retransmit)
+ReplicationPlane::on_copy_done(std::size_t index, NodeId target,
+                               bool copied)
 {
-    ActiveCopy& copy = *active_;
-    const Bytes len = chunk_length(chunk);
-    stats_.chunks_sent.increment();
-    stats_.bytes_copied.increment(len);
-    if (retransmit) {
-        stats_.chunks_retransmitted.increment();
-    }
-    // Source DMA read contends with traversal loads on the owner's DRAM
-    // channels; the chunk then crosses the fabric as an ordinary
-    // message, subject to the fault plane like everything else.
-    const Time now = queue_.now();
-    const Time read_done = channels_[copy.src]->access(now, len);
-    const std::uint64_t gen = generation_;
-    const NodeId src = copy.src;
-    const NodeId dst = copy.dst;
-    queue_.schedule_at(read_done, [this, gen, chunk, src, dst, len] {
-        if (generation_ != gen) {
-            return;  // copy ended while the read was in flight
+    Extent& extent = extents_[index];
+    if (!copied) {
+        // The copier already returned the reserved backing.
+        extent.replicas.erase(
+            std::remove_if(extent.replicas.begin(),
+                           extent.replicas.end(),
+                           [target](const Replica& r) {
+                               return r.node == target && !r.live;
+                           }),
+            extent.replicas.end());
+        stats_.copies_aborted.increment();
+        // The scan re-plans the lost slot once the topology settles.
+        scan_saw_traffic_ = true;
+        if (!scan_armed_) {
+            arm_scan();
         }
-        network_.send_message(net::EndpointAddr::mem_node(src),
-                              net::EndpointAddr::mem_node(dst), len,
-                              [this, gen, chunk] {
-                                  on_chunk_delivered(gen, chunk);
-                              });
-    });
-    arm_rto(chunk);
-}
-
-void
-ReplicationPlane::on_chunk_delivered(std::uint64_t generation,
-                                     std::size_t chunk)
-{
-    if (generation != generation_ || !active_) {
-        return;  // stale chunk of a finished copy
-    }
-    ActiveCopy& copy = *active_;
-    // Timed write into the reserved backing; the authoritative bytes
-    // land in one atomic functional copy at finish, so chunks stale by
-    // racing stores can never leak. Duplicate deliveries re-ack.
-    channels_[copy.dst]->access(queue_.now(), chunk_length(chunk));
-    network_.send_message(
-        net::EndpointAddr::mem_node(copy.dst),
-        net::EndpointAddr::mem_node(copy.src), kAckBytes,
-        [this, generation, chunk] { on_copy_ack(generation, chunk); });
-}
-
-void
-ReplicationPlane::on_copy_ack(std::uint64_t generation,
-                              std::size_t chunk)
-{
-    if (generation != generation_ || !active_) {
+        pump();
         return;
     }
-    ActiveCopy& copy = *active_;
-    if (copy.acked[chunk]) {
-        return;  // duplicate ack
-    }
-    copy.acked[chunk] = true;
-    copy.acked_count++;
-    if (copy.acked_count == copy.acked.size()) {
-        finish_copy();
-        return;
-    }
-    if (copy.next_unsent < copy.acked.size()) {
-        send_chunk(copy.next_unsent++, /*retransmit=*/false);
-    }
-}
-
-void
-ReplicationPlane::arm_rto(std::size_t chunk)
-{
-    const std::uint64_t gen = generation_;
-    queue_.schedule_after(config_.copy_rto, [this, gen, chunk] {
-        if (generation_ != gen || !active_ || active_->acked[chunk]) {
-            return;
-        }
-        if (++active_->retries > config_.copy_max_retries) {
-            abort_copy();
-            return;
-        }
-        send_chunk(chunk, /*retransmit=*/true);
-    });
-}
-
-void
-ReplicationPlane::finish_copy()
-{
-    ActiveCopy copy = std::move(*active_);
-    active_.reset();
-    generation_++;  // quench copy-phase timers and stragglers
-
-    Extent& extent = extents_[copy.extent];
-    // Atomic functional copy: the placement-aware read pulls the
-    // authoritative bytes from wherever they currently live, so every
-    // store that landed during the copy phase is included; from the
-    // next event on, mirror_store keeps the replica write-synchronous.
-    std::vector<std::uint8_t> bytes(copy.length);
-    memory_.read(extent.va_base, bytes.data(), copy.length);
-    memory_.node(copy.dst).write(copy.dst_phys, bytes.data(),
-                                 copy.length);
-
+    // The copier's functional copy landed the authoritative bytes; from
+    // the next event on, mirror_store keeps the replica
+    // write-synchronous.
     auto it = std::find_if(
         extent.replicas.begin(), extent.replicas.end(),
-        [&copy](const Replica& r) {
-            return r.node == copy.dst && !r.live && !r.abandoned;
+        [target](const Replica& r) {
+            return r.node == target && !r.live && !r.abandoned;
         });
     PULSE_ASSERT(it != extent.replicas.end(),
                  "finished copy lost its replica record");
@@ -447,29 +341,6 @@ ReplicationPlane::finish_copy()
     stats_.replicas_established.increment();
     if (!busy()) {
         last_restore_time_ = queue_.now();
-    }
-    pump();
-}
-
-void
-ReplicationPlane::abort_copy()
-{
-    ActiveCopy copy = std::move(*active_);
-    active_.reset();
-    generation_++;
-    allocator_.free_backing(copy.dst, copy.dst_phys, copy.length);
-    Extent& extent = extents_[copy.extent];
-    extent.replicas.erase(
-        std::remove_if(extent.replicas.begin(), extent.replicas.end(),
-                       [&copy](const Replica& r) {
-                           return r.node == copy.dst && !r.live;
-                       }),
-        extent.replicas.end());
-    stats_.copies_aborted.increment();
-    // The scan re-plans the lost slot once the topology settles.
-    scan_saw_traffic_ = true;
-    if (!scan_armed_) {
-        arm_scan();
     }
     pump();
 }
@@ -525,8 +396,9 @@ ReplicationPlane::execute_failover(NodeId dead)
     stats_.nodes_declared_dead.increment();
 
     // Quench copy machinery involving the dead node.
-    if (active_ && (active_->src == dead || active_->dst == dead)) {
-        abort_copy();
+    if (copier_.active() &&
+        (copier_.src() == dead || copier_.dst() == dead)) {
+        copier_.abort();
     }
     pending_.erase(
         std::remove_if(pending_.begin(), pending_.end(),
@@ -554,14 +426,11 @@ ReplicationPlane::execute_failover(NodeId dead)
     }
 
     // Atomically re-route everything the dead node served to surviving
-    // replicas: AddressMap overlay first (the authority), then switch
-    // overlay and TCAMs derived from it — the same lockstep a migration
-    // cutover uses, so the route-agreement audit holds throughout.
+    // replicas, through the same route flip a migration cutover uses,
+    // so the route-agreement audit holds throughout.
     FailoverRecord record;
     record.node = dead;
     record.declared_at = queue_.now();
-    mem::AddressMap& map = memory_.mutable_address_map();
-    bool rerouted = false;
     for (Extent& extent : extents_) {
         const auto spans = spans_owned_by(extent, dead);
         if (spans.empty()) {
@@ -573,38 +442,18 @@ ReplicationPlane::execute_failover(NodeId dead)
             continue;
         }
         for (const auto& [base, length] : spans) {
-            if (!tcams_[dead]->can_punch(base, length) ||
-                tcams_[replica->node]->size() >=
-                    tcams_[replica->node]->capacity()) {
+            const placement::RouteFlip flip = placement::flip_route(
+                memory_.mutable_address_map(), network_.switch_table(),
+                tcams_, dead, replica->node, base, length,
+                replica->phys + (base - extent.va_base));
+            if (flip == placement::RouteFlip::kRefused) {
                 stats_.failover_spans_lost.increment();
                 continue;
             }
-            const bool remapped = map.install_remap(mem::Remap{
-                base, length, replica->node,
-                replica->phys + (base - extent.va_base)});
-            PULSE_ASSERT(remapped, "failover remap rejected");
-            const bool punched = tcams_[dead]->punch(base, length);
-            PULSE_ASSERT(punched, "pre-checked failover punch failed");
-            const bool installed =
-                tcams_[replica->node]->insert_coalesce(mem::RangeEntry{
-                    base, length,
-                    replica->phys + (base - extent.va_base),
-                    mem::Perm::kReadWrite});
-            PULSE_ASSERT(installed,
-                         "pre-checked failover insert failed");
-            rerouted = true;
             record.spans++;
             record.bytes += length;
             stats_.failover_spans_rerouted.increment();
             stats_.failover_bytes_rerouted.increment(length);
-        }
-    }
-    if (rerouted) {
-        net::SwitchTable& table = network_.switch_table();
-        table.clear_overlay();
-        for (const mem::Remap& remap : map.remaps()) {
-            table.add_overlay_rule(net::SwitchRule{
-                remap.va_base, remap.length, remap.node});
         }
     }
     stats_.failovers_executed.increment();
@@ -648,10 +497,9 @@ ReplicationPlane::live_replica(Extent& extent, NodeId excluding)
 }
 
 void
-ReplicationPlane::mirror_store(NodeId at, VirtAddr va,
-                               const void* data, Bytes len, Time now)
+ReplicationPlane::mirror_store(VirtAddr va, const void* data,
+                               Bytes len, Time now)
 {
-    (void)at;
     note_activity();
     const std::uint8_t* src = static_cast<const std::uint8_t*>(data);
     VirtAddr cursor = va;
@@ -685,10 +533,9 @@ ReplicationPlane::mirror_store(NodeId at, VirtAddr va,
 }
 
 void
-ReplicationPlane::mirror_cas(NodeId at, VirtAddr va,
-                             std::uint64_t desired, Time now)
+ReplicationPlane::mirror_cas(VirtAddr va, std::uint64_t desired,
+                             Time now)
 {
-    (void)at;
     note_activity();
     Extent* extent = extent_containing(va);
     if (extent == nullptr) {
@@ -779,13 +626,8 @@ ReplicationPlane::mirror_unmark(NodeId from,
 // ---------------------------------------------------------------------
 
 void
-ReplicationPlane::notify_cutover(NodeId src, NodeId dst,
-                                 VirtAddr va_base, Bytes length)
+ReplicationPlane::notify_cutover()
 {
-    (void)src;
-    (void)dst;
-    (void)va_base;
-    (void)length;
     stats_.cutovers_observed.increment();
     note_activity();
 }
@@ -839,7 +681,7 @@ ReplicationPlane::is_dead(NodeId node) const
 Bytes
 ReplicationPlane::rereplication_backlog_bytes() const
 {
-    Bytes backlog = active_ ? active_->length : 0;
+    Bytes backlog = copier_.active() ? copier_.length() : 0;
     for (const auto& [index, target] : pending_) {
         backlog += extents_[index].length;
     }

@@ -6,8 +6,8 @@
  * The plane keeps k copies of every allocated byte:
  *
  *   - **COPY**: a background scan discovers allocation growth per home
- *     node and establishes replicas with the migration engine's chunked
- *     selective-repeat protocol (timed chunks + acks over the fabric,
+ *     node and establishes replicas with the slab copier migration uses
+ *     (placement/slab_copier.h: timed chunks + acks over the fabric,
  *     RTO retransmits, abort on a dead link), finishing with one atomic
  *     functional copy so racing stores can never leak stale bytes.
  *   - **DUAL**: once a replica is live it is write-synchronous — every
@@ -22,8 +22,8 @@
  *     acks) from a blackout (no acks).
  *   - **FAILOVER**: declaring a node dead re-routes every span it
  *     owned to a surviving replica in one atomic event, via the same
- *     AddressMap-remap -> switch-overlay -> TCAM path a migration
- *     cutover uses, so the route-agreement audit always holds.
+ *     route flip (placement::flip_route) a migration cutover uses, so
+ *     the route-agreement audit always holds.
  *   - **RE-REPLICATE**: the scan restores the replication factor on
  *     surviving nodes; notify_recovered() re-admits a healed node.
  *
@@ -36,7 +36,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -50,20 +49,19 @@
 #include "mem/range_tcam.h"
 #include "net/heartbeat.h"
 #include "net/network.h"
+#include "placement/placement_config.h"
+#include "placement/slab_copier.h"
 #include "replication/replication_config.h"
 #include "sim/event_queue.h"
 
 namespace pulse::replication {
 
 /** Plane statistics (exported under "replication."). */
-struct ReplicationStats
+struct ReplicationStats : placement::CopyStats
 {
     Counter replicas_established;   ///< copies that went live
     Counter copies_started;
     Counter copies_aborted;         ///< dead link / dying source
-    Counter bytes_copied;           ///< timed copy-phase traffic
-    Counter chunks_sent;
-    Counter chunks_retransmitted;
     Counter replica_alloc_failures; ///< no backing on any target
     Counter store_mirrors;          ///< write-synchronous stores
     Counter cas_mirrors;            ///< write-synchronous CAS results
@@ -95,12 +93,16 @@ struct FailoverRecord
 class ReplicationPlane
 {
   public:
+    /** Replica copies take their knobs from @p copy_config
+     *  (copy_chunk_bytes, copy_window, copy_rto, copy_max_retries):
+     *  one set governs every slab copy, migration or replica. */
     ReplicationPlane(sim::EventQueue& queue, net::Network& network,
                      mem::GlobalMemory& memory,
                      mem::ClusterAllocator& allocator,
                      std::vector<mem::RangeTcam*> tcams,
                      std::vector<mem::ChannelSet*> channels,
-                     const ReplicationConfig& config);
+                     const ReplicationConfig& config,
+                     const placement::PlacementConfig& copy_config);
 
     const ReplicationConfig& config() const { return config_; }
 
@@ -115,13 +117,12 @@ class ReplicationPlane
 
     // -- accelerator hooks (null plane pointer = strict no-op) --------
 
-    /** Mirror a store @p at applied to @p va into live replicas. */
-    void mirror_store(NodeId at, VirtAddr va, const void* data,
-                      Bytes len, Time now);
+    /** Mirror a store applied to @p va into live replicas. */
+    void mirror_store(VirtAddr va, const void* data, Bytes len,
+                      Time now);
 
     /** Mirror a successful CAS (@p desired won) at @p va. */
-    void mirror_cas(NodeId at, VirtAddr va, std::uint64_t desired,
-                    Time now);
+    void mirror_cas(VirtAddr va, std::uint64_t desired, Time now);
 
     /** A visit began executing on @p from: mark it in-progress in
      *  every other dedup window so a retransmit answered by a replica
@@ -157,15 +158,14 @@ class ReplicationPlane
     void notify_recovered(NodeId node);
 
     /**
-     * A migration cutover moved [@p va_base, @p va_base + @p length)
-     * from @p src to @p dst (wired through the placement plane's
-     * cutover observer). Replica content is VA-indexed and mirrors
-     * resolve the owner per write, so no replica data moves — the
-     * plane just notes the ownership change and keeps its control
-     * loops armed while placement churn is ongoing.
+     * A migration cutover moved a span to a new owner (wired through
+     * the placement plane's cutover observer). Replica content is
+     * VA-indexed and mirrors resolve the owner per write, so no
+     * replica data moves — the plane just counts the ownership change
+     * and keeps its control loops armed while placement churn is
+     * ongoing.
      */
-    void notify_cutover(NodeId src, NodeId dst, VirtAddr va_base,
-                        Bytes length);
+    void notify_cutover();
 
     // -- introspection ------------------------------------------------
 
@@ -192,7 +192,7 @@ class ReplicationPlane
     /** A replica copy is running or copies are queued. */
     bool busy() const
     {
-        return active_.has_value() || !pending_.empty();
+        return copier_.active() || !pending_.empty();
     }
 
     const ReplicationStats& stats() const { return stats_; }
@@ -223,21 +223,6 @@ class ReplicationPlane
         std::vector<Replica> replicas;
     };
 
-    /** The copy protocol's in-flight state (one copy at a time). */
-    struct ActiveCopy
-    {
-        std::size_t extent = 0;   ///< index into extents_
-        Bytes length = 0;
-        NodeId src = kInvalidNode;
-        NodeId dst = kInvalidNode;
-        Bytes dst_phys = 0;
-        bool rereplication = false;
-        std::vector<bool> acked;
-        std::size_t next_unsent = 0;
-        std::size_t acked_count = 0;
-        std::uint32_t retries = 0;
-    };
-
     // control loops
     void arm_scan();
     void on_scan();
@@ -247,16 +232,8 @@ class ReplicationPlane
     void arm_probe();
     void on_probe_round();
 
-    // copy protocol (the migration engine's COPY phase, re-targeted)
-    Bytes chunk_offset(std::size_t chunk) const;
-    Bytes chunk_length(std::size_t chunk) const;
-    void send_chunk(std::size_t chunk, bool retransmit);
-    void on_chunk_delivered(std::uint64_t generation,
-                            std::size_t chunk);
-    void on_copy_ack(std::uint64_t generation, std::size_t chunk);
-    void arm_rto(std::size_t chunk);
-    void finish_copy();
-    void abort_copy();
+    // replica copy outcome (the copier's done callback)
+    void on_copy_done(std::size_t index, NodeId target, bool copied);
 
     // failover
     void execute_failover(NodeId dead);
@@ -282,9 +259,6 @@ class ReplicationPlane
     std::vector<Bytes> covered_;
     /** Queued copies: (extent index, target node). */
     std::deque<std::pair<std::size_t, NodeId>> pending_;
-    std::optional<ActiveCopy> active_;
-    /** Bumped when a copy ends; stale timers/acks become no-ops. */
-    std::uint64_t generation_ = 0;
 
     bool scan_armed_ = false;
     bool probe_armed_ = false;
@@ -294,6 +268,7 @@ class ReplicationPlane
     std::vector<FailoverRecord> failover_log_;
     Time last_restore_time_ = 0;
     ReplicationStats stats_;
+    placement::SlabCopier copier_;
 };
 
 }  // namespace pulse::replication

@@ -2,7 +2,8 @@
  * @file
  * Live slab migration tests: the engine's copy/cutover protocol (data
  * integrity, map/switch/TCAM coherence, backing reuse, migrate-home
- * overlay retirement, rejection of ineligible starts, abort on a dead
+ * overlay retirement, rejection of ineligible starts including a tail
+ * slab whose frame holds another slab's backing, abort on a dead
  * link), and the full elastic plane rebalancing live CAS traffic —
  * with and without the fault plane mangling every message class —
  * while in-flight operations keep exactly-once semantics.
@@ -176,6 +177,34 @@ TEST(MigrationEngine, RejectsIneligibleStarts)
     EXPECT_FALSE(engine.start(unmapped, kSlab, 0, never));
     EXPECT_TRUE(cluster.queue().empty());  // nothing was scheduled
     EXPECT_EQ(engine.stats().started.value(), 0u);
+
+    // A migration into node 0 reserves backing at node 0's bump
+    // frontier, inside the home frame of its partly filled tail slab.
+    // That tail slab must stay ineligible: moving it away would free
+    // the whole frame, live bytes of the guest slab included.
+    const VirtAddr guest = cluster.allocator().alloc_on(1, kSlab, kSlab);
+    const VirtAddr second = cluster.allocator().alloc_on(1, kSlab, kSlab);
+    ASSERT_NE(guest, kNullAddr);
+    ASSERT_NE(second, kNullAddr);
+    const std::vector<std::uint8_t> data = pattern(kSlab);
+    cluster.memory().write(guest, data.data(), data.size());
+    auto migrate = [&](VirtAddr va, NodeId dst) {
+        bool migrated = false;
+        if (!engine.start(va, kSlab, dst,
+                          [&](bool ok) { migrated = ok; })) {
+            return false;
+        }
+        cluster.queue().run();
+        return migrated;
+    };
+    ASSERT_TRUE(migrate(guest, 0));
+    EXPECT_LT(map.placement_for(guest).phys,
+              map.offset_in_region(partial) + kSlab);
+    EXPECT_FALSE(migrate(partial, 1));  // tail slab: frame is shared
+    ASSERT_TRUE(migrate(second, 0));
+    std::vector<std::uint8_t> readback(kSlab);
+    cluster.memory().read(guest, readback.data(), readback.size());
+    EXPECT_EQ(readback, data);
 }
 
 TEST(MigrationEngine, AbortsOnDeadLinkAndFreesBacking)

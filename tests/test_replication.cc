@@ -2,7 +2,8 @@
  * @file
  * Fault-tolerance plane tests: heartbeat detector semantics (stall vs
  * blackout), PULSE_REPLICATION parsing and off-gating, replica
- * establishment + failover serving reads from the survivor, and the
+ * establishment + failover serving reads from the survivor, a replica
+ * copy aborted by a short blackout and re-established after it, and the
  * chaos CAS soak — a node blackout injected at every phase of the
  * replication protocol (before the first scan, mid-copy, after
  * establishment, deep into mirrored CAS traffic) while a closed loop
@@ -226,6 +227,57 @@ TEST(ReplicationPlane, FailoverServesReadsFromSurvivor)
     cluster.memory().read(va, readback.data(), readback.size());
     EXPECT_EQ(readback, data);
 
+    EXPECT_EQ(cluster.verify_quiesce(), 0u);
+}
+
+TEST(ReplicationPlane, ReplicaCopyAbortsOnBlackoutThenRecovers)
+{
+    core::ClusterConfig config;
+    config.num_mem_nodes = 2;
+    config.check.invariants = true;
+    config.replication.replication_factor = 2;
+    // Replica copies run on the slab copier and take its knobs from
+    // the placement config, plane on or off. A healthy copy of this
+    // extent takes about 30us; one lost round of chunks aborts it.
+    config.placement.copy_rto = micros(30.0);
+    config.placement.copy_max_retries = 3;
+    // Node 1, the only replica target, goes dark across the first
+    // copy (the scan starts it at 25us) and comes back long before
+    // the heartbeat detector could declare it dead.
+    config.faults.timeline.push_back(faults::NodeFaultWindow{
+        /*node=*/1, faults::NodeFaultKind::kBlackout, micros(20.0),
+        micros(60.0)});
+    core::Cluster cluster(config);
+    ASSERT_NE(cluster.replication_plane(), nullptr);
+    const ReplicationPlane& plane = *cluster.replication_plane();
+
+    const VirtAddr va = cluster.allocator().alloc_on(0, kPad, 256);
+    ASSERT_NE(va, kNullAddr);
+    const std::vector<std::uint8_t> data = pattern(kPad);
+    cluster.memory().write(va, data.data(), data.size());
+
+    // Between scans after the abort: its reserved backing is back on
+    // node 1's free list, and its replica record is gone (nothing in
+    // flight or queued until the next scan re-plans).
+    cluster.queue().run_until(micros(65.0));
+    EXPECT_EQ(plane.stats().copies_aborted.value(), 1u);
+    EXPECT_GT(plane.stats().chunks_retransmitted.value(), 0u);
+    EXPECT_EQ(plane.stats().replicas_established.value(), 0u);
+    EXPECT_FALSE(plane.busy());
+    EXPECT_EQ(plane.rereplication_backlog_bytes(), 0u);
+    EXPECT_EQ(cluster.allocator().free_list_bytes(1), kPad);
+
+    // After the window the scan re-establishes the replica, reusing
+    // the freed backing; node 1 was never declared dead.
+    cluster.queue().run();
+    EXPECT_EQ(plane.stats().replicas_established.value(), 1u);
+    EXPECT_EQ(plane.stats().nodes_declared_dead.value(), 0u);
+    EXPECT_TRUE(plane.failovers().empty());
+    EXPECT_EQ(cluster.allocator().free_list_bytes(1), 0u);
+    EXPECT_FALSE(plane.busy());
+    std::vector<std::uint8_t> readback(kPad);
+    cluster.memory().read(va, readback.data(), readback.size());
+    EXPECT_EQ(readback, data);
     EXPECT_EQ(cluster.verify_quiesce(), 0u);
 }
 
