@@ -66,6 +66,16 @@ inline constexpr std::uint32_t kMaxSpawnDepthLimit = 7;
  *  kGlobalIterationGuard on chains). */
 inline constexpr std::uint32_t kForkNodeGuard = 4096;
 
+/**
+ * Does [offset, offset+length) lie within @p limit bytes? Written so
+ * that no static offset, however large, wraps the sum around.
+ */
+constexpr bool
+span_fits(std::uint64_t offset, std::uint64_t length, std::uint64_t limit)
+{
+    return offset <= limit && length <= limit - offset;
+}
+
 /** Operation codes. */
 enum class Opcode : std::uint8_t {
     kLoad,      ///< data[0:len) = mem[cur_ptr : cur_ptr+len)

@@ -12,7 +12,9 @@
  *
  * Every timed execution path (accelerator model, RPC CPU model, client
  * fallback) funnels through this interpreter, so all systems compute
- * identical results by construction and differ only in timing.
+ * identical results by construction and differ only in timing. It
+ * executes the micro-ops each Program decodes once at construction
+ * (micro_op.h), never the Instruction array itself.
  */
 #ifndef PULSE_ISA_INTERPRETER_H
 #define PULSE_ISA_INTERPRETER_H
@@ -40,10 +42,12 @@ struct Workspace
     /** Size scratch/data for @p program. */
     void configure(const Program& program);
 
-    /** Zero-extend read of an operand. */
+    /** Zero-extend read of a scalar operand. Register widths other
+     *  than 1/2/4/8 and spans past the vector panic (verifier bug). */
     std::uint64_t read(const Operand& operand) const;
 
-    /** Truncating write to an operand (must be writable). */
+    /** Truncating write to a scalar operand (must be writable; same
+     *  width and range rules as read()). */
     void write(const Operand& operand, std::uint64_t value);
 };
 

@@ -93,7 +93,8 @@ Program::Program(std::vector<Instruction> code,
                  std::uint32_t scratch_bytes, std::uint32_t max_iters,
                  std::uint32_t max_spawn_depth)
     : code_(std::move(code)), scratch_bytes_(scratch_bytes),
-      max_iters_(max_iters), max_spawn_depth_(max_spawn_depth)
+      max_iters_(max_iters), max_spawn_depth_(max_spawn_depth),
+      decoded_(decode_micro_ops(code_, scratch_bytes_))
 {
 }
 
@@ -133,11 +134,13 @@ Program::verify(std::string* error) const
                 return fail(error, where("bad operand width"));
             }
             if (operand->kind == OperandKind::kScratch &&
-                operand->value + operand->width > scratch_bytes_) {
+                !span_fits(operand->value, operand->width,
+                           scratch_bytes_)) {
                 return fail(error, where("scratch_pad offset out of range"));
             }
             if (operand->kind == OperandKind::kData &&
-                operand->value + operand->width > kMaxLoadBytes) {
+                !span_fits(operand->value, operand->width,
+                           kMaxLoadBytes)) {
                 return fail(error, where("data offset out of range"));
             }
         }
@@ -164,7 +167,7 @@ Program::verify(std::string* error) const
             }
             const auto data_off = insn.src1.value;
             const auto len = insn.src2.value;
-            if (len == 0 || data_off + len > kMaxLoadBytes) {
+            if (len == 0 || !span_fits(data_off, len, kMaxLoadBytes)) {
                 return fail(error, where("STORE data span out of range"));
             }
             has_store = true;
@@ -237,7 +240,7 @@ Program::verify(std::string* error) const
                 return fail(error,
                             where("REDUCE lane count must be in [1, 8]"));
             }
-            if (insn.dst.value + 8 * lanes > scratch_bytes_) {
+            if (!span_fits(insn.dst.value, 8 * lanes, scratch_bytes_)) {
                 return fail(error, where("REDUCE accumulator span out "
                                          "of scratch_pad range"));
             }
@@ -252,7 +255,7 @@ Program::verify(std::string* error) const
             break;
           case Opcode::kCas:
             if (insn.dst.kind != OperandKind::kImm ||
-                insn.dst.value + 8 > kMaxLoadBytes) {
+                !span_fits(insn.dst.value, 8, kMaxLoadBytes)) {
                 return fail(error, where("CAS offset must be an "
                                          "immediate within the load "
                                          "vicinity"));

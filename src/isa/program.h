@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "isa/instruction.h"
+#include "isa/micro_op.h"
 
 namespace pulse::isa {
 
@@ -25,7 +26,7 @@ namespace pulse::isa {
 class Program
 {
   public:
-    Program() = default;
+    Program() : Program({}, kDefaultScratchBytes, kDefaultMaxIters) {}
 
     /**
      * Build from raw instructions.
@@ -71,13 +72,27 @@ class Program
     /** Disassemble to assembler text. */
     std::string disassemble() const;
 
-    friend bool operator==(const Program&, const Program&) = default;
+    /**
+     * The micro-ops decoded from code() at construction (micro_op.h).
+     * Only run_iteration() reads them.
+     */
+    const DecodedProgram& decoded() const { return decoded_; }
+
+    /** Equal code and limits (the decoded form follows from them). */
+    friend bool
+    operator==(const Program& a, const Program& b)
+    {
+        return a.code_ == b.code_ && a.scratch_bytes_ == b.scratch_bytes_ &&
+               a.max_iters_ == b.max_iters_ &&
+               a.max_spawn_depth_ == b.max_spawn_depth_;
+    }
 
   private:
     std::vector<Instruction> code_;
     std::uint32_t scratch_bytes_ = kDefaultScratchBytes;
     std::uint32_t max_iters_ = kDefaultMaxIters;
     std::uint32_t max_spawn_depth_ = 0;
+    DecodedProgram decoded_;
 };
 
 /**

@@ -85,6 +85,27 @@ TEST(ProgramVerify, ScratchOffsetOutOfRangeRejected)
     EXPECT_FALSE(program.verify());  // 60 + 8 > 64
 }
 
+TEST(ProgramVerify, WrappingOffsetsRejected)
+{
+    // offset + length wraps to 4 in 64 bits, which a plain sum check
+    // accepts.
+    const std::uint64_t huge = ~std::uint64_t{0} - 3;
+    const Operand wrapped{OperandKind::kScratch, 8, huge};
+    std::vector<Instruction> code;
+    code.push_back({.op = Opcode::kMove, .dst = wrapped, .src1 = imm(1)});
+    code.push_back({.op = Opcode::kReturn});
+    const Program program(code, 64, 16);
+    EXPECT_FALSE(program.verify());
+    Workspace ws;
+    ws.configure(program);
+    EXPECT_DEATH(ws.read(wrapped), "out of range");
+    EXPECT_DEATH(run_iteration(program, ws), "operand write out of range");
+
+    code[0] = {.op = Opcode::kStore, .dst = imm(0), .src1 = imm(huge),
+               .src2 = imm(8)};
+    EXPECT_FALSE(Program(code, 64, 16).verify());
+}
+
 TEST(ProgramVerify, FallOffEndRejected)
 {
     std::vector<Instruction> code;
@@ -194,6 +215,39 @@ TEST(Interpreter, NarrowWidthsZeroExtendAndTruncate)
     ws.configure(program);
     run_iteration(program, ws);
     EXPECT_EQ(ws.read(sp(16)), 0x7788u);
+}
+
+TEST(Interpreter, WorkspaceAccessRejectsNonScalarWidths)
+{
+    Workspace ws;
+    ws.configure(simple_count_program(1));
+    // Widths 16-255 used to overflow the 8-byte value; 256 narrowed to
+    // a 0-byte access.
+    EXPECT_DEATH(ws.read(sp(0, 16)), "verifier bug");
+    EXPECT_DEATH(ws.read(dat(0, 256)), "verifier bug");
+    EXPECT_DEATH(ws.write(sp(0, 3), 1), "verifier bug");
+    EXPECT_DEATH(ws.write(dat(8, 64), 1), "verifier bug");
+    EXPECT_DEATH(ws.read(sp(kDefaultScratchBytes - 4, 8)), "out of range");
+}
+
+TEST(Interpreter, OutOfRangeOperandPanicsOnlyWhenExecuted)
+{
+    // Unverified: sp(4096) lies past a 64-byte scratch_pad.
+    std::vector<Instruction> code;
+    code.push_back({.op = Opcode::kCompare, .src1 = imm(1), .src2 = imm(1)});
+    code.push_back({.op = Opcode::kJump, .cond = Cond::kEq, .target = 3});
+    code.push_back({.op = Opcode::kMove, .dst = sp(4096), .src1 = imm(7)});
+    code.push_back({.op = Opcode::kReturn});
+    const Program skipped(code, 64, 16);
+    ASSERT_FALSE(skipped.verify());
+    Workspace ws;
+    ws.configure(skipped);
+    EXPECT_EQ(run_iteration(skipped, ws).end, IterEnd::kReturn);
+
+    code[0].src2 = imm(2);  // now the jump falls through to the MOVE
+    const Program executed(code, 64, 16);
+    EXPECT_DEATH(run_iteration(executed, ws),
+                 "operand write out of range \\(verifier bug\\)");
 }
 
 TEST(Interpreter, VectorMoveCopiesBytes)

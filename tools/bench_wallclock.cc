@@ -19,6 +19,12 @@
  *    run (setup + steady state) — the number that bounds how much the
  *    hot path can still be hiding.
  *
+ *    The same cell's programs then feed an interpreter
+ *    microbenchmark: isa::run_iteration alone over iteration states
+ *    captured from the cell, in host ns per instruction and as a ratio
+ *    to the pooled event loop's ns per event from (1), which the perf
+ *    guard can bound on any host.
+ *
  * 3. Sweep scaling: a reduced multi-cell sweep executed serially
  *    (--threads=1) and with the configured worker count, reporting
  *    wall clock for both and the speedup.
@@ -38,6 +44,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <new>
 #include <queue>
 #include <string>
@@ -46,6 +53,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "isa/interpreter.h"
 #include "sim/event_queue.h"
 #include "sweep_runner.h"
 
@@ -277,6 +285,68 @@ profile_event_loop(std::uint64_t chains, std::uint64_t total_events)
 // ---------------------------------------------------------------------
 // Phase 2/3 — end-to-end cell profile and sweep scaling.
 // ---------------------------------------------------------------------
+
+/**
+ * Host ns per executed instruction of isa::run_iteration alone. The
+ * starting workspace of each iteration is captured by following
+ * @p factory's operations host-side through @p memory; timed passes
+ * then replay every state, and the median pass is reported.
+ */
+double
+interpreter_ns_per_instr(const mem::GlobalMemory& memory,
+                         const workloads::OpFactory& factory)
+{
+    constexpr std::size_t kStates = 4096;
+    constexpr int kPasses = 101;
+    struct State
+    {
+        std::shared_ptr<const isa::Program> program;
+        isa::Workspace workspace;
+    };
+    std::vector<State> states;
+    for (std::uint64_t index = 0; states.size() < kStates; index++) {
+        const offload::Operation op = factory(index);
+        const isa::Program& program = *op.program;
+        isa::Workspace ws;
+        ws.configure(program);
+        ws.cur_ptr = op.start_ptr;
+        std::copy_n(op.init_scratch.data(),
+                    std::min(op.init_scratch.size(), ws.scratch.size()),
+                    ws.scratch.begin());
+        const std::uint32_t load_bytes = program.load_bytes();
+        for (std::uint32_t iter = 0; iter < program.max_iters(); iter++) {
+            if (ws.cur_ptr == kNullAddr) {
+                std::fill_n(ws.data.begin(), load_bytes, 0);
+            } else if (load_bytes > 0) {
+                memory.read(ws.cur_ptr, ws.data.data(), load_bytes);
+            }
+            states.push_back(State{op.program, ws});
+            if (isa::run_iteration(program, ws).end !=
+                isa::IterEnd::kNextIter) {
+                break;
+            }
+        }
+    }
+
+    std::vector<isa::Workspace> work(states.size());
+    std::vector<double> per_instr;
+    for (int pass = 0; pass < kPasses; pass++) {
+        for (std::size_t i = 0; i < states.size(); i++) {
+            work[i] = states[i].workspace;
+        }
+        std::uint64_t instructions = 0;
+        const auto start = std::chrono::steady_clock::now();
+        for (std::size_t i = 0; i < states.size(); i++) {
+            instructions +=
+                isa::run_iteration(*states[i].program, work[i])
+                    .instructions_executed;
+        }
+        per_instr.push_back(seconds_since(start) * 1e9 /
+                            static_cast<double>(instructions));
+    }
+    std::sort(per_instr.begin(), per_instr.end());
+    return per_instr[per_instr.size() / 2];
+}
 
 /** Reduced sweep: one saturation cell per app on pulse + RPC. */
 void
@@ -510,6 +580,20 @@ main(int argc, char** argv)
                     static_cast<double>(blob.size()) / 1024.0,
                     save_wall * 1e3, restore_wall * 1e3);
         }
+
+        // Phase 2c — the interpreter alone, on this cell's programs,
+        // and as a ratio to the pooled event loop timed in phase 1.
+        const double ns_per_instr =
+            interpreter_ns_per_instr(cluster.memory(), experiment.factory);
+        const double ns_per_event = pooled.wall_seconds * 1e9 /
+                                    static_cast<double>(pooled.events);
+        exporter.set("isa.ns_per_instr", ns_per_instr);
+        exporter.set("isa.instr_per_event_ratio",
+                     ns_per_instr / ns_per_event);
+        std::printf("interpreter: %.2f ns/instruction, %.3f of a pooled "
+                    "event (%.2f ns)\n",
+                    ns_per_instr, ns_per_instr / ns_per_event,
+                    ns_per_event);
     }
 
     // Phase 3 — sweep scaling, serial vs parallel.
