@@ -82,9 +82,10 @@ fork_sweep(CellContext& ctx, std::uint32_t fanout, ForkPoint& out)
     core::ClusterConfig config;
     config.num_mem_nodes = 8;
     config.accel.workspaces_per_logic = 16;
-    config.check = check::CheckConfig::from_env();
-    config.placement = placement::PlacementConfig::from_env();
-    config.replication = replication::ReplicationConfig::from_env();
+    std::string error;
+    if (!config.apply_env_knobs(&error)) {
+        panic("%s", error.c_str());  // parse_bench_args() checked it
+    }
     core::Cluster cluster(config);
 
     ds::BPTreeConfig bt;
@@ -101,14 +102,8 @@ fork_sweep(CellContext& ctx, std::uint32_t fanout, ForkPoint& out)
     }
     tree.build(entries);
 
-    const double scale = bench_options().ops_scale;
-    const auto scaled = [scale](std::uint64_t ops) {
-        return std::max<std::uint64_t>(
-            1, static_cast<std::uint64_t>(
-                   static_cast<double>(ops) * scale));
-    };
-    const std::uint64_t warmup = scaled(12);
-    const std::uint64_t measure = scaled(120);
+    const std::uint64_t warmup = scale_ops(12);
+    const std::uint64_t measure = scale_ops(120);
 
     // Cross-run fold check: both variants accumulate the same stream.
     std::uint64_t seq_fold = 0;

@@ -11,6 +11,7 @@
 #ifndef PULSE_BENCH_BENCH_UTIL_H
 #define PULSE_BENCH_BENCH_UTIL_H
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "apps/apps.h"
+#include "common/knobs.h"
 #include "common/logging.h"
 #include "core/cluster.h"
 #include "energy/energy_model.h"
@@ -31,14 +33,14 @@
 namespace pulse::bench {
 
 /**
- * Harness-level knobs shared by every bench binary. Defaults come from
- * the environment (PULSE_BENCH_THREADS, PULSE_BENCH_OPS_SCALE); CLI
- * flags parsed by parse_bench_args() override them.
+ * Harness-level knobs shared by every bench binary, set by
+ * parse_bench_args() from PULSE_BENCH_THREADS / PULSE_BENCH_OPS_SCALE
+ * and the --threads=N / --ops-scale=X flags that override them.
  */
 struct BenchOptions
 {
     /** Sweep worker threads; 1 reproduces the serial behavior. */
-    unsigned threads = 1;
+    unsigned threads = std::max(1u, std::thread::hardware_concurrency());
 
     /**
      * Multiplier applied to every RunSpec's warmup_ops/measure_ops
@@ -49,64 +51,70 @@ struct BenchOptions
     double ops_scale = 1.0;
 };
 
-/** Mutable process-wide options (initialized from the environment). */
+/** Mutable process-wide options. */
 inline BenchOptions&
 bench_options()
 {
-    static BenchOptions options = [] {
-        BenchOptions parsed;
-        parsed.threads = std::thread::hardware_concurrency();
-        if (parsed.threads == 0) {
-            parsed.threads = 1;
-        }
-        if (const char* env = std::getenv("PULSE_BENCH_THREADS")) {
-            const long n = std::strtol(env, nullptr, 10);
-            parsed.threads =
-                n > 0 ? static_cast<unsigned>(n) : 1;
-        }
-        if (const char* env = std::getenv("PULSE_BENCH_OPS_SCALE")) {
-            const double scale = std::strtod(env, nullptr);
-            if (scale > 0.0) {
-                parsed.ops_scale = scale;
-            }
-        }
-        return parsed;
-    }();
+    static BenchOptions options;
     return options;
 }
 
 /**
- * Strip and apply the harness flags (--threads=N, --ops-scale=X) from
- * @p argv before handing it to benchmark::Initialize, which aborts on
- * flags it does not recognize. Call first in every bench main().
+ * Apply the harness knobs to @p options: the environment first, then
+ * the --threads=N / --ops-scale=X flags, which are stripped from
+ * @p argv because benchmark::Initialize aborts on flags it does not
+ * recognize. Every other knob in the table is validated too. Returns
+ * false with @p error set on a malformed flag or knob value.
+ */
+inline bool
+parse_bench_flags(int& argc, char** argv, BenchOptions& options,
+                  std::string* error)
+{
+    using knobs::Knob;
+    if (!knobs::validate_env(error)) {
+        return false;
+    }
+    const std::pair<Knob, std::string_view> flags[] = {
+        {Knob::kBenchThreads, "--threads="},
+        {Knob::kBenchOpsScale, "--ops-scale="}};
+    for (const auto& [knob, prefix] : flags) {
+        knobs::Value value;
+        knobs::read(knob, &value, error);
+        int kept = 1;
+        for (int i = 1; i < argc; i++) {
+            const std::string_view arg(argv[i]);
+            if (arg.substr(0, prefix.size()) != prefix) {
+                argv[kept++] = argv[i];
+            } else if (!knobs::parse(knob, arg.substr(prefix.size()),
+                                     &value, error)) {
+                *error = std::string(arg) + ": " + *error;
+                return false;
+            }
+        }
+        argc = kept;
+        argv[argc] = nullptr;
+        if (value.number > 0.0 && knob == Knob::kBenchThreads) {
+            options.threads = static_cast<unsigned>(value.number);
+        } else if (value.number > 0.0) {
+            options.ops_scale = value.number;
+        }
+    }
+    return true;
+}
+
+/**
+ * parse_bench_flags() into bench_options(); a malformed flag or knob
+ * prints its error and exits with status 2. Call first in every bench
+ * main().
  */
 inline void
 parse_bench_args(int& argc, char** argv)
 {
-    int kept = 1;
-    for (int i = 1; i < argc; i++) {
-        const std::string_view arg(argv[i]);
-        constexpr std::string_view kThreads = "--threads=";
-        constexpr std::string_view kOpsScale = "--ops-scale=";
-        if (arg.substr(0, kThreads.size()) == kThreads) {
-            const long n =
-                std::strtol(argv[i] + kThreads.size(), nullptr, 10);
-            bench_options().threads =
-                n > 0 ? static_cast<unsigned>(n) : 1;
-            continue;
-        }
-        if (arg.substr(0, kOpsScale.size()) == kOpsScale) {
-            const double scale =
-                std::strtod(argv[i] + kOpsScale.size(), nullptr);
-            if (scale > 0.0) {
-                bench_options().ops_scale = scale;
-            }
-            continue;
-        }
-        argv[kept++] = argv[i];
+    std::string error;
+    if (!parse_bench_flags(argc, argv, bench_options(), &error)) {
+        std::fprintf(stderr, "%s\n", error.c_str());
+        std::exit(2);
     }
-    argc = kept;
-    argv[argc] = nullptr;
 }
 
 /** The evaluated applications (Table 2 rows). */
@@ -223,22 +231,13 @@ make_config(const RunSpec& spec)
     config.cache.cache_bytes = cache_bytes;
     config.aifm.cache_bytes = cache_bytes;
     config.set_pulse_acc(spec.pulse_acc);
-    // PULSE_CHECK=1 (or a layer list) turns on the correctness
-    // subsystem for any bench run; unset leaves it all-off and the
-    // outputs bit-identical (see docs/TESTING.md).
-    config.check = check::CheckConfig::from_env();
-    // PULSE_PLACEMENT=static|elastic turns on the placement plane for
-    // any bench run; unset (or =off) constructs nothing and leaves the
-    // outputs bit-identical (see docs/PLACEMENT.md).
-    config.placement = placement::PlacementConfig::from_env();
-    // PULSE_REPLICATION=k2|k3 turns on the fault-tolerance plane for
-    // any bench run; unset (or =off) constructs nothing and leaves the
-    // outputs bit-identical (see docs/REPLICATION.md).
-    config.replication = replication::ReplicationConfig::from_env();
-    // PULSE_SERVING=on turns on the multi-tenant serving plane for any
-    // bench run; unset (or =off) constructs nothing and leaves the
-    // outputs bit-identical (see docs/SERVING.md).
-    config.serve = serve::ServeConfig::from_env();
+    // The plane knobs turn a plane on for any bench run; unset, empty
+    // or off constructs nothing and leaves the outputs bit-identical
+    // (DESIGN.md §11). parse_bench_args() has rejected bad values.
+    std::string error;
+    if (!config.apply_env_knobs(&error)) {
+        panic("%s", error.c_str());
+    }
     if (spec.tweak) {
         spec.tweak(config);
     }
@@ -443,8 +442,9 @@ class MetricsSink
   private:
     MetricsSink()
     {
-        const char* path = std::getenv("PULSE_METRICS_OUT");
-        path_ = path != nullptr ? path : "";
+        knobs::Value value;
+        knobs::read(knobs::Knob::kMetricsOut, &value, nullptr);
+        path_ = value.path;
     }
 
     std::string path_;
@@ -453,19 +453,23 @@ class MetricsSink
     trace::MetricsExporter exporter_;
 };
 
+/** @p ops under the --ops-scale knob, floored at 1; 1.0 keeps it exact. */
+inline std::uint64_t
+scale_ops(std::uint64_t ops)
+{
+    const double scale = bench_options().ops_scale;
+    return scale == 1.0 ? ops
+                        : std::max<std::uint64_t>(
+                              1, static_cast<std::uint64_t>(
+                                     static_cast<double>(ops) * scale));
+}
+
 /** Apply the global --ops-scale knob to a cell's op counts. */
 inline RunSpec
 apply_ops_scale(RunSpec spec)
 {
-    const double scale = bench_options().ops_scale;
-    if (scale != 1.0) {
-        spec.warmup_ops = std::max<std::uint64_t>(
-            1, static_cast<std::uint64_t>(
-                   static_cast<double>(spec.warmup_ops) * scale));
-        spec.measure_ops = std::max<std::uint64_t>(
-            1, static_cast<std::uint64_t>(
-                   static_cast<double>(spec.measure_ops) * scale));
-    }
+    spec.warmup_ops = scale_ops(spec.warmup_ops);
+    spec.measure_ops = scale_ops(spec.measure_ops);
     return spec;
 }
 

@@ -223,8 +223,9 @@ class SweepRunner
     void
     export_wallclock(unsigned threads, double sweep_seconds)
     {
-        const char* path = std::getenv("PULSE_BENCH_WALLCLOCK_OUT");
-        if (path == nullptr || *path == '\0') {
+        knobs::Value out;
+        knobs::read(knobs::Knob::kBenchWallclockOut, &out, nullptr);
+        if (out.path.empty()) {
             return;
         }
         static trace::MetricsExporter exporter;
@@ -259,9 +260,9 @@ class SweepRunner
         }
         exporter.set(name_ + ".peak_rss_kib",
                      static_cast<double>(peak_rss_kib()));
-        if (!exporter.write_file(path)) {
-            std::fprintf(stderr,
-                         "wallclock export to %s failed\n", path);
+        if (!exporter.write_file(out.path)) {
+            std::fprintf(stderr, "wallclock export to %s failed\n",
+                         out.path.c_str());
         }
     }
 

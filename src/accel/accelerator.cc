@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "common/env_knobs.h"
+#include "common/knobs.h"
 #include "common/logging.h"
 #include "serve/qos.h"
 
@@ -18,7 +18,7 @@ Accelerator::Accelerator(sim::EventQueue& queue, net::Network& network,
       channels_(channels), node_(node), config_(config),
       tcam_(config.tcam_entries), pending_(config.sched_policy),
       replay_(config.replay_window_entries),
-      pooling_(pooling_enabled())
+      pooling_(knobs::pooling_enabled())
 {
     PULSE_ASSERT(config.num_cores > 0, "accelerator needs cores");
     PULSE_ASSERT(config.eta_pipelines > 0, "eta must be >= 1");

@@ -145,45 +145,76 @@ diagnostics_message(const InvariantRegistry& registry)
     return message;
 }
 
+/**
+ * The cluster every case runs on. The environment's plane knobs apply
+ * first, so a whole sweep can race a plane against the fuzzed
+ * traversals under the oracle and invariants (PULSE_PLACEMENT=elastic
+ * in the CI migration-soak job, PULSE_REPLICATION=k2 in chaos-soak);
+ * the case's own settings win over them. Returns false with @p error
+ * set on a malformed knob or an unknown fault profile.
+ */
+bool
+case_config(const FuzzCase& c, core::ClusterConfig* config,
+            std::string* error)
+{
+    if (!config->apply_env_knobs(error)) {
+        return false;
+    }
+    config->num_mem_nodes = c.nodes == 0 ? 1 : c.nodes;
+    config->node_capacity = 32 * kMiB;
+    config->seed = c.seed;
+    config->check.oracle = true;
+    config->check.invariants = true;
+    config->check.fail_fast = false;
+    config->check.max_diagnostics = 16;
+    bool fault_known = false;
+    config->faults = fuzz_fault_config(c.fault, c.seed, &fault_known);
+    if (!fault_known) {
+        *error = "unknown fault profile: " + c.fault;
+        return false;
+    }
+    if (config->faults.enabled()) {
+        // Fast loss recovery so even lossy cases drain quickly.
+        config->offload.adaptive_rto = true;
+        config->offload.retransmit_timeout = micros(2000.0);
+    }
+    if (config->placement.enabled()) {
+        // A short epoch makes migrations plausible within a case.
+        config->placement.epoch = micros(5.0);
+        config->placement.trigger_imbalance = 1.1;
+    }
+    return true;
+}
+
+/** The verdict once a case has drained: quiesce checks, the oracle's
+ *  tally, and whether every operation completed. */
+void
+judge_case(core::Cluster& cluster, const FuzzCase& c,
+           std::uint32_t completed, FuzzResult* result)
+{
+    result->violations = cluster.verify_quiesce();
+    const OracleStats& oracle = cluster.checker()->oracle()->stats();
+    result->oracle_exact = oracle.exact;
+    result->oracle_weak = oracle.weak;
+    result->ok = result->violations == 0 && completed == c.ops;
+    if (result->violations != 0) {
+        result->message =
+            diagnostics_message(cluster.checker()->registry());
+    } else if (completed != c.ops) {
+        result->message = "only " + std::to_string(completed) + "/" +
+                          std::to_string(c.ops) + " operations completed";
+    }
+}
+
 FuzzResult
 run_workload_case(const FuzzCase& c)
 {
     FuzzResult result;
-    bool fault_known = false;
-
     core::ClusterConfig config;
-    config.num_mem_nodes = c.nodes == 0 ? 1 : c.nodes;
-    config.node_capacity = 32 * kMiB;
-    config.seed = c.seed;
-    config.check.oracle = true;
-    config.check.invariants = true;
-    config.check.fail_fast = false;
-    config.check.max_diagnostics = 16;
-    config.faults = fuzz_fault_config(c.fault, c.seed, &fault_known);
-    if (!fault_known) {
+    if (!case_config(c, &config, &result.message)) {
         result.ok = false;
-        result.message = "unknown fault profile: " + c.fault;
         return result;
     }
-    if (config.faults.enabled()) {
-        // Fast loss recovery so even lossy cases drain quickly.
-        config.offload.adaptive_rto = true;
-        config.offload.retransmit_timeout = micros(2000.0);
-    }
-    // Opt-in (PULSE_PLACEMENT=elastic in the CI migration-soak job):
-    // run every fuzz case with the placement plane live, so cutovers
-    // race the fuzzed traversals under the oracle and invariants. A
-    // short epoch makes migrations plausible within a case's runtime.
-    config.placement = placement::PlacementConfig::from_env();
-    if (config.placement.enabled()) {
-        config.placement.epoch = micros(5.0);
-        config.placement.trigger_imbalance = 1.1;
-    }
-    // Opt-in (PULSE_REPLICATION=k2 in the CI chaos-soak job): run
-    // every fuzz case with the replication plane live, so crash
-    // detection and failover race the fuzzed traversals under the
-    // oracle and invariants.
-    config.replication = replication::ReplicationConfig::from_env();
     // Per-case opt-in: tenants >= 2 runs the whole mix through the
     // serving plane — WDRR admission keyed by tenant, quota-capped
     // batch tenants (throttle + typed shed paths live), tight queue
@@ -369,20 +400,7 @@ run_workload_case(const FuzzCase& c)
 
     pump();
     cluster.queue().run();
-
-    result.violations = cluster.verify_quiesce();
-    const OracleStats& oracle = cluster.checker()->oracle()->stats();
-    result.oracle_exact = oracle.exact;
-    result.oracle_weak = oracle.weak;
-    result.ok = result.violations == 0 && completed == c.ops;
-    if (result.violations != 0) {
-        result.message =
-            diagnostics_message(cluster.checker()->registry());
-    } else if (completed != c.ops) {
-        result.message = "only " + std::to_string(completed) + "/" +
-                         std::to_string(c.ops) +
-                         " operations completed";
-    }
+    judge_case(cluster, c, completed, &result);
     (void)cas_submitted;
     return result;
 }
@@ -555,32 +573,11 @@ FuzzResult
 run_fork_case(const FuzzCase& c)
 {
     FuzzResult result;
-    bool fault_known = false;
-
     core::ClusterConfig config;
-    config.num_mem_nodes = c.nodes == 0 ? 1 : c.nodes;
-    config.node_capacity = 32 * kMiB;
-    config.seed = c.seed;
-    config.check.oracle = true;
-    config.check.invariants = true;
-    config.check.fail_fast = false;
-    config.check.max_diagnostics = 16;
-    config.faults = fuzz_fault_config(c.fault, c.seed, &fault_known);
-    if (!fault_known) {
+    if (!case_config(c, &config, &result.message)) {
         result.ok = false;
-        result.message = "unknown fault profile: " + c.fault;
         return result;
     }
-    if (config.faults.enabled()) {
-        config.offload.adaptive_rto = true;
-        config.offload.retransmit_timeout = micros(2000.0);
-    }
-    config.placement = placement::PlacementConfig::from_env();
-    if (config.placement.enabled()) {
-        config.placement.epoch = micros(5.0);
-        config.placement.trigger_imbalance = 1.1;
-    }
-    config.replication = replication::ReplicationConfig::from_env();
 
     core::Cluster cluster(config);
     Rng rng(c.seed * 0x9E3779B97F4A7C15ull + 0xF0);
@@ -650,20 +647,7 @@ run_fork_case(const FuzzCase& c)
 
     pump();
     cluster.queue().run();
-
-    result.violations = cluster.verify_quiesce();
-    const OracleStats& oracle = cluster.checker()->oracle()->stats();
-    result.oracle_exact = oracle.exact;
-    result.oracle_weak = oracle.weak;
-    result.ok = result.violations == 0 && completed == c.ops;
-    if (result.violations != 0) {
-        result.message =
-            diagnostics_message(cluster.checker()->registry());
-    } else if (completed != c.ops) {
-        result.message = "only " + std::to_string(completed) + "/" +
-                         std::to_string(c.ops) +
-                         " operations completed";
-    }
+    judge_case(cluster, c, completed, &result);
     return result;
 }
 

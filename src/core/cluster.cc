@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string>
 
+#include "common/knobs.h"
 #include "common/logging.h"
 #include "faults/nemesis.h"
 
@@ -30,6 +31,32 @@ ClusterConfig::ClusterConfig()
     rpc_wimpy.clock_ghz = 1.0;
     rpc_wimpy.workers_per_node = 24;
     rpc_wimpy.server_overhead = nanos(850.0 * 2.6);
+}
+
+bool
+ClusterConfig::apply_env_knobs(std::string* error)
+{
+    using knobs::Knob;
+    knobs::Value checks, placed, replicas, serving;
+    if (!knobs::read(Knob::kCheck, &checks, error) ||
+        !knobs::read(Knob::kPlacement, &placed, error) ||
+        !knobs::read(Knob::kReplication, &replicas, error) ||
+        !knobs::read(Knob::kServing, &serving, error)) {
+        return false;
+    }
+    check.oracle = checks.modes & knobs::kCheckOracle;
+    check.invariants = checks.modes & knobs::kCheckInvariants;
+    check.fail_fast = checks.modes & knobs::kCheckFailFast;
+    placement.mode = placed.modes == knobs::kPlacementElastic
+                         ? placement::PlacementMode::kElastic
+                     : placed.modes == knobs::kPlacementStatic
+                         ? placement::PlacementMode::kStatic
+                         : placement::PlacementMode::kOff;
+    replication.replication_factor =
+        replicas.modes == knobs::kReplicationK3 ? 3
+        : replicas.modes == knobs::kReplicationK2 ? 2 : 1;
+    serve.on = serving.modes == knobs::kServingOn;
+    return true;
 }
 
 Cluster::Cluster(const ClusterConfig& config)

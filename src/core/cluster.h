@@ -21,6 +21,7 @@
 #define PULSE_CORE_CLUSTER_H
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "accel/accelerator.h"
@@ -110,8 +111,7 @@ struct ClusterConfig
      * the pulse path and/or structural invariant checking. All off by
      * default — no Checker is constructed, no submitter is wrapped,
      * and no randomness or timing changes, so checker-off runs are
-     * bit-identical to a build without the subsystem. Benches honor
-     * the PULSE_CHECK environment variable (see CheckConfig).
+     * bit-identical to a build without the subsystem.
      */
     check::CheckConfig check;
 
@@ -121,8 +121,7 @@ struct ClusterConfig
      * default — no plane is constructed, accelerators keep a null
      * placement pointer, and no stats keys are registered, so
      * placement-off runs stay bit-identical to a build without the
-     * subsystem. Benches honor the PULSE_PLACEMENT environment
-     * variable (see PlacementConfig).
+     * subsystem.
      */
     placement::PlacementConfig placement;
 
@@ -132,8 +131,7 @@ struct ClusterConfig
      * (replication factor 1) — no plane is constructed, accelerators
      * keep a null replication pointer, and no stats keys are
      * registered, so replication-off runs stay bit-identical to a
-     * build without the subsystem. Benches honor the PULSE_REPLICATION
-     * environment variable (see ReplicationConfig).
+     * build without the subsystem.
      */
     replication::ReplicationConfig replication;
 
@@ -143,12 +141,18 @@ struct ClusterConfig
      * WDRR admission weights. Off by default — no QosController is
      * constructed, accelerators keep a null serving pointer, and no
      * stats keys are registered, so serving-off runs stay bit-identical
-     * to a build without the subsystem. Benches honor the PULSE_SERVING
-     * environment variable (see ServeConfig).
+     * to a build without the subsystem.
      */
     serve::ServeConfig serve;
 
     ClusterConfig();
+
+    /**
+     * Set the four planes' modes from PULSE_CHECK, PULSE_PLACEMENT,
+     * PULSE_REPLICATION and PULSE_SERVING (DESIGN.md §11). Returns
+     * false with @p error set, changing nothing, on a malformed knob.
+     */
+    bool apply_env_knobs(std::string* error);
 
     /** Configure pulse-ACC (section 7.2): continuations bounce through
      *  the client instead of the switch. */

@@ -18,8 +18,7 @@
 #ifndef PULSE_PLACEMENT_PLACEMENT_CONFIG_H
 #define PULSE_PLACEMENT_PLACEMENT_CONFIG_H
 
-#include <cstdlib>
-#include <string>
+#include <cstdint>
 
 #include "common/units.h"
 
@@ -96,31 +95,6 @@ struct PlacementConfig
     std::uint32_t copy_max_retries = 32;
 
     bool enabled() const { return mode != PlacementMode::kOff; }
-
-    /**
-     * Parse the PULSE_PLACEMENT environment variable:
-     *   "" / unset / "off" -> kOff (the default)
-     *   "static"           -> kStatic
-     *   "elastic" / "1" / "on" -> kElastic
-     * Unknown values are treated as off so existing runs stay
-     * untouched by typos.
-     */
-    static PlacementConfig
-    from_env()
-    {
-        PlacementConfig config;
-        const char* env = std::getenv("PULSE_PLACEMENT");
-        if (env == nullptr || *env == '\0') {
-            return config;
-        }
-        const std::string value(env);
-        if (value == "static") {
-            config.mode = PlacementMode::kStatic;
-        } else if (value == "elastic" || value == "1" || value == "on") {
-            config.mode = PlacementMode::kElastic;
-        }
-        return config;
-    }
 };
 
 }  // namespace pulse::placement

@@ -17,8 +17,6 @@
 #define PULSE_REPLICATION_REPLICATION_CONFIG_H
 
 #include <cstdint>
-#include <cstdlib>
-#include <string>
 
 #include "common/units.h"
 
@@ -72,31 +70,6 @@ struct ReplicationConfig
     Time scan_interval = micros(25.0);
 
     bool enabled() const { return replication_factor > 1; }
-
-    /**
-     * Parse the PULSE_REPLICATION environment variable:
-     *   "" / unset / "off" -> factor 1 (the default)
-     *   "k2"               -> factor 2
-     *   "k3"               -> factor 3
-     * Unknown values are treated as off so existing runs stay
-     * untouched by typos.
-     */
-    static ReplicationConfig
-    from_env()
-    {
-        ReplicationConfig config;
-        const char* env = std::getenv("PULSE_REPLICATION");
-        if (env == nullptr || *env == '\0') {
-            return config;
-        }
-        const std::string value(env);
-        if (value == "k2") {
-            config.replication_factor = 2;
-        } else if (value == "k3") {
-            config.replication_factor = 3;
-        }
-        return config;
-    }
 };
 
 }  // namespace pulse::replication

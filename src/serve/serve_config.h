@@ -18,8 +18,6 @@
 #define PULSE_SERVE_SERVE_CONFIG_H
 
 #include <cstdint>
-#include <cstdlib>
-#include <string>
 #include <vector>
 
 #include "common/units.h"
@@ -118,29 +116,6 @@ struct ServeConfig
             }
         }
         return TenantQos{tenant};
-    }
-
-    /**
-     * Parse the PULSE_SERVING environment variable:
-     *   "" / unset / "off" -> disabled (the default)
-     *   "on" / "1"         -> enabled with default contracts
-     * Unknown values are treated as off so existing runs stay
-     * untouched by typos. Benches that need specific contracts (the
-     * tenant-isolation ablation) configure them programmatically.
-     */
-    static ServeConfig
-    from_env()
-    {
-        ServeConfig config;
-        const char* env = std::getenv("PULSE_SERVING");
-        if (env == nullptr || *env == '\0') {
-            return config;
-        }
-        const std::string value(env);
-        if (value == "on" || value == "1") {
-            config.on = true;
-        }
-        return config;
     }
 };
 

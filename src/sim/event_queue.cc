@@ -4,12 +4,12 @@
 #include <utility>
 
 #include "check/invariants.h"
-#include "common/env_knobs.h"
+#include "common/knobs.h"
 #include "common/logging.h"
 
 namespace pulse::sim {
 
-EventQueue::EventQueue() : coalescing_(pooling_enabled()) {}
+EventQueue::EventQueue() : coalescing_(knobs::pooling_enabled()) {}
 
 std::uint32_t
 EventQueue::acquire_slot(EventFn&& fn)

@@ -8,7 +8,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
+#include <utility>
 #include <string>
 #include <vector>
 
@@ -156,6 +158,68 @@ TEST(BenchOptions, ParseArgsStripsHarnessFlags)
 
     bench_options().threads = saved_threads;
     bench_options().ops_scale = saved_scale;
+}
+
+TEST(BenchOptions, FlagsOverrideTheEnvironment)
+{
+    setenv("PULSE_BENCH_THREADS", "3", 1);
+    setenv("PULSE_BENCH_OPS_SCALE", "0.5", 1);
+    BenchOptions options;
+    char prog[] = "bench";
+    char threads_flag[] = "--threads=2";
+    char* argv[] = {prog, threads_flag, nullptr};
+    int argc = 2;
+    std::string error;
+    EXPECT_TRUE(parse_bench_flags(argc, argv, options, &error)) << error;
+    EXPECT_EQ(argc, 1);
+    EXPECT_EQ(options.threads, 2u);
+    EXPECT_EQ(options.ops_scale, 0.5);
+    unsetenv("PULSE_BENCH_THREADS");
+    unsetenv("PULSE_BENCH_OPS_SCALE");
+}
+
+TEST(BenchOptions, MalformedFlagsAndKnobsAreRejected)
+{
+    const std::pair<const char*, const char*> bad_flags[] = {
+        {"--ops-scale=abc", "a positive number"},
+        {"--ops-scale=0", "a positive number"},
+        {"--threads=4x", "a positive integer"},
+        {"--threads=-3", "a positive integer"},
+    };
+    for (const auto& [bad, accepted] : bad_flags) {
+        BenchOptions options;
+        options.threads = 7;
+        char prog[] = "bench";
+        std::string flag = bad;
+        char* argv[] = {prog, flag.data(), nullptr};
+        int argc = 2;
+        std::string error;
+        EXPECT_FALSE(parse_bench_flags(argc, argv, options, &error))
+            << bad;
+        EXPECT_NE(error.find(bad), std::string::npos) << error;
+        EXPECT_NE(error.find(accepted), std::string::npos) << error;
+        EXPECT_EQ(options.threads, 7u);
+        EXPECT_EQ(options.ops_scale, 1.0);
+    }
+
+    const std::pair<const char*, const char*> bad_knobs[] = {
+        {"PULSE_BENCH_OPS_SCALE", "abc"},
+        {"PULSE_BENCH_THREADS", "-3"},
+        {"PULSE_CHECK", "oracel"},
+        {"PULSE_REPLICATION", "k4oops"},
+    };
+    for (const auto& [knob, bad] : bad_knobs) {
+        setenv(knob, bad, 1);
+        BenchOptions options;
+        char prog[] = "bench";
+        char* argv[] = {prog, nullptr};
+        int argc = 1;
+        std::string error;
+        EXPECT_FALSE(parse_bench_flags(argc, argv, options, &error))
+            << knob;
+        EXPECT_NE(error.find(knob), std::string::npos) << error;
+        unsetenv(knob);
+    }
 }
 
 TEST(BenchOptions, OpsScaleFloorsAtOneOp)

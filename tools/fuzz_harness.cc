@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "check/fuzzer.h"
+#include "common/knobs.h"
 #include "isa/interpreter.h"
 
 namespace {
@@ -178,6 +179,11 @@ main(int argc, char** argv)
     Options options;
     if (!parse_args(argc, argv, &options)) {
         usage();
+        return 2;
+    }
+    std::string knob_error;
+    if (!pulse::knobs::validate_env(&knob_error)) {
+        std::fprintf(stderr, "%s\n", knob_error.c_str());
         return 2;
     }
 

@@ -22,12 +22,11 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "common/knobs.h"
 #include "common/random.h"
 #include "core/cluster.h"
 #include "ds/hash_table.h"
@@ -84,7 +83,13 @@ main(int argc, char** argv)
         } else if (arg == "--metrics-out" && i + 1 < argc) {
             metrics_out = argv[++i];
         } else if (arg == "--max-delta" && i + 1 < argc) {
-            max_delta_pct = std::atof(argv[++i]);
+            std::string error;
+            if (!knobs::parse_number("--max-delta", argv[++i],
+                                     knobs::NumberRule::kNonNegative,
+                                     &max_delta_pct, &error)) {
+                std::fprintf(stderr, "%s\n", error.c_str());
+                return 2;
+            }
         } else {
             std::fprintf(stderr,
                          "usage: %s [--trace-out PATH] "
@@ -94,13 +99,17 @@ main(int argc, char** argv)
         }
     }
 
-    // The exact fig9_breakdown workload, with tracing switched on.
-    // PULSE_REPLICATION and PULSE_SERVING are honoured like everywhere
-    // else so the health sections below reflect opted-in planes.
+    // The exact fig9_breakdown workload, with tracing switched on. The
+    // plane knobs are honoured like everywhere else so the health
+    // sections below reflect opted-in planes.
     core::ClusterConfig config;
     config.trace.enabled = true;
-    config.replication = replication::ReplicationConfig::from_env();
-    config.serve = serve::ServeConfig::from_env();
+    std::string knob_error;
+    if (!knobs::validate_env(&knob_error) ||
+        !config.apply_env_knobs(&knob_error)) {
+        std::fprintf(stderr, "%s\n", knob_error.c_str());
+        return 2;
+    }
     core::Cluster cluster(config);
     ds::HashTableConfig ht;
     ht.num_buckets = 512;
