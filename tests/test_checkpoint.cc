@@ -30,6 +30,7 @@
 #include "ds/ds_common.h"
 #include "trace/metrics_exporter.h"
 #include "workloads/driver.h"
+#include "golden_digest.h"
 
 namespace pulse {
 namespace {
@@ -91,6 +92,45 @@ digest(const workloads::DriverResult& result, core::Cluster& cluster)
             result.latency.percentile(0.99),
             cluster.queue().now(),
             exporter.json()};
+}
+
+/** Two-partition B+tree of 2000 keys for the fork/join tests. */
+std::unique_ptr<ds::BPTree>
+build_tree(core::Cluster& cluster)
+{
+    ds::BPTreeConfig bt;
+    bt.inline_values = true;
+    bt.partitions = 2;
+    auto tree = std::make_unique<ds::BPTree>(cluster.memory(),
+                                             cluster.allocator(), bt);
+    std::vector<ds::BPTreeEntry> entries;
+    Rng rng(31);
+    std::uint64_t key = 100;
+    for (int i = 0; i < 2000; i++) {
+        key += 1 + rng.next_below(18);
+        entries.push_back({key, ds::value_pattern_word(key)});
+    }
+    tree->build(entries);
+    return tree;
+}
+
+/** Forked-sum stream deterministic by op index. */
+workloads::DriverResult
+run_forked(core::Cluster& cluster, ds::BPTree& tree, std::uint64_t ops)
+{
+    constexpr std::uint64_t kKeySpan = 20'000;
+    workloads::DriverConfig driver;
+    driver.warmup_ops = 0;
+    driver.measure_ops = ops;
+    driver.concurrency = 6;
+    return run_closed_loop(
+        cluster.queue(), cluster.submitter(core::SystemKind::kPulse),
+        [&tree](std::uint64_t index) {
+            const std::uint64_t mixed = index * 0x9E3779B97F4A7C15ull;
+            const std::uint64_t lo = 100 + mixed % kKeySpan;
+            return tree.make_aggregate_forked(lo, lo + 4000, nullptr);
+        },
+        driver);
 }
 
 TEST(Checkpoint, RestoredContinuationIsBitIdentical)
@@ -236,44 +276,6 @@ TEST(Checkpoint, ForkedWorkRestoresBitIdentically)
 {
     constexpr std::uint64_t kPhase1 = 100;
     constexpr std::uint64_t kPhase2 = 80;
-    constexpr std::uint64_t kKeySpan = 20'000;
-
-    const auto build_tree = [](core::Cluster& cluster) {
-        ds::BPTreeConfig bt;
-        bt.inline_values = true;
-        bt.partitions = 2;
-        auto tree = std::make_unique<ds::BPTree>(
-            cluster.memory(), cluster.allocator(), bt);
-        std::vector<ds::BPTreeEntry> entries;
-        Rng rng(31);
-        std::uint64_t key = 100;
-        for (int i = 0; i < 2000; i++) {
-            key += 1 + rng.next_below(18);
-            entries.push_back({key, ds::value_pattern_word(key)});
-        }
-        tree->build(entries);
-        return tree;
-    };
-    // Forked-sum stream deterministic by op index.
-    const auto forked_factory = [](ds::BPTree& tree) {
-        return [&tree](std::uint64_t index) {
-            const std::uint64_t mixed =
-                index * 0x9E3779B97F4A7C15ull;
-            const std::uint64_t lo = 100 + mixed % kKeySpan;
-            return tree.make_aggregate_forked(lo, lo + 4000, nullptr);
-        };
-    };
-    const auto run_forked = [&](core::Cluster& cluster,
-                                ds::BPTree& tree, std::uint64_t ops) {
-        workloads::DriverConfig driver;
-        driver.warmup_ops = 0;
-        driver.measure_ops = ops;
-        driver.concurrency = 6;
-        return run_closed_loop(
-            cluster.queue(),
-            cluster.submitter(core::SystemKind::kPulse),
-            forked_factory(tree), driver);
-    };
 
     core::Cluster original(test_config());
     auto tree_a = build_tree(original);
@@ -291,6 +293,21 @@ TEST(Checkpoint, ForkedWorkRestoresBitIdentically)
     const auto restored =
         digest(run_forked(forked, *tree_b, kPhase2), forked);
     EXPECT_EQ(continued, restored);
+}
+
+/**
+ * Format golden: the blob of a fixed scenario — hash-table lookups
+ * plus forked B+tree aggregates, so the fork counters and the
+ * code-send table are non-empty — must hash to the committed digest.
+ */
+TEST(CheckpointGolden, ClusterBlob)
+{
+    core::Cluster cluster(test_config());
+    apps::UpcApp app(cluster, test_scale());
+    auto tree = build_tree(cluster);
+    run_ops(cluster, app, 0, 200, 4);
+    run_forked(cluster, *tree, 60);
+    testing::expect_golden_digest("cluster", cluster.save_checkpoint());
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include "sim/event_queue.h"
 #include "trace/metrics_exporter.h"
 #include "workloads/driver.h"
+#include "golden_digest.h"
 
 namespace pulse {
 namespace {
@@ -274,6 +275,7 @@ TEST(Fleet, CheckpointMidFlashCrowdRoundTripsBitIdentically)
     StateWriter writer;
     fleet_a.save_state(writer);
     const std::vector<std::uint8_t> fleet_blob = writer.take();
+    testing::expect_golden_digest("fleet", fleet_blob);
     const std::vector<std::uint8_t> blob = original.save_checkpoint();
     fleet_a.extend(phase2);
     original.queue().run();
