@@ -857,92 +857,34 @@ Accelerator::send_response(Context& context, TraversalStatus status,
 }
 
 void
-Accelerator::save_state(StateWriter& writer) const
+Accelerator::checkpoint(StateIo& io)
 {
     PULSE_ASSERT(inflight() == 0,
                  "checkpoint requires a quiesced accelerator");
-    writer.put_tag("ACCL");
-    writer.put_u64(cores_.size());
-    for (const Core& core : cores_) {
-        writer.put_i64(core.mem_pipe_free);
-        writer.put_u64(core.logic_free.size());
-        for (const Time t : core.logic_free) {
-            writer.put_i64(t);
-        }
-    }
-    const auto& entries = tcam_.entries();
-    writer.put_u64(entries.size());
-    for (const mem::RangeEntry& entry : entries) {
-        writer.put_u64(entry.va_base);
-        writer.put_u64(entry.length);
-        writer.put_u64(entry.phys_base);
-        writer.put_u8(static_cast<std::uint8_t>(entry.perm));
-    }
-    writer.put_u64(stats_.requests_received.value());
-    writer.put_u64(stats_.responses_sent.value());
-    writer.put_u64(stats_.forwards_sent.value());
-    writer.put_u64(stats_.iterations.value());
-    writer.put_u64(stats_.loads.value());
-    writer.put_u64(stats_.stores.value());
-    writer.put_u64(stats_.cas_ops.value());
-    writer.put_u64(stats_.protection_faults.value());
-    writer.put_u64(stats_.queue_drops.value());
-    writer.put_u64(stats_.duplicates_suppressed.value());
-    writer.put_u64(stats_.replays_sent.value());
-    for (const Accumulator* acc :
-         {&stats_.net_stack_time, &stats_.scheduler_time,
-          &stats_.mem_pipeline_time, &stats_.logic_pipeline_time,
-          &stats_.logic_busy_time, &stats_.workspace_wait_time}) {
-        writer.put_double(acc->sum());
-        writer.put_u64(acc->count());
-    }
-}
-
-void
-Accelerator::load_state(StateReader& reader)
-{
-    PULSE_ASSERT(inflight() == 0,
-                 "restore requires a quiesced accelerator");
-    reader.expect_tag("ACCL");
-    const std::uint64_t num_cores = reader.get_u64();
-    PULSE_ASSERT(num_cores == cores_.size(),
-                 "checkpoint core count mismatch");
+    io.tag("ACCL");
+    io.expect(std::uint64_t{cores_.size()}, "core count");
     for (Core& core : cores_) {
-        core.mem_pipe_free = reader.get_i64();
-        const std::uint64_t pipes = reader.get_u64();
-        PULSE_ASSERT(pipes == core.logic_free.size(),
-                     "checkpoint logic-pipeline count mismatch");
+        io.i64(core.mem_pipe_free);
+        io.expect(std::uint64_t{core.logic_free.size()},
+                  "logic-pipeline count");
         for (Time& t : core.logic_free) {
-            t = reader.get_i64();
+            io.i64(t);
         }
     }
-    const std::uint64_t num_entries = reader.get_u64();
-    std::vector<mem::RangeEntry> entries(num_entries);
-    for (mem::RangeEntry& entry : entries) {
-        entry.va_base = reader.get_u64();
-        entry.length = reader.get_u64();
-        entry.phys_base = reader.get_u64();
-        entry.perm = static_cast<mem::Perm>(reader.get_u8());
+    tcam_.checkpoint(io);
+    for (Counter* counter :
+         {&stats_.requests_received, &stats_.responses_sent,
+          &stats_.forwards_sent, &stats_.iterations, &stats_.loads,
+          &stats_.stores, &stats_.cas_ops, &stats_.protection_faults,
+          &stats_.queue_drops, &stats_.duplicates_suppressed,
+          &stats_.replays_sent}) {
+        counter->checkpoint(io);
     }
-    tcam_.restore_entries(std::move(entries));
-    stats_.requests_received.set(reader.get_u64());
-    stats_.responses_sent.set(reader.get_u64());
-    stats_.forwards_sent.set(reader.get_u64());
-    stats_.iterations.set(reader.get_u64());
-    stats_.loads.set(reader.get_u64());
-    stats_.stores.set(reader.get_u64());
-    stats_.cas_ops.set(reader.get_u64());
-    stats_.protection_faults.set(reader.get_u64());
-    stats_.queue_drops.set(reader.get_u64());
-    stats_.duplicates_suppressed.set(reader.get_u64());
-    stats_.replays_sent.set(reader.get_u64());
     for (Accumulator* acc :
          {&stats_.net_stack_time, &stats_.scheduler_time,
           &stats_.mem_pipeline_time, &stats_.logic_pipeline_time,
           &stats_.logic_busy_time, &stats_.workspace_wait_time}) {
-        const double sum = reader.get_double();
-        const std::uint64_t count = reader.get_u64();
-        acc->set(sum, count);
+        acc->checkpoint(io);
     }
 }
 

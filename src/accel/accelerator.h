@@ -190,14 +190,13 @@ class Accelerator
     const AccelConfig& config() const { return config_; }
 
     /**
-     * Checkpoint support (core/checkpoint.h): requires a quiesced
+     * Checkpoint support (core/checkpoint.cc): requires a quiesced
      * accelerator (no queued or executing requests). The replay window
      * is deliberately not serialized — at quiesce every client
      * operation has completed, so no retransmit of a recorded visit can
      * arrive after restore, and new visits classify as kNew.
      */
-    void save_state(StateWriter& writer) const;
-    void load_state(StateReader& reader);
+    void checkpoint(StateIo& io);
 
     /** Context-pool telemetry (bench_wallclock's visit-pool row). */
     std::uint64_t contexts_created() const { return contexts_created_; }

@@ -100,31 +100,19 @@ Histogram::mean() const
 }
 
 void
-Histogram::save_state(StateWriter& writer) const
+Histogram::checkpoint(StateIo& io)
 {
-    writer.put_tag("HIST");
-    writer.put_u64(buckets_.size());
-    for (const std::uint64_t bucket : buckets_) {
-        writer.put_u64(bucket);
-    }
-    writer.put_u64(count_);
-    writer.put_i64(sum_);
-    writer.put_i64(min_);
-    writer.put_i64(max_);
-}
-
-void
-Histogram::load_state(StateReader& reader)
-{
-    reader.expect_tag("HIST");
-    buckets_.assign(reader.get_u64(), 0);
+    io.tag("HIST");
+    std::uint64_t buckets = buckets_.size();
+    io.count(buckets, sizeof(std::uint64_t));
+    buckets_.resize(buckets);
     for (std::uint64_t& bucket : buckets_) {
-        bucket = reader.get_u64();
+        io.u64(bucket);
     }
-    count_ = reader.get_u64();
-    sum_ = reader.get_i64();
-    min_ = reader.get_i64();
-    max_ = reader.get_i64();
+    io.u64(count_);
+    io.i64(sum_);
+    io.i64(min_);
+    io.i64(max_);
 }
 
 Time

@@ -16,8 +16,7 @@
 
 namespace pulse {
 
-class StateWriter;
-class StateReader;
+class StateIo;
 
 /**
  * Histogram over non-negative Time samples, with ~3% relative bucket
@@ -67,8 +66,7 @@ class Histogram
      * count/sum/min/max, so a restored histogram reports bit-identical
      * percentiles to the uninterrupted run.
      */
-    void save_state(StateWriter& writer) const;
-    void load_state(StateReader& reader);
+    void checkpoint(StateIo& io);
 
   private:
     static constexpr int kSubBucketBits = 5;  // 32 sub-buckets per octave

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "common/serial.h"
 
 namespace pulse {
 namespace {
@@ -100,6 +101,14 @@ bool
 Rng::next_bool(double p)
 {
     return next_double() < p;
+}
+
+void
+Rng::checkpoint(StateIo& io)
+{
+    for (std::uint64_t& word : state_) {
+        io.u64(word);
+    }
 }
 
 ZipfGenerator::ZipfGenerator(std::uint64_t n, double theta)

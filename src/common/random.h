@@ -14,6 +14,8 @@
 
 namespace pulse {
 
+class StateIo;
+
 /**
  * xoshiro256** PRNG. Deterministic for a given seed, which keeps every
  * benchmark and test reproducible run-to-run.
@@ -41,23 +43,8 @@ class Rng
     /** Bernoulli trial with probability @p p. */
     bool next_bool(double p);
 
-    /** Checkpoint support: copy the raw engine state into @p out. */
-    void
-    save_state(std::uint64_t (&out)[4]) const
-    {
-        for (int i = 0; i < 4; i++) {
-            out[i] = state_[i];
-        }
-    }
-
-    /** Checkpoint support: reinstate a saved engine state. */
-    void
-    restore_state(const std::uint64_t (&in)[4])
-    {
-        for (int i = 0; i < 4; i++) {
-            state_[i] = in[i];
-        }
-    }
+    /** Checkpoint support (common/serial.h): the raw engine state. */
+    void checkpoint(StateIo& io);
 
   private:
     std::uint64_t state_[4];

@@ -3,8 +3,22 @@
 #include <cstdio>
 
 #include "common/logging.h"
+#include "common/serial.h"
 
 namespace pulse {
+
+void
+Counter::checkpoint(StateIo& io)
+{
+    io.u64(value_);
+}
+
+void
+Accumulator::checkpoint(StateIo& io)
+{
+    io.f64(sum_);
+    io.u64(count_);
+}
 
 void
 StatRegistry::register_counter(const std::string& name,

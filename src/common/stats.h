@@ -17,6 +17,8 @@
 
 namespace pulse {
 
+class StateIo;
+
 /** Monotonic event counter (requests served, packets routed, ...). */
 class Counter
 {
@@ -25,8 +27,8 @@ class Counter
     void reset() { value_ = 0; }
     std::uint64_t value() const { return value_; }
 
-    /** Checkpoint support: reinstate a saved count. */
-    void set(std::uint64_t value) { value_ = value; }
+    /** Checkpoint support (common/serial.h). */
+    void checkpoint(StateIo& io);
 
   private:
     std::uint64_t value_ = 0;
@@ -54,13 +56,8 @@ class Accumulator
     std::uint64_t count() const { return count_; }
     double mean() const { return count_ ? sum_ / count_ : 0.0; }
 
-    /** Checkpoint support: reinstate a saved sum/count pair. */
-    void
-    set(double sum, std::uint64_t count)
-    {
-        sum_ = sum;
-        count_ = count;
-    }
+    /** Checkpoint support (common/serial.h): sum, then count. */
+    void checkpoint(StateIo& io);
 
   private:
     double sum_ = 0.0;

@@ -268,24 +268,36 @@ class Cluster
      * so long scenarios can fork from a warmed snapshot instead of
      * replaying the build + warmup phases.
      *
-     * Preconditions (asserted): the cluster is *quiesced* — the event
-     * queue is empty and no traversal is in flight — and the optional
-     * planes (faults, checker, placement, replication, tracing) are
-     * off; their state machines hold type-erased callbacks and are
-     * deliberately outside the snapshot. restore_checkpoint must be
-     * applied to a cluster built from a ClusterConfig whose
-     * fingerprint matches the snapshot's (same topology, policies and
-     * seed); a restored run then continues bit-identically to the
-     * uninterrupted one.
+     * Preconditions (asserted, both directions): the cluster is
+     * *quiesced* — the event queue is empty and no traversal is in
+     * flight — the optional planes (faults, checker, placement,
+     * replication, serving) are off, no migration remap exists and
+     * tracing is off; their state machines hold type-erased callbacks
+     * and are deliberately outside the snapshot.
+     *
+     * restore_checkpoint applies a snapshot taken on a cluster built
+     * from a ClusterConfig with the same fingerprint (topology,
+     * policies and seed); the restored run then continues
+     * bit-identically to the uninterrupted one. Blob contents never
+     * abort the process: a truncated, corrupted or mismatched blob
+     * returns false with @p error naming the section tag and byte
+     * offset. A failed restore leaves the cluster partly overwritten
+     * and unusable; the caller discards it.
      */
-    std::vector<std::uint8_t> save_checkpoint() const;
-    void restore_checkpoint(const std::vector<std::uint8_t>& bytes);
+    std::vector<std::uint8_t> save_checkpoint();
+    bool restore_checkpoint(const std::vector<std::uint8_t>& bytes,
+                            std::string* error);
 
-    /** File-based convenience wrappers around the blob API. */
-    void save_checkpoint_file(const std::string& path) const;
-    void restore_checkpoint_file(const std::string& path);
+    /** File-based convenience wrappers around the blob API; an
+     *  unreadable file is an error like a malformed blob. */
+    void save_checkpoint_file(const std::string& path);
+    bool restore_checkpoint_file(const std::string& path,
+                                 std::string* error);
 
   private:
+    /** The one checkpoint layout, shared by save and restore. */
+    void checkpoint(StateIo& io);
+
     ClusterConfig config_;
     sim::EventQueue queue_;
     trace::Tracer tracer_;

@@ -204,59 +204,27 @@ ClusterAllocator::free_list_bytes(NodeId node) const
 }
 
 void
-ClusterAllocator::save_state(StateWriter& writer) const
+ClusterAllocator::checkpoint(StateIo& io)
 {
-    writer.put_tag("ALOC");
-    writer.put_u8(static_cast<std::uint8_t>(policy_));
-    std::uint64_t rng_state[4];
-    rng_.save_state(rng_state);
-    for (const std::uint64_t word : rng_state) {
-        writer.put_u64(word);
-    }
-    writer.put_u64(chunk_bytes_);
-    writer.put_u64(bump_.size());
+    io.tag("ALOC");
+    io.expect(static_cast<std::uint8_t>(policy_), "allocator policy");
+    rng_.checkpoint(io);
+    io.u64(chunk_bytes_);
+    io.expect(std::uint64_t{bump_.size()}, "allocator node count");
     for (std::size_t i = 0; i < bump_.size(); i++) {
-        writer.put_u64(bump_[i]);
-        writer.put_u64(app_high_[i]);
-        writer.put_u64(free_lists_[i].size());
-        for (const FreeRange& range : free_lists_[i]) {
-            writer.put_u64(range.offset);
-            writer.put_u64(range.size);
-        }
-    }
-    writer.put_u32(round_robin_);
-    writer.put_u64(chunk_next_);
-    writer.put_u64(chunk_end_);
-}
-
-void
-ClusterAllocator::load_state(StateReader& reader)
-{
-    reader.expect_tag("ALOC");
-    const auto policy = static_cast<AllocPolicy>(reader.get_u8());
-    PULSE_ASSERT(policy == policy_,
-                 "checkpoint allocator policy mismatch");
-    std::uint64_t rng_state[4];
-    for (std::uint64_t& word : rng_state) {
-        word = reader.get_u64();
-    }
-    rng_.restore_state(rng_state);
-    chunk_bytes_ = reader.get_u64();
-    const std::uint64_t nodes = reader.get_u64();
-    PULSE_ASSERT(nodes == bump_.size(),
-                 "checkpoint allocator node count mismatch");
-    for (std::size_t i = 0; i < bump_.size(); i++) {
-        bump_[i] = reader.get_u64();
-        app_high_[i] = reader.get_u64();
-        free_lists_[i].resize(reader.get_u64());
+        io.u64(bump_[i]);
+        io.u64(app_high_[i]);
+        std::uint64_t ranges = free_lists_[i].size();
+        io.count(ranges, 2 * sizeof(std::uint64_t));
+        free_lists_[i].resize(ranges);
         for (FreeRange& range : free_lists_[i]) {
-            range.offset = reader.get_u64();
-            range.size = reader.get_u64();
+            io.u64(range.offset);
+            io.u64(range.size);
         }
     }
-    round_robin_ = reader.get_u32();
-    chunk_next_ = reader.get_u64();
-    chunk_end_ = reader.get_u64();
+    io.u32(round_robin_);
+    io.u64(chunk_next_);
+    io.u64(chunk_end_);
 }
 
 }  // namespace pulse::mem

@@ -109,9 +109,8 @@ class ClusterAllocator
     /** Total bytes currently sitting in @p node's free list. */
     Bytes free_list_bytes(NodeId node) const;
 
-    /** Checkpoint support (core/checkpoint.h). */
-    void save_state(StateWriter& writer) const;
-    void load_state(StateReader& reader);
+    /** Checkpoint support (core/checkpoint.cc). */
+    void checkpoint(StateIo& io);
 
   private:
     /** One reusable hole in a node's backing store. */

@@ -95,24 +95,12 @@ class GlobalMemory
 
     /** Checkpoint support: every node's committed pages + counters. */
     void
-    save_state(StateWriter& writer) const
+    checkpoint(StateIo& io)
     {
-        writer.put_tag("GMEM");
-        writer.put_u64(nodes_.size());
-        for (const auto& node : nodes_) {
-            node->save_state(writer);
-        }
-    }
-
-    void
-    load_state(StateReader& reader)
-    {
-        reader.expect_tag("GMEM");
-        const std::uint64_t count = reader.get_u64();
-        PULSE_ASSERT(count == nodes_.size(),
-                     "checkpoint memory-node count mismatch");
+        io.tag("GMEM");
+        io.expect(std::uint64_t{nodes_.size()}, "memory-node count");
         for (auto& node : nodes_) {
-            node->load_state(reader);
+            node->checkpoint(io);
         }
     }
 

@@ -139,29 +139,12 @@ ChannelSet::reset_stats()
 }
 
 void
-ChannelSet::save_state(StateWriter& writer) const
+ChannelSet::checkpoint(StateIo& io)
 {
-    writer.put_tag("CHAN");
-    writer.put_u64(channels_.size());
-    for (const MemoryChannel& channel : channels_) {
-        writer.put_i64(channel.busy_until());
-        writer.put_u64(channel.bytes_transferred());
-        writer.put_i64(channel.busy_time());
-    }
-}
-
-void
-ChannelSet::load_state(StateReader& reader)
-{
-    reader.expect_tag("CHAN");
-    const std::uint64_t count = reader.get_u64();
-    PULSE_ASSERT(count == channels_.size(),
-                 "checkpoint channel count mismatch");
+    io.tag("CHAN");
+    io.expect(std::uint64_t{channels_.size()}, "channel count");
     for (MemoryChannel& channel : channels_) {
-        const Time busy_until = reader.get_i64();
-        const Bytes bytes = reader.get_u64();
-        const Time busy_time = reader.get_i64();
-        channel.restore(busy_until, bytes, busy_time);
+        channel.checkpoint(io);
     }
 }
 

@@ -66,13 +66,13 @@ class MemoryChannel
     /** Reset statistics (not the busy horizon). */
     void reset_stats();
 
-    /** Checkpoint support: reinstate horizon + counters. */
+    /** Checkpoint support: busy horizon + counters. */
     void
-    restore(Time busy_until, Bytes bytes, Time busy_time)
+    checkpoint(StateIo& io)
     {
-        busy_until_ = busy_until;
-        bytes_ = bytes;
-        busy_time_ = busy_time;
+        io.i64(busy_until_);
+        io.u64(bytes_);
+        io.i64(busy_time_);
     }
 
   private:
@@ -130,8 +130,7 @@ class ChannelSet
     void reset_stats();
 
     /** Checkpoint support (core/checkpoint.h). */
-    void save_state(StateWriter& writer) const;
-    void load_state(StateReader& reader);
+    void checkpoint(StateIo& io);
 
     /**
      * Attach the cluster's span tracer; @p node labels the spans.

@@ -79,46 +79,37 @@ PhysicalMemory::write(PhysAddr addr, const void* in, Bytes len)
 }
 
 void
-PhysicalMemory::save_state(StateWriter& writer) const
+PhysicalMemory::checkpoint(StateIo& io)
 {
-    writer.put_tag("PMEM");
-    writer.put_u64(capacity_);
-    writer.put_u64(mutations_);
+    io.tag("PMEM");
+    io.expect(capacity_, "node capacity");
+    io.u64(mutations_);
     std::uint64_t committed_chunks = 0;
-    for (const auto& chunk : chunks_) {
-        if (chunk) {
+    for (auto& chunk : chunks_) {
+        if (io.reading()) {
+            // A chunk committed by the current run but absent from the
+            // snapshot must read zeros again.
+            chunk.reset();
+        } else if (chunk) {
             committed_chunks++;
         }
     }
-    writer.put_u64(committed_chunks);
-    for (std::size_t i = 0; i < chunks_.size(); i++) {
-        if (chunks_[i]) {
-            writer.put_u64(i);
-            writer.put_bytes(chunks_[i].get(), kChunkSize);
+    io.count(committed_chunks, 2 * sizeof(std::uint64_t) + kChunkSize);
+    std::uint64_t index = 0;
+    for (std::uint64_t c = 0; c < committed_chunks; c++, index++) {
+        while (!io.reading() && !chunks_[index]) {
+            index++;
         }
-    }
-}
-
-void
-PhysicalMemory::load_state(StateReader& reader)
-{
-    reader.expect_tag("PMEM");
-    const Bytes capacity = reader.get_u64();
-    PULSE_ASSERT(capacity == capacity_,
-                 "checkpoint node capacity mismatch");
-    mutations_ = reader.get_u64();
-    // Decommit everything first: a chunk committed by the current run
-    // but absent from the snapshot must read zeros again.
-    for (auto& chunk : chunks_) {
-        chunk.reset();
-    }
-    const std::uint64_t committed_chunks = reader.get_u64();
-    for (std::uint64_t c = 0; c < committed_chunks; c++) {
-        const std::uint64_t index = reader.get_u64();
-        PULSE_ASSERT(index < chunks_.size(),
-                     "checkpoint chunk index out of range");
-        chunks_[index] = std::make_unique<std::uint8_t[]>(kChunkSize);
-        reader.get_bytes_into(chunks_[index].get(), kChunkSize);
+        io.u64(index);
+        if (index >= chunks_.size()) {
+            io.fail("chunk index %llu out of range",
+                    static_cast<unsigned long long>(index));
+            return;
+        }
+        if (io.reading()) {
+            chunks_[index] = std::make_unique<std::uint8_t[]>(kChunkSize);
+        }
+        io.bytes(chunks_[index].get(), kChunkSize);
     }
 }
 

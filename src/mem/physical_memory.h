@@ -66,12 +66,12 @@ class PhysicalMemory
     }
 
     /**
-     * Checkpoint support (core/checkpoint.h): serializes only the
+     * Checkpoint support (core/checkpoint.cc): serializes only the
      * committed chunks (index + bytes), so a sparse multi-GiB node
-     * costs what the workload actually touched.
+     * costs what the workload actually touched. Restoring decommits
+     * every chunk first and rejects an out-of-range chunk index.
      */
-    void save_state(StateWriter& writer) const;
-    void load_state(StateReader& reader);
+    void checkpoint(StateIo& io);
 
   private:
     static constexpr Bytes kChunkSize = 1 * kMiB;

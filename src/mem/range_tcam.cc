@@ -185,16 +185,29 @@ RangeTcam::translate_span(VirtAddr va, Bytes length, Perm need) const
 }
 
 void
-RangeTcam::restore_entries(std::vector<RangeEntry> entries)
+RangeTcam::checkpoint(StateIo& io)
 {
-    PULSE_ASSERT(entries.size() <= capacity_,
-                 "restored TCAM snapshot exceeds capacity");
-    for (std::size_t i = 1; i < entries.size(); i++) {
-        PULSE_ASSERT(entries[i - 1].va_base + entries[i - 1].length <=
-                         entries[i].va_base,
-                     "restored TCAM snapshot not sorted/disjoint");
+    std::uint64_t count = entries_.size();
+    io.count(count, 3 * sizeof(std::uint64_t) + sizeof(Perm));
+    if (count > capacity_) {
+        io.fail("TCAM snapshot holds %llu entries, capacity %zu",
+                static_cast<unsigned long long>(count), capacity_);
+        count = 0;
     }
-    entries_ = std::move(entries);
+    entries_.resize(count);
+    for (std::size_t i = 0; i < entries_.size(); i++) {
+        RangeEntry& entry = entries_[i];
+        io.u64(entry.va_base);
+        io.u64(entry.length);
+        io.u64(entry.phys_base);
+        io.enum8(entry.perm, Perm::kReadWrite);
+        const RangeEntry* prev = i > 0 ? &entries_[i - 1] : nullptr;
+        if (prev != nullptr && (prev->va_base > entry.va_base ||
+                                prev->length >
+                                    entry.va_base - prev->va_base)) {
+            io.fail("TCAM snapshot not sorted and disjoint");
+        }
+    }
 }
 
 }  // namespace pulse::mem

@@ -18,6 +18,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/serial.h"
 #include "common/types.h"
 #include "common/units.h"
 
@@ -130,11 +131,11 @@ class RangeTcam
     const std::vector<RangeEntry>& entries() const { return entries_; }
 
     /**
-     * Checkpoint support: replace the whole table with a saved
-     * entries() snapshot (already sorted, non-overlapping). Asserts
-     * capacity and ordering rather than re-validating overlap pairwise.
+     * Checkpoint support: the whole table. Restoring rejects more
+     * entries than capacity(), a Perm outside its enum, and entries
+     * that are not sorted and disjoint.
      */
-    void restore_entries(std::vector<RangeEntry> entries);
+    void checkpoint(StateIo& io);
 
   private:
     const RangeEntry* find(VirtAddr va) const;

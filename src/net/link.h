@@ -14,6 +14,7 @@
 
 #include <cstdint>
 
+#include "common/serial.h"
 #include "common/units.h"
 
 namespace pulse::net {
@@ -52,15 +53,14 @@ class Link
     /** Reset statistics (not the busy horizon). */
     void reset_stats();
 
-    /** Checkpoint support: reinstate horizon + counters. */
+    /** Checkpoint support: busy horizon + counters. */
     void
-    restore(Time busy_until, Bytes bytes, std::uint64_t packets,
-            Time busy_time)
+    checkpoint(StateIo& io)
     {
-        busy_until_ = busy_until;
-        bytes_ = bytes;
-        packets_ = packets;
-        busy_time_ = busy_time;
+        io.i64(busy_until_);
+        io.u64(bytes_);
+        io.u64(packets_);
+        io.i64(busy_time_);
     }
 
   private:

@@ -320,78 +320,27 @@ Network::reset_stats()
 }
 
 void
-Network::save_state(StateWriter& writer) const
+Network::checkpoint(StateIo& io)
 {
-    writer.put_tag("NETW");
-    std::uint64_t rng_state[4];
-    loss_rng_.save_state(rng_state);
-    for (const std::uint64_t word : rng_state) {
-        writer.put_u64(word);
+    io.tag("NETW");
+    loss_rng_.checkpoint(io);
+    for (std::uint64_t* counter :
+         {&dropped_, &routed_, &checksum_drops_, &flow_.injected,
+          &flow_.duplicated, &flow_.delivered, &flow_.source_dark,
+          &flow_.plan_dropped, &flow_.delivery_blackout,
+          &flow_.checksum_dropped}) {
+        io.u64(*counter);
     }
-    writer.put_u64(dropped_);
-    writer.put_u64(routed_);
-    writer.put_u64(checksum_drops_);
-    writer.put_u64(flow_.injected);
-    writer.put_u64(flow_.duplicated);
-    writer.put_u64(flow_.delivered);
-    writer.put_u64(flow_.source_dark);
-    writer.put_u64(flow_.plan_dropped);
-    writer.put_u64(flow_.delivery_blackout);
-    writer.put_u64(flow_.checksum_dropped);
-    for (const auto* ports : {&client_ports_, &node_ports_}) {
-        writer.put_u64(ports->size());
-        for (const Port& p : *ports) {
-            for (const Link* link :
-                 {p.to_switch.get(), p.from_switch.get()}) {
-                writer.put_i64(link->busy_until());
-                writer.put_u64(link->bytes_sent());
-                writer.put_u64(link->packets_sent());
-                writer.put_i64(link->busy_time());
-            }
-            writer.put_u64(p.tx_bytes);
-            writer.put_u64(p.rx_bytes);
-        }
-    }
-    table_.save_state(writer);
-}
-
-void
-Network::load_state(StateReader& reader)
-{
-    reader.expect_tag("NETW");
-    std::uint64_t rng_state[4];
-    for (std::uint64_t& word : rng_state) {
-        word = reader.get_u64();
-    }
-    loss_rng_.restore_state(rng_state);
-    dropped_ = reader.get_u64();
-    routed_ = reader.get_u64();
-    checksum_drops_ = reader.get_u64();
-    flow_.injected = reader.get_u64();
-    flow_.duplicated = reader.get_u64();
-    flow_.delivered = reader.get_u64();
-    flow_.source_dark = reader.get_u64();
-    flow_.plan_dropped = reader.get_u64();
-    flow_.delivery_blackout = reader.get_u64();
-    flow_.checksum_dropped = reader.get_u64();
     for (auto* ports : {&client_ports_, &node_ports_}) {
-        const std::uint64_t count = reader.get_u64();
-        PULSE_ASSERT(count == ports->size(),
-                     "checkpoint port count mismatch");
+        io.expect(std::uint64_t{ports->size()}, "port count");
         for (Port& p : *ports) {
-            for (Link* link :
-                 {p.to_switch.get(), p.from_switch.get()}) {
-                const Time busy_until = reader.get_i64();
-                const Bytes bytes = reader.get_u64();
-                const std::uint64_t packets = reader.get_u64();
-                const Time busy_time = reader.get_i64();
-                link->restore(busy_until, bytes, packets, busy_time);
-            }
-            p.tx_bytes = reader.get_u64();
-            p.rx_bytes = reader.get_u64();
+            p.to_switch->checkpoint(io);
+            p.from_switch->checkpoint(io);
+            io.u64(p.tx_bytes);
+            io.u64(p.rx_bytes);
         }
     }
-    table_.load_state(reader);
+    table_.checkpoint(io, node_ports_.size());
 }
 
 }  // namespace pulse::net

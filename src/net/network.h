@@ -172,13 +172,12 @@ class Network
     void reset_stats();
 
     /**
-     * Checkpoint support (core/checkpoint.h): link horizons, byte and
+     * Checkpoint support (core/checkpoint.cc): link horizons, byte and
      * flow accounting, the loss RNG stream, and the switch table.
      * Requires a quiesced network (no packets on the wire), which the
      * caller guarantees by checkpointing only on an empty event queue.
      */
-    void save_state(StateWriter& writer) const;
-    void load_state(StateReader& reader);
+    void checkpoint(StateIo& io);
 
     const NetworkConfig& config() const { return config_; }
 

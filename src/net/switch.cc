@@ -88,44 +88,31 @@ SwitchTable::route(const TraversalPacket& packet) const
 namespace {
 
 void
-save_rules(StateWriter& writer, const std::vector<SwitchRule>& rules)
+checkpoint_rules(StateIo& io, std::vector<SwitchRule>& rules,
+                 std::size_t num_nodes)
 {
-    writer.put_u64(rules.size());
-    for (const SwitchRule& rule : rules) {
-        writer.put_u64(rule.base);
-        writer.put_u64(rule.size);
-        writer.put_u32(rule.node);
-    }
-}
-
-std::vector<SwitchRule>
-load_rules(StateReader& reader)
-{
-    std::vector<SwitchRule> rules(reader.get_u64());
+    std::uint64_t count = rules.size();
+    io.count(count, 2 * sizeof(std::uint64_t) + sizeof(NodeId));
+    rules.resize(count);
     for (SwitchRule& rule : rules) {
-        rule.base = reader.get_u64();
-        rule.size = reader.get_u64();
-        rule.node = reader.get_u32();
+        io.u64(rule.base);
+        io.u64(rule.size);
+        io.u32(rule.node);
+        if (rule.node >= num_nodes) {
+            io.fail("switch rule names node %u of %zu", rule.node,
+                    num_nodes);
+        }
     }
-    return rules;
 }
 
 }  // namespace
 
 void
-SwitchTable::save_state(StateWriter& writer) const
+SwitchTable::checkpoint(StateIo& io, std::size_t num_nodes)
 {
-    writer.put_tag("SWCH");
-    save_rules(writer, rules_);
-    save_rules(writer, overlay_);
-}
-
-void
-SwitchTable::load_state(StateReader& reader)
-{
-    reader.expect_tag("SWCH");
-    rules_ = load_rules(reader);
-    overlay_ = load_rules(reader);
+    io.tag("SWCH");
+    checkpoint_rules(io, rules_, num_nodes);
+    checkpoint_rules(io, overlay_, num_nodes);
 }
 
 }  // namespace pulse::net

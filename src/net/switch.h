@@ -89,9 +89,11 @@ class SwitchTable
     /** Apply the section-5 routing policy to @p packet. */
     RouteDecision route(const TraversalPacket& packet) const;
 
-    /** Checkpoint support (core/checkpoint.h). */
-    void save_state(StateWriter& writer) const;
-    void load_state(StateReader& reader);
+    /**
+     * Checkpoint support (core/checkpoint.cc): home rules and overlay.
+     * Restoring rejects a rule naming a node at or above @p num_nodes.
+     */
+    void checkpoint(StateIo& io, std::size_t num_nodes);
 
   private:
     std::vector<SwitchRule> rules_;

@@ -107,82 +107,59 @@ OffloadEngine::analysis_for(
 }
 
 void
-OffloadEngine::save_state(StateWriter& writer) const
+OffloadEngine::checkpoint(StateIo& io)
 {
     PULSE_ASSERT(inflight_.empty(),
                  "checkpoint requires a quiesced offload engine "
                  "(%zu in flight)",
                  inflight_.size());
-    writer.put_tag("OFFL");
-    writer.put_u64(next_seq_);
-    writer.put_bool(rto_.has_sample());
-    writer.put_i64(rto_.srtt());
-    writer.put_i64(rto_.rttvar());
-    writer.put_u64(stats_.submitted.value());
-    writer.put_u64(stats_.offloaded.value());
-    writer.put_u64(stats_.fallback.value());
-    writer.put_u64(stats_.retransmits.value());
-    writer.put_u64(stats_.client_bounces.value());
-    writer.put_u64(stats_.continuations.value());
-    writer.put_u64(stats_.failures.value());
-    writer.put_u64(stats_.stale_responses.value());
+    io.tag("OFFL");
+    io.u64(next_seq_);
+    rto_.checkpoint(io);
+    for (Counter* counter :
+         {&stats_.submitted, &stats_.offloaded, &stats_.fallback,
+          &stats_.retransmits, &stats_.client_bounces,
+          &stats_.continuations, &stats_.failures,
+          &stats_.stale_responses}) {
+        counter->checkpoint(io);
+    }
     // Fork/join join-state record: the quiesce precondition means no
     // join is open, so the lifetime counters are the whole state.
-    writer.put_u64(forks_spawned_);
-    writer.put_u64(joins_completed_);
+    io.u64(forks_spawned_);
+    io.u64(joins_completed_);
     // Installation counts, keyed by content digest in sorted order so
     // the blob is independent of hash-map iteration.
     std::vector<std::pair<std::uint64_t, std::uint32_t>> sends;
-    sends.reserve(code_sends_.size() + restored_code_sends_.size());
-    for (const auto& [program, count] : code_sends_) {
-        sends.emplace_back(program_digest(*program), count);
+    if (!io.reading()) {
+        for (const auto& [program, count] : code_sends_) {
+            sends.emplace_back(program_digest(*program), count);
+        }
+        sends.insert(sends.end(), restored_code_sends_.begin(),
+                     restored_code_sends_.end());
+        std::sort(sends.begin(), sends.end());
     }
-    for (const auto& [digest, count] : restored_code_sends_) {
-        sends.emplace_back(digest, count);
+    std::uint64_t count = sends.size();
+    io.count(count, sizeof(std::uint64_t) + sizeof(std::uint32_t));
+    sends.resize(count);
+    for (auto& [digest, sent] : sends) {
+        io.u64(digest);
+        io.u32(sent);
     }
-    std::sort(sends.begin(), sends.end());
-    writer.put_u64(sends.size());
-    for (const auto& [digest, count] : sends) {
-        writer.put_u64(digest);
-        writer.put_u32(count);
+    if (!io.reading()) {
+        return;
     }
-}
-
-void
-OffloadEngine::load_state(StateReader& reader)
-{
-    PULSE_ASSERT(inflight_.empty(),
-                 "restore requires a quiesced offload engine");
-    reader.expect_tag("OFFL");
-    next_seq_ = reader.get_u64();
-    const bool has_sample = reader.get_bool();
-    const Time srtt = reader.get_i64();
-    const Time rttvar = reader.get_i64();
-    rto_.restore(has_sample, srtt, rttvar);
-    stats_.submitted.set(reader.get_u64());
-    stats_.offloaded.set(reader.get_u64());
-    stats_.fallback.set(reader.get_u64());
-    stats_.retransmits.set(reader.get_u64());
-    stats_.client_bounces.set(reader.get_u64());
-    stats_.continuations.set(reader.get_u64());
-    stats_.failures.set(reader.get_u64());
-    stats_.stale_responses.set(reader.get_u64());
-    forks_spawned_ = reader.get_u64();
-    joins_completed_ = reader.get_u64();
     restored_code_sends_.clear();
-    const std::uint64_t count = reader.get_u64();
-    for (std::uint64_t i = 0; i < count; i++) {
-        const std::uint64_t digest = reader.get_u64();
-        restored_code_sends_[digest] = reader.get_u32();
+    for (const auto& [digest, sent] : sends) {
+        restored_code_sends_[digest] = sent;
     }
     // Counts for programs this engine already pinned re-attach now;
     // the rest wait for their program's first submit.
     for (const auto& entry : program_pins_) {
-        const auto sends =
+        const auto found =
             restored_code_sends_.find(program_digest(*entry.first));
-        if (sends != restored_code_sends_.end()) {
-            code_sends_[entry.first] = sends->second;
-            restored_code_sends_.erase(sends);
+        if (found != restored_code_sends_.end()) {
+            code_sends_[entry.first] = found->second;
+            restored_code_sends_.erase(found);
         }
     }
 }

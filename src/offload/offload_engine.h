@@ -271,15 +271,14 @@ class OffloadEngine
     std::uint64_t rejections_seen() const { return rejections_seen_; }
 
     /**
-     * Checkpoint support (core/checkpoint.h): requires a quiesced
+     * Checkpoint support (core/checkpoint.cc): requires a quiesced
      * engine (no in-flight operations). Program installation state
      * (code_sends_) is keyed by interned Program pointers, which do
      * not survive a process or cluster boundary — it is serialized as
-     * encoded-program digests and re-attached when the restored run
-     * re-pins each program via analysis_for().
+     * sorted encoded-program digests and re-attached when the restored
+     * run re-pins each program via analysis_for().
      */
-    void save_state(StateWriter& writer) const;
-    void load_state(StateReader& reader);
+    void checkpoint(StateIo& io);
 
     /**
      * Attach the cluster's span tracer (nullptr detaches). While the
@@ -385,7 +384,7 @@ class OffloadEngine
     /**
      * Installation counts restored from a checkpoint, keyed by encoded-
      * program digest until the owning program is re-pinned (see
-     * save_state).
+     * checkpoint).
      */
     std::unordered_map<std::uint64_t, std::uint32_t>
         restored_code_sends_;

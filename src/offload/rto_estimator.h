@@ -16,6 +16,7 @@
 #ifndef PULSE_OFFLOAD_RTO_ESTIMATOR_H
 #define PULSE_OFFLOAD_RTO_ESTIMATOR_H
 
+#include "common/serial.h"
 #include "common/units.h"
 
 namespace pulse::offload {
@@ -97,13 +98,13 @@ class RtoEstimator
         rttvar_ = 0;
     }
 
-    /** Checkpoint support: reinstate a saved estimator state. */
+    /** Checkpoint support: the smoothed estimator state. */
     void
-    restore(bool has_sample, Time srtt, Time rttvar)
+    checkpoint(StateIo& io)
     {
-        has_sample_ = has_sample;
-        srtt_ = srtt;
-        rttvar_ = rttvar;
+        io.boolean(has_sample_);
+        io.i64(srtt_);
+        io.i64(rttvar_);
     }
 
   private:

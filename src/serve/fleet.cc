@@ -300,81 +300,38 @@ Fleet::outstanding() const
 }
 
 void
-Fleet::save_state(StateWriter& writer) const
+Fleet::checkpoint(StateIo& io)
 {
-    writer.put_tag("FLET");
-    writer.put_i64(horizon_);
-    writer.put_u64(digest_);
-    writer.put_u32(static_cast<std::uint32_t>(sessions_.size()));
-    for (const auto& [tenant, session] : sessions_) {
+    io.tag("FLET");
+    io.i64(horizon_);
+    io.u64(digest_);
+    io.expect(static_cast<std::uint32_t>(sessions_.size()),
+              "tenant count");
+    for (auto& [tenant, session] : sessions_) {
         PULSE_ASSERT(session.outstanding == 0 &&
                          session.queued.empty() &&
                          session.entries.empty(),
                      "fleet checkpoint requires a quiesced fleet "
                      "(tenant %u still has work in flight)",
                      tenant);
-        PULSE_ASSERT(session.parked || session.exhausted,
+        PULSE_ASSERT(io.reading() || session.parked || session.exhausted,
                      "fleet checkpoint requires every arrival process "
                      "parked at the horizon (tenant %u is not)",
                      tenant);
-        writer.put_u32(tenant);
-        std::uint64_t rng_state[4];
-        session.rng.save_state(rng_state);
-        for (const std::uint64_t word : rng_state) {
-            writer.put_u64(word);
-        }
-        writer.put_i64(session.next_arrival);
-        writer.put_bool(session.parked);
-        writer.put_bool(session.exhausted);
-        writer.put_u64(session.next_token);
-        const TenantFleetStats& stats = stats_.at(tenant);
-        writer.put_u64(stats.arrivals);
-        writer.put_u64(stats.issued);
-        writer.put_u64(stats.completed);
-        writer.put_u64(stats.coalesced);
-        writer.put_u64(stats.shed_retries);
-        writer.put_u64(stats.timeout_retries);
-        writer.put_u64(stats.failed);
-        stats.latency.save_state(writer);
-    }
-}
-
-void
-Fleet::load_state(StateReader& reader)
-{
-    reader.expect_tag("FLET");
-    horizon_ = reader.get_i64();
-    digest_ = reader.get_u64();
-    const std::uint32_t count = reader.get_u32();
-    PULSE_ASSERT(count == sessions_.size(),
-                 "fleet checkpoint tenant count mismatch "
-                 "(%u vs configured %zu)",
-                 count, sessions_.size());
-    for (std::uint32_t i = 0; i < count; i++) {
-        const TenantId tenant = reader.get_u32();
-        const auto it = sessions_.find(tenant);
-        PULSE_ASSERT(it != sessions_.end(),
-                     "fleet checkpoint names unknown tenant %u",
-                     tenant);
-        Session& session = it->second;
-        std::uint64_t rng_state[4];
-        for (std::uint64_t& word : rng_state) {
-            word = reader.get_u64();
-        }
-        session.rng.restore_state(rng_state);
-        session.next_arrival = reader.get_i64();
-        session.parked = reader.get_bool();
-        session.exhausted = reader.get_bool();
-        session.next_token = reader.get_u64();
+        io.expect(tenant, "tenant id");
+        session.rng.checkpoint(io);
+        io.i64(session.next_arrival);
+        io.boolean(session.parked);
+        io.boolean(session.exhausted);
+        io.u64(session.next_token);
         TenantFleetStats& stats = stats_[tenant];
-        stats.arrivals = reader.get_u64();
-        stats.issued = reader.get_u64();
-        stats.completed = reader.get_u64();
-        stats.coalesced = reader.get_u64();
-        stats.shed_retries = reader.get_u64();
-        stats.timeout_retries = reader.get_u64();
-        stats.failed = reader.get_u64();
-        stats.latency.load_state(reader);
+        for (std::uint64_t* counter :
+             {&stats.arrivals, &stats.issued, &stats.completed,
+              &stats.coalesced, &stats.shed_retries,
+              &stats.timeout_retries, &stats.failed}) {
+            io.u64(*counter);
+        }
+        stats.latency.checkpoint(io);
     }
 }
 

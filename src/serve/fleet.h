@@ -21,7 +21,7 @@
  *     load-shed (kRejected) or times out.
  *
  * Everything is driven by seeded Rngs and simulated time only, so a
- * run is bit-reproducible, and save_state/load_state checkpoint a
+ * run is bit-reproducible, and checkpoint() saves or restores a
  * quiesced fleet mid-schedule (tests/test_serving.cc round-trips a
  * checkpoint taken mid-flash-crowd and proves the continuation
  * bit-identical via the completion digest).
@@ -178,10 +178,10 @@ class Fleet
      * traversals, no queued arrivals, every arrival process parked at
      * the horizon (i.e. the event queue drained). Mid-schedule state
      * (each tenant's Rng, next arrival time, counters, histograms, the
-     * digest) round-trips bit-exactly.
+     * digest) round-trips bit-exactly. Restoring needs a fleet built
+     * from the same tenant list.
      */
-    void save_state(StateWriter& writer) const;
-    void load_state(StateReader& reader);
+    void checkpoint(StateIo& io);
 
     /** Export per-tenant metrics under @p prefix ("serve.tenantN..."). */
     void export_metrics(trace::MetricsExporter& exporter,

@@ -170,28 +170,24 @@ EventQueue::set_coalescing(bool enabled)
     chains_.fill(ChainRef{});
 }
 
-EventQueue::QuiesceState
-EventQueue::quiesce_state() const
+void
+EventQueue::checkpoint(StateIo& io)
 {
     PULSE_ASSERT(pending_ == 0,
                  "checkpoint requires a quiesced queue (%zu pending)",
                  pending_);
-    return QuiesceState{now_, next_sequence_, executed_};
-}
-
-void
-EventQueue::restore_quiesce(const QuiesceState& state)
-{
-    PULSE_ASSERT(pending_ == 0,
-                 "restore requires a quiesced queue (%zu pending)",
-                 pending_);
-    PULSE_ASSERT(state.now >= now_,
-                 "restore would move the clock backwards");
-    now_ = state.now;
-    next_sequence_ = state.scheduled;
-    executed_ = state.executed;
-    chains_.fill(ChainRef{});
-    drain_next_ = kNilSlot;
+    Time now = now_;
+    io.i64(now);
+    if (now < now_) {
+        io.fail("restore would move the clock backwards");
+    }
+    io.u64(next_sequence_);
+    io.u64(executed_);
+    if (io.reading()) {
+        now_ = now;
+        chains_.fill(ChainRef{});
+        drain_next_ = kNilSlot;
+    }
 }
 
 }  // namespace pulse::sim

@@ -40,6 +40,7 @@
 #include <queue>
 #include <vector>
 
+#include "common/serial.h"
 #include "common/units.h"
 #include "sim/inline_function.h"
 
@@ -173,22 +174,15 @@ class EventQueue
     }
 
     /**
-     * Checkpoint support (core/checkpoint.h). Only a *quiesced* queue
+     * Checkpoint support (core/checkpoint.cc): the clock and the
+     * schedule/execute counters, so continuation-run telemetry is
+     * bit-identical to the uninterrupted run. Only a *quiesced* queue
      * — no pending events — can be captured or restored: in-flight
      * callbacks are type-erased closures over live component state and
-     * are deliberately not serializable. Restoring the schedule/
-     * execute counters keeps continuation-run telemetry bit-identical
-     * to the uninterrupted run.
+     * are deliberately not serializable. Restoring rejects a clock
+     * behind the live one.
      */
-    struct QuiesceState
-    {
-        Time now = 0;
-        std::uint64_t scheduled = 0;
-        std::uint64_t executed = 0;
-    };
-
-    QuiesceState quiesce_state() const;
-    void restore_quiesce(const QuiesceState& state);
+    void checkpoint(StateIo& io);
 
   private:
     /**

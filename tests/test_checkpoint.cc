@@ -151,7 +151,7 @@ TEST(Checkpoint, RestoredContinuationIsBitIdentical)
     // snapshot's bytes and counters) and runs the same continuation.
     core::Cluster forked(test_config());
     apps::UpcApp app_b(forked, test_scale());
-    forked.restore_checkpoint(blob);
+    ASSERT_TRUE(forked.restore_checkpoint(blob, nullptr));
     const auto restored =
         digest(run_ops(forked, app_b, kPhase1, kPhase2, 8), forked);
 
@@ -167,7 +167,7 @@ TEST(Checkpoint, SaveRestoreSaveIsByteStable)
 
     core::Cluster forked(test_config());
     apps::UpcApp app_b(forked, test_scale());
-    forked.restore_checkpoint(blob);
+    ASSERT_TRUE(forked.restore_checkpoint(blob, nullptr));
     EXPECT_EQ(forked.save_checkpoint(), blob);
 }
 
@@ -184,7 +184,7 @@ TEST(Checkpoint, FileRoundTrip)
 
     core::Cluster forked(test_config());
     apps::UpcApp app_b(forked, test_scale());
-    forked.restore_checkpoint_file(path);
+    ASSERT_TRUE(forked.restore_checkpoint_file(path, nullptr));
     EXPECT_EQ(forked.save_checkpoint(), original.save_checkpoint());
     std::filesystem::remove(path);
 }
@@ -199,7 +199,11 @@ TEST(Checkpoint, FingerprintMismatchIsFatal)
     core::ClusterConfig other = test_config();
     other.num_mem_nodes = 3;
     core::Cluster mismatched(other);
-    EXPECT_DEATH(mismatched.restore_checkpoint(blob), "fingerprint");
+    std::string error;
+    EXPECT_FALSE(mismatched.restore_checkpoint(blob, &error));
+    EXPECT_NE(error.find("fingerprint num_mem_nodes mismatch"),
+              std::string::npos)
+        << error;
 }
 
 /**
@@ -258,7 +262,7 @@ TEST(Checkpoint, FuzzCorpusSeedReplaysThroughRestore)
 
     core::Cluster forked(test_config());
     apps::UpcApp app_b(forked, test_scale());
-    forked.restore_checkpoint(blob);
+    ASSERT_TRUE(forked.restore_checkpoint(blob, nullptr));
     const auto restored = fuzz_run(forked, app_b);
 
     EXPECT_EQ(continued, restored);
@@ -286,7 +290,7 @@ TEST(Checkpoint, ForkedWorkRestoresBitIdentically)
 
     core::Cluster forked(test_config());
     auto tree_b = build_tree(forked);
-    forked.restore_checkpoint(blob);
+    ASSERT_TRUE(forked.restore_checkpoint(blob, nullptr));
     // The snapshot (join-state records included) is byte-stable...
     EXPECT_EQ(forked.save_checkpoint(), blob);
     // ...and the restored continuation is bit-identical.

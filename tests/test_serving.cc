@@ -272,9 +272,9 @@ TEST(Fleet, CheckpointMidFlashCrowdRoundTripsBitIdentically)
     fleet_a.start(phase1);
     original.queue().run();
     ASSERT_EQ(fleet_a.outstanding(), 0u);
-    StateWriter writer;
-    fleet_a.save_state(writer);
-    const std::vector<std::uint8_t> fleet_blob = writer.take();
+    StateIo save;
+    fleet_a.checkpoint(save);
+    const std::vector<std::uint8_t> fleet_blob = save.take();
     testing::expect_golden_digest("fleet", fleet_blob);
     const std::vector<std::uint8_t> blob = original.save_checkpoint();
     fleet_a.extend(phase2);
@@ -286,9 +286,10 @@ TEST(Fleet, CheckpointMidFlashCrowdRoundTripsBitIdentically)
     serve::Fleet fleet_b(forked.queue(), fleet_config,
                          table_make_op(app_b),
                          cluster_submit(forked));
-    forked.restore_checkpoint(blob);
-    StateReader reader(fleet_blob);
-    fleet_b.load_state(reader);
+    ASSERT_TRUE(forked.restore_checkpoint(blob, nullptr));
+    StateIo restore(fleet_blob);
+    fleet_b.checkpoint(restore);
+    ASSERT_TRUE(restore.finish()) << restore.error();
     fleet_b.extend(phase2);
     forked.queue().run();
 

@@ -560,6 +560,7 @@ main(int argc, char** argv)
             cluster.fault_plane() != nullptr ||
             cluster.placement_plane() != nullptr ||
             cluster.replication_plane() != nullptr ||
+            cluster.serve_plane() != nullptr ||
             cluster.tracer().enabled()) {
             std::printf("checkpoint: skipped (optional plane "
                         "attached)\n");
@@ -569,7 +570,12 @@ main(int argc, char** argv)
             cluster.save_checkpoint();
         const double save_wall = seconds_since(save_start);
         const auto restore_start = std::chrono::steady_clock::now();
-        cluster.restore_checkpoint(blob);
+        std::string restore_error;
+        const bool restored =
+            cluster.restore_checkpoint(blob, &restore_error);
+        PULSE_ASSERT(restored,
+                     "restoring the cluster's own checkpoint: %s",
+                     restore_error.c_str());
         const double restore_wall = seconds_since(restore_start);
         exporter.set("checkpoint.bytes",
                      static_cast<double>(blob.size()));
