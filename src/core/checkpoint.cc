@@ -12,7 +12,7 @@
  *                               can only be applied to an identically-
  *                               built rack
  *   event queue               — clock + schedule/execute counters
- *   network                   — switch tables, ports, loss RNG, flow
+ *   network                   — switch tables, ports, flow counters
  *   global memory             — committed chunks of every node
  *   allocator                 — bump frontiers, free lists, RNG
  *   per-node channel sets     — busy-until + bandwidth counters
@@ -37,7 +37,7 @@
 namespace pulse::core {
 namespace {
 
-constexpr std::uint32_t kCheckpointVersion = 1;
+constexpr std::uint32_t kCheckpointVersion = 2;
 
 }  // namespace
 

@@ -18,7 +18,7 @@ location_of(EndpointAddr addr)
 }  // namespace
 
 Network::Network(sim::EventQueue& queue, const NetworkConfig& config)
-    : queue_(queue), config_(config), loss_rng_(config.seed)
+    : queue_(queue), config_(config)
 {
     PULSE_ASSERT(config.num_clients > 0, "network needs a client");
     PULSE_ASSERT(config.num_mem_nodes > 0, "network needs a memory node");
@@ -91,13 +91,6 @@ Network::DeliveryPlan
 Network::plan_delivery(EndpointAddr from, EndpointAddr to)
 {
     DeliveryPlan plan;
-    // Legacy uniform loss knob (independent of the fault plane).
-    if (config_.loss_probability > 0.0 &&
-        loss_rng_.next_bool(config_.loss_probability)) {
-        plan.drop = true;
-        dropped_++;
-        return plan;
-    }
     if (fault_plane_ == nullptr || !fault_plane_->enabled()) {
         return plan;
     }
@@ -323,7 +316,6 @@ void
 Network::checkpoint(StateIo& io)
 {
     io.tag("NETW");
-    loss_rng_.checkpoint(io);
     for (std::uint64_t* counter :
          {&dropped_, &routed_, &checksum_drops_, &flow_.injected,
           &flow_.duplicated, &flow_.delivered, &flow_.source_dark,

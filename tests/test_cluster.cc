@@ -7,6 +7,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 
 #include "core/cluster.h"
@@ -170,7 +171,9 @@ TEST(ClusterPulse, InvalidPointerReturnsMemFault)
 TEST(ClusterPulse, RetransmissionSurvivesPacketLoss)
 {
     ClusterConfig config;
-    config.network.loss_probability = 0.2;
+    // The plane judges uplink and downlink: a send is lost with
+    // probability 0.2.
+    config.faults.links.loss = 1.0 - std::sqrt(1.0 - 0.2);
     config.offload.retransmit_timeout = micros(50.0);
     Cluster cluster(config);
     ds::HashTable table(cluster.memory(), cluster.allocator(),

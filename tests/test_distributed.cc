@@ -7,6 +7,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 
 #include "core/cluster.h"
@@ -96,7 +97,9 @@ TEST(Distributed, LossDuringForwardingIsRecovered)
     // Each walk is ~26 packets end to end (every hop forwards), so
     // per-attempt success is loss^26-ish; 2% loss leaves ~59% per
     // attempt and retransmission recovers essentially everything.
-    config.network.loss_probability = 0.02;
+    // The plane judges uplink and downlink: a send is lost with
+    // probability 0.02.
+    config.faults.links.loss = 1.0 - std::sqrt(1.0 - 0.02);
     config.offload.retransmit_timeout = micros(400.0);
     Cluster cluster(config);
     ds::LinkedList list = round_robin_list(cluster, 24, 2);

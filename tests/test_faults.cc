@@ -9,6 +9,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <tuple>
 
@@ -426,7 +427,7 @@ TEST(FaultAdaptiveRto, ConvergesBelowInitialAndStaysQuiet)
 TEST(FaultGiveUp, DriverExcludesFailedOpsFromLatency)
 {
     core::ClusterConfig config;
-    config.network.loss_probability = 1.0;  // nothing gets through
+    config.faults.links.loss = 1.0;  // nothing gets through
     config.offload.retransmit_timeout = micros(20.0);
     config.offload.max_retransmits = 2;
     core::Cluster cluster(config);
@@ -452,7 +453,9 @@ TEST(FaultGiveUp, DriverExcludesFailedOpsFromLatency)
 TEST(FaultRpc, ReliableModeIsAtMostOnceUnderLoss)
 {
     core::ClusterConfig config;
-    config.network.loss_probability = 0.08;
+    // The plane judges uplink and downlink: a send is lost with
+    // probability 0.08.
+    config.faults.links.loss = 1.0 - std::sqrt(1.0 - 0.08);
     config.rpc.retransmit_timeout = micros(300.0);
     core::Cluster cluster(config);
 

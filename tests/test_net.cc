@@ -5,6 +5,7 @@
  */
 #include <gtest/gtest.h>
 
+#include "faults/fault_plane.h"
 #include "isa/program.h"
 #include "net/network.h"
 
@@ -234,8 +235,11 @@ TEST_F(NetFixture, ForwardedContinuationBecomesRequest)
 
 TEST_F(NetFixture, LossDropsDeterministically)
 {
-    config.loss_probability = 1.0;
+    faults::FaultConfig faults;
+    faults.links.loss = 1.0;
+    faults::FaultPlane plane(faults);
     Network network(queue, config);
+    network.attach_fault_plane(&plane);
     network.send_message(EndpointAddr::client(0),
                          EndpointAddr::mem_node(0), 100,
                          [] { FAIL() << "lost packet delivered"; });

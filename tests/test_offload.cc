@@ -181,7 +181,7 @@ TEST(OffloadWire, CodeShipsOnlyUntilInstalled)
 TEST(OffloadRetransmit, GivesUpAfterMaxRetries)
 {
     core::ClusterConfig config;
-    config.network.loss_probability = 1.0;  // nothing gets through
+    config.faults.links.loss = 1.0;  // nothing gets through
     config.offload.retransmit_timeout = micros(20.0);
     config.offload.max_retransmits = 3;
     core::Cluster cluster(config);
