@@ -122,25 +122,17 @@ class StateIo
     void
     expect(T live, const char* what)
     {
-        static_assert(std::is_integral_v<T> && !std::is_same_v<T, bool>,
-                      "expect() takes an integer field");
+        static_assert(std::is_integral_v<T>, "expect() takes an integer");
         T stored = live;
-        raw(&stored, sizeof(stored));
+        if constexpr (std::is_same_v<T, bool>) {
+            boolean(stored);
+        } else {
+            raw(&stored, sizeof(stored));
+        }
         if (stored != live) {
             fail("%s mismatch: snapshot has %llu, live has %llu", what,
                  static_cast<unsigned long long>(stored),
                  static_cast<unsigned long long>(live));
-        }
-    }
-
-    void
-    expect(bool live, const char* what)
-    {
-        bool stored = live;
-        boolean(stored);
-        if (stored != live) {
-            fail("%s mismatch: snapshot has %d, live has %d", what,
-                 stored, live);
         }
     }
 

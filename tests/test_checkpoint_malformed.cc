@@ -212,8 +212,8 @@ TEST(CheckpointMalformed, UnsortedTcamIsRejected)
     std::uint64_t entries = 0;
     std::memcpy(&entries, blob.data() + count_at, 8);
     ASSERT_GE(entries, 1u);
-    // Shrink the table to one entry and append a copy of it: same base
-    // twice is not sorted and disjoint. The blob stays well-formed.
+    // Replace the table with two copies of its first entry: the same
+    // base twice is not sorted and disjoint. The blob stays well-formed.
     constexpr std::size_t kEntryBytes = 25;
     const auto first = blob.begin() + static_cast<std::ptrdiff_t>(
                                           count_at + 8);
