@@ -14,9 +14,10 @@ Accelerator::Accelerator(sim::EventQueue& queue, net::Network& network,
                          mem::GlobalMemory& memory,
                          mem::ChannelSet& channels, NodeId node,
                          const AccelConfig& config)
-    : queue_(queue), network_(network), memory_(memory),
-      channels_(channels), node_(node), config_(config),
-      tcam_(config.tcam_entries), pending_(config.sched_policy),
+    : queue_(queue), network_(network), packets_(network.packets()),
+      memory_(memory), channels_(channels), node_(node), config_(config),
+      tcam_(config.tcam_entries),
+      pending_(config.sched_policy, network.packets()),
       replay_(config.replay_window_entries),
       pooling_(knobs::pooling_enabled())
 {
@@ -75,9 +76,7 @@ Accelerator::Accelerator(sim::EventQueue& queue, net::Network& network,
     }
     network_.attach_traversal_sink(
         net::EndpointAddr::mem_node(node_),
-        [this](net::TraversalPacket&& packet) {
-            on_packet(std::move(packet));
-        });
+        [this](net::PacketHandle packet) { on_packet(packet); });
 }
 
 void
@@ -159,6 +158,7 @@ Accelerator::acquire_context()
 void
 Accelerator::release_context(std::unique_ptr<Context> context)
 {
+    packets_.release(context->packet);
     if (pooling_) {
         context_pool_.push_back(std::move(context));
     }
@@ -193,8 +193,9 @@ Accelerator::scaled(Time t) const
 }
 
 void
-Accelerator::on_packet(net::TraversalPacket&& packet)
+Accelerator::on_packet(net::PacketHandle handle)
 {
+    const net::TraversalPacket& packet = packets_[handle];
     stats_.requests_received.increment();
     // Duplicate suppression in the network stack: a visit key is
     // (request id, iterations_done), unique per node visit because
@@ -206,6 +207,7 @@ Accelerator::on_packet(net::TraversalPacket&& packet)
                 // Still executing; the eventual response answers both
                 // copies (the client matches by id, not by copy).
                 stats_.duplicates_suppressed.increment();
+                packets_.release(handle);
                 return;
             case ReplayWindow::Verdict::kCached: {
                 // Executed already: replay the recorded packet rather
@@ -230,20 +232,21 @@ Accelerator::on_packet(net::TraversalPacket&& packet)
                     break;
                 }
                 stats_.replays_sent.increment();
-                net::TraversalPacket cached =
-                    *replay_.cached_response(key);
                 const Time parse = scaled(config_.net_stack_latency);
                 stats_.net_stack_time.add(static_cast<double>(parse));
                 if (tracing(packet)) {
                     record_span(packet, trace::SpanKind::kAccelNetStackRx,
                                 queue_.now(), parse);
                 }
-                queue_.schedule_after(
-                    parse, [this, cached = std::move(cached)]() mutable {
-                        network_.send_traversal(
-                            net::EndpointAddr::mem_node(node_),
-                            std::move(cached));
-                    });
+                // The replay is a copy in its own slot: the window
+                // keeps its entry for later duplicates.
+                const net::PacketHandle cached =
+                    packets_.acquire(*replay_.cached_response(key));
+                packets_.release(handle);
+                queue_.schedule_after(parse, [this, cached] {
+                    network_.send_traversal(
+                        net::EndpointAddr::mem_node(node_), cached);
+                });
                 return;
             }
             case ReplayWindow::Verdict::kNew:
@@ -264,55 +267,54 @@ Accelerator::on_packet(net::TraversalPacket&& packet)
         record_span(packet, trace::SpanKind::kAccelNetStackRx,
                     queue_.now(), parse);
     }
-    queue_.schedule_after(parse,
-                          [this, packet = std::move(packet)]() mutable {
-                              admit(std::move(packet));
-                          });
+    queue_.schedule_after(parse, [this, handle] { admit(handle); });
 }
 
 void
-Accelerator::admit(net::TraversalPacket&& packet)
+Accelerator::admit(net::PacketHandle packet)
 {
     // Scheduler: parse payload, pick an idle workspace (4 ns, Fig. 9).
     const Time dispatch = scaled(config_.scheduler_latency);
     stats_.scheduler_time.add(static_cast<double>(dispatch));
-    if (tracing(packet)) {
-        record_span(packet, trace::SpanKind::kAccelScheduler,
+    if (tracing(packets_[packet])) {
+        record_span(packets_[packet], trace::SpanKind::kAccelScheduler,
                     queue_.now(), dispatch);
     }
-    queue_.schedule_after(
-        dispatch, [this, packet = std::move(packet)]() mutable {
-            if (serving_ != nullptr) {
-                // QoS admission: charge fresh roots against the
-                // tenant's traversal quota. A throttled packet is now
-                // owned by the controller (parked; re-enters via
-                // readmit() when the bucket refills).
-                switch (serving_->charge(node_, packet)) {
-                  case serve::QosController::Verdict::kAdmit:
-                    break;
-                  case serve::QosController::Verdict::kThrottle:
-                    return;
-                  case serve::QosController::Verdict::kShed:
-                    shed_reject(std::move(packet));
-                    return;
-                }
+    queue_.schedule_after(dispatch, [this, packet] {
+        if (serving_ != nullptr) {
+            // QoS admission: charge fresh roots against the tenant's
+            // traversal quota. A throttled packet has been moved out
+            // of its slot into the controller's park queue (re-enters
+            // via readmit() when the bucket refills).
+            switch (serving_->charge(node_, packets_[packet])) {
+              case serve::QosController::Verdict::kAdmit:
+                break;
+              case serve::QosController::Verdict::kThrottle:
+                packets_.release(packet);
+                return;
+              case serve::QosController::Verdict::kShed:
+                shed_reject(packet);
+                return;
             }
-            place(std::move(packet));
-        });
+        }
+        place(packet);
+    });
 }
 
 void
-Accelerator::place(net::TraversalPacket&& packet)
+Accelerator::place(net::PacketHandle handle)
 {
-    if (try_dispatch(packet)) {
+    if (try_dispatch(handle)) {
         return;
     }
+    net::TraversalPacket& packet = packets_[handle];
     if (pending_.size() >= config_.max_pending) {
         // Drop; the offload engine's timer retransmits. The visit
         // never executed, so forget it — the retransmit must be
         // allowed to run.
         stats_.queue_drops.increment();
         forget_visit({packet.id, packet.iterations_done});
+        packets_.release(handle);
         return;
     }
     if (serving_ != nullptr &&
@@ -321,14 +323,14 @@ Accelerator::place(net::TraversalPacket&& packet)
         // this node: shed with a typed rejection instead of queueing
         // (bounded queueing delay for the latency class; the offload
         // engine surfaces it as a retryable completion).
-        shed_reject(std::move(packet));
+        shed_reject(handle);
         return;
     }
     packet.trace.queued_at = queue_.now();
     if (serving_ != nullptr) {
         serving_->note_enqueued(node_, packet.tenant);
     }
-    pending_.push(std::move(packet));
+    pending_.push(handle);
 }
 
 void
@@ -348,7 +350,7 @@ Accelerator::readmit(net::TraversalPacket&& packet)
                     packet.trace.queued_at,
                     queue_.now() - packet.trace.queued_at);
     }
-    place(std::move(packet));
+    place(packets_.acquire(packet));
 }
 
 void
@@ -367,8 +369,9 @@ Accelerator::forget_visit(const ReplayWindow::Key& key)
 }
 
 void
-Accelerator::shed_reject(net::TraversalPacket&& packet)
+Accelerator::shed_reject(net::PacketHandle handle)
 {
+    const net::TraversalPacket& packet = packets_[handle];
     if (serving_ != nullptr) {
         serving_->note_shed(node_, packet.tenant);
     }
@@ -380,25 +383,30 @@ Accelerator::shed_reject(net::TraversalPacket&& packet)
     // Typed rejection: a response that never executed an iteration.
     // The offload engine surfaces it as a timed_out+rejected
     // completion, riding the driver's existing retry/backoff path.
-    net::TraversalPacket response;
+    const net::PacketHandle out = packets_.acquire();
+    net::TraversalPacket& response = packets_[out];
     response.id = packet.id;
     response.origin = packet.origin;
     response.tenant = packet.tenant;
     response.is_response = true;
     response.status = TraversalStatus::kRejected;
+    response.fault = isa::ExecFault::kNone;
     response.cur_ptr = packet.cur_ptr;
     response.iterations_done = packet.iterations_done;
     response.visit_echo = packet.visit_echo;
-    response.trace.sampled = packet.trace.sampled;
-    response.spawn_depth = packet.spawn_depth;
-    response.parent_id = packet.parent_id;
-    response.branch_index = packet.branch_index;
-    response.code = packet.code;
-    response.code_size = net::kCodeIdBytes;
+    response.trace = net::TraceContext{.sampled = packet.trace.sampled};
+    response.checksum = 0;
     // Never a switch continuation: a rejection always returns to the
     // origin client.
     response.allow_switch_continuation = false;
-    response.scratch = packet.scratch;
+    response.code = packet.code;
+    response.code_size = net::kCodeIdBytes;
+    response.scratch.assign(packet.scratch.data(), packet.scratch.size());
+    response.spawns.clear();
+    response.spawn_depth = packet.spawn_depth;
+    response.parent_id = packet.parent_id;
+    response.branch_index = packet.branch_index;
+    packets_.release(handle);
     stats_.responses_sent.increment();
     const Time deparse = scaled(config_.net_stack_latency);
     stats_.net_stack_time.add(static_cast<double>(deparse));
@@ -406,15 +414,13 @@ Accelerator::shed_reject(net::TraversalPacket&& packet)
         record_span(response, trace::SpanKind::kAccelNetStackTx,
                     queue_.now(), deparse);
     }
-    queue_.schedule_after(
-        deparse, [this, response = std::move(response)]() mutable {
-            network_.send_traversal(net::EndpointAddr::mem_node(node_),
-                                    std::move(response));
-        });
+    queue_.schedule_after(deparse, [this, out] {
+        network_.send_traversal(net::EndpointAddr::mem_node(node_), out);
+    });
 }
 
 bool
-Accelerator::try_dispatch(net::TraversalPacket& packet)
+Accelerator::try_dispatch(net::PacketHandle handle)
 {
     // Pick the core with the most free workspaces (load balance).
     Core* best_core = nullptr;
@@ -443,17 +449,18 @@ Accelerator::try_dispatch(net::TraversalPacket& packet)
     }
 
     std::unique_ptr<Context> context = acquire_context();
-    context->packet = std::move(packet);
-    context->arrival_iterations = context->packet.iterations_done;
+    const net::TraversalPacket& packet = packets_[handle];
+    context->packet = handle;
+    context->arrival_iterations = packet.iterations_done;
     context->iterations_this_visit = 0;
     if (invariants_ != nullptr && replay_.enabled()) {
-        const ReplayWindow::Key key{context->packet.id,
+        const ReplayWindow::Key key{packet.id,
                                     context->arrival_iterations};
         if (!executed_visits_.insert(key).second) {
             invariants_->report(check::Violation{
                 .kind = check::InvariantKind::kDuplicateExecution,
                 .when = queue_.now(),
-                .packet = context->packet.id,
+                .packet = packet.id,
                 .component =
                     "accel.node" + std::to_string(node_),
                 .message = "visit " +
@@ -462,7 +469,7 @@ Accelerator::try_dispatch(net::TraversalPacket& packet)
                            "failed to suppress a duplicate)"});
         }
     }
-    context->analysis = analysis_for(context->packet.code);
+    context->analysis = analysis_for(packet.code);
     if (!context->analysis->valid) {
         // Reject malformed programs with an execution fault response.
         send_response(*context, TraversalStatus::kExecFault,
@@ -470,11 +477,11 @@ Accelerator::try_dispatch(net::TraversalPacket& packet)
         release_context(std::move(context));
         return true;
     }
-    context->workspace.configure(*context->packet.code);
-    context->workspace.cur_ptr = context->packet.cur_ptr;
-    context->workspace.spawn_depth = context->packet.spawn_depth;
-    std::copy_n(context->packet.scratch.begin(),
-                std::min(context->packet.scratch.size(),
+    context->workspace.configure(*packet.code);
+    context->workspace.cur_ptr = packet.cur_ptr;
+    context->workspace.spawn_depth = packet.spawn_depth;
+    std::copy_n(packet.scratch.begin(),
+                std::min(packet.scratch.size(),
                          context->workspace.scratch.size()),
                 context->workspace.scratch.begin());
 
@@ -488,8 +495,9 @@ Accelerator::start_memory_phase(CoreId core_id, WorkspaceId ws)
 {
     Core& core = cores_[core_id];
     Context& context = *core.workspaces[ws];
+    const net::TraversalPacket& packet = packets_[context.packet];
     const Time now = queue_.now();
-    const std::uint32_t load_bytes = context.packet.code->load_bytes();
+    const std::uint32_t load_bytes = packet.code->load_bytes();
 
     if (load_bytes == 0) {
         start_logic_phase(core_id, ws, now);
@@ -501,9 +509,9 @@ Accelerator::start_memory_phase(CoreId core_id, WorkspaceId ws)
     if (context.workspace.cur_ptr == kNullAddr) {
         const Time tcam_cost = scaled(config_.mem_pipeline_latency / 4);
         stats_.mem_pipeline_time.add(static_cast<double>(tcam_cost));
-        if (tracing(context.packet)) {
+        if (tracing(packet)) {
             // detail == 0: TCAM-only span, no DRAM load performed.
-            record_span(context.packet,
+            record_span(packet,
                         trace::SpanKind::kAccelMemPipeline, now,
                         tcam_cost);
         }
@@ -525,8 +533,8 @@ Accelerator::start_memory_phase(CoreId core_id, WorkspaceId ws)
     if (translated.status == mem::TranslateStatus::kMiss) {
         const Time tcam_cost = scaled(config_.mem_pipeline_latency / 4);
         stats_.mem_pipeline_time.add(static_cast<double>(tcam_cost));
-        if (tracing(context.packet)) {
-            record_span(context.packet,
+        if (tracing(packet)) {
+            record_span(packet,
                         trace::SpanKind::kAccelMemPipeline, now,
                         tcam_cost);
         }
@@ -540,8 +548,8 @@ Accelerator::start_memory_phase(CoreId core_id, WorkspaceId ws)
         stats_.protection_faults.increment();
         const Time tcam_cost = scaled(config_.mem_pipeline_latency / 4);
         stats_.mem_pipeline_time.add(static_cast<double>(tcam_cost));
-        if (tracing(context.packet)) {
-            record_span(context.packet,
+        if (tracing(packet)) {
+            record_span(packet,
                         trace::SpanKind::kAccelMemPipeline, now,
                         tcam_cost);
         }
@@ -569,8 +577,8 @@ Accelerator::start_memory_phase(CoreId core_id, WorkspaceId ws)
                                   load_bytes);
     }
     stats_.mem_pipeline_time.add(static_cast<double>(done - start));
-    if (tracing(context.packet)) {
-        record_span(context.packet, trace::SpanKind::kAccelMemPipeline,
+    if (tracing(packet)) {
+        record_span(packet, trace::SpanKind::kAccelMemPipeline,
                     start, done - start, load_bytes);
     }
 
@@ -603,6 +611,7 @@ Accelerator::start_logic_phase(CoreId core_id, WorkspaceId ws,
         return;
     }
     Context& context = *core.workspaces[ws];
+    net::TraversalPacket& packet = packets_[context.packet];
 
     // Functional execution of the iteration's logic. The CAS
     // extension performs its read-modify-write through the TCAM and
@@ -610,10 +619,10 @@ Accelerator::start_logic_phase(CoreId core_id, WorkspaceId ws,
     // event-level execution makes it atomic. Iterations run
     // synchronously and never nest, so the member operand slots are
     // safe to re-arm here.
-    cas_base_ = context.packet.cur_ptr;
+    cas_base_ = packet.cur_ptr;
     cas_fault_ = false;
     isa::IterationResult iter =
-        run_iteration(*context.packet.code, context.workspace, cas_fn_);
+        run_iteration(*packet.code, context.workspace, cas_fn_);
     const bool cas_fault = cas_fault_;
     const Time t_c =
         scaled(static_cast<Time>(iter.instructions_executed) *
@@ -627,18 +636,18 @@ Accelerator::start_logic_phase(CoreId core_id, WorkspaceId ws,
     core.logic_free[lp] = start + interval;
     stats_.logic_pipeline_time.add(static_cast<double>(t_c));
     stats_.logic_busy_time.add(static_cast<double>(interval));
-    if (tracing(context.packet)) {
-        record_span(context.packet,
+    if (tracing(packet)) {
+        record_span(packet,
                     trace::SpanKind::kAccelLogicPipeline, start, t_c,
                     iter.instructions_executed);
     }
     stats_.iterations.increment();
-    context.packet.iterations_done++;
+    packet.iterations_done++;
     context.iterations_this_visit++;
 
     // Apply write-backs through the memory channels.
     bool store_fault = false;
-    const VirtAddr iter_ptr = context.packet.cur_ptr;
+    const VirtAddr iter_ptr = packet.cur_ptr;
     for (const isa::PendingStore& st : iter.stores) {
         const auto translated = tcam_.translate_span(
             iter_ptr + st.mem_offset, st.length, mem::Perm::kWrite);
@@ -685,7 +694,7 @@ Accelerator::start_logic_phase(CoreId core_id, WorkspaceId ws,
     // the double-join mutation) — fault instead of dropping branches.
     bool spawn_overflow = false;
     for (const isa::SpawnRecord& record : iter.spawns) {
-        if (!context.packet.spawns.push(record)) {
+        if (!packet.spawns.push(record)) {
             spawn_overflow = true;
             break;
         }
@@ -722,7 +731,7 @@ Accelerator::start_logic_phase(CoreId core_id, WorkspaceId ws,
         // a continuation re-issued by the client or another node gets a
         // fresh budget while iterations_done keeps the global count.
         const std::uint64_t cap =
-            std::min<std::uint64_t>(context.packet.code->max_iters(),
+            std::min<std::uint64_t>(packet.code->max_iters(),
                                     config_.max_iters_cap);
         if (context.iterations_this_visit >= cap) {
             status = TraversalStatus::kMaxIter;
@@ -734,9 +743,8 @@ Accelerator::start_logic_phase(CoreId core_id, WorkspaceId ws,
     if (continue_traversal) {
         // Commit the next pointer and hand back to the memory pipeline.
         queue_.schedule_at(done, [this, core_id, ws] {
-            Core& c = cores_[core_id];
-            c.workspaces[ws]->packet.cur_ptr =
-                c.workspaces[ws]->workspace.cur_ptr;
+            Context& ctx = *cores_[core_id].workspaces[ws];
+            packets_[ctx.packet].cur_ptr = ctx.workspace.cur_ptr;
             start_memory_phase(core_id, ws);
         });
     } else {
@@ -756,7 +764,8 @@ Accelerator::finish(CoreId core_id, WorkspaceId ws,
     release_context(std::move(context));
 
     if (!pending_.empty()) {
-        net::TraversalPacket next = pending_.pop();
+        const net::PacketHandle handle = pending_.pop();
+        const net::TraversalPacket& next = packets_[handle];
         if (serving_ != nullptr) {
             serving_->note_dequeued(node_, next.tenant);
         }
@@ -769,7 +778,7 @@ Accelerator::finish(CoreId core_id, WorkspaceId ws,
             record_span(next, trace::SpanKind::kAccelWorkspaceWait,
                         next.trace.queued_at, waited);
         }
-        const bool dispatched = try_dispatch(next);
+        const bool dispatched = try_dispatch(handle);
         PULSE_ASSERT(dispatched, "dispatch must succeed after a free");
     }
 }
@@ -778,46 +787,52 @@ void
 Accelerator::send_response(Context& context, TraversalStatus status,
                            isa::ExecFault fault)
 {
-    net::TraversalPacket response;
-    response.id = context.packet.id;
-    response.origin = context.packet.origin;
-    response.tenant = context.packet.tenant;
+    // Filled field by field into a fresh slot: the request stays with
+    // the context until release_context().
+    const net::TraversalPacket& request = packets_[context.packet];
+    const net::PacketHandle out = packets_.acquire();
+    net::TraversalPacket& response = packets_[out];
+    response.id = request.id;
+    response.origin = request.origin;
+    response.tenant = request.tenant;
     response.is_response = true;
     response.status = status;
     response.fault = fault;
     response.cur_ptr = (context.analysis != nullptr &&
                         context.analysis->valid)
                            ? context.workspace.cur_ptr
-                           : context.packet.cur_ptr;
-    response.iterations_done = context.packet.iterations_done;
-    response.visit_echo = context.packet.visit_echo;
-    response.trace.sampled = context.packet.trace.sampled;
-    // Fork/join: the spawn records collected this visit travel back to
-    // the issuing engine; lineage and depth are echoed so the engine
-    // (or a failover replica's) can rendezvous the packet at the
-    // parent's join record.
-    response.spawns = context.packet.spawns;
-    response.spawn_depth = context.packet.spawn_depth;
-    response.parent_id = context.packet.parent_id;
-    response.branch_index = context.packet.branch_index;
-    response.code = context.packet.code;
+                           : request.cur_ptr;
+    response.iterations_done = request.iterations_done;
+    response.visit_echo = request.visit_echo;
+    response.trace = net::TraceContext{.sampled = request.trace.sampled};
+    response.checksum = 0;
+    response.allow_switch_continuation =
+        request.allow_switch_continuation && config_.forward_via_switch;
+    response.code = request.code;
     // Responses and forwarded continuations reference installed code.
     response.code_size = net::kCodeIdBytes;
-    response.allow_switch_continuation =
-        context.packet.allow_switch_continuation &&
-        config_.forward_via_switch;
 
     // Ship the scratch_pad footprint (state travels with the request,
     // section 5's stateful-continuation mechanism).
     const std::size_t footprint =
         context.analysis != nullptr
             ? std::max<std::size_t>(context.analysis->scratch_footprint,
-                                    context.packet.scratch.size())
-            : context.packet.scratch.size();
+                                    request.scratch.size())
+            : request.scratch.size();
     response.scratch.assign(
-        context.workspace.scratch.begin(),
-        context.workspace.scratch.begin() +
-            std::min(footprint, context.workspace.scratch.size()));
+        context.workspace.scratch.data(),
+        std::min(footprint, context.workspace.scratch.size()));
+    // Fork/join: the spawn records collected this visit travel back to
+    // the issuing engine; lineage and depth are echoed so the engine
+    // (or a failover replica's) can rendezvous the packet at the
+    // parent's join record. Only the records in use are copied.
+    response.spawns.clear();
+    for (const isa::SpawnRecord& record : request.spawns) {
+        response.spawns.push(record);
+    }
+    response.spawn_depth = request.spawn_depth;
+    response.parent_id = request.parent_id;
+    response.branch_index = request.branch_index;
 
     if (status == TraversalStatus::kNotLocal &&
         response.allow_switch_continuation) {
@@ -827,7 +842,7 @@ Accelerator::send_response(Context& context, TraversalStatus status,
     }
     // Complete the visit in the replay window: duplicates arriving
     // from now on get this exact packet replayed.
-    const ReplayWindow::Key visit_key{context.packet.id,
+    const ReplayWindow::Key visit_key{request.id,
                                       context.arrival_iterations};
     replay_.record_response(visit_key, response);
     if (placement_ != nullptr && replay_.consume_handoff(visit_key)) {
@@ -849,11 +864,9 @@ Accelerator::send_response(Context& context, TraversalStatus status,
         record_span(response, trace::SpanKind::kAccelNetStackTx,
                     queue_.now(), deparse);
     }
-    queue_.schedule_after(
-        deparse, [this, response = std::move(response)]() mutable {
-            network_.send_traversal(net::EndpointAddr::mem_node(node_),
-                                    std::move(response));
-        });
+    queue_.schedule_after(deparse, [this, out] {
+        network_.send_traversal(net::EndpointAddr::mem_node(node_), out);
+    });
 }
 
 void

@@ -221,7 +221,9 @@ class Accelerator
     /** One in-flight traversal bound to a workspace. */
     struct Context
     {
-        net::TraversalPacket packet;
+        /** The request being executed (owned; released with the
+         *  context). */
+        net::PacketHandle packet;
         isa::Workspace workspace;
         const isa::ProgramAnalysis* analysis = nullptr;
         std::uint64_t iterations_this_visit = 0;
@@ -244,15 +246,18 @@ class Accelerator
      */
     std::unique_ptr<Context> acquire_context();
 
-    /** Return a finished context to the pool (frees it if pooling off). */
+    /**
+     * Release a finished context's request packet and return the
+     * context to the pool (frees it if pooling off).
+     */
     void release_context(std::unique_ptr<Context> context);
 
-    void on_packet(net::TraversalPacket&& packet);
-    void admit(net::TraversalPacket&& packet);
-    void place(net::TraversalPacket&& packet);
-    void shed_reject(net::TraversalPacket&& packet);
+    void on_packet(net::PacketHandle packet);
+    void admit(net::PacketHandle packet);
+    void place(net::PacketHandle packet);
+    void shed_reject(net::PacketHandle packet);
     void forget_visit(const ReplayWindow::Key& key);
-    bool try_dispatch(net::TraversalPacket& packet);
+    bool try_dispatch(net::PacketHandle packet);
     void start_memory_phase(CoreId core, WorkspaceId ws);
     void start_logic_phase(CoreId core, WorkspaceId ws, Time mem_done);
     void finish(CoreId core, WorkspaceId ws, isa::TraversalStatus status,
@@ -285,6 +290,7 @@ class Accelerator
 
     sim::EventQueue& queue_;
     net::Network& network_;
+    net::PacketArena& packets_;
     mem::GlobalMemory& memory_;
     mem::ChannelSet& channels_;
     NodeId node_;

@@ -7,15 +7,17 @@
 
 namespace pulse::accel {
 
-AdmissionQueue::AdmissionQueue(SchedPolicy policy) : policy_(policy)
+AdmissionQueue::AdmissionQueue(SchedPolicy policy,
+                               const net::PacketArena& packets)
+    : policy_(policy), packets_(packets)
 {
 }
 
 std::uint32_t
-AdmissionQueue::flow_key(const net::TraversalPacket& packet) const
+AdmissionQueue::flow_key(net::PacketHandle packet) const
 {
-    return policy_ == SchedPolicy::kWeightedDrr ? packet.tenant
-                                                : packet.origin;
+    return policy_ == SchedPolicy::kWeightedDrr ? packets_[packet].tenant
+                                                : packets_[packet].origin;
 }
 
 std::uint32_t
@@ -28,10 +30,10 @@ AdmissionQueue::quantum_of(std::uint32_t flow) const
 }
 
 void
-AdmissionQueue::push(net::TraversalPacket&& packet)
+AdmissionQueue::push(net::PacketHandle packet)
 {
     if (policy_ == SchedPolicy::kFifo) {
-        fifo_.push_back(std::move(packet));
+        fifo_.push_back(packet);
     } else {
         const std::uint32_t flow = flow_key(packet);
         PacketDeque& queue = per_flow_[flow];
@@ -41,18 +43,18 @@ AdmissionQueue::push(net::TraversalPacket&& packet)
             // full rotation behind, never ahead of waiting peers.
             ring_.push_back(flow);
         }
-        queue.push_back(std::move(packet));
+        queue.push_back(packet);
     }
     size_++;
 }
 
-net::TraversalPacket
+net::PacketHandle
 AdmissionQueue::pop()
 {
     PULSE_ASSERT(size_ > 0, "pop from empty admission queue");
     size_--;
     if (policy_ == SchedPolicy::kFifo) {
-        net::TraversalPacket packet = std::move(fifo_.front());
+        const net::PacketHandle packet = fifo_.front();
         fifo_.pop_front();
         return packet;
     }
@@ -62,7 +64,7 @@ AdmissionQueue::pop()
     const auto pos = per_flow_.find(flow);
     PULSE_ASSERT(pos != per_flow_.end() && !pos->second.empty(),
                  "admission ring names a drained flow");
-    net::TraversalPacket packet = std::move(pos->second.front());
+    const net::PacketHandle packet = pos->second.front();
     pos->second.pop_front();
 
     if (policy_ == SchedPolicy::kFairShare) {

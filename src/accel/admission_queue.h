@@ -27,7 +27,7 @@
 
 #include "accel/accel_config.h"
 #include "common/pool_allocator.h"
-#include "net/packet.h"
+#include "net/packet_arena.h"
 
 namespace pulse::serve {
 class QosController;
@@ -35,11 +35,14 @@ class QosController;
 
 namespace pulse::accel {
 
-/** Bounded, policy-driven request queue. */
+/**
+ * Bounded, policy-driven request queue. It holds packet handles and
+ * reads each packet's flow key through the arena the packets live in.
+ */
 class AdmissionQueue
 {
   public:
-    explicit AdmissionQueue(SchedPolicy policy);
+    AdmissionQueue(SchedPolicy policy, const net::PacketArena& packets);
 
     bool empty() const { return size_ == 0; }
     std::size_t size() const { return size_; }
@@ -51,12 +54,13 @@ class AdmissionQueue
      */
     void set_qos(const serve::QosController* qos) { qos_ = qos; }
 
-    /** Enqueue a request (caller enforces the capacity bound). */
-    void push(net::TraversalPacket&& packet);
+    /** Enqueue a request (caller enforces the capacity bound); the
+     *  queue holds the handle until pop() hands it back. */
+    void push(net::PacketHandle packet);
 
     /** Dequeue the next request per the policy. empty() must be
      *  false. */
-    net::TraversalPacket pop();
+    net::PacketHandle pop();
 
     /** Heap blocks the backing pools had to allocate (bench_wallclock
      *  attribution: steady state should add ~none). */
@@ -85,22 +89,20 @@ class AdmissionQueue
     }
 
   private:
-    /**
-     * Packets are ~half a KiB of inline state, so a deque block holds
-     * one: without pooling every push/pop pair is a block alloc/free.
-     */
+    /** Per-flow FIFOs churn as flows drain and re-arrive; the pools
+     *  recycle their blocks. */
     using PacketDeque =
-        std::deque<net::TraversalPacket,
-                   PoolAllocator<net::TraversalPacket>>;
+        std::deque<net::PacketHandle, PoolAllocator<net::PacketHandle>>;
 
     /** The scheduling key: origin client (kFairShare) or tenant
      *  (kWeightedDrr). */
-    std::uint32_t flow_key(const net::TraversalPacket& packet) const;
+    std::uint32_t flow_key(net::PacketHandle packet) const;
 
     /** WDRR quantum of @p flow (its tenant weight; 1 without QoS). */
     std::uint32_t quantum_of(std::uint32_t flow) const;
 
     SchedPolicy policy_;
+    const net::PacketArena& packets_;
     std::size_t size_ = 0;
     PacketDeque fifo_;
     /** Non-FIFO policies: one FIFO per flow. */

@@ -73,7 +73,7 @@ ReplayWindow::forget(const Key& key)
 
 void
 ReplayWindow::record_response(const Key& key,
-                              net::TraversalPacket response)
+                              const net::TraversalPacket& response)
 {
     if (!enabled()) {
         return;
@@ -84,7 +84,7 @@ ReplayWindow::record_response(const Key& key,
         return;
     }
     it->second.done = true;
-    it->second.response = std::move(response);
+    it->second.response = response;
 }
 
 std::size_t

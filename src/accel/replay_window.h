@@ -100,7 +100,8 @@ class ReplayWindow
     void unmark(const Key& key);
 
     /** Record the outgoing packet for @p key; later dups replay it. */
-    void record_response(const Key& key, net::TraversalPacket response);
+    void record_response(const Key& key,
+                         const net::TraversalPacket& response);
 
     /**
      * Erase @p key entirely, even if completed. Used when a cached
@@ -189,7 +190,9 @@ class ReplayWindow
     /**
      * Once the FIFO budget is reached, every visit is one insert plus
      * one eviction — pooled node recycling keeps that churn off the
-     * heap (each Entry embeds a ~half-KiB cached packet).
+     * heap. Each Entry embeds its cached packet by value (~0.9 KiB),
+     * one copy per visit; packets in flight live in the network's
+     * PacketArena instead.
      */
     std::unordered_map<Key, Entry, KeyHash, std::equal_to<Key>,
                        PoolAllocator<std::pair<const Key, Entry>>>

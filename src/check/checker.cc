@@ -142,6 +142,11 @@ Checker::verify_quiesce()
                    " + checksum_dropped=" +
                    std::to_string(flow.checksum_dropped));
     }
+    if (network_.packets().live() != 0) {
+        report(InvariantKind::kPacketConservation, "net.packet_arena",
+               std::to_string(network_.packets().live()) +
+                   " packet slots still held at quiesce");
+    }
     for (NodeId node = 0; node < accelerators_.size(); node++) {
         const std::size_t inflight = accelerators_[node]->inflight();
         if (inflight != 0) {

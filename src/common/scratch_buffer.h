@@ -2,17 +2,18 @@
  * @file
  * Fixed-capacity inline byte buffer for traversal scratch pads.
  *
- * Traversal packets, in-flight records, and replay-cache entries are
- * copied on every hop of the simulated rack; carrying the scratch pad
- * in a std::vector made each of those copies a heap allocation — the
- * dominant term in sim.allocs_per_event. A ScratchBuffer stores the
- * bytes inline (capacity sized to the largest scratch footprint any
- * shipped program declares, with headroom), so packet copies are plain
+ * Traversal packets live in the network's PacketArena and travel by
+ * handle, but replay-cache entries, retransmit buffers and response
+ * slots still copy them; carrying the scratch pad in a std::vector
+ * made each of those copies a heap allocation — once the dominant
+ * term in sim.allocs_per_event. A ScratchBuffer stores the bytes
+ * inline (capacity sized to the largest scratch footprint any shipped
+ * program declares, with headroom), so packet copies are plain
  * memcpys and the steady-state simulation path performs no allocation.
  *
  * The class is trivially copyable by design: that property is what
- * lets InlineFunction captures and pooled records hold packets with no
- * heap traffic, and it is enforced with a static_assert below. The API
+ * lets arena slots and pooled records hold packets with no heap
+ * traffic, and it is enforced with a static_assert below. The API
  * mirrors the subset of std::vector<uint8_t> the codebase uses
  * (size/resize/assign/data/begin/end/operator[]), plus implicit
  * conversions from/to std::vector so call sites that still traffic in
@@ -35,8 +36,8 @@ namespace pulse {
  * Inline capacity in bytes. The largest scratch footprint a shipped
  * program declares is the B+Tree scan resume state (344 bytes: the
  * 104-byte stage header plus 15 leaf slots x 16 bytes); the hash-table
- * find ships 264. 384 leaves headroom while keeping a packet capture
- * comfortably inside the event queue's inline budget. Growing a
+ * find ships 264. 384 leaves headroom while keeping every packet copy
+ * (arena slot, replay entry) under a kilobyte. Growing a
  * program's shipped footprint past this is a loud assertion at the
  * resize site, not a silent heap fallback.
  */
@@ -104,7 +105,10 @@ class ScratchBuffer
         assert(count <= kScratchCapacity &&
                "scratch footprint exceeds ScratchBuffer capacity — "
                "grow kScratchCapacity deliberately");
-        std::memcpy(bytes_.data(), src, count);
+        if (count != 0) {
+            // An empty source may be null (an empty vector's data()).
+            std::memcpy(bytes_.data(), src, count);
+        }
         size_ = static_cast<std::uint16_t>(count);
     }
 

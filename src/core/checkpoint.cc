@@ -62,6 +62,9 @@ Cluster::checkpoint(StateIo& io)
         PULSE_ASSERT(engine->inflight() == 0,
                      "checkpoint requires no in-flight traversals");
     }
+    PULSE_ASSERT(packets().live() == 0,
+                 "checkpoint requires no live traversal packets (%zu)",
+                 packets().live());
 
     io.tag("PLSC");
     io.expect(kCheckpointVersion, "checkpoint version");

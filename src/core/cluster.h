@@ -174,6 +174,12 @@ class Cluster
     mem::GlobalMemory& memory() { return *memory_; }
     mem::ClusterAllocator& allocator() { return *allocator_; }
     net::Network& network() { return *network_; }
+
+    /** Every in-flight traversal packet (the network's arena). */
+    const net::PacketArena& packets() const
+    {
+        return network_->packets();
+    }
     accel::Accelerator& accelerator(NodeId node);
     mem::ChannelSet& channels(NodeId node);
 

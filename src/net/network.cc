@@ -124,17 +124,17 @@ Network::source_dark(EndpointAddr addr)
 
 void
 Network::deliver_traversal(EndpointAddr to, Time at_switch, Bytes size,
-                           TraversalPacket packet)
+                           PacketHandle packet)
 {
     Time delivery = downlink(to, at_switch, size);
     if (tracer_ != nullptr && tracer_->enabled() &&
-        packet.trace.sampled) {
+        packets_[packet].trace.sampled) {
         // Downlink span covers serialization + propagation + NIC (and
         // any stall-hold extension applied below is intentionally not
         // billed to the network: the fault plane accounts it).
-        tracer_->record({packet.id, trace::SpanKind::kNicDownlink,
-                         location_of(to), to.index, at_switch,
-                         delivery - at_switch,
+        tracer_->record({packets_[packet].id,
+                         trace::SpanKind::kNicDownlink, location_of(to),
+                         to.index, at_switch, delivery - at_switch,
                          static_cast<std::uint64_t>(size)});
     }
     if (fault_plane_ != nullptr && fault_plane_->enabled() &&
@@ -142,6 +142,7 @@ Network::deliver_traversal(EndpointAddr to, Time at_switch, Bytes size,
         if (fault_plane_->node_dark(to.index, delivery)) {
             fault_plane_->count_blackout_drop();
             flow_.delivery_blackout++;
+            packets_.release(packet);
             return;
         }
         const Time release =
@@ -157,29 +158,31 @@ Network::deliver_traversal(EndpointAddr to, Time at_switch, Bytes size,
     PULSE_ASSERT(static_cast<bool>(dest.traversal_sink),
                  "no traversal sink at destination endpoint");
     TraversalSink& sink = dest.traversal_sink;
-    queue_.schedule_at(delivery, [this, &sink,
-                                  packet = std::move(packet)]() mutable {
-        if (!verify_packet(packet)) {
+    queue_.schedule_at(delivery, [this, &sink, packet] {
+        if (!verify_packet(packets_[packet])) {
             // Receiving NIC: UDP checksum mismatch, discard silently.
             checksum_drops_++;
             flow_.checksum_dropped++;
+            packets_.release(packet);
             return;
         }
         flow_.delivered++;
-        sink(std::move(packet));
+        sink(packet);
     });
 }
 
 void
-Network::send_traversal(EndpointAddr from, TraversalPacket packet)
+Network::send_traversal(EndpointAddr from, PacketHandle handle)
 {
     flow_.injected++;
     if (source_dark(from)) {
         // A blacked-out node transmits nothing.
         fault_plane_->count_blackout_drop();
         flow_.source_dark++;
+        packets_.release(handle);
         return;
     }
+    TraversalPacket& packet = packets_[handle];
     if (packet.checksum == 0) {
         // Sender NIC seals the header (models UDP checksum offload).
         seal_packet(packet);
@@ -221,6 +224,7 @@ Network::send_traversal(EndpointAddr from, TraversalPacket packet)
     DeliveryPlan plan = plan_delivery(from, decision.destination);
     if (plan.drop) {
         flow_.plan_dropped++;
+        packets_.release(handle);
         return;
     }
     if (plan.corrupt) {
@@ -230,14 +234,15 @@ Network::send_traversal(EndpointAddr from, TraversalPacket packet)
         packet.cur_ptr ^= plan.corrupt_mask;
     }
     if (plan.duplicate) {
+        // The copy gets its own slot; slots never move, so `packet`
+        // stays valid across the acquire.
         flow_.duplicated++;
-        TraversalPacket copy = packet;
         deliver_traversal(decision.destination,
                           at_switch + plan.extra_delay, size,
-                          std::move(copy));
+                          packets_.acquire(packet));
     }
     deliver_traversal(decision.destination, at_switch + plan.extra_delay,
-                      size, std::move(packet));
+                      size, handle);
 }
 
 void

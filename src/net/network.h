@@ -29,6 +29,7 @@
 #include "faults/fault_plane.h"
 #include "net/link.h"
 #include "net/packet.h"
+#include "net/packet_arena.h"
 #include "net/switch.h"
 #include "sim/event_queue.h"
 #include "trace/trace.h"
@@ -89,8 +90,11 @@ struct TraversalFlow
     }
 };
 
-/** Delivery callback for traversal packets. */
-using TraversalSink = std::function<void(TraversalPacket&&)>;
+/**
+ * Delivery callback for traversal packets. The receiver owns the
+ * handle: it passes it on or releases it to Network::packets().
+ */
+using TraversalSink = std::function<void(PacketHandle)>;
 
 /** Delivery callback for generic messages. */
 using MessageSink = std::function<void()>;
@@ -109,11 +113,19 @@ class Network
     const SwitchTable& switch_table() const { return table_; }
 
     /**
-     * Send a pulse traversal packet from @p from; the switch decides
-     * the destination. Invalid-pointer requests come back to the origin
-     * client as kMemFault responses.
+     * The arena every in-flight traversal packet lives in. Senders
+     * build a packet in a slot and hand its handle to send_traversal().
      */
-    void send_traversal(EndpointAddr from, TraversalPacket packet);
+    PacketArena& packets() { return packets_; }
+    const PacketArena& packets() const { return packets_; }
+
+    /**
+     * Send the traversal packet in slot @p packet from @p from; the
+     * switch decides the destination. Takes ownership of the handle
+     * (a dropped copy's slot is released here). Invalid-pointer
+     * requests come back to the origin client as kMemFault responses.
+     */
+    void send_traversal(EndpointAddr from, PacketHandle packet);
 
     /**
      * Timed point-to-point message of @p size bytes; @p deliver runs at
@@ -128,7 +140,7 @@ class Network
     /** Bytes received by @p addr so far. */
     Bytes bytes_received_by(EndpointAddr addr) const;
 
-    /** Packets dropped by the loss process. */
+    /** Packets the fault plane's link verdicts dropped. */
     std::uint64_t packets_dropped() const { return dropped_; }
 
     /** Packets the switch routed. */
@@ -214,7 +226,7 @@ class Network
      * stall/blackout handling, NIC checksum verification, then sink.
      */
     void deliver_traversal(EndpointAddr to, Time at_switch, Bytes size,
-                           TraversalPacket packet);
+                           PacketHandle packet);
 
     /** First hop: endpoint to switch; returns switch-arrival time. */
     Time uplink(EndpointAddr from, Bytes size);
@@ -224,6 +236,7 @@ class Network
 
     sim::EventQueue& queue_;
     NetworkConfig config_;
+    PacketArena packets_;
     SwitchTable table_;
     faults::FaultPlane* fault_plane_ = nullptr;
     trace::Tracer* tracer_ = nullptr;

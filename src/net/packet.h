@@ -62,12 +62,14 @@ inline constexpr Bytes kCodeIdBytes = 16;
 
 /**
  * Inline fixed-capacity list of SPAWN records (fork/join extension).
- * Mirrors ScratchBuffer's design: packets are copied on every hop, so
- * the list must keep TraversalPacket trivially copyable. Capacity is
- * isa::kMaxSpawnsPerVisit — the accelerator ends the visit the moment
- * an iteration emits spawns ("spawn flush"), and verify() caps a
- * program at 16 static SPAWN sites, so one visit can never overflow
- * the list (the accelerator faults kSpawnOverflow defensively).
+ * Mirrors ScratchBuffer's design: the few whole-packet copies left
+ * (replay-window entries, retransmit buffers, duplicates) must stay
+ * flat memcpys, so the list keeps TraversalPacket trivially
+ * copyable. Capacity is isa::kMaxSpawnsPerVisit — the accelerator
+ * ends the visit the moment an iteration emits spawns ("spawn
+ * flush"), and verify() caps a program at 16 static SPAWN sites, so
+ * one visit can never overflow the list (the accelerator faults
+ * kSpawnOverflow defensively).
  */
 class SpawnList
 {
@@ -226,10 +228,10 @@ struct TraversalPacket
 
     /**
      * The traversal program: a non-owning interned reference.
-     * Packets are copied and forwarded on every hop (switch
-     * continuations, retransmit buffers, replay-window caches), and a
-     * shared_ptr here would bounce the refcount on each of those —
-     * measurable atomic traffic in the event hot path. Instead the
+     * Packets are copied into retransmit buffers, replay-window caches
+     * and response slots, and a shared_ptr here would bounce the
+     * refcount on each of those — measurable atomic traffic in the
+     * event hot path. Instead the
      * issuing OffloadEngine pins one shared_ptr per distinct program
      * for the cluster's lifetime (see OffloadEngine::analysis_for),
      * and everything downstream carries this raw pointer. code_size
@@ -243,9 +245,9 @@ struct TraversalPacket
      * Shipped scratch_pad contents. Only the program's scratch
      * footprint travels (the offload engine trims it), matching an
      * implementation that ships the configured scratchpad prefix.
-     * Stored inline (see scratch_buffer.h) so the packet copies made
-     * on every hop — retransmit buffers, replay caches, forwarded
-     * continuations, event captures — never touch the heap.
+     * Stored inline (see scratch_buffer.h) so the packet copies that
+     * remain — retransmit buffers, replay caches, response slots —
+     * never touch the heap.
      */
     ScratchBuffer scratch;
 
@@ -280,9 +282,9 @@ struct TraversalPacket
 };
 
 /**
- * Compile-time no-heap assertion for the packet hot path: every copy a
- * hop makes (and every InlineFunction capture holding a packet) must
- * be a flat memcpy. Adding an allocating member here would silently
+ * Compile-time no-heap assertion for the packet hot path: every packet
+ * copy (arena slots, replay caches, retransmit buffers) must be a flat
+ * memcpy. Adding an allocating member here would silently
  * reintroduce per-event heap traffic — fail the build instead.
  */
 static_assert(std::is_trivially_copyable_v<TraversalPacket>);

@@ -48,16 +48,14 @@ OffloadEngine::OffloadEngine(sim::EventQueue& queue,
                              net::Network& network,
                              mem::GlobalMemory& memory, ClientId client,
                              const OffloadConfig& config)
-    : queue_(queue), network_(network), memory_(memory),
-      client_(client), config_(config),
+    : queue_(queue), network_(network), packets_(network.packets()),
+      memory_(memory), client_(client), config_(config),
       rto_(config.retransmit_timeout, config.rto_min,
            config.retransmit_timeout, config.rto_srtt_multiplier)
 {
     network_.attach_traversal_sink(
         net::EndpointAddr::client(client_),
-        [this](net::TraversalPacket&& packet) {
-            on_response(std::move(packet));
-        });
+        [this](net::PacketHandle packet) { on_response(packet); });
 }
 
 bool
@@ -190,12 +188,18 @@ OffloadEngine::submit(Operation&& op)
     inflight.op = std::move(op);
     inflight.submit_time = queue_.now();
     inflight.root_key = key;  // a root is its own DAG root
-    const VirtAddr start = inflight.op.start_ptr;
+    // The request is built in its slot now; issue() fills the header
+    // once the client software time has passed.
+    const net::PacketHandle handle = packets_.acquire();
+    net::TraversalPacket& packet = packets_[handle];
+    packet.cur_ptr = inflight.op.start_ptr;
+    packet.iterations_done = 0;
     // Trim the shipped scratch_pad to the program's static footprint.
-    ScratchBuffer scratch = inflight.op.init_scratch;
-    scratch.resize(std::max<std::size_t>(analysis.scratch_footprint,
-                                         scratch.size()),
-                   0);
+    const ScratchBuffer& init = inflight.op.init_scratch;
+    packet.scratch.assign(init.data(), init.size());
+    packet.scratch.resize(
+        std::max<std::size_t>(analysis.scratch_footprint, init.size()),
+        0);
     const Time cpu_time = inflight.op.init_cpu_time +
                           config_.request_software_overhead;
     if (tracer_ != nullptr && tracer_->enabled()) {
@@ -205,43 +209,46 @@ OffloadEngine::submit(Operation&& op)
                          queue_.now(), cpu_time, 0});
     }
     inflight_.emplace(key, std::move(inflight));
-    queue_.schedule_after(cpu_time, [this, key, start, scratch] {
-        issue(key, start, scratch, 0);
-    });
+    queue_.schedule_after(cpu_time,
+                          [this, key, handle] { issue(key, handle); });
 }
 
 void
-OffloadEngine::issue(std::uint64_t key, VirtAddr cur_ptr,
-                     const ScratchBuffer& scratch,
-                     std::uint64_t iterations_done)
+OffloadEngine::issue(std::uint64_t key, net::PacketHandle handle)
 {
     auto it = inflight_.find(key);
     if (it == inflight_.end()) {
-        return;  // completed (e.g. timed out) before the issue fired
+        // Completed (e.g. timed out) before the issue fired.
+        packets_.release(handle);
+        return;
     }
     InFlight& inflight = it->second;
 
-    net::TraversalPacket packet;
+    net::TraversalPacket& packet = packets_[handle];
+    const std::uint64_t iterations_done = packet.iterations_done;
     packet.id = RequestId{client_, key};
     packet.origin = client_;
     packet.tenant = inflight.op.tenant;
     packet.is_response = false;
-    packet.cur_ptr = cur_ptr;
-    packet.iterations_done = iterations_done;
+    packet.status = TraversalStatus::kDone;
+    packet.fault = isa::ExecFault::kNone;
     // Every packet descending from this leg (responses, forwarded
     // continuations, replayed duplicates) echoes this value; responses
     // carrying an older echo are stale and get dropped.
     packet.visit_echo = iterations_done;
-    packet.trace.sampled = tracer_ != nullptr && tracer_->enabled();
+    packet.trace = net::TraceContext{
+        .sampled = tracer_ != nullptr && tracer_->enabled()};
+    packet.checksum = 0;
     packet.allow_switch_continuation = config_.switch_continuation;
+    packet.spawns.clear();
     // Fork lineage: sub-traversal packets carry their depth, the
     // parent's request id and their branch index, so the join
     // rendezvous survives any routing the packet takes.
     packet.spawn_depth = inflight.depth;
-    if (inflight.parent_key != 0) {
-        packet.parent_id = RequestId{client_, inflight.parent_key};
-        packet.branch_index = inflight.branch_index;
-    }
+    packet.parent_id = inflight.parent_key != 0
+                           ? RequestId{client_, inflight.parent_key}
+                           : RequestId{};
+    packet.branch_index = inflight.branch_index;  // 0 for a root
     attach_program(packet, inflight.op.program);
     // After the program is installed at the accelerators, requests
     // carry a 16-byte program id instead of the code.
@@ -251,15 +258,13 @@ OffloadEngine::issue(std::uint64_t key, VirtAddr cur_ptr,
     } else {
         sends++;
     }
-    packet.scratch = scratch;
 
     inflight.last_request = packet;
     inflight.leg_issue_time = queue_.now();
     inflight.leg_retransmitted = false;
     inflight.expected_echo = iterations_done;
     arm_timer(key);
-    network_.send_traversal(net::EndpointAddr::client(client_),
-                            std::move(packet));
+    network_.send_traversal(net::EndpointAddr::client(client_), handle);
 }
 
 void
@@ -315,22 +320,26 @@ OffloadEngine::arm_timer(std::uint64_t key)
         // Karn's rule: once a leg is retransmitted, its response can
         // no longer be attributed to one copy — take no RTT sample.
         inflight.leg_retransmitted = true;
-        net::TraversalPacket copy = inflight.last_request;
+        const net::PacketHandle copy =
+            packets_.acquire(inflight.last_request);
         arm_timer(key);
         network_.send_traversal(net::EndpointAddr::client(client_),
-                                std::move(copy));
+                                copy);
     });
 }
 
 void
-OffloadEngine::on_response(net::TraversalPacket&& packet)
+OffloadEngine::on_response(net::PacketHandle handle)
 {
+    net::TraversalPacket& packet = packets_[handle];
     if (packet.id.client != client_) {
+        packets_.release(handle);
         return;  // not ours (misrouted); drop
     }
     const std::uint64_t key = packet.id.seq;
     auto it = inflight_.find(key);
     if (it == inflight_.end()) {
+        packets_.release(handle);
         return;  // duplicate of an already-completed request
     }
     if (packet.visit_echo != it->second.expected_echo) {
@@ -339,6 +348,7 @@ OffloadEngine::on_response(net::TraversalPacket&& packet)
         // Dropped *without* quenching the timer: the live leg is still
         // awaiting its own response.
         stats_.stale_responses.increment();
+        packets_.release(handle);
         return;
     }
     if (!packet.spawns.empty()) {
@@ -380,7 +390,6 @@ OffloadEngine::on_response(net::TraversalPacket&& packet)
             inflight.client_bounces++;
             stats_.client_bounces.increment();
         }
-        const VirtAddr cur_ptr = packet.cur_ptr;
         const std::uint64_t iterations = packet.iterations_done;
         if (tracer_ != nullptr && tracer_->enabled() &&
             packet.trace.sampled) {
@@ -393,13 +402,11 @@ OffloadEngine::on_response(net::TraversalPacket&& packet)
                              config_.request_software_overhead,
                              iterations});
         }
-        queue_.schedule_after(
-            config_.response_software_overhead +
-                config_.request_software_overhead,
-            [this, key, cur_ptr, iterations,
-             scratch = packet.scratch] {
-                issue(key, cur_ptr, scratch, iterations);
-            });
+        // The response's slot becomes the next leg's request: its
+        // cur_ptr, iterations_done and scratch are already in place.
+        queue_.schedule_after(config_.response_software_overhead +
+                                  config_.request_software_overhead,
+                              [this, key, handle] { issue(key, handle); });
         return;
     }
 
@@ -424,6 +431,7 @@ OffloadEngine::on_response(net::TraversalPacket&& packet)
     completion.retransmits = inflight.retransmits;
     completion.client_bounces = inflight.client_bounces;
     completion.continuations = inflight.continuations;
+    packets_.release(handle);
     const Time done_at =
         queue_.now() + config_.response_software_overhead;
     completion.latency = done_at - inflight.submit_time;
@@ -529,25 +537,27 @@ OffloadEngine::process_spawns(std::uint64_t key,
         // The child starts from a zeroed scratch_pad with the
         // spawn-time argument bytes placed at the same offsets they
         // occupied in the parent.
-        ScratchBuffer scratch;
-        scratch.resize(
+        const net::PacketHandle handle = packets_.acquire();
+        net::TraversalPacket& request = packets_[handle];
+        request.cur_ptr = record.start_ptr;
+        request.iterations_done = 0;
+        request.scratch.assign(
             std::max<std::size_t>(
                 analysis.scratch_footprint,
                 static_cast<std::size_t>(record.arg_offset) +
                     record.arg_length),
             0);
-        std::memcpy(scratch.data() + record.arg_offset, record.args,
-                    record.arg_length);
+        std::memcpy(request.scratch.data() + record.arg_offset,
+                    record.args, record.arg_length);
 
         // Client software builds one request per child, back to back.
         issued++;
-        const VirtAddr start = record.start_ptr;
-        queue_.schedule_after(
-            config_.response_software_overhead +
-                config_.request_software_overhead * issued,
-            [this, child_key, start, scratch] {
-                issue(child_key, start, scratch, 0);
-            });
+        queue_.schedule_after(config_.response_software_overhead +
+                                  config_.request_software_overhead *
+                                      issued,
+                              [this, child_key, handle] {
+                                  issue(child_key, handle);
+                              });
     }
 }
 

@@ -342,11 +342,14 @@ class OffloadEngine
         std::unique_ptr<ForkState> fork;
     };
 
-    void issue(std::uint64_t key, VirtAddr cur_ptr,
-               const ScratchBuffer& scratch,
-               std::uint64_t iterations_done);
+    /**
+     * Send one leg of operation @p key from slot @p packet, whose
+     * cur_ptr, iterations_done and scratch the caller has set; every
+     * other field is filled here. Takes ownership of the handle.
+     */
+    void issue(std::uint64_t key, net::PacketHandle packet);
     void arm_timer(std::uint64_t key);
-    void on_response(net::TraversalPacket&& packet);
+    void on_response(net::PacketHandle handle);
     void complete(std::uint64_t key, Completion&& completion);
     void run_fallback(Operation&& op);
 
@@ -360,6 +363,7 @@ class OffloadEngine
 
     sim::EventQueue& queue_;
     net::Network& network_;
+    net::PacketArena& packets_;
     mem::GlobalMemory& memory_;
     ClientId client_;
     OffloadConfig config_;

@@ -29,6 +29,62 @@ EventQueue::acquire_slot(EventFn&& fn)
 }
 
 void
+EventQueue::heap_push(const Entry& entry)
+{
+    std::size_t i = heap_.size();
+    heap_.push_back(entry);
+    while (i > 0) {
+        const std::size_t parent = (i - 1) / kArity;
+        if (key(entry) >= key(heap_[parent])) {
+            break;
+        }
+        heap_[i] = heap_[parent];
+        i = parent;
+    }
+    heap_[i] = entry;
+}
+
+EventQueue::Entry
+EventQueue::heap_pop()
+{
+    const Entry top = heap_.front();
+    const Entry last = heap_.back();
+    heap_.pop_back();
+    const std::size_t n = heap_.size();
+    if (n == 0) {
+        return top;
+    }
+    // Sift the former last entry down from the root: move the
+    // earliest child up until `last` precedes all children. The
+    // earliest child is picked by comparing packed 128-bit keys, which
+    // compiles to conditional moves: on a deep heap the branchy
+    // (when, sequence) comparison mispredicts about once per child.
+    std::size_t i = 0;
+    for (;;) {
+        const std::size_t first = kArity * i + 1;
+        if (first >= n) {
+            break;
+        }
+        const std::size_t end = std::min(first + kArity, n);
+        std::size_t best = first;
+        Key best_key = key(heap_[first]);
+        for (std::size_t c = first + 1; c < end; c++) {
+            const Key k = key(heap_[c]);
+            const bool earlier = k < best_key;
+            best = earlier ? c : best;
+            best_key = earlier ? k : best_key;
+        }
+        if (best_key >= key(last)) {
+            break;
+        }
+        heap_[i] = heap_[best];
+        i = best;
+    }
+    heap_[i] = last;
+    return top;
+}
+
+void
 EventQueue::schedule_at(Time when, EventFn fn)
 {
     PULSE_ASSERT(when >= now_,
@@ -52,10 +108,10 @@ EventQueue::schedule_at(Time when, EventFn fn)
             coalesced_++;
         } else {
             ref = ChainRef{when, slot, slot};
-            heap_.push(Entry{when, sequence, slot});
+            heap_push(Entry{when, sequence, slot});
         }
     } else {
-        heap_.push(Entry{when, sequence, slot});
+        heap_push(Entry{when, sequence, slot});
     }
     pending_++;
     peak_pending_ = std::max(peak_pending_, pending_);
@@ -81,11 +137,9 @@ EventQueue::step()
         if (heap_.empty()) {
             return false;
         }
-        // top() is const and priority_queue has no "pop into a value",
-        // but the entry is 24 bytes of plain data — copy it, then move
-        // the callback out of its pool slot.
-        const Entry entry = heap_.top();
-        heap_.pop();
+        // The entry is 24 bytes of plain data; the callback is moved
+        // out of its pool slot below.
+        const Entry entry = heap_pop();
         if (invariants_ && entry.when < now_) {
             invariants_->report(check::Violation{
                 .kind = check::InvariantKind::kClockMonotonicity,
@@ -140,7 +194,7 @@ EventQueue::run_until(Time deadline)
     // A chain mid-drain is at now_ <= deadline by construction, so it
     // never outruns the deadline check.
     while (drain_next_ != kNilSlot ||
-           (!heap_.empty() && heap_.top().when <= deadline)) {
+           (!heap_.empty() && heap_.front().when <= deadline)) {
         step();
         n++;
     }

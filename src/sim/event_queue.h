@@ -7,15 +7,20 @@
  * timestamps execute in FIFO insertion order, which keeps simulations
  * deterministic for a given seed and schedule.
  *
- * Hot-path layout: the binary heap orders 24-byte plain-data entries
+ * Hot-path layout: a 4-ary heap orders 24-byte plain-data entries
  * {when, sequence, slot}; the callbacks themselves live in a pooled
  * slot array and never move while queued. Heap sift operations
  * therefore shuffle trivially-copyable entries instead of type-erased
  * callables, and a drained slot is recycled through a free list — so
- * steady-state scheduling performs no allocation at all. Callbacks are
- * InlineFunction (see inline_function.h): capture state is stored
- * inline, with oversized captures rejected at compile time rather than
- * silently heap-allocated.
+ * steady-state scheduling performs no allocation at all. The 4-ary
+ * shape halves the tree depth of a binary heap; a node's four children
+ * sit in 96 contiguous bytes, so each sift-down level costs about one
+ * cache line. Entries are ordered strictly by (when, sequence), and
+ * sequences are unique, so the pop order is the same as any other
+ * correct priority queue's. Callbacks are InlineFunction (see
+ * inline_function.h): capture state is stored inline, with oversized
+ * captures rejected at compile time rather than silently
+ * heap-allocated.
  *
  * Same-timestamp batching: bursty components (links draining a busy
  * period, switch ports, DRAM channels, the accelerator's net-stack
@@ -37,7 +42,6 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "common/serial.h"
@@ -51,27 +55,27 @@ class InvariantRegistry;
 namespace pulse::sim {
 
 /**
- * Inline capture budget for event callbacks, in bytes. Sized for the
- * largest capture the simulator schedules: a network delivery thunk
- * [this, &sink, packet] carrying a TraversalPacket by value — a
- * trivially-copyable block that holds the inline scratch pad
- * (common/scratch_buffer.h, ~500 B) plus the fork/join SpawnList
- * (net/packet.h: kMaxSpawnsPerVisit records of ~48 B each) and spawn
- * lineage fields, ~950 B total. Growing a capture past this is a
- * compile-time error at the schedule site — bump the budget
- * deliberately rather than letting the hot path regress to heap
- * allocation.
+ * Inline capture budget for event callbacks, in bytes. Traversal
+ * packets travel as 4-byte net::PacketHandles, so no capture holds a
+ * packet or a scratch pad; captures are pointers, ids and small
+ * records such as the offload engine's completion thunk
+ * [this, key, Completion] (88 bytes). 112 bytes plus InlineFunction's
+ * two function pointers makes an EventFn exactly two cache lines. Growing a capture
+ * past this is a compile-time error at the schedule site — shrink the
+ * capture (hand over a handle) rather than growing every event slot.
  */
-inline constexpr std::size_t kEventInlineCapacity = 1088;
+inline constexpr std::size_t kEventInlineCapacity = 112;
 
 /** Callback executed when an event fires. */
 using EventFn = InlineFunction<kEventInlineCapacity>;
 
+static_assert(sizeof(EventFn) <= 128,
+              "an event slot must stay within two cache lines");
+
 /**
- * Time-ordered event queue with a monotonically advancing clock.
- *
- * This is a classic calendar-free binary-heap event queue: adequate for
- * the rack-scale models here (tens of components, millions of events).
+ * Time-ordered event queue with a monotonically advancing clock: a
+ * calendar-free 4-ary heap, adequate for the rack-scale models here
+ * (tens of components, millions of events).
  */
 class EventQueue
 {
@@ -118,7 +122,7 @@ class EventQueue
      * subsequent schedule_after() must anchor at the window end, not
      * mid-window. Events already at timestamps beyond the deadline
      * stay pending and now() stays at @p deadline — strictly behind
-     * heap_.top().when — so no event ever fires in its past.
+     * heap_.front().when — so no event ever fires in its past.
      */
     std::uint64_t run_until(Time deadline);
 
@@ -198,17 +202,22 @@ class EventQueue
         std::uint32_t slot;
     };
 
-    struct Later
+    /**
+     * Heap order, strictly by (when, sequence), as one unsigned
+     * 128-bit key: schedule_at rejects negative times, so `when`
+     * orders the same as an unsigned high word.
+     */
+    using Key = unsigned __int128;
+
+    static Key
+    key(const Entry& entry)
     {
-        bool
-        operator()(const Entry& a, const Entry& b) const
-        {
-            if (a.when != b.when) {
-                return a.when > b.when;
-            }
-            return a.sequence > b.sequence;
-        }
-    };
+        return (static_cast<Key>(static_cast<std::uint64_t>(entry.when))
+                << 64) |
+               entry.sequence;
+    }
+
+    static constexpr std::size_t kArity = 4;
 
     static constexpr std::uint32_t kNilSlot = 0xFFFFFFFFu;
     static constexpr std::size_t kChainCacheSize = 64;
@@ -230,8 +239,12 @@ class EventQueue
     }
 
     std::uint32_t acquire_slot(EventFn&& fn);
+    void heap_push(const Entry& entry);
+    Entry heap_pop();
 
-    std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+    /** 4-ary min-heap: the children of i are kArity*i+1 ..
+     *  kArity*i+kArity. */
+    std::vector<Entry> heap_;
     std::vector<EventFn> pool_;
     /** Next slot in the same-timestamp chain (kNilSlot = end). */
     std::vector<std::uint32_t> chain_next_;

@@ -5,7 +5,7 @@
  * The event loop schedules millions of callbacks per simulated run.
  * With `std::function`, each capture larger than the implementation's
  * small-object buffer (16-32 bytes on mainstream stdlibs — smaller
- * than a TraversalPacket capture) costs one heap allocation on
+ * than many event captures) costs one heap allocation on
  * schedule and one deallocation on execute, plus an indirect call
  * through the allocated block. InlineFunction eliminates that traffic:
  * the capture is constructed directly into inline storage sized for

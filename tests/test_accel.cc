@@ -31,9 +31,9 @@ struct AccelFixture : ::testing::Test
         network->switch_table().add_rule(
             {region.base, region.size, 0});
         network->attach_traversal_sink(
-            net::EndpointAddr::client(0),
-            [this](net::TraversalPacket&& packet) {
-                responses.push_back(std::move(packet));
+            net::EndpointAddr::client(0), [this](net::PacketHandle packet) {
+                responses.push_back(network->packets()[packet]);
+                network->packets().release(packet);
             });
     }
 
@@ -96,7 +96,7 @@ struct AccelFixture : ::testing::Test
         attach_program(packet, pinned_programs_.back());
         packet.scratch.assign(16, 0);
         network->send_traversal(net::EndpointAddr::client(0),
-                                std::move(packet));
+                                network->packets().acquire(packet));
     }
 
     std::uint64_t
@@ -167,7 +167,7 @@ TEST_F(AccelFixture, PerVisitIterationBudget)
     attach_program(packet, resumed_program);
     packet.scratch = responses[0].scratch;
     network->send_traversal(net::EndpointAddr::client(0),
-                            std::move(packet));
+                            network->packets().acquire(packet));
     queue.run();
     ASSERT_EQ(responses.size(), 2u);
     EXPECT_EQ(responses[1].iterations_done, 64u);

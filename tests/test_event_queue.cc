@@ -4,7 +4,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <queue>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -322,6 +325,110 @@ TEST(EventQueueCoalescing, CountersTrackChainedEvents)
     EXPECT_EQ(queue.events_executed(), 10u);
     EXPECT_EQ(queue.events_coalesced(), 9u);
     EXPECT_EQ(queue.batches_drained(), 1u);
+}
+
+// ------------------------------------------- heap differential test
+
+/** An executed event: its timestamp and its scheduling sequence. */
+using Fired = std::pair<Time, std::uint64_t>;
+
+std::uint64_t
+mix(std::uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
+
+constexpr std::uint64_t kSeedEvents = 20'000;
+constexpr std::uint64_t kTotalEvents = 150'000;
+
+/** Seed events land on 64 timestamps, so most share one with others. */
+Time
+seed_time(std::uint64_t i)
+{
+    return static_cast<Time>(mix(i) % 64) * 1000;
+}
+
+/**
+ * The workload both queues run: event @p seq, firing at @p now,
+ * schedules 0-2 children at now + {0, 500, 1000, 1500} until
+ * kTotalEvents have been scheduled. Zero delays land on the timestamp
+ * being drained, the case coalescing must order behind the chain.
+ */
+template <typename Schedule>
+void
+spawn_children(std::uint64_t seq, Time now, std::uint64_t scheduled,
+               const Schedule& schedule)
+{
+    const std::uint64_t h = mix(seq ^ 0x5bd1e995u);
+    const std::uint64_t children = h % 3;
+    for (std::uint64_t k = 0;
+         k < children && scheduled + k < kTotalEvents; k++) {
+        schedule(now + static_cast<Time>((h >> (8 + 2 * k)) % 4) * 500);
+    }
+}
+
+/** The same workload on std::priority_queue, ordered by (when, seq). */
+std::vector<Fired>
+reference_order()
+{
+    std::priority_queue<Fired, std::vector<Fired>, std::greater<Fired>>
+        heap;
+    std::uint64_t next = 0;
+    const auto schedule = [&](Time when) { heap.push({when, next++}); };
+    for (std::uint64_t i = 0; i < kSeedEvents; i++) {
+        schedule(seed_time(i));
+    }
+    std::vector<Fired> order;
+    while (!heap.empty()) {
+        const Fired event = heap.top();
+        heap.pop();
+        order.push_back(event);
+        spawn_children(event.second, event.first, next, schedule);
+    }
+    return order;
+}
+
+struct DifferentialRun
+{
+    EventQueue queue;
+    std::vector<Fired> order;
+
+    void
+    schedule(Time when)
+    {
+        const std::uint64_t seq = queue.events_scheduled();
+        queue.schedule_at(when, [this, seq] { fire(seq); });
+    }
+
+    void
+    fire(std::uint64_t seq)
+    {
+        order.push_back({queue.now(), seq});
+        spawn_children(seq, queue.now(), queue.events_scheduled(),
+                       [this](Time when) { schedule(when); });
+    }
+};
+
+TEST(EventQueueHeap, MatchesPriorityQueueReferenceOrder)
+{
+    const std::vector<Fired> expected = reference_order();
+    ASSERT_GE(expected.size(), 100'000u);
+    for (const bool coalesce : {true, false}) {
+        auto run = std::make_unique<DifferentialRun>();
+        run->queue.set_coalescing(coalesce);
+        for (std::uint64_t i = 0; i < kSeedEvents; i++) {
+            run->schedule(seed_time(i));
+        }
+        run->queue.run();
+        EXPECT_EQ(run->order, expected) << "coalescing " << coalesce;
+        EXPECT_EQ(run->queue.events_executed(), expected.size());
+        if (coalesce) {
+            EXPECT_GT(run->queue.events_coalesced(), 0u);
+        }
+    }
 }
 
 }  // namespace

@@ -32,9 +32,45 @@ packet_from(ClientId client, std::uint64_t seq)
     return packet;
 }
 
+/**
+ * An admission queue over its own packet arena: push copies a packet
+ * into a slot, pop copies it back out and releases the slot, so the
+ * tests below read packets by value.
+ */
+class ArenaQueue
+{
+  public:
+    explicit ArenaQueue(accel::SchedPolicy policy) : queue_(policy, packets_)
+    {
+    }
+
+    void push(const net::TraversalPacket& packet)
+    {
+        queue_.push(packets_.acquire(packet));
+    }
+
+    net::TraversalPacket
+    pop()
+    {
+        const net::PacketHandle handle = queue_.pop();
+        const net::TraversalPacket packet = packets_[handle];
+        packets_.release(handle);
+        return packet;
+    }
+
+    bool empty() const { return queue_.empty(); }
+    std::size_t size() const { return queue_.size(); }
+    std::size_t live() const { return packets_.live(); }
+    void set_qos(const serve::QosController* qos) { queue_.set_qos(qos); }
+
+  private:
+    net::PacketArena packets_;
+    accel::AdmissionQueue queue_;
+};
+
 TEST(AdmissionQueue, FifoPreservesArrivalOrder)
 {
-    accel::AdmissionQueue queue(accel::SchedPolicy::kFifo);
+    ArenaQueue queue(accel::SchedPolicy::kFifo);
     queue.push(packet_from(0, 1));
     queue.push(packet_from(1, 2));
     queue.push(packet_from(0, 3));
@@ -43,11 +79,12 @@ TEST(AdmissionQueue, FifoPreservesArrivalOrder)
     EXPECT_EQ(queue.pop().id.seq, 2u);
     EXPECT_EQ(queue.pop().id.seq, 3u);
     EXPECT_TRUE(queue.empty());
+    EXPECT_EQ(queue.live(), 0u);
 }
 
 TEST(AdmissionQueue, FairShareInterleavesClients)
 {
-    accel::AdmissionQueue queue(accel::SchedPolicy::kFairShare);
+    ArenaQueue queue(accel::SchedPolicy::kFairShare);
     // Client 0 floods; client 1 enqueues one request last.
     for (std::uint64_t i = 1; i <= 5; i++) {
         queue.push(packet_from(0, i));
@@ -69,7 +106,7 @@ TEST(AdmissionQueue, FairShareInterleavesClients)
 
 TEST(AdmissionQueue, FairShareRoundRobinsManyClients)
 {
-    accel::AdmissionQueue queue(accel::SchedPolicy::kFairShare);
+    ArenaQueue queue(accel::SchedPolicy::kFairShare);
     for (ClientId client = 0; client < 4; client++) {
         for (std::uint64_t i = 0; i < 3; i++) {
             queue.push(packet_from(client, i));
@@ -94,7 +131,7 @@ TEST(AdmissionQueue, FairShareRoundRobinsManyClients)
  */
 TEST(AdmissionQueue, FairShareReArrivingClientWaitsItsTurn)
 {
-    accel::AdmissionQueue queue(accel::SchedPolicy::kFairShare);
+    ArenaQueue queue(accel::SchedPolicy::kFairShare);
     queue.push(packet_from(0, 1));
     queue.push(packet_from(0, 2));
     queue.push(packet_from(0, 3));
@@ -119,7 +156,7 @@ tenant_packet(std::uint32_t tenant, std::uint64_t seq)
 
 TEST(AdmissionQueue, WeightedDrrWithoutQosIsPlainRoundRobin)
 {
-    accel::AdmissionQueue queue(accel::SchedPolicy::kWeightedDrr);
+    ArenaQueue queue(accel::SchedPolicy::kWeightedDrr);
     for (std::uint64_t i = 0; i < 3; i++) {
         queue.push(tenant_packet(0, i * 2));
         queue.push(tenant_packet(1, i * 2 + 1));
@@ -140,7 +177,7 @@ TEST(AdmissionQueue, WeightedDrrServesTenantsInWeightProportion)
     serve_config.tenants.push_back({.id = 1, .weight = 1});
     serve::QosController qos(clock, serve_config);
 
-    accel::AdmissionQueue queue(accel::SchedPolicy::kWeightedDrr);
+    ArenaQueue queue(accel::SchedPolicy::kWeightedDrr);
     queue.set_qos(&qos);
     for (std::uint64_t i = 0; i < 8; i++) {
         queue.push(tenant_packet(0, i));

@@ -172,22 +172,25 @@ TEST_F(NetFixture, TraversalRoutedThroughSwitchTable)
     network.switch_table().add_rule({0x5000, 0x1000, 1});
     bool delivered = false;
     network.attach_traversal_sink(
-        EndpointAddr::mem_node(1), [&](TraversalPacket&& packet) {
+        EndpointAddr::mem_node(1), [&](PacketHandle packet) {
             delivered = true;
-            EXPECT_EQ(packet.cur_ptr, 0x5800u);
+            EXPECT_EQ(network.packets()[packet].cur_ptr, 0x5800u);
+            network.packets().release(packet);
         });
     network.attach_traversal_sink(EndpointAddr::mem_node(0),
-                                  [&](TraversalPacket&&) {
+                                  [&](PacketHandle) {
                                       FAIL() << "routed to wrong node";
                                   });
     const auto program = tiny_program();
     TraversalPacket packet;
     attach_program(packet, program);
     packet.cur_ptr = 0x5800;
-    network.send_traversal(EndpointAddr::client(0), std::move(packet));
+    network.send_traversal(EndpointAddr::client(0),
+                           network.packets().acquire(packet));
     queue.run();
     EXPECT_TRUE(delivered);
     EXPECT_EQ(network.packets_routed(), 1u);
+    EXPECT_EQ(network.packets().live(), 0u);
 }
 
 TEST_F(NetFixture, InvalidPointerBecomesMemFaultResponse)
@@ -195,18 +198,21 @@ TEST_F(NetFixture, InvalidPointerBecomesMemFaultResponse)
     Network network(queue, config);  // no rules installed
     bool delivered = false;
     network.attach_traversal_sink(
-        EndpointAddr::client(0), [&](TraversalPacket&& packet) {
+        EndpointAddr::client(0), [&](PacketHandle handle) {
             delivered = true;
+            const TraversalPacket& packet = network.packets()[handle];
             EXPECT_TRUE(packet.is_response);
             EXPECT_EQ(packet.status,
                       isa::TraversalStatus::kMemFault);
+            network.packets().release(handle);
         });
     const auto program = tiny_program();
     TraversalPacket packet;
     attach_program(packet, program);
     packet.origin = 0;
     packet.cur_ptr = 0xBAD;
-    network.send_traversal(EndpointAddr::client(0), std::move(packet));
+    network.send_traversal(EndpointAddr::client(0),
+                           network.packets().acquire(packet));
     queue.run();
     EXPECT_TRUE(delivered);
 }
@@ -217,9 +223,11 @@ TEST_F(NetFixture, ForwardedContinuationBecomesRequest)
     network.switch_table().add_rule({0x5000, 0x1000, 1});
     bool delivered = false;
     network.attach_traversal_sink(
-        EndpointAddr::mem_node(1), [&](TraversalPacket&& packet) {
+        EndpointAddr::mem_node(1), [&](PacketHandle packet) {
             delivered = true;
-            EXPECT_FALSE(packet.is_response);  // request again
+            // Request again.
+            EXPECT_FALSE(network.packets()[packet].is_response);
+            network.packets().release(packet);
         });
     const auto program = tiny_program();
     TraversalPacket packet;
@@ -228,7 +236,7 @@ TEST_F(NetFixture, ForwardedContinuationBecomesRequest)
     packet.status = isa::TraversalStatus::kNotLocal;
     packet.cur_ptr = 0x5100;
     network.send_traversal(EndpointAddr::mem_node(0),
-                           std::move(packet));
+                           network.packets().acquire(packet));
     queue.run();
     EXPECT_TRUE(delivered);
 }

@@ -7,17 +7,15 @@
  * Three measurements, all through an instrumented global allocator
  * (every operator new/new[] call is counted):
  *
- * 1. Event-loop microbenchmark: the same self-rescheduling event chain
- *    run on (a) a faithful reimplementation of the pre-optimization
- *    queue — std::priority_queue of {when, seq, std::function} entries,
- *    copied out of top() — and (b) the production sim::EventQueue
- *    (pooled slots + InlineFunction callbacks). Reports events/sec and
- *    allocations/event for both, i.e. the measured alloc reduction.
+ * 1. Event-loop microbenchmark: a self-rescheduling event chain on the
+ *    production sim::EventQueue (pooled slots + InlineFunction
+ *    callbacks). Reports events/sec and allocations/event.
  *
  * 2. End-to-end cell profile: one representative closed-loop
  *    simulation cell, reporting allocations and events for the whole
  *    run (setup + steady state) — the number that bounds how much the
- *    hot path can still be hiding.
+ *    hot path can still be hiding — and the packet arena's peak and
+ *    end-of-run slot counts.
  *
  *    The same cell's programs then feed an interpreter
  *    microbenchmark: isa::run_iteration alone over iteration states
@@ -43,10 +41,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <new>
-#include <queue>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -140,66 +136,13 @@ seconds_since(std::chrono::steady_clock::time_point start)
 // Phase 1 — event-loop microbenchmark.
 // ---------------------------------------------------------------------
 
-/** Capture payload comparable to a forwarded TraversalPacket. */
+/**
+ * Capture payload: 96 bytes, which with the chain's two pointers fills
+ * an event's whole inline capture budget.
+ */
 struct Payload
 {
     std::uint64_t words[12] = {};
-};
-
-/**
- * Faithful reimplementation of the pre-optimization event queue: the
- * heap holds the type-erased callback by value and pop copies the top
- * entry out (std::priority_queue::top() is const), exactly the copy
- * the old EventQueue::step() performed.
- */
-class LegacyQueue
-{
-  public:
-    void
-    schedule_at(Time when, std::function<void()> fn)
-    {
-        heap_.push(Event{when, next_sequence_++, std::move(fn)});
-    }
-
-    Time now() const { return now_; }
-
-    std::uint64_t
-    run()
-    {
-        std::uint64_t executed = 0;
-        while (!heap_.empty()) {
-            Event event = heap_.top();
-            heap_.pop();
-            now_ = event.when;
-            executed++;
-            event.fn();
-        }
-        return executed;
-    }
-
-  private:
-    struct Event
-    {
-        Time when;
-        std::uint64_t sequence;
-        std::function<void()> fn;
-    };
-
-    struct Later
-    {
-        bool
-        operator()(const Event& a, const Event& b) const
-        {
-            if (a.when != b.when) {
-                return a.when > b.when;
-            }
-            return a.sequence > b.sequence;
-        }
-    };
-
-    std::priority_queue<Event, std::vector<Event>, Later> heap_;
-    Time now_ = 0;
-    std::uint64_t next_sequence_ = 0;
 };
 
 struct LoopProfile
@@ -226,17 +169,16 @@ struct LoopProfile
 };
 
 /** Self-rescheduling chains: every event schedules its successor. */
-template <typename Queue, typename Callback>
 LoopProfile
 profile_event_loop(std::uint64_t chains, std::uint64_t total_events)
 {
-    Queue queue;
+    sim::EventQueue queue;
     std::uint64_t remaining = 0;
     // Recursion through the queue: fn reschedules itself while work
     // remains, carrying a packet-sized payload by value.
     struct Chain
     {
-        Queue* queue;
+        sim::EventQueue* queue;
         std::uint64_t* remaining;
         void
         fire(const Payload& payload) const
@@ -249,9 +191,7 @@ profile_event_loop(std::uint64_t chains, std::uint64_t total_events)
             next.words[0]++;
             const Chain chain = *this;
             queue->schedule_at(queue->now() + 10,
-                               Callback([chain, next] {
-                                   chain.fire(next);
-                               }));
+                               [chain, next] { chain.fire(next); });
         }
     };
     const Chain chain{&queue, &remaining};
@@ -265,8 +205,8 @@ profile_event_loop(std::uint64_t chains, std::uint64_t total_events)
 
     // Prewarm: one short pass grows the queue's slot pool and heap
     // capacity to their steady-state size, so the measured pass counts
-    // only per-event traffic (the pooled queue's answer must be an
-    // exact 0, not "0 plus amortized vector doublings").
+    // only per-event traffic (the answer must be an exact 0, not "0
+    // plus amortized vector doublings").
     remaining = chains * 4;
     fire_all();
     queue.run();
@@ -393,34 +333,16 @@ main(int argc, char** argv)
     // Phase 1 — event-loop microbenchmark.
     const std::uint64_t kChains = 64;
     const std::uint64_t kEvents = 2'000'000;
-    const LoopProfile legacy =
-        profile_event_loop<LegacyQueue, std::function<void()>>(
-            kChains, kEvents);
-    const LoopProfile pooled =
-        profile_event_loop<sim::EventQueue, sim::EventFn>(kChains,
-                                                          kEvents);
+    const LoopProfile pooled = profile_event_loop(kChains, kEvents);
     exporter.set("eventloop.events",
-                 static_cast<double>(legacy.events));
-    exporter.set("eventloop.legacy.wall_ms",
-                 legacy.wall_seconds * 1e3);
-    exporter.set("eventloop.legacy.events_per_sec",
-                 legacy.events_per_sec());
-    exporter.set("eventloop.legacy.allocs_per_event",
-                 legacy.allocs_per_event());
+                 static_cast<double>(pooled.events));
     exporter.set("eventloop.pooled.wall_ms",
                  pooled.wall_seconds * 1e3);
     exporter.set("eventloop.pooled.events_per_sec",
                  pooled.events_per_sec());
     exporter.set("eventloop.pooled.allocs_per_event",
                  pooled.allocs_per_event());
-    exporter.set("eventloop.speedup",
-                 legacy.wall_seconds > 0.0
-                     ? legacy.wall_seconds / pooled.wall_seconds
-                     : 0.0);
-    std::printf("event loop: legacy %.2f Mev/s (%.2f allocs/event), "
-                "pooled %.2f Mev/s (%.4f allocs/event)\n",
-                legacy.events_per_sec() / 1e6,
-                legacy.allocs_per_event(),
+    std::printf("event loop: %.2f Mev/s (%.4f allocs/event)\n",
                 pooled.events_per_sec() / 1e6,
                 pooled.allocs_per_event());
 
@@ -543,6 +465,12 @@ main(int argc, char** argv)
                      batches > 0 ? static_cast<double>(coalesced) /
                                        static_cast<double>(batches)
                                  : 0.0);
+        // Packet arena: the run drained, so every slot must be back.
+        const net::PacketArena& arena = cluster.packets();
+        exporter.set("sim.arena.peak_slots",
+                     static_cast<double>(arena.peak()));
+        exporter.set("sim.arena.live_at_end",
+                     static_cast<double>(arena.live()));
         std::printf("simulation cell: %" PRIu64 " steady-state events, "
                     "%.4f allocs/event (packet %" PRIu64 ", visit %"
                     PRIu64 ", queue %" PRIu64 ", other %" PRIu64 "), "
@@ -551,6 +479,8 @@ main(int argc, char** argv)
                     visit_allocs, queue_allocs,
                     allocs > attributed ? allocs - attributed : 0,
                     coalesced, batches);
+        std::printf("packet arena: peak %zu slots, %zu live at end\n",
+                    arena.peak(), arena.live());
 
         // Phase 2b — checkpoint/restore cost on the warmed cluster
         // (the queue is drained, so this is a legal quiesce point).
