@@ -201,20 +201,42 @@ Accelerator::on_packet(net::PacketHandle handle)
     // (request id, iterations_done), unique per node visit because
     // iterations_done only grows along a traversal.
     const ReplayWindow::Key key{packet.id, packet.iterations_done};
+    ReplayWindow::Ticket ticket;
     if (replay_.enabled()) {
-        switch (replay_.classify(key)) {
+        const ReplayWindow::Claim claim = replay_.claim(key);
+        ticket = claim.ticket;
+        switch (claim.verdict) {
             case ReplayWindow::Verdict::kInProgress:
                 // Still executing; the eventual response answers both
                 // copies (the client matches by id, not by copy).
                 stats_.duplicates_suppressed.increment();
                 packets_.release(handle);
                 return;
-            case ReplayWindow::Verdict::kCached: {
+            case ReplayWindow::Verdict::kCached:
                 // Executed already: replay the recorded packet rather
                 // than re-running (exactly-once for stores/CAS). This
                 // also repairs a dropped forward: the cached packet IS
                 // the continuation the switch re-routes.
-                //
+                if (!replay_.cached_bounce(ticket)) {
+                    stats_.replays_sent.increment();
+                    const Time parse = scaled(config_.net_stack_latency);
+                    stats_.net_stack_time.add(static_cast<double>(parse));
+                    if (tracing(packet)) {
+                        record_span(packet,
+                                    trace::SpanKind::kAccelNetStackRx,
+                                    queue_.now(), parse);
+                    }
+                    // The replay is a copy in its own slot: the window
+                    // keeps its entry for later duplicates.
+                    const net::PacketHandle cached = packets_.acquire();
+                    replay_.copy_response(ticket, packets_[cached]);
+                    packets_.release(handle);
+                    queue_.schedule_after(parse, [this, cached] {
+                        network_.send_traversal(
+                            net::EndpointAddr::mem_node(node_), cached);
+                    });
+                    return;
+                }
                 // Exception: a zero-progress kNotLocal bounce (no
                 // iteration ran, so no side effects). Its cached packet
                 // only says "route me by current ownership" — and when
@@ -222,35 +244,11 @@ Accelerator::on_packet(net::PacketHandle handle)
                 // (the slab migrated here, or the entry arrived via a
                 // cutover's replay-digest handoff), replaying it would
                 // bounce the packet between switch and accelerator
-                // forever. Re-execute under current routes instead.
-                if (const net::TraversalPacket* bounce =
-                        replay_.cached_response(key);
-                    bounce->status == TraversalStatus::kNotLocal &&
-                    bounce->iterations_done == packet.iterations_done) {
-                    replay_.forget(key);
-                    replay_.mark_in_progress(key);
-                    break;
-                }
-                stats_.replays_sent.increment();
-                const Time parse = scaled(config_.net_stack_latency);
-                stats_.net_stack_time.add(static_cast<double>(parse));
-                if (tracing(packet)) {
-                    record_span(packet, trace::SpanKind::kAccelNetStackRx,
-                                queue_.now(), parse);
-                }
-                // The replay is a copy in its own slot: the window
-                // keeps its entry for later duplicates.
-                const net::PacketHandle cached =
-                    packets_.acquire(*replay_.cached_response(key));
-                packets_.release(handle);
-                queue_.schedule_after(parse, [this, cached] {
-                    network_.send_traversal(
-                        net::EndpointAddr::mem_node(node_), cached);
-                });
-                return;
-            }
+                // forever. Re-execute under current routes instead,
+                // mirrored exactly like a new visit.
+                replay_.restart(ticket);
+                [[fallthrough]];
             case ReplayWindow::Verdict::kNew:
-                replay_.mark_in_progress(key);
                 if (replication_ != nullptr) {
                     // Write-synchronous digest mirroring: replicas must
                     // suppress a retransmit of this visit even if this
@@ -267,11 +265,13 @@ Accelerator::on_packet(net::PacketHandle handle)
         record_span(packet, trace::SpanKind::kAccelNetStackRx,
                     queue_.now(), parse);
     }
-    queue_.schedule_after(parse, [this, handle] { admit(handle); });
+    queue_.schedule_after(parse, [this, handle, ticket] {
+        admit(handle, ticket);
+    });
 }
 
 void
-Accelerator::admit(net::PacketHandle packet)
+Accelerator::admit(net::PacketHandle packet, ReplayWindow::Ticket ticket)
 {
     // Scheduler: parse payload, pick an idle workspace (4 ns, Fig. 9).
     const Time dispatch = scaled(config_.scheduler_latency);
@@ -280,7 +280,7 @@ Accelerator::admit(net::PacketHandle packet)
         record_span(packets_[packet], trace::SpanKind::kAccelScheduler,
                     queue_.now(), dispatch);
     }
-    queue_.schedule_after(dispatch, [this, packet] {
+    queue_.schedule_after(dispatch, [this, packet, ticket] {
         if (serving_ != nullptr) {
             // QoS admission: charge fresh roots against the tenant's
             // traversal quota. A throttled packet has been moved out
@@ -297,14 +297,14 @@ Accelerator::admit(net::PacketHandle packet)
                 return;
             }
         }
-        place(packet);
+        place(packet, ticket);
     });
 }
 
 void
-Accelerator::place(net::PacketHandle handle)
+Accelerator::place(net::PacketHandle handle, ReplayWindow::Ticket ticket)
 {
-    if (try_dispatch(handle)) {
+    if (try_dispatch(handle, ticket)) {
         return;
     }
     net::TraversalPacket& packet = packets_[handle];
@@ -350,7 +350,7 @@ Accelerator::readmit(net::TraversalPacket&& packet)
                     packet.trace.queued_at,
                     queue_.now() - packet.trace.queued_at);
     }
-    place(packets_.acquire(packet));
+    place(packets_.acquire(packet), {});
 }
 
 void
@@ -420,7 +420,8 @@ Accelerator::shed_reject(net::PacketHandle handle)
 }
 
 bool
-Accelerator::try_dispatch(net::PacketHandle handle)
+Accelerator::try_dispatch(net::PacketHandle handle,
+                          ReplayWindow::Ticket ticket)
 {
     // Pick the core with the most free workspaces (load balance).
     Core* best_core = nullptr;
@@ -452,6 +453,7 @@ Accelerator::try_dispatch(net::PacketHandle handle)
     const net::TraversalPacket& packet = packets_[handle];
     context->packet = handle;
     context->arrival_iterations = packet.iterations_done;
+    context->ticket = ticket;
     context->iterations_this_visit = 0;
     if (invariants_ != nullptr && replay_.enabled()) {
         const ReplayWindow::Key key{packet.id,
@@ -778,7 +780,9 @@ Accelerator::finish(CoreId core_id, WorkspaceId ws,
             record_span(next, trace::SpanKind::kAccelWorkspaceWait,
                         next.trace.queued_at, waited);
         }
-        const bool dispatched = try_dispatch(handle);
+        // The admission queue holds handles only: record_response
+        // finds this visit's entry by key.
+        const bool dispatched = try_dispatch(handle, {});
         PULSE_ASSERT(dispatched, "dispatch must succeed after a free");
     }
 }
@@ -844,7 +848,7 @@ Accelerator::send_response(Context& context, TraversalStatus status,
     // from now on get this exact packet replayed.
     const ReplayWindow::Key visit_key{request.id,
                                       context.arrival_iterations};
-    replay_.record_response(visit_key, response);
+    replay_.record_response(visit_key, response, context.ticket);
     if (placement_ != nullptr && replay_.consume_handoff(visit_key)) {
         // A migration cutover absorbed this still-executing visit into
         // another node's window; complete the absorbed copies so a

@@ -202,19 +202,13 @@ class Accelerator
     std::uint64_t contexts_created() const { return contexts_created_; }
     std::uint64_t contexts_reused() const { return contexts_reused_; }
 
-    /** Packet-pool telemetry: heap blocks allocated / recycled by the
-     *  admission-queue and replay-window pools (bench_wallclock's
-     *  packet-pool row). */
+    /** Packet-storage telemetry: heap blocks allocated by the
+     *  admission-queue pool and the replay window's per-client
+     *  storage (bench_wallclock's packet-pool row). */
     std::uint64_t
     packet_pool_fresh() const
     {
-        return pending_.pool_fresh() + replay_.pool_fresh();
-    }
-
-    std::uint64_t
-    packet_pool_reused() const
-    {
-        return pending_.pool_reused() + replay_.pool_reused();
+        return pending_.pool_fresh() + replay_.allocations();
     }
 
   private:
@@ -229,6 +223,9 @@ class Accelerator
         std::uint64_t iterations_this_visit = 0;
         /** iterations_done when the packet arrived: the visit key. */
         std::uint64_t arrival_iterations = 0;
+        /** The visit's replay-window entry (checked against the key
+         *  when the response is recorded). */
+        ReplayWindow::Ticket ticket;
     };
 
     /** One accelerator core (Fig. 2). */
@@ -253,11 +250,15 @@ class Accelerator
     void release_context(std::unique_ptr<Context> context);
 
     void on_packet(net::PacketHandle packet);
-    void admit(net::PacketHandle packet);
-    void place(net::PacketHandle packet);
+    /** @p ticket: the visit's replay-window entry, carried to the
+     *  Context so record_response needs no probe (empty when the
+     *  window is off or the packet re-enters from a QoS park). */
+    void admit(net::PacketHandle packet, ReplayWindow::Ticket ticket);
+    void place(net::PacketHandle packet, ReplayWindow::Ticket ticket);
     void shed_reject(net::PacketHandle packet);
     void forget_visit(const ReplayWindow::Key& key);
-    bool try_dispatch(net::PacketHandle packet);
+    bool try_dispatch(net::PacketHandle packet,
+                      ReplayWindow::Ticket ticket);
     void start_memory_phase(CoreId core, WorkspaceId ws);
     void start_logic_phase(CoreId core, WorkspaceId ws, Time mem_done);
     void finish(CoreId core, WorkspaceId ws, isa::TraversalStatus status,

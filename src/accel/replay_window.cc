@@ -1,90 +1,386 @@
 #include "accel/replay_window.h"
 
-#include <algorithm>
-#include <utility>
-#include <vector>
+#include <bit>
+#include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <type_traits>
+
+#include "common/logging.h"
 
 namespace pulse::accel {
 
-void
-ReplayWindow::evict_for(ClientId client)
+namespace {
+
+using net::TraversalPacket;
+
+/** Header: every field before the scratch pad, copied as one block. */
+constexpr std::size_t kHeaderBytes = offsetof(TraversalPacket, scratch);
+/** Lineage tail after the spawn list. */
+constexpr std::size_t kTailBytes = sizeof(TraversalPacket::spawn_depth) +
+                                   sizeof(TraversalPacket::parent_id) +
+                                   sizeof(TraversalPacket::branch_index);
+
+static_assert(std::is_standard_layout_v<TraversalPacket>);
+static_assert(kHeaderBytes == 104);
+static_assert(offsetof(TraversalPacket, spawns) >
+                      offsetof(TraversalPacket, scratch) &&
+                  offsetof(TraversalPacket, spawn_depth) >
+                      offsetof(TraversalPacket, spawns) &&
+                  offsetof(TraversalPacket, branch_index) +
+                          sizeof(TraversalPacket::branch_index) +
+                          alignof(TraversalPacket) >
+                      sizeof(TraversalPacket),
+              "copy_used() covers header, scratch, spawns and the "
+              "lineage tail; a new packet field must be added there");
+
+/**
+ * Copy the bytes @p src uses into @p dst: header, scratch in use,
+ * spawn records in use, lineage tail. Bytes past the used sizes are
+ * left as they were (no reader looks past a size). Returns the bytes
+ * copied.
+ */
+std::size_t
+copy_used(TraversalPacket& dst, const TraversalPacket& src)
 {
-    auto& order = order_[client];
-    while (order.size() >= capacity_ && !order.empty()) {
-        // FIFO like the real dedup SRAM: oldest visit leaves first. An
-        // entry evicted while a duplicate is still in flight merely
-        // loses suppression for that duplicate — correctness degrades
-        // to at-least-once only when the window is sized far below the
-        // client's in-flight budget.
-        entries_.erase(order.front());
-        order.pop_front();
+    std::memcpy(static_cast<void*>(&dst), &src, kHeaderBytes);
+    dst.scratch.assign(src.scratch.data(), src.scratch.size());
+    dst.spawns.clear();
+    for (const isa::SpawnRecord& record : src.spawns) {
+        dst.spawns.push(record);
     }
+    dst.spawn_depth = src.spawn_depth;
+    dst.parent_id = src.parent_id;
+    dst.branch_index = src.branch_index;
+    return kHeaderBytes + src.scratch.size() +
+           src.spawns.size() * sizeof(isa::SpawnRecord) + kTailBytes;
 }
 
+/**
+ * Start fetching, for writing, the lines copy_used() will write into
+ * @p slot when the visit's response is recorded: header and scratch,
+ * and the spawn count and lineage tail (spawn records are rare). The
+ * slot was last written a full budget of visits ago, so it is cold;
+ * fetching it at claim time overlaps the misses with the visit's
+ * execution instead of stalling the response copy on them.
+ */
 void
-ReplayWindow::mark_in_progress(const Key& key)
+prefetch_for_write(const TraversalPacket& slot)
 {
-    if (!enabled()) {
-        return;
-    }
-    const auto [it, inserted] = entries_.try_emplace(key);
-    if (!inserted) {
-        return;
-    }
-    evict_for(key.id.client);
-    order_[key.id.client].push_back(key);
+    constexpr std::size_t kLine = 64;
+    constexpr std::size_t kScratchEnd =
+        offsetof(TraversalPacket, scratch) + sizeof(ScratchBuffer);
+    constexpr std::size_t kTailBegin =
+        offsetof(TraversalPacket, spawns) +
+        net::SpawnList::kCapacity * sizeof(isa::SpawnRecord);
+    const auto base = reinterpret_cast<std::uintptr_t>(&slot);
+    const auto fetch = [base](std::size_t begin, std::size_t end) {
+        for (std::uintptr_t line = (base + begin) & ~(kLine - 1);
+             line < base + end; line += kLine) {
+            __builtin_prefetch(reinterpret_cast<const void*>(line), 1);
+        }
+    };
+    fetch(0, kScratchEnd);
+    fetch(kTailBegin, sizeof(TraversalPacket));
 }
 
-void
-ReplayWindow::unmark(const Key& key)
+}  // namespace
+
+ReplayWindow::ReplayWindow(std::size_t per_client_entries)
+    : capacity_(per_client_entries)
 {
-    const auto it = entries_.find(key);
-    if (it == entries_.end() || it->second.done) {
-        return;
+    PULSE_ASSERT(capacity_ < (std::size_t{1} << 30),
+                 "replay window budget %zu too large", capacity_);
+}
+
+std::uint32_t
+ReplayWindow::hash(const Key& key)
+{
+    // splitmix64 finalizer over seq and visit (the client is implicit:
+    // each client has its own index).
+    std::uint64_t x = key.id.seq ^ (key.visit * 0x9e3779b97f4a7c15ull);
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return static_cast<std::uint32_t>(x ^ (x >> 31));
+}
+
+ReplayWindow::Ring&
+ReplayWindow::ring_for(ClientId client)
+{
+    if (client >= rings_.size()) {
+        rings_.resize(client + 1);
+        allocations_++;
     }
-    entries_.erase(it);
-    auto& order = order_[key.id.client];
-    for (auto order_it = order.begin(); order_it != order.end();
-         ++order_it) {
-        if (*order_it == key) {
-            order.erase(order_it);
-            break;
+    Ring& ring = rings_[client];
+    if (ring.index.empty()) {
+        // Load factor <= 1/2, so every probe run ends at an empty
+        // bucket within a few steps.
+        ring.slots.reserve(capacity_);
+        ring.responses.reserve(capacity_);
+        ring.index.resize(std::bit_ceil(2 * capacity_));
+        allocations_ += 3;
+    }
+    return ring;
+}
+
+std::uint32_t
+ReplayWindow::probe(const Ring& ring, const Key& key,
+                    std::uint32_t hash) const
+{
+    const std::uint32_t mask =
+        static_cast<std::uint32_t>(ring.index.size()) - 1;
+    probes_++;
+    for (std::uint32_t at = hash & mask;; at = (at + 1) & mask) {
+        const Bucket& bucket = ring.index[at];
+        if (bucket.slot == kNone ||
+            (bucket.hash == hash && ring.slots[bucket.slot].key == key)) {
+            return at;
         }
     }
+}
+
+std::uint32_t
+ReplayWindow::find_slot(const Ring& ring, const Key& key,
+                        Ticket ticket) const
+{
+    if (ticket.client == key.id.client && ticket.slot < ring.slots.size()) {
+        const Slot& slot = ring.slots[ticket.slot];
+        if (slot.state != State::kFree && slot.key == key) {
+            return ticket.slot;
+        }
+    }
+    return ring.index[probe(ring, key, hash(key))].slot;
+}
+
+void
+ReplayWindow::link_newest(Ring& ring, std::uint32_t slot)
+{
+    Slot& entry = ring.slots[slot];
+    entry.prev = ring.tail;
+    entry.next = kNone;
+    if (ring.tail != kNone) {
+        ring.slots[ring.tail].next = slot;
+    } else {
+        ring.head = slot;
+    }
+    ring.tail = slot;
+}
+
+void
+ReplayWindow::unlink(Ring& ring, std::uint32_t slot)
+{
+    const Slot& entry = ring.slots[slot];
+    if (entry.prev != kNone) {
+        ring.slots[entry.prev].next = entry.next;
+    } else {
+        ring.head = entry.next;
+    }
+    if (entry.next != kNone) {
+        ring.slots[entry.next].prev = entry.prev;
+    } else {
+        ring.tail = entry.prev;
+    }
+}
+
+std::uint32_t
+ReplayWindow::remove(Ring& ring, std::uint32_t slot)
+{
+    Slot& entry = ring.slots[slot];
+    // Backward-shift delete: pull later members of the probe run into
+    // the hole so every key stays reachable from its home bucket
+    // without crossing an empty one.
+    const std::uint32_t mask =
+        static_cast<std::uint32_t>(ring.index.size()) - 1;
+    std::uint32_t hole = entry.bucket;
+    std::uint32_t at = (hole + 1) & mask;
+    for (; ring.index[at].slot != kNone; at = (at + 1) & mask) {
+        const Bucket bucket = ring.index[at];
+        const std::uint32_t home = bucket.hash & mask;
+        if (((at - home) & mask) >= ((at - hole) & mask)) {
+            ring.index[hole] = bucket;
+            ring.slots[bucket.slot].bucket = hole;
+            hole = at;
+        }
+    }
+    ring.index[hole].slot = kNone;
+    unlink(ring, slot);
+    entry.state = State::kFree;
+    entry.next = ring.free;
+    ring.free = slot;
+    ring.live--;
+    size_--;
+    return at;
+}
+
+void
+ReplayWindow::complete(Ring& ring, std::uint32_t slot,
+                       const net::TraversalPacket& response)
+{
+    ring.slots[slot].state = State::kDone;
+    copy_bytes_ += copy_used(ring.responses[slot], response);
+}
+
+ReplayWindow::Verdict
+ReplayWindow::classify(const Key& key) const
+{
+    const Ring* ring = find_ring(key.id.client);
+    if (ring == nullptr) {
+        return Verdict::kNew;
+    }
+    const std::uint32_t slot = find_slot(*ring, key, {});
+    if (slot == kNone) {
+        return Verdict::kNew;
+    }
+    return ring->slots[slot].state == State::kDone ? Verdict::kCached
+                                                   : Verdict::kInProgress;
+}
+
+ReplayWindow::Claim
+ReplayWindow::claim(const Key& key)
+{
+    if (!enabled()) {
+        return {};
+    }
+    Ring& ring = ring_for(key.id.client);
+    const std::uint32_t h = hash(key);
+    std::uint32_t at = probe(ring, key, h);
+    if (const std::uint32_t held = ring.index[at].slot; held != kNone) {
+        return {ring.slots[held].state == State::kDone
+                    ? Verdict::kCached
+                    : Verdict::kInProgress,
+                {key.id.client, held}};
+    }
+    if (ring.live >= capacity_) {
+        // FIFO like the real dedup SRAM: the oldest live visit leaves
+        // first. An entry evicted while a duplicate is still in flight
+        // merely loses suppression for that duplicate — correctness
+        // degrades to at-least-once only when the window is sized far
+        // below the client's in-flight budget.
+        if (remove(ring, ring.head) == at) {
+            // The shift ran through this key's own probe run, which
+            // may now end at an earlier empty bucket.
+            at = probe(ring, key, h);
+        }
+    }
+    std::uint32_t slot = ring.free;
+    if (slot != kNone) {
+        ring.free = ring.slots[slot].next;
+    } else {
+        slot = static_cast<std::uint32_t>(ring.slots.size());
+        ring.slots.emplace_back();
+        ring.responses.emplace_back();
+    }
+    Slot& entry = ring.slots[slot];
+    entry.key = key;
+    entry.bucket = at;
+    entry.state = State::kInProgress;
+    link_newest(ring, slot);
+    prefetch_for_write(ring.responses[slot]);
+    ring.index[at] = {h, slot};
+    ring.live++;
+    size_++;
+    return {Verdict::kNew, {key.id.client, slot}};
+}
+
+bool
+ReplayWindow::unmark(const Key& key)
+{
+    Ring* ring = find_ring(key.id.client);
+    if (ring == nullptr) {
+        return false;
+    }
+    const std::uint32_t slot = find_slot(*ring, key, {});
+    if (slot == kNone || ring->slots[slot].state != State::kInProgress) {
+        return false;
+    }
+    remove(*ring, slot);
+    return true;
 }
 
 void
 ReplayWindow::forget(const Key& key)
 {
-    const auto it = entries_.find(key);
-    if (it == entries_.end()) {
+    Ring* ring = find_ring(key.id.client);
+    if (ring == nullptr) {
         return;
     }
-    entries_.erase(it);
-    auto& order = order_[key.id.client];
-    for (auto order_it = order.begin(); order_it != order.end();
-         ++order_it) {
-        if (*order_it == key) {
-            order.erase(order_it);
-            break;
-        }
+    if (const std::uint32_t slot = find_slot(*ring, key, {});
+        slot != kNone) {
+        remove(*ring, slot);
     }
 }
 
 void
 ReplayWindow::record_response(const Key& key,
-                              const net::TraversalPacket& response)
+                              const net::TraversalPacket& response,
+                              Ticket ticket)
 {
-    if (!enabled()) {
+    Ring* ring = find_ring(key.id.client);
+    if (ring == nullptr) {
         return;
     }
-    const auto it = entries_.find(key);
-    if (it == entries_.end()) {
+    const std::uint32_t slot = find_slot(*ring, key, ticket);
+    if (slot == kNone) {
         // The entry was evicted mid-execution; nothing to record.
         return;
     }
-    it->second.done = true;
-    it->second.response = response;
+    complete(*ring, slot, response);
+}
+
+bool
+ReplayWindow::import_completion(const Key& key,
+                                const net::TraversalPacket& response)
+{
+    Ring* ring = find_ring(key.id.client);
+    if (ring == nullptr) {
+        return false;
+    }
+    const std::uint32_t slot = find_slot(*ring, key, {});
+    if (slot == kNone || ring->slots[slot].state != State::kInProgress) {
+        return false;  // not absorbed here, or already completed
+    }
+    complete(*ring, slot, response);
+    return true;
+}
+
+bool
+ReplayWindow::cached_bounce(Ticket ticket) const
+{
+    const Ring& ring = rings_[ticket.client];
+    const net::TraversalPacket& response = ring.responses[ticket.slot];
+    return ring.slots[ticket.slot].state == State::kDone &&
+           response.status == isa::TraversalStatus::kNotLocal &&
+           response.iterations_done == ring.slots[ticket.slot].key.visit;
+}
+
+void
+ReplayWindow::restart(Ticket ticket)
+{
+    Ring& ring = rings_[ticket.client];
+    ring.slots[ticket.slot].state = State::kInProgress;
+    unlink(ring, ticket.slot);
+    link_newest(ring, ticket.slot);
+}
+
+const net::TraversalPacket*
+ReplayWindow::cached_response(const Key& key) const
+{
+    const Ring* ring = find_ring(key.id.client);
+    if (ring == nullptr) {
+        return nullptr;
+    }
+    const std::uint32_t slot = find_slot(*ring, key, {});
+    if (slot == kNone || ring->slots[slot].state != State::kDone) {
+        return nullptr;
+    }
+    return &ring->responses[slot];
+}
+
+void
+ReplayWindow::copy_response(Ticket ticket, net::TraversalPacket& out)
+{
+    copy_bytes_ +=
+        copy_used(out, rings_[ticket.client].responses[ticket.slot]);
 }
 
 std::size_t
@@ -93,66 +389,32 @@ ReplayWindow::absorb_from(ReplayWindow& donor)
     if (!enabled() || !donor.enabled()) {
         return 0;
     }
-    // Deterministic absorption order: unordered_map iteration varies
-    // between runs, so walk clients ascending and each client's FIFO.
-    std::vector<ClientId> clients;
-    clients.reserve(donor.order_.size());
-    for (const auto& [client, order] : donor.order_) {
-        if (!order.empty()) {
-            clients.push_back(client);
-        }
-    }
-    std::sort(clients.begin(), clients.end());
+    PULSE_ASSERT(&donor != this, "a window cannot absorb itself");
+    // Deterministic absorption order: clients ascending, each
+    // client's FIFO oldest first.
     std::size_t copied = 0;
-    for (const ClientId client : clients) {
-        for (const Key& key : donor.order_.at(client)) {
-            const auto donor_it = donor.entries_.find(key);
-            if (donor_it == donor.entries_.end()) {
-                continue;
-            }
-            const auto [it, inserted] =
-                entries_.try_emplace(key, donor_it->second);
-            if (!inserted) {
+    for (const Ring& from : donor.rings_) {
+        for (std::uint32_t slot = from.head; slot != kNone;
+             slot = from.slots[slot].next) {
+            const Slot& entry = from.slots[slot];
+            const Claim claimed = claim(entry.key);
+            if (claimed.verdict != Verdict::kNew) {
                 continue;  // already here from an earlier handoff
             }
-            evict_for(key.id.client);
-            order_[key.id.client].push_back(key);
             copied++;
-            if (!donor_it->second.done) {
+            if (entry.state == State::kDone) {
+                complete(rings_[claimed.ticket.client], claimed.ticket.slot,
+                         from.responses[slot]);
+            } else {
                 // Still executing at the donor: remember to mirror the
                 // eventual response (or admission drop) to the windows
                 // holding the absorbed copy, so a later retransmit is
                 // replayed there instead of suppressed forever.
-                donor.handed_off_.insert(key);
+                donor.handed_off_.insert(entry.key);
             }
         }
     }
     return copied;
-}
-
-void
-ReplayWindow::import_completion(const Key& key,
-                                const net::TraversalPacket& response)
-{
-    if (!enabled()) {
-        return;
-    }
-    const auto it = entries_.find(key);
-    if (it == entries_.end() || it->second.done) {
-        return;  // not absorbed here, or already completed
-    }
-    it->second.done = true;
-    it->second.response = response;
-}
-
-const net::TraversalPacket*
-ReplayWindow::cached_response(const Key& key) const
-{
-    const auto it = entries_.find(key);
-    if (it == entries_.end() || !it->second.done) {
-        return nullptr;
-    }
-    return &it->second.response;
 }
 
 }  // namespace pulse::accel

@@ -16,20 +16,43 @@
  * A "visit" is (RequestId, iterations_done at arrival): iterations_done
  * grows monotonically along a traversal, so each legitimate revisit of
  * a node by a multi-hop traversal is a distinct key, while byte-for-byte
- * duplicates collide. Entries are evicted FIFO per client once the
- * per-client budget is exceeded, bounding memory like the real
- * accelerator's fixed-size reorder/dedup SRAM.
+ * duplicates collide. Each client has a budget of live entries; once it
+ * is reached, marking a new visit evicts the client's oldest live entry,
+ * bounding memory like the real accelerator's fixed-size dedup SRAM.
+ *
+ * Storage, per client, is flat and allocated once, on the client's first
+ * visit, with no growth copies: a slot array and a parallel response
+ * array, each reserved to exactly the budget and built slot by slot as
+ * the high-water mark rises, plus an open-addressed, linear-probing index
+ * (a power of two, at least twice the budget, backward-shift delete)
+ * from Key to slot. Live slots are threaded oldest-to-newest by index
+ * links, so unmark and forget unlink a slot from the middle of the FIFO
+ * in O(1) and eviction takes the oldest live entry; the evicted slot
+ * holds the new visit, so once the budget is reached the slots cycle
+ * like a ring and nothing allocates. Keys and links stay apart from the
+ * ~0.9 KiB responses, so probes and FIFO updates touch one compact
+ * array. A cached response copies only the bytes a packet uses: the
+ * 104-byte header, the scratch bytes in use, the spawn records in use
+ * and the lineage tail.
+ *
+ * The accelerator's arrival path costs one index lookup (claim() is
+ * classify and mark fused) and its completion none: the Ticket claim()
+ * returns travels with the visit and is checked against the slot's key.
+ * A visit that waited in the admission queue loses its ticket and pays
+ * a second lookup when its response is recorded. claim() also starts
+ * fetching the new slot's response lines for writing: the slot is cold
+ * (last written a full budget of visits ago), and the fetch overlaps
+ * with the visit's execution instead of stalling the response copy.
  */
 #ifndef PULSE_ACCEL_REPLAY_WINDOW_H
 #define PULSE_ACCEL_REPLAY_WINDOW_H
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
-#include "common/pool_allocator.h"
 #include "common/types.h"
 #include "net/packet.h"
 
@@ -69,39 +92,59 @@ class ReplayWindow
         kCached,      ///< finished: replay the recorded response
     };
 
-    /** @param per_client_entries FIFO budget per client (0 disables). */
-    explicit ReplayWindow(std::size_t per_client_entries)
-        : capacity_(per_client_entries)
+    /**
+     * Where a key's entry lives. A ticket may be held across events
+     * (the accelerator keeps one per executing visit); every use with
+     * a key checks that the slot still holds that key.
+     */
+    struct Ticket
     {
-    }
+        static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+        ClientId client = 0;
+        std::uint32_t slot = kNone;
+    };
+
+    /** claim()'s answer: the verdict before the call, and the entry. */
+    struct Claim
+    {
+        Verdict verdict = Verdict::kNew;
+        Ticket ticket;
+    };
+
+    /** @param per_client_entries live-entry budget per client (0
+     *  disables the window). */
+    explicit ReplayWindow(std::size_t per_client_entries);
 
     bool enabled() const { return capacity_ > 0; }
 
     /** Classify @p key without modifying the window. */
-    Verdict
-    classify(const Key& key) const
-    {
-        const auto it = entries_.find(key);
-        if (it == entries_.end()) {
-            return Verdict::kNew;
-        }
-        return it->second.done ? Verdict::kCached
-                               : Verdict::kInProgress;
-    }
-
-    /** Begin tracking @p key as executing (evicts FIFO if needed). */
-    void mark_in_progress(const Key& key);
+    Verdict classify(const Key& key) const;
 
     /**
-     * Drop @p key without recording a response (admission-queue
-     * overflow: the packet was never executed, so a retransmit must be
-     * allowed to execute later).
+     * Fused classify + mark in progress, one index probe: returns the
+     * verdict @p key had and a ticket to its entry. On kNew the key is
+     * now in progress, at the FIFO's newest end, and the client's
+     * oldest live entry was evicted if the budget was full. A disabled
+     * window answers kNew with no ticket and stores nothing.
      */
-    void unmark(const Key& key);
+    Claim claim(const Key& key);
 
-    /** Record the outgoing packet for @p key; later dups replay it. */
+    /**
+     * Drop @p key if it is in progress (admission-queue overflow: the
+     * packet was never executed, so a retransmit must be allowed to
+     * execute later). Returns true if an entry was dropped.
+     */
+    bool unmark(const Key& key);
+
+    /**
+     * Record the outgoing packet for @p key; later dups replay it. A
+     * @p ticket from claim() reaches the slot without a probe; a stale
+     * or absent ticket falls back to one. No-op on an evicted key.
+     */
     void record_response(const Key& key,
-                         const net::TraversalPacket& response);
+                         const net::TraversalPacket& response,
+                         Ticket ticket);
 
     /**
      * Erase @p key entirely, even if completed. Used when a cached
@@ -114,8 +157,25 @@ class ReplayWindow
      */
     void forget(const Key& key);
 
+    /**
+     * True if the entry at @p ticket (fresh from claim()) is a cached
+     * zero-progress kNotLocal bounce — see forget().
+     */
+    bool cached_bounce(Ticket ticket) const;
+
+    /**
+     * forget() + claim() of the entry at @p ticket in place: the entry
+     * becomes in progress again at the FIFO's newest end. The ticket
+     * stays valid.
+     */
+    void restart(Ticket ticket);
+
     /** Cached response for @p key (nullptr unless Verdict::kCached). */
     const net::TraversalPacket* cached_response(const Key& key) const;
+
+    /** Copy the cached response at @p ticket (fresh from a kCached
+     *  claim()) into @p out, used bytes only. */
+    void copy_response(Ticket ticket, net::TraversalPacket& out);
 
     /**
      * Copy every entry of @p donor into this window (migration
@@ -135,9 +195,9 @@ class ReplayWindow
     /**
      * Complete an absorbed in-progress entry with a response that was
      * produced on another node. No-op unless @p key is held here and
-     * still in progress.
+     * still in progress; returns true if it completed the entry.
      */
-    void import_completion(const Key& key,
+    bool import_completion(const Key& key,
                            const net::TraversalPacket& response);
 
     /**
@@ -151,55 +211,98 @@ class ReplayWindow
         return handed_off_.erase(key) > 0;
     }
 
-    std::size_t size() const { return entries_.size(); }
+    /** Live entries, all clients. */
+    std::size_t size() const { return size_; }
 
-    /** Heap blocks the entry/order pools had to allocate (bench
-     *  attribution: plateaus once the FIFO budget is reached). */
-    std::uint64_t
-    pool_fresh() const
-    {
-        std::uint64_t fresh = entries_.get_allocator().state()->fresh();
-        for (const auto& [client, order] : order_) {
-            fresh += order.get_allocator().state()->fresh();
-        }
-        return fresh;
-    }
+    /** Index lookups so far: each walks one probe run. A delete
+     *  needs none (a live slot knows its bucket). */
+    std::uint64_t probes() const { return probes_; }
 
-    /** Heap blocks recycled from the pools instead of the heap. */
-    std::uint64_t
-    pool_reused() const
-    {
-        std::uint64_t reused =
-            entries_.get_allocator().state()->reused();
-        for (const auto& [client, order] : order_) {
-            reused += order.get_allocator().state()->reused();
-        }
-        return reused;
-    }
+    /** Response bytes copied into and out of the window so far. */
+    std::uint64_t copy_bytes() const { return copy_bytes_; }
+
+    /** Heap blocks the window's storage allocated (per-client storage
+     *  on a client's first visit; flat once every client has one). */
+    std::uint64_t allocations() const { return allocations_; }
 
   private:
-    struct Entry
+    static constexpr std::uint32_t kNone = Ticket::kNone;
+
+    enum class State : std::uint8_t { kFree, kInProgress, kDone };
+
+    struct Slot
     {
-        bool done = false;
-        net::TraversalPacket response;
+        Key key;
+        /** FIFO neighbours (older, newer); `next` also links the free
+         *  list. */
+        std::uint32_t prev = kNone;
+        std::uint32_t next = kNone;
+        /** Index bucket holding this slot while live. */
+        std::uint32_t bucket = 0;
+        State state = State::kFree;
     };
 
-    void evict_for(ClientId client);
+    /** Index bucket: the key's 32-bit hash and its slot (kNone =
+     *  empty). */
+    struct Bucket
+    {
+        std::uint32_t hash = 0;
+        std::uint32_t slot = kNone;
+    };
+
+    /** One client's entries. */
+    struct Ring
+    {
+        /** Both reserved to the budget on creation: they never
+         *  reallocate. */
+        std::vector<Slot> slots;
+        /** responses[s] is valid while slots[s] is kDone; only the
+         *  used bytes are ever written. */
+        std::vector<net::TraversalPacket> responses;
+        std::vector<Bucket> index;
+        std::uint32_t head = kNone;  ///< oldest live slot
+        std::uint32_t tail = kNone;  ///< newest live slot
+        std::uint32_t free = kNone;  ///< released slots, via `next`
+        std::uint32_t live = 0;
+    };
+
+    /** @p client's ring, or nullptr if it has never had an entry. */
+    const Ring*
+    find_ring(ClientId client) const
+    {
+        return client < rings_.size() && !rings_[client].index.empty()
+                   ? &rings_[client]
+                   : nullptr;
+    }
+    Ring*
+    find_ring(ClientId client)
+    {
+        return const_cast<Ring*>(std::as_const(*this).find_ring(client));
+    }
+    Ring& ring_for(ClientId client);
+
+    static std::uint32_t hash(const Key& key);
+    /** Bucket holding @p key, or the empty bucket ending its run. */
+    std::uint32_t probe(const Ring& ring, const Key& key,
+                        std::uint32_t hash) const;
+    /** @p key's slot, checking @p ticket first; kNone if absent. */
+    std::uint32_t find_slot(const Ring& ring, const Key& key,
+                            Ticket ticket) const;
+    /** Remove the live entry in @p slot (index, FIFO, free list).
+     *  Returns the empty bucket that ended the backward shift. */
+    std::uint32_t remove(Ring& ring, std::uint32_t slot);
+    /** Mark @p slot done with a used-bytes copy of @p response. */
+    void complete(Ring& ring, std::uint32_t slot,
+                  const net::TraversalPacket& response);
+    void link_newest(Ring& ring, std::uint32_t slot);
+    void unlink(Ring& ring, std::uint32_t slot);
 
     std::size_t capacity_;
-    /**
-     * Once the FIFO budget is reached, every visit is one insert plus
-     * one eviction — pooled node recycling keeps that churn off the
-     * heap. Each Entry embeds its cached packet by value (~0.9 KiB),
-     * one copy per visit; packets in flight live in the network's
-     * PacketArena instead.
-     */
-    std::unordered_map<Key, Entry, KeyHash, std::equal_to<Key>,
-                       PoolAllocator<std::pair<const Key, Entry>>>
-        entries_;
-    /** Insertion order per client for FIFO eviction. */
-    std::unordered_map<ClientId, std::deque<Key, PoolAllocator<Key>>>
-        order_;
+    std::vector<Ring> rings_;  ///< by ClientId
+    std::size_t size_ = 0;
+    mutable std::uint64_t probes_ = 0;
+    std::uint64_t copy_bytes_ = 0;
+    std::uint64_t allocations_ = 0;
     /** In-progress visits absorbed elsewhere at a migration cutover;
      *  their completion must be mirrored to the absorbing windows. */
     std::unordered_set<Key, KeyHash> handed_off_;

@@ -3,10 +3,10 @@
  * Freelist-backed STL allocator for hot-path node containers.
  *
  * The simulator's steady state churns a small set of node-based
- * containers at packet rate: the offload engine's in-flight map, the
- * accelerator's replay-window map/deques, and the admission queue's
- * deques. Under the default allocator every insert/erase cycle is a
- * malloc/free pair — a large slice of sim.allocs_per_event. This
+ * containers at packet rate: the offload engine's in-flight map and
+ * the admission queue's deques. Under the default allocator every
+ * insert/erase cycle is a malloc/free pair — a large slice of
+ * sim.allocs_per_event. This
  * allocator recycles freed blocks through size-keyed freelists instead
  * of returning them to the heap, so once a container reaches its
  * steady-state population, insert/erase performs no allocation at all.

@@ -51,10 +51,7 @@ PlacementPlane::mirror_completion(NodeId from,
         if (node == from) {
             continue;
         }
-        accel::ReplayWindow& window = *replay_windows_[node];
-        if (window.classify(key) ==
-            accel::ReplayWindow::Verdict::kInProgress) {
-            window.import_completion(key, response);
+        if (replay_windows_[node]->import_completion(key, response)) {
             stats_.completions_mirrored.increment();
         }
     }
@@ -68,11 +65,7 @@ PlacementPlane::mirror_unmark(NodeId from,
         if (node == from) {
             continue;
         }
-        accel::ReplayWindow& window = *replay_windows_[node];
-        if (window.classify(key) ==
-            accel::ReplayWindow::Verdict::kInProgress) {
-            window.unmark(key);
-        }
+        replay_windows_[node]->unmark(key);
     }
 }
 

@@ -571,12 +571,18 @@ ReplicationPlane::mirror_mark(NodeId from,
         }
         // A retransmit that reaches a replica before the original
         // execution completed must be suppressed, not re-executed —
-        // the in-progress mark is what carries that knowledge over.
-        if (window->classify(key) ==
-            accel::ReplayWindow::Verdict::kNew) {
-            window->mark_in_progress(key);
-            stats_.digest_marks.increment();
+        // the in-progress mark is what carries that knowledge over. A
+        // cached zero-progress bounce is a routing decision, not a
+        // completion: it is marked in progress again, as at the
+        // executing node, so this visit's real response replaces it.
+        const accel::ReplayWindow::Claim claim = window->claim(key);
+        if (claim.verdict == accel::ReplayWindow::Verdict::kCached &&
+            window->cached_bounce(claim.ticket)) {
+            window->restart(claim.ticket);
+        } else if (claim.verdict != accel::ReplayWindow::Verdict::kNew) {
+            continue;
         }
+        stats_.digest_marks.increment();
     }
 }
 
@@ -591,14 +597,11 @@ ReplicationPlane::mirror_response(NodeId from,
         if (node == from || window == nullptr || !window->enabled()) {
             continue;
         }
-        const auto verdict = window->classify(key);
-        if (verdict == accel::ReplayWindow::Verdict::kCached) {
+        const accel::ReplayWindow::Claim claim = window->claim(key);
+        if (claim.verdict == accel::ReplayWindow::Verdict::kCached) {
             continue;  // already completed here (absorbed digest)
         }
-        if (verdict == accel::ReplayWindow::Verdict::kNew) {
-            window->mark_in_progress(key);
-        }
-        window->import_completion(key, response);
+        window->record_response(key, response, claim.ticket);
         stats_.digest_completions.increment();
     }
 }
@@ -613,9 +616,7 @@ ReplicationPlane::mirror_unmark(NodeId from,
         if (node == from || window == nullptr || !window->enabled()) {
             continue;
         }
-        if (window->classify(key) ==
-            accel::ReplayWindow::Verdict::kInProgress) {
-            window->unmark(key);
+        if (window->unmark(key)) {
             stats_.digest_unmarks.increment();
         }
     }

@@ -124,9 +124,11 @@ class ReplicationPlane
     /** Mirror a successful CAS (@p desired won) at @p va. */
     void mirror_cas(VirtAddr va, std::uint64_t desired, Time now);
 
-    /** A visit began executing on @p from: mark it in-progress in
-     *  every other dedup window so a retransmit answered by a replica
-     *  is suppressed instead of re-executed. */
+    /** A visit began executing on @p from (new there, or re-executed
+     *  after a cached zero-progress bounce): mark it in-progress in
+     *  every other dedup window, replacing a cached bounce, so a
+     *  retransmit answered by a replica is suppressed instead of
+     *  re-executed and the visit's response completes every mirror. */
     void mirror_mark(NodeId from,
                      const accel::ReplayWindow::Key& key);
 

@@ -2,18 +2,31 @@
  * @file
  * Tests for the accelerator's exactly-once replay window: verdict
  * state machine, per-client FIFO eviction, wraparound behaviour of a
- * tiny window, and cluster-level exactly-once CAS execution under
+ * tiny window, a differential test against the previous map+deque
+ * window (replay_window_reference.h) over seeded random operation
+ * sequences, and cluster-level exactly-once CAS execution under
  * fault-injected duplication with a window small enough to evict
  * mid-run.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
+#include <cstring>
+#include <map>
 #include <memory>
+#include <random>
+#include <sstream>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "accel/replay_window.h"
 #include "check/fuzzer.h"
 #include "core/cluster.h"
 #include "isa/program.h"
+#include "replay_window_reference.h"
 
 namespace pulse::accel {
 namespace {
@@ -41,11 +54,11 @@ TEST(ReplayWindow, VerdictStateMachine)
     const auto k = key(0, 1);
 
     EXPECT_EQ(window.classify(k), ReplayWindow::Verdict::kNew);
-    window.mark_in_progress(k);
+    window.claim(k);
     EXPECT_EQ(window.classify(k), ReplayWindow::Verdict::kInProgress);
     EXPECT_EQ(window.cached_response(k), nullptr);
 
-    window.record_response(k, response_for(k));
+    window.record_response(k, response_for(k), {});
     EXPECT_EQ(window.classify(k), ReplayWindow::Verdict::kCached);
     const net::TraversalPacket* cached = window.cached_response(k);
     ASSERT_NE(cached, nullptr);
@@ -59,7 +72,7 @@ TEST(ReplayWindow, UnmarkAllowsReexecution)
     // retransmit must be allowed to run later.
     ReplayWindow window(4);
     const auto k = key(1, 7);
-    window.mark_in_progress(k);
+    window.claim(k);
     EXPECT_EQ(window.classify(k), ReplayWindow::Verdict::kInProgress);
     window.unmark(k);
     EXPECT_EQ(window.classify(k), ReplayWindow::Verdict::kNew);
@@ -76,11 +89,11 @@ TEST(ReplayWindow, ForgetDropsCompletedEntries)
     // re-executes the visit under current routes instead.
     ReplayWindow window(4);
     const auto k = key(2, 3);
-    window.mark_in_progress(k);
+    window.claim(k);
     net::TraversalPacket bounce = response_for(k);
     bounce.status = isa::TraversalStatus::kNotLocal;
     bounce.iterations_done = k.visit;  // no iteration ran
-    window.record_response(k, bounce);
+    window.record_response(k, bounce, {});
     EXPECT_EQ(window.classify(k), ReplayWindow::Verdict::kCached);
 
     window.forget(k);
@@ -97,8 +110,8 @@ TEST(ReplayWindow, DistinctVisitsAreDistinctKeys)
     ReplayWindow window(8);
     const auto v0 = key(0, 5, 0);
     const auto v3 = key(0, 5, 3);
-    window.mark_in_progress(v0);
-    window.record_response(v0, response_for(v0));
+    window.claim(v0);
+    window.record_response(v0, response_for(v0), {});
     EXPECT_EQ(window.classify(v0), ReplayWindow::Verdict::kCached);
     EXPECT_EQ(window.classify(v3), ReplayWindow::Verdict::kNew);
 }
@@ -111,8 +124,8 @@ TEST(ReplayWindow, FifoEvictionWrapsPerClient)
     for (std::uint64_t seq = 0; seq < 10; seq++) {
         const auto k = key(0, seq);
         EXPECT_EQ(window.classify(k), ReplayWindow::Verdict::kNew);
-        window.mark_in_progress(k);
-        window.record_response(k, response_for(k));
+        window.claim(k);
+        window.record_response(k, response_for(k), {});
     }
     EXPECT_EQ(window.size(), 3u);
     // 7, 8, 9 survive; everything older reads as new again.
@@ -128,12 +141,423 @@ TEST(ReplayWindow, FifoEvictionWrapsPerClient)
     // Budgets are per client: client 1 inserts never evict client 0.
     for (std::uint64_t seq = 0; seq < 3; seq++) {
         const auto k = key(1, seq);
-        window.mark_in_progress(k);
-        window.record_response(k, response_for(k));
+        window.claim(k);
+        window.record_response(k, response_for(k), {});
     }
     EXPECT_EQ(window.size(), 6u);
     EXPECT_EQ(window.classify(key(0, 9)),
               ReplayWindow::Verdict::kCached);
+}
+
+TEST(ReplayWindow, TicketSkipsTheProbeAndIsCheckedAgainstTheKey)
+{
+    ReplayWindow window(/*per_client_entries=*/1);
+    const auto a = key(0, 1);
+    const auto b = key(0, 2);
+    const ReplayWindow::Claim claimed = window.claim(a);
+    ASSERT_EQ(claimed.verdict, ReplayWindow::Verdict::kNew);
+
+    // b evicts a and takes over its slot: a's ticket is now stale.
+    window.claim(b);
+    const std::uint64_t probes = window.probes();
+    window.record_response(a, response_for(a), claimed.ticket);
+    EXPECT_EQ(window.classify(b), ReplayWindow::Verdict::kInProgress);
+    EXPECT_EQ(window.cached_response(a), nullptr);
+    EXPECT_EQ(window.probes(), probes + 3);  // fallback + 2 classify
+
+    // A fresh ticket reaches the slot with no probe at all.
+    const ReplayWindow::Claim held = window.claim(b);
+    ASSERT_EQ(held.verdict, ReplayWindow::Verdict::kInProgress);
+    const std::uint64_t before = window.probes();
+    window.record_response(b, response_for(b), held.ticket);
+    EXPECT_EQ(window.probes(), before);
+    EXPECT_EQ(window.classify(b), ReplayWindow::Verdict::kCached);
+}
+
+TEST(ReplayWindow, CopiesOnlyTheUsedBytes)
+{
+    ReplayWindow window(4);
+    const auto k = key(0, 1);
+    net::TraversalPacket response = response_for(k);
+    response.scratch.assign(40, 0xab);
+    isa::SpawnRecord record;
+    record.start_ptr = 0x1000;
+    response.spawns.push(record);
+    window.claim(k);
+    window.record_response(k, response, {});
+    // Header, 40 scratch bytes, one spawn record, the lineage tail.
+    EXPECT_EQ(window.copy_bytes(),
+              104u + 40u + sizeof(isa::SpawnRecord) + 4u + 16u + 4u);
+    EXPECT_LT(window.copy_bytes(), sizeof(net::TraversalPacket) / 2);
+    const net::TraversalPacket* cached = window.cached_response(k);
+    ASSERT_NE(cached, nullptr);
+    EXPECT_TRUE(cached->scratch == response.scratch);
+    EXPECT_TRUE(cached->spawns == response.spawns);
+}
+
+TEST(ReplayWindow, StorageAllocatesOncePerClient)
+{
+    ReplayWindow window(/*per_client_entries=*/8);
+    window.claim(key(0, 0));
+    window.claim(key(1, 0));
+    const std::uint64_t allocations = window.allocations();
+    EXPECT_GT(allocations, 0u);
+    // Churn far past the budget, with holes from unmark and forget.
+    for (std::uint64_t seq = 1; seq < 2000; seq++) {
+        for (ClientId client = 0; client < 2; client++) {
+            const auto k = key(client, seq);
+            const ReplayWindow::Claim claimed = window.claim(k);
+            if (seq % 7 == 0) {
+                window.unmark(k);
+            } else {
+                window.record_response(k, response_for(k),
+                                       claimed.ticket);
+            }
+            if (seq % 11 == 0) {
+                window.forget(key(client, seq - 3));
+            }
+        }
+    }
+    EXPECT_EQ(window.allocations(), allocations);
+    EXPECT_LE(window.size(), 16u);
+}
+
+// ---------------------------------------------------------------------
+// Differential test: the flat window against the map+deque reference
+// ---------------------------------------------------------------------
+
+/**
+ * Drives accel::ReplayWindow and reference::ReplayWindow with the same
+ * seeded random operations over three windows each (absorb_from needs
+ * donors) and reports the first divergence. The accelerator's
+ * re-execution of a cached zero-progress bounce (restart) is checked
+ * against the reference's forget + mark_in_progress.
+ */
+class Differential
+{
+  public:
+    static constexpr std::size_t kWindows = 3;
+
+    Differential(std::size_t budget, ClientId clients, std::uint64_t seed)
+        : clients_(clients),
+          seqs_(std::min<std::uint64_t>(budget, 8) * 3 + 2), rng_(seed)
+    {
+        for (std::size_t i = 0; i < kWindows; i++) {
+            windows_.push_back(std::make_unique<ReplayWindow>(budget));
+            refs_.push_back(
+                std::make_unique<reference::ReplayWindow>(budget));
+        }
+    }
+
+    /** Run @p steps random operations; "" or the first divergence. */
+    std::string
+    run(int steps)
+    {
+        for (step_ = 0; step_ < steps; step_++) {
+            const std::size_t w = pick(kWindows);
+            const ReplayWindow::Key k = random_key();
+            std::string error = apply(pick(9), w, k);
+            if (error.empty()) {
+                error = compare_key(k);
+            }
+            if (error.empty() && step_ % 97 == 0) {
+                error = compare_all();
+            }
+            if (!error.empty()) {
+                return "step " + std::to_string(step_) + ": " + error;
+            }
+        }
+        return compare_all();
+    }
+
+  private:
+    using Verdict = ReplayWindow::Verdict;
+
+    std::uint64_t pick(std::uint64_t n) { return rng_() % n; }
+
+    ReplayWindow::Key
+    random_key()
+    {
+        return {{static_cast<ClientId>(pick(clients_)), pick(seqs_)},
+                pick(3)};
+    }
+
+    static reference::ReplayWindow::Key
+    ref_key(const ReplayWindow::Key& k)
+    {
+        return {k.id, k.visit};
+    }
+
+    static Verdict
+    from_ref(reference::ReplayWindow::Verdict v)
+    {
+        return static_cast<Verdict>(static_cast<int>(v));
+    }
+
+    static bool
+    is_bounce(const net::TraversalPacket& response,
+              const ReplayWindow::Key& k)
+    {
+        return response.status == isa::TraversalStatus::kNotLocal &&
+               response.iterations_done == k.visit;
+    }
+
+    /** A response with random used sizes; a third are zero-progress
+     *  kNotLocal bounces. */
+    net::TraversalPacket
+    random_response(const ReplayWindow::Key& k)
+    {
+        net::TraversalPacket p;
+        p.id = k.id;
+        p.origin = k.id.client;
+        p.tenant = static_cast<std::uint32_t>(pick(4));
+        p.is_response = true;
+        const bool bounce = pick(3) == 0;
+        p.status = bounce ? isa::TraversalStatus::kNotLocal
+                          : isa::TraversalStatus::kDone;
+        p.iterations_done = bounce ? k.visit : k.visit + 1 + pick(4);
+        p.cur_ptr = rng_();
+        p.visit_echo = pick(100);
+        p.checksum = rng_();
+        p.scratch.resize(pick(kScratchCapacity + 1));
+        for (std::uint8_t& byte : p.scratch) {
+            byte = static_cast<std::uint8_t>(rng_());
+        }
+        const std::uint64_t spawns = pick(net::SpawnList::kCapacity + 1);
+        for (std::uint64_t i = 0; i < spawns; i++) {
+            isa::SpawnRecord record;
+            record.start_ptr = rng_();
+            record.arg_length =
+                static_cast<std::uint16_t>(pick(isa::kSpawnArgBytes + 1));
+            for (std::uint8_t& byte : record.args) {
+                byte = static_cast<std::uint8_t>(rng_());
+            }
+            p.spawns.push(record);
+        }
+        p.spawn_depth = static_cast<std::uint32_t>(pick(3));
+        p.parent_id = {k.id.client, pick(50)};
+        p.branch_index = static_cast<std::uint32_t>(pick(8));
+        return p;
+    }
+
+    /** A remembered ticket for @p k in window @p w, another key's, or
+     *  none — stale and foreign tickets must be caught. */
+    ReplayWindow::Ticket
+    random_ticket(std::size_t w, const ReplayWindow::Key& k)
+    {
+        const auto& tickets = tickets_[w];
+        switch (pick(3)) {
+          case 0: {
+            const auto it = tickets.find(k);
+            return it != tickets.end() ? it->second
+                                       : ReplayWindow::Ticket{};
+          }
+          case 1:
+            return tickets.empty() ? ReplayWindow::Ticket{}
+                                   : tickets.begin()->second;
+          default:
+            return {};
+        }
+    }
+
+    std::string
+    apply(std::uint64_t op, std::size_t w, const ReplayWindow::Key& k)
+    {
+        ReplayWindow& window = *windows_[w];
+        reference::ReplayWindow& ref = *refs_[w];
+        const auto rk = ref_key(k);
+        const Verdict before = from_ref(ref.classify(rk));
+        std::ostringstream error;
+        switch (op) {
+          case 0: {  // mark
+            ref.mark_in_progress(rk);
+            const ReplayWindow::Claim claimed = window.claim(k);
+            tickets_[w][k] = claimed.ticket;
+            if (claimed.verdict != before) {
+                error << "claim verdict differs";
+            }
+            break;
+          }
+          case 1: {  // record
+            const net::TraversalPacket response = random_response(k);
+            ref.record_response(rk, response);
+            window.record_response(k, response, random_ticket(w, k));
+            break;
+          }
+          case 2:  // unmark
+            ref.unmark(rk);
+            if (window.unmark(k) != (before == Verdict::kInProgress)) {
+                error << "unmark result differs";
+            }
+            break;
+          case 3:  // forget
+            ref.forget(rk);
+            window.forget(k);
+            break;
+          case 4: {  // absorb_from
+            const std::size_t donor =
+                (w + 1 + pick(kWindows - 1)) % kWindows;
+            const std::size_t expected = ref.absorb_from(*refs_[donor]);
+            const std::size_t copied =
+                window.absorb_from(*windows_[donor]);
+            if (copied != expected) {
+                error << "absorb_from copied " << copied << ", reference "
+                      << expected;
+            }
+            break;
+          }
+          case 5: {  // import_completion
+            const net::TraversalPacket response = random_response(k);
+            ref.import_completion(rk, response);
+            if (window.import_completion(k, response) !=
+                (before == Verdict::kInProgress)) {
+                error << "import_completion result differs";
+            }
+            break;
+          }
+          case 6:  // consume_handoff
+            if (ref.consume_handoff(rk) != window.consume_handoff(k)) {
+                error << "consume_handoff differs";
+            }
+            break;
+          case 7:  // classify (compare_key checks every window)
+            break;
+          default: {  // the accelerator's arrival path
+            const net::TraversalPacket* cached = ref.cached_response(rk);
+            const bool bounce = cached != nullptr && is_bounce(*cached, k);
+            if (before == Verdict::kNew) {
+                ref.mark_in_progress(rk);
+            } else if (bounce) {
+                ref.forget(rk);
+                ref.mark_in_progress(rk);
+            }
+            const ReplayWindow::Claim claimed = window.claim(k);
+            tickets_[w][k] = claimed.ticket;
+            if (claimed.verdict != before) {
+                error << "arrival verdict differs";
+            } else if (before == Verdict::kCached) {
+                if (window.cached_bounce(claimed.ticket) != bounce) {
+                    error << "cached_bounce differs";
+                } else if (bounce) {
+                    window.restart(claimed.ticket);
+                } else {
+                    net::TraversalPacket replay = random_response(k);
+                    window.copy_response(claimed.ticket, replay);
+                    error << diff_response(cached, &replay);
+                }
+            }
+            break;
+          }
+        }
+        if (!error.str().empty()) {
+            error << " (op " << op << ", window " << w << ", key "
+                  << k.id.client << "/" << k.id.seq << "/" << k.visit
+                  << ")";
+        }
+        return error.str();
+    }
+
+    /** "" when @p a and @p b agree on every byte a packet uses. */
+    static std::string
+    diff_response(const net::TraversalPacket* a,
+                  const net::TraversalPacket* b)
+    {
+        if ((a == nullptr) != (b == nullptr)) {
+            return "cached response present in one window only";
+        }
+        if (a == nullptr) {
+            return "";
+        }
+        if (std::memcmp(a, b, offsetof(net::TraversalPacket, scratch)) !=
+                0 ||
+            !(a->scratch == b->scratch) || !(a->spawns == b->spawns) ||
+            a->spawn_depth != b->spawn_depth ||
+            a->parent_id != b->parent_id ||
+            a->branch_index != b->branch_index) {
+            return "cached response bytes differ";
+        }
+        return "";
+    }
+
+    std::string
+    compare_key(const ReplayWindow::Key& k) const
+    {
+        for (std::size_t w = 0; w < kWindows; w++) {
+            const auto rk = ref_key(k);
+            if (windows_[w]->size() != refs_[w]->size()) {
+                return "window " + std::to_string(w) + " size " +
+                       std::to_string(windows_[w]->size()) +
+                       ", reference " + std::to_string(refs_[w]->size());
+            }
+            if (windows_[w]->classify(k) !=
+                from_ref(refs_[w]->classify(rk))) {
+                return "window " + std::to_string(w) +
+                       " classify differs for " +
+                       std::to_string(k.id.client) + "/" +
+                       std::to_string(k.id.seq) + "/" +
+                       std::to_string(k.visit);
+            }
+            const std::string diff =
+                diff_response(refs_[w]->cached_response(rk),
+                              windows_[w]->cached_response(k));
+            if (!diff.empty()) {
+                return "window " + std::to_string(w) + ": " + diff;
+            }
+        }
+        return "";
+    }
+
+    std::string
+    compare_all() const
+    {
+        for (ClientId client = 0; client < clients_; client++) {
+            for (std::uint64_t seq = 0; seq < seqs_; seq++) {
+                for (std::uint64_t visit = 0; visit < 3; visit++) {
+                    const std::string error =
+                        compare_key({{client, seq}, visit});
+                    if (!error.empty()) {
+                        return error;
+                    }
+                }
+            }
+        }
+        return "";
+    }
+
+    struct KeyLess
+    {
+        bool
+        operator()(const ReplayWindow::Key& a,
+                   const ReplayWindow::Key& b) const
+        {
+            return std::tie(a.id, a.visit) < std::tie(b.id, b.visit);
+        }
+    };
+
+    ClientId clients_;
+    std::uint64_t seqs_;
+    std::mt19937_64 rng_;
+    int step_ = 0;
+    std::vector<std::unique_ptr<ReplayWindow>> windows_;
+    std::vector<std::unique_ptr<reference::ReplayWindow>> refs_;
+    std::array<std::map<ReplayWindow::Key, ReplayWindow::Ticket, KeyLess>,
+               kWindows>
+        tickets_;
+};
+
+TEST(ReplayWindowDifferential, MatchesReferenceOnRandomSequences)
+{
+    for (const std::size_t budget : {1u, 3u, 8u, 4096u}) {
+        for (ClientId clients = 1; clients <= 5; clients++) {
+            for (const std::uint64_t seed : {1u, 2u}) {
+                Differential run(budget, clients,
+                                 seed * 1000 + budget * 10 + clients);
+                EXPECT_EQ(run.run(4000), "")
+                    << "budget " << budget << ", " << clients
+                    << " clients, seed " << seed;
+            }
+        }
+    }
 }
 
 isa::Program

@@ -3,7 +3,8 @@
  * Fault-tolerance plane tests: heartbeat detector semantics (stall vs
  * blackout), off-gating, replica establishment + failover serving
  * reads from the survivor, a replica
- * copy aborted by a short blackout and re-established after it, and the
+ * copy aborted by a short blackout and re-established after it, a
+ * re-executed zero-progress bounce mirrored into every window, and the
  * chaos CAS soak — a node blackout injected at every phase of the
  * replication protocol (before the first scan, mid-copy, after
  * establishment, deep into mirrored CAS traffic) while a closed loop
@@ -201,6 +202,60 @@ TEST(ReplicationPlane, FailoverServesReadsFromSurvivor)
     EXPECT_EQ(readback, data);
 
     EXPECT_EQ(cluster.verify_quiesce(), 0u);
+}
+
+TEST(ReplicationPlane, ReexecutedBounceIsMirroredToEveryWindow)
+{
+    // A zero-progress kNotLocal bounce at node A is mirrored as a
+    // cached response into every other window, the owner B's included.
+    // B must re-execute the visit rather than replay the bounce, and
+    // that re-execution must be mirrored like a new visit: otherwise
+    // no other window holds B's real response, and after B dies a
+    // retransmit answered by a replica re-executes the visit.
+    constexpr NodeId kA = 0;
+    constexpr NodeId kB = 1;
+    constexpr NodeId kC = 2;
+    core::ClusterConfig config;
+    config.num_mem_nodes = 3;
+    config.replication.replication_factor = 2;
+    core::Cluster cluster(config);
+    ASSERT_NE(cluster.replication_plane(), nullptr);
+
+    const VirtAddr va = cluster.allocator().alloc_on(kB, 4096, 256);
+    ASSERT_NE(va, kNullAddr);
+    cluster.memory().write_as<std::uint64_t>(va, 42);
+    auto program =
+        std::make_shared<const isa::Program>(load_program());
+
+    net::TraversalPacket packet;
+    packet.id = {0, 777};
+    packet.cur_ptr = va;
+    net::attach_program(packet, program);
+    packet.scratch.assign(8, 0);
+    // The switch decides the route at send time: a stale overlay rule
+    // sends this one packet for B's address to A, which bounces it to
+    // the switch, which then routes the same visit to B.
+    net::Network& network = cluster.network();
+    network.switch_table().set_overlay({mem::Remap{va, 4096, kA, 0}});
+    network.send_traversal(net::EndpointAddr::client(0),
+                           network.packets().acquire(packet));
+    network.switch_table().set_overlay({});
+    cluster.queue().run();
+
+    const accel::ReplayWindow::Key key{packet.id, 0};
+    for (const NodeId node : {kA, kB, kC}) {
+        SCOPED_TRACE("node " + std::to_string(node));
+        const net::TraversalPacket* cached =
+            cluster.accelerator(node).replay_window().cached_response(key);
+        ASSERT_NE(cached, nullptr);
+        EXPECT_EQ(cached->status, isa::TraversalStatus::kDone);
+        EXPECT_EQ(cached->iterations_done, 1u);
+        std::uint64_t loaded = 0;
+        std::memcpy(&loaded, cached->scratch.data(), 8);
+        EXPECT_EQ(loaded, 42u);
+    }
+    EXPECT_EQ(cluster.accelerator(kA).stats().forwards_sent.value(), 1u);
+    EXPECT_EQ(cluster.accelerator(kB).stats().responses_sent.value(), 1u);
 }
 
 TEST(ReplicationPlane, ReplicaCopyAbortsOnBlackoutThenRecovers)

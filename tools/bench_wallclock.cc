@@ -14,8 +14,9 @@
  * 2. End-to-end cell profile: one representative closed-loop
  *    simulation cell, reporting allocations and events for the whole
  *    run (setup + steady state) — the number that bounds how much the
- *    hot path can still be hiding — and the packet arena's peak and
- *    end-of-run slot counts.
+ *    hot path can still be hiding — the packet arena's peak and
+ *    end-of-run slot counts, and the replay window's index probes and
+ *    response bytes copied per visit (deterministic counts).
  *
  *    The same cell's programs then feed an interpreter
  *    microbenchmark: isa::run_iteration alone over iteration states
@@ -376,6 +377,18 @@ main(int argc, char** argv)
             }
             return fresh;
         };
+        // Packets the accelerators received since the last stats
+        // reset: one replay-window visit each.
+        const auto visits_since_reset = [&cluster] {
+            std::uint64_t visits = 0;
+            for (NodeId node = 0;
+                 node < cluster.config().num_mem_nodes; node++) {
+                visits += cluster.accelerator(node)
+                              .stats()
+                              .requests_received.value();
+            }
+            return visits;
+        };
         const auto contexts_created = [&cluster] {
             std::uint64_t created = 0;
             for (NodeId node = 0;
@@ -390,6 +403,7 @@ main(int argc, char** argv)
         std::uint64_t window_packet_fresh = 0;
         std::uint64_t window_contexts = 0;
         std::uint64_t window_queue_slots = 0;
+        std::uint64_t warmup_visits = 0;
         std::uint64_t window_coalesced = 0;
         std::uint64_t window_batches = 0;
         double window_wall = 0.0;
@@ -400,6 +414,7 @@ main(int argc, char** argv)
         driver.measure_ops = scaled.measure_ops;
         driver.concurrency = scaled.concurrency;
         driver.on_measure_start = [&] {
+            warmup_visits = visits_since_reset();
             cluster.reset_stats();
             window_allocs = allocs_now();
             window_events = queue.events_executed();
@@ -465,6 +480,31 @@ main(int argc, char** argv)
                      batches > 0 ? static_cast<double>(coalesced) /
                                        static_cast<double>(batches)
                                  : 0.0);
+        // Replay window, per visit over the whole run (a visit received
+        // before measure start may record its response after it).
+        // Deterministic for a given seed, unlike the wall-clock rows.
+        const std::uint64_t visits = warmup_visits + visits_since_reset();
+        std::uint64_t probes = 0;
+        std::uint64_t copy_bytes = 0;
+        for (NodeId node = 0; node < cluster.config().num_mem_nodes;
+             node++) {
+            const accel::ReplayWindow& window =
+                cluster.accelerator(node).replay_window();
+            probes += window.probes();
+            copy_bytes += window.copy_bytes();
+        }
+        const double per_visit =
+            visits > 0 ? 1.0 / static_cast<double>(visits) : 0.0;
+        const double probes_per_visit =
+            static_cast<double>(probes) * per_visit;
+        const double copy_bytes_per_visit =
+            static_cast<double>(copy_bytes) * per_visit;
+        exporter.set("sim.replay.probes_per_visit", probes_per_visit);
+        exporter.set("sim.replay.copy_bytes_per_visit",
+                     copy_bytes_per_visit);
+        std::printf("replay window: %.3f probes/visit, %.1f bytes "
+                    "copied/visit over %" PRIu64 " visits\n",
+                    probes_per_visit, copy_bytes_per_visit, visits);
         // Packet arena: the run drained, so every slot must be back.
         const net::PacketArena& arena = cluster.packets();
         exporter.set("sim.arena.peak_slots",
