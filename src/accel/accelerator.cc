@@ -201,10 +201,8 @@ Accelerator::on_packet(net::PacketHandle handle)
     // (request id, iterations_done), unique per node visit because
     // iterations_done only grows along a traversal.
     const ReplayWindow::Key key{packet.id, packet.iterations_done};
-    ReplayWindow::Ticket ticket;
     if (replay_.enabled()) {
         const ReplayWindow::Claim claim = replay_.claim(key);
-        ticket = claim.ticket;
         switch (claim.verdict) {
             case ReplayWindow::Verdict::kInProgress:
                 // Still executing; the eventual response answers both
@@ -217,7 +215,7 @@ Accelerator::on_packet(net::PacketHandle handle)
                 // than re-running (exactly-once for stores/CAS). This
                 // also repairs a dropped forward: the cached packet IS
                 // the continuation the switch re-routes.
-                if (!replay_.cached_bounce(ticket)) {
+                if (!replay_.cached_bounce(claim.ticket)) {
                     stats_.replays_sent.increment();
                     const Time parse = scaled(config_.net_stack_latency);
                     stats_.net_stack_time.add(static_cast<double>(parse));
@@ -229,7 +227,7 @@ Accelerator::on_packet(net::PacketHandle handle)
                     // The replay is a copy in its own slot: the window
                     // keeps its entry for later duplicates.
                     const net::PacketHandle cached = packets_.acquire();
-                    replay_.copy_response(ticket, packets_[cached]);
+                    replay_.copy_response(claim.ticket, packets_[cached]);
                     packets_.release(handle);
                     queue_.schedule_after(parse, [this, cached] {
                         network_.send_traversal(
@@ -246,7 +244,7 @@ Accelerator::on_packet(net::PacketHandle handle)
                 // bounce the packet between switch and accelerator
                 // forever. Re-execute under current routes instead,
                 // mirrored exactly like a new visit.
-                replay_.restart(ticket);
+                replay_.restart(claim.ticket);
                 [[fallthrough]];
             case ReplayWindow::Verdict::kNew:
                 if (replication_ != nullptr) {
@@ -265,13 +263,11 @@ Accelerator::on_packet(net::PacketHandle handle)
         record_span(packet, trace::SpanKind::kAccelNetStackRx,
                     queue_.now(), parse);
     }
-    queue_.schedule_after(parse, [this, handle, ticket] {
-        admit(handle, ticket);
-    });
+    queue_.schedule_after(parse, [this, handle] { admit(handle); });
 }
 
 void
-Accelerator::admit(net::PacketHandle packet, ReplayWindow::Ticket ticket)
+Accelerator::admit(net::PacketHandle packet)
 {
     // Scheduler: parse payload, pick an idle workspace (4 ns, Fig. 9).
     const Time dispatch = scaled(config_.scheduler_latency);
@@ -280,7 +276,7 @@ Accelerator::admit(net::PacketHandle packet, ReplayWindow::Ticket ticket)
         record_span(packets_[packet], trace::SpanKind::kAccelScheduler,
                     queue_.now(), dispatch);
     }
-    queue_.schedule_after(dispatch, [this, packet, ticket] {
+    queue_.schedule_after(dispatch, [this, packet] {
         if (serving_ != nullptr) {
             // QoS admission: charge fresh roots against the tenant's
             // traversal quota. A throttled packet has been moved out
@@ -297,14 +293,14 @@ Accelerator::admit(net::PacketHandle packet, ReplayWindow::Ticket ticket)
                 return;
             }
         }
-        place(packet, ticket);
+        place(packet);
     });
 }
 
 void
-Accelerator::place(net::PacketHandle handle, ReplayWindow::Ticket ticket)
+Accelerator::place(net::PacketHandle handle)
 {
-    if (try_dispatch(handle, ticket)) {
+    if (try_dispatch(handle)) {
         return;
     }
     net::TraversalPacket& packet = packets_[handle];
@@ -350,7 +346,7 @@ Accelerator::readmit(net::TraversalPacket&& packet)
                     packet.trace.queued_at,
                     queue_.now() - packet.trace.queued_at);
     }
-    place(packets_.acquire(packet), {});
+    place(packets_.acquire(packet));
 }
 
 void
@@ -420,8 +416,7 @@ Accelerator::shed_reject(net::PacketHandle handle)
 }
 
 bool
-Accelerator::try_dispatch(net::PacketHandle handle,
-                          ReplayWindow::Ticket ticket)
+Accelerator::try_dispatch(net::PacketHandle handle)
 {
     // Pick the core with the most free workspaces (load balance).
     Core* best_core = nullptr;
@@ -453,7 +448,6 @@ Accelerator::try_dispatch(net::PacketHandle handle,
     const net::TraversalPacket& packet = packets_[handle];
     context->packet = handle;
     context->arrival_iterations = packet.iterations_done;
-    context->ticket = ticket;
     context->iterations_this_visit = 0;
     if (invariants_ != nullptr && replay_.enabled()) {
         const ReplayWindow::Key key{packet.id,
@@ -780,9 +774,7 @@ Accelerator::finish(CoreId core_id, WorkspaceId ws,
             record_span(next, trace::SpanKind::kAccelWorkspaceWait,
                         next.trace.queued_at, waited);
         }
-        // The admission queue holds handles only: record_response
-        // finds this visit's entry by key.
-        const bool dispatched = try_dispatch(handle, {});
+        const bool dispatched = try_dispatch(handle);
         PULSE_ASSERT(dispatched, "dispatch must succeed after a free");
     }
 }
@@ -848,7 +840,7 @@ Accelerator::send_response(Context& context, TraversalStatus status,
     // from now on get this exact packet replayed.
     const ReplayWindow::Key visit_key{request.id,
                                       context.arrival_iterations};
-    replay_.record_response(visit_key, response, context.ticket);
+    replay_.record_response(visit_key, response);
     if (placement_ != nullptr && replay_.consume_handoff(visit_key)) {
         // A migration cutover absorbed this still-executing visit into
         // another node's window; complete the absorbed copies so a

@@ -223,9 +223,6 @@ class Accelerator
         std::uint64_t iterations_this_visit = 0;
         /** iterations_done when the packet arrived: the visit key. */
         std::uint64_t arrival_iterations = 0;
-        /** The visit's replay-window entry (checked against the key
-         *  when the response is recorded). */
-        ReplayWindow::Ticket ticket;
     };
 
     /** One accelerator core (Fig. 2). */
@@ -250,15 +247,11 @@ class Accelerator
     void release_context(std::unique_ptr<Context> context);
 
     void on_packet(net::PacketHandle packet);
-    /** @p ticket: the visit's replay-window entry, carried to the
-     *  Context so record_response needs no probe (empty when the
-     *  window is off or the packet re-enters from a QoS park). */
-    void admit(net::PacketHandle packet, ReplayWindow::Ticket ticket);
-    void place(net::PacketHandle packet, ReplayWindow::Ticket ticket);
+    void admit(net::PacketHandle packet);
+    void place(net::PacketHandle packet);
     void shed_reject(net::PacketHandle packet);
     void forget_visit(const ReplayWindow::Key& key);
-    bool try_dispatch(net::PacketHandle packet,
-                      ReplayWindow::Ticket ticket);
+    bool try_dispatch(net::PacketHandle packet);
     void start_memory_phase(CoreId core, WorkspaceId ws);
     void start_logic_phase(CoreId core, WorkspaceId ws, Time mem_done);
     void finish(CoreId core, WorkspaceId ws, isa::TraversalStatus status,

@@ -14,74 +14,52 @@ namespace {
 
 using net::TraversalPacket;
 
-/** Header: every field before the scratch pad, copied as one block. */
+/** Header: every field before the scratch pad. */
 constexpr std::size_t kHeaderBytes = offsetof(TraversalPacket, scratch);
-/** Lineage tail after the spawn list. */
-constexpr std::size_t kTailBytes = sizeof(TraversalPacket::spawn_depth) +
-                                   sizeof(TraversalPacket::parent_id) +
-                                   sizeof(TraversalPacket::branch_index);
+/** Between the scratch pad and the spawn list (padding today). */
+constexpr std::size_t kGapBegin =
+    offsetof(TraversalPacket, scratch) + sizeof(ScratchBuffer);
+constexpr std::size_t kGapEnd = offsetof(TraversalPacket, spawns);
+/** After the spawn list: the lineage fields, to the packet's end. */
+constexpr std::size_t kTailBegin =
+    offsetof(TraversalPacket, spawns) + sizeof(net::SpawnList);
 
+// copy_used() block-copies every byte outside the scratch pad and the
+// spawn list, so a field added anywhere else is copied with no change
+// here; only the two arrays are copied up to their used sizes.
+static_assert(std::is_trivially_copyable_v<TraversalPacket>);
 static_assert(std::is_standard_layout_v<TraversalPacket>);
-static_assert(kHeaderBytes == 104);
-static_assert(offsetof(TraversalPacket, spawns) >
-                      offsetof(TraversalPacket, scratch) &&
-                  offsetof(TraversalPacket, spawn_depth) >
-                      offsetof(TraversalPacket, spawns) &&
-                  offsetof(TraversalPacket, branch_index) +
-                          sizeof(TraversalPacket::branch_index) +
-                          alignof(TraversalPacket) >
-                      sizeof(TraversalPacket),
-              "copy_used() covers header, scratch, spawns and the "
-              "lineage tail; a new packet field must be added there");
+static_assert(kHeaderBytes == 104 && kGapBegin <= kGapEnd);
+
+/** Copy bytes [@p begin, @p end) of @p src into @p dst. */
+std::size_t
+copy_range(TraversalPacket& dst, const TraversalPacket& src,
+           std::size_t begin, std::size_t end)
+{
+    std::memcpy(reinterpret_cast<char*>(&dst) + begin,
+                reinterpret_cast<const char*>(&src) + begin, end - begin);
+    return end - begin;
+}
 
 /**
- * Copy the bytes @p src uses into @p dst: header, scratch in use,
- * spawn records in use, lineage tail. Bytes past the used sizes are
- * left as they were (no reader looks past a size). Returns the bytes
- * copied.
+ * Copy the bytes @p src uses into @p dst: everything but the unused
+ * parts of the scratch pad and the spawn list. Bytes past the used
+ * sizes are left as they were (no reader looks past a size). Returns
+ * the bytes copied.
  */
 std::size_t
 copy_used(TraversalPacket& dst, const TraversalPacket& src)
 {
-    std::memcpy(static_cast<void*>(&dst), &src, kHeaderBytes);
+    std::size_t bytes = copy_range(dst, src, 0, kHeaderBytes);
     dst.scratch.assign(src.scratch.data(), src.scratch.size());
+    bytes += src.scratch.size();
+    bytes += copy_range(dst, src, kGapBegin, kGapEnd);
     dst.spawns.clear();
     for (const isa::SpawnRecord& record : src.spawns) {
         dst.spawns.push(record);
     }
-    dst.spawn_depth = src.spawn_depth;
-    dst.parent_id = src.parent_id;
-    dst.branch_index = src.branch_index;
-    return kHeaderBytes + src.scratch.size() +
-           src.spawns.size() * sizeof(isa::SpawnRecord) + kTailBytes;
-}
-
-/**
- * Start fetching, for writing, the lines copy_used() will write into
- * @p slot when the visit's response is recorded: header and scratch,
- * and the spawn count and lineage tail (spawn records are rare). The
- * slot was last written a full budget of visits ago, so it is cold;
- * fetching it at claim time overlaps the misses with the visit's
- * execution instead of stalling the response copy on them.
- */
-void
-prefetch_for_write(const TraversalPacket& slot)
-{
-    constexpr std::size_t kLine = 64;
-    constexpr std::size_t kScratchEnd =
-        offsetof(TraversalPacket, scratch) + sizeof(ScratchBuffer);
-    constexpr std::size_t kTailBegin =
-        offsetof(TraversalPacket, spawns) +
-        net::SpawnList::kCapacity * sizeof(isa::SpawnRecord);
-    const auto base = reinterpret_cast<std::uintptr_t>(&slot);
-    const auto fetch = [base](std::size_t begin, std::size_t end) {
-        for (std::uintptr_t line = (base + begin) & ~(kLine - 1);
-             line < base + end; line += kLine) {
-            __builtin_prefetch(reinterpret_cast<const void*>(line), 1);
-        }
-    };
-    fetch(0, kScratchEnd);
-    fetch(kTailBegin, sizeof(TraversalPacket));
+    bytes += src.spawns.size() * sizeof(isa::SpawnRecord);
+    return bytes + copy_range(dst, src, kTailBegin, sizeof(TraversalPacket));
 }
 
 }  // namespace
@@ -140,15 +118,8 @@ ReplayWindow::probe(const Ring& ring, const Key& key,
 }
 
 std::uint32_t
-ReplayWindow::find_slot(const Ring& ring, const Key& key,
-                        Ticket ticket) const
+ReplayWindow::find_slot(const Ring& ring, const Key& key) const
 {
-    if (ticket.client == key.id.client && ticket.slot < ring.slots.size()) {
-        const Slot& slot = ring.slots[ticket.slot];
-        if (slot.state != State::kFree && slot.key == key) {
-            return ticket.slot;
-        }
-    }
     return ring.index[probe(ring, key, hash(key))].slot;
 }
 
@@ -227,7 +198,7 @@ ReplayWindow::classify(const Key& key) const
     if (ring == nullptr) {
         return Verdict::kNew;
     }
-    const std::uint32_t slot = find_slot(*ring, key, {});
+    const std::uint32_t slot = find_slot(*ring, key);
     if (slot == kNone) {
         return Verdict::kNew;
     }
@@ -275,7 +246,6 @@ ReplayWindow::claim(const Key& key)
     entry.bucket = at;
     entry.state = State::kInProgress;
     link_newest(ring, slot);
-    prefetch_for_write(ring.responses[slot]);
     ring.index[at] = {h, slot};
     ring.live++;
     size_++;
@@ -289,7 +259,7 @@ ReplayWindow::unmark(const Key& key)
     if (ring == nullptr) {
         return false;
     }
-    const std::uint32_t slot = find_slot(*ring, key, {});
+    const std::uint32_t slot = find_slot(*ring, key);
     if (slot == kNone || ring->slots[slot].state != State::kInProgress) {
         return false;
     }
@@ -304,7 +274,7 @@ ReplayWindow::forget(const Key& key)
     if (ring == nullptr) {
         return;
     }
-    if (const std::uint32_t slot = find_slot(*ring, key, {});
+    if (const std::uint32_t slot = find_slot(*ring, key);
         slot != kNone) {
         remove(*ring, slot);
     }
@@ -312,14 +282,13 @@ ReplayWindow::forget(const Key& key)
 
 void
 ReplayWindow::record_response(const Key& key,
-                              const net::TraversalPacket& response,
-                              Ticket ticket)
+                              const net::TraversalPacket& response)
 {
     Ring* ring = find_ring(key.id.client);
     if (ring == nullptr) {
         return;
     }
-    const std::uint32_t slot = find_slot(*ring, key, ticket);
+    const std::uint32_t slot = find_slot(*ring, key);
     if (slot == kNone) {
         // The entry was evicted mid-execution; nothing to record.
         return;
@@ -335,7 +304,7 @@ ReplayWindow::import_completion(const Key& key,
     if (ring == nullptr) {
         return false;
     }
-    const std::uint32_t slot = find_slot(*ring, key, {});
+    const std::uint32_t slot = find_slot(*ring, key);
     if (slot == kNone || ring->slots[slot].state != State::kInProgress) {
         return false;  // not absorbed here, or already completed
     }
@@ -369,7 +338,7 @@ ReplayWindow::cached_response(const Key& key) const
     if (ring == nullptr) {
         return nullptr;
     }
-    const std::uint32_t slot = find_slot(*ring, key, {});
+    const std::uint32_t slot = find_slot(*ring, key);
     if (slot == kNone || ring->slots[slot].state != State::kDone) {
         return nullptr;
     }

@@ -31,18 +31,16 @@
  * holds the new visit, so once the budget is reached the slots cycle
  * like a ring and nothing allocates. Keys and links stay apart from the
  * ~0.9 KiB responses, so probes and FIFO updates touch one compact
- * array. A cached response copies only the bytes a packet uses: the
- * 104-byte header, the scratch bytes in use, the spawn records in use
- * and the lineage tail.
+ * array. A cached response copies only the bytes a packet uses: all
+ * but the unused parts of the scratch pad and the spawn list (the
+ * 104-byte header, the used scratch bytes and spawn records, and the
+ * 38 bytes of lineage fields and padding around the spawn list).
  *
- * The accelerator's arrival path costs one index lookup (claim() is
- * classify and mark fused) and its completion none: the Ticket claim()
- * returns travels with the visit and is checked against the slot's key.
- * A visit that waited in the admission queue loses its ticket and pays
- * a second lookup when its response is recorded. claim() also starts
- * fetching the new slot's response lines for writing: the slot is cold
- * (last written a full budget of visits ago), and the fetch overlaps
- * with the visit's execution instead of stalling the response copy.
+ * A visit costs the accelerator two index lookups: claim() (classify
+ * and mark fused) on arrival and record_response() on completion. The
+ * Ticket claim() returns serves only the calls that follow it at once
+ * (cached_bounce, restart, copy_response), on the accelerator's arrival
+ * path and in the replication mirror.
  */
 #ifndef PULSE_ACCEL_REPLAY_WINDOW_H
 #define PULSE_ACCEL_REPLAY_WINDOW_H
@@ -93,9 +91,8 @@ class ReplayWindow
     };
 
     /**
-     * Where a key's entry lives. A ticket may be held across events
-     * (the accelerator keeps one per executing visit); every use with
-     * a key checks that the slot still holds that key.
+     * Where a key's entry lives. Valid until the window next changes:
+     * callers use it right after claim(), never across events.
      */
     struct Ticket
     {
@@ -137,14 +134,10 @@ class ReplayWindow
      */
     bool unmark(const Key& key);
 
-    /**
-     * Record the outgoing packet for @p key; later dups replay it. A
-     * @p ticket from claim() reaches the slot without a probe; a stale
-     * or absent ticket falls back to one. No-op on an evicted key.
-     */
+    /** Record the outgoing packet for @p key; later dups replay it.
+     *  No-op on an evicted key. */
     void record_response(const Key& key,
-                         const net::TraversalPacket& response,
-                         Ticket ticket);
+                         const net::TraversalPacket& response);
 
     /**
      * Erase @p key entirely, even if completed. Used when a cached
@@ -285,9 +278,8 @@ class ReplayWindow
     /** Bucket holding @p key, or the empty bucket ending its run. */
     std::uint32_t probe(const Ring& ring, const Key& key,
                         std::uint32_t hash) const;
-    /** @p key's slot, checking @p ticket first; kNone if absent. */
-    std::uint32_t find_slot(const Ring& ring, const Key& key,
-                            Ticket ticket) const;
+    /** @p key's slot; kNone if absent. */
+    std::uint32_t find_slot(const Ring& ring, const Key& key) const;
     /** Remove the live entry in @p slot (index, FIFO, free list).
      *  Returns the empty bucket that ended the backward shift. */
     std::uint32_t remove(Ring& ring, std::uint32_t slot);

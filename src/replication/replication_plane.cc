@@ -601,7 +601,7 @@ ReplicationPlane::mirror_response(NodeId from,
         if (claim.verdict == accel::ReplayWindow::Verdict::kCached) {
             continue;  // already completed here (absorbed digest)
         }
-        window->record_response(key, response, claim.ticket);
+        window->record_response(key, response);
         stats_.digest_completions.increment();
     }
 }

@@ -11,15 +11,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <cstddef>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <random>
 #include <sstream>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "accel/replay_window.h"
@@ -58,7 +55,7 @@ TEST(ReplayWindow, VerdictStateMachine)
     EXPECT_EQ(window.classify(k), ReplayWindow::Verdict::kInProgress);
     EXPECT_EQ(window.cached_response(k), nullptr);
 
-    window.record_response(k, response_for(k), {});
+    window.record_response(k, response_for(k));
     EXPECT_EQ(window.classify(k), ReplayWindow::Verdict::kCached);
     const net::TraversalPacket* cached = window.cached_response(k);
     ASSERT_NE(cached, nullptr);
@@ -93,7 +90,7 @@ TEST(ReplayWindow, ForgetDropsCompletedEntries)
     net::TraversalPacket bounce = response_for(k);
     bounce.status = isa::TraversalStatus::kNotLocal;
     bounce.iterations_done = k.visit;  // no iteration ran
-    window.record_response(k, bounce, {});
+    window.record_response(k, bounce);
     EXPECT_EQ(window.classify(k), ReplayWindow::Verdict::kCached);
 
     window.forget(k);
@@ -111,7 +108,7 @@ TEST(ReplayWindow, DistinctVisitsAreDistinctKeys)
     const auto v0 = key(0, 5, 0);
     const auto v3 = key(0, 5, 3);
     window.claim(v0);
-    window.record_response(v0, response_for(v0), {});
+    window.record_response(v0, response_for(v0));
     EXPECT_EQ(window.classify(v0), ReplayWindow::Verdict::kCached);
     EXPECT_EQ(window.classify(v3), ReplayWindow::Verdict::kNew);
 }
@@ -125,7 +122,7 @@ TEST(ReplayWindow, FifoEvictionWrapsPerClient)
         const auto k = key(0, seq);
         EXPECT_EQ(window.classify(k), ReplayWindow::Verdict::kNew);
         window.claim(k);
-        window.record_response(k, response_for(k), {});
+        window.record_response(k, response_for(k));
     }
     EXPECT_EQ(window.size(), 3u);
     // 7, 8, 9 survive; everything older reads as new again.
@@ -142,36 +139,33 @@ TEST(ReplayWindow, FifoEvictionWrapsPerClient)
     for (std::uint64_t seq = 0; seq < 3; seq++) {
         const auto k = key(1, seq);
         window.claim(k);
-        window.record_response(k, response_for(k), {});
+        window.record_response(k, response_for(k));
     }
     EXPECT_EQ(window.size(), 6u);
     EXPECT_EQ(window.classify(key(0, 9)),
               ReplayWindow::Verdict::kCached);
 }
 
-TEST(ReplayWindow, TicketSkipsTheProbeAndIsCheckedAgainstTheKey)
+TEST(ReplayWindow, NewVisitCostsTwoProbes)
 {
     ReplayWindow window(/*per_client_entries=*/1);
     const auto a = key(0, 1);
     const auto b = key(0, 2);
-    const ReplayWindow::Claim claimed = window.claim(a);
-    ASSERT_EQ(claimed.verdict, ReplayWindow::Verdict::kNew);
+    // Arrival (claim) and completion (record_response): one lookup each.
+    std::uint64_t before = window.probes();
+    ASSERT_EQ(window.claim(a).verdict, ReplayWindow::Verdict::kNew);
+    window.record_response(a, response_for(a));
+    EXPECT_EQ(window.probes(), before + 2);
+    EXPECT_EQ(window.classify(a), ReplayWindow::Verdict::kCached);
 
-    // b evicts a and takes over its slot: a's ticket is now stale.
+    // b evicts a and takes over its slot: recording a is a no-op that
+    // leaves b in progress.
     window.claim(b);
-    const std::uint64_t probes = window.probes();
-    window.record_response(a, response_for(a), claimed.ticket);
+    before = window.probes();
+    window.record_response(a, response_for(a));
+    EXPECT_EQ(window.probes(), before + 1);
     EXPECT_EQ(window.classify(b), ReplayWindow::Verdict::kInProgress);
     EXPECT_EQ(window.cached_response(a), nullptr);
-    EXPECT_EQ(window.probes(), probes + 3);  // fallback + 2 classify
-
-    // A fresh ticket reaches the slot with no probe at all.
-    const ReplayWindow::Claim held = window.claim(b);
-    ASSERT_EQ(held.verdict, ReplayWindow::Verdict::kInProgress);
-    const std::uint64_t before = window.probes();
-    window.record_response(b, response_for(b), held.ticket);
-    EXPECT_EQ(window.probes(), before);
-    EXPECT_EQ(window.classify(b), ReplayWindow::Verdict::kCached);
 }
 
 TEST(ReplayWindow, CopiesOnlyTheUsedBytes)
@@ -183,16 +177,23 @@ TEST(ReplayWindow, CopiesOnlyTheUsedBytes)
     isa::SpawnRecord record;
     record.start_ptr = 0x1000;
     response.spawns.push(record);
+    response.spawn_depth = 2;
+    response.parent_id = {0, 9};
+    response.branch_index = 3;
     window.claim(k);
-    window.record_response(k, response, {});
-    // Header, 40 scratch bytes, one spawn record, the lineage tail.
+    window.record_response(k, response);
+    // Header, 40 scratch bytes, one spawn record, and the 6-byte gap
+    // before and the 32-byte lineage tail after the spawn list.
     EXPECT_EQ(window.copy_bytes(),
-              104u + 40u + sizeof(isa::SpawnRecord) + 4u + 16u + 4u);
+              104u + 40u + sizeof(isa::SpawnRecord) + 6u + 32u);
     EXPECT_LT(window.copy_bytes(), sizeof(net::TraversalPacket) / 2);
     const net::TraversalPacket* cached = window.cached_response(k);
     ASSERT_NE(cached, nullptr);
     EXPECT_TRUE(cached->scratch == response.scratch);
     EXPECT_TRUE(cached->spawns == response.spawns);
+    EXPECT_EQ(cached->spawn_depth, 2u);
+    EXPECT_EQ(cached->parent_id, response.parent_id);
+    EXPECT_EQ(cached->branch_index, 3u);
 }
 
 TEST(ReplayWindow, StorageAllocatesOncePerClient)
@@ -206,12 +207,11 @@ TEST(ReplayWindow, StorageAllocatesOncePerClient)
     for (std::uint64_t seq = 1; seq < 2000; seq++) {
         for (ClientId client = 0; client < 2; client++) {
             const auto k = key(client, seq);
-            const ReplayWindow::Claim claimed = window.claim(k);
+            window.claim(k);
             if (seq % 7 == 0) {
                 window.unmark(k);
             } else {
-                window.record_response(k, response_for(k),
-                                       claimed.ticket);
+                window.record_response(k, response_for(k));
             }
             if (seq % 11 == 0) {
                 window.forget(key(client, seq - 3));
@@ -340,26 +340,6 @@ class Differential
         return p;
     }
 
-    /** A remembered ticket for @p k in window @p w, another key's, or
-     *  none — stale and foreign tickets must be caught. */
-    ReplayWindow::Ticket
-    random_ticket(std::size_t w, const ReplayWindow::Key& k)
-    {
-        const auto& tickets = tickets_[w];
-        switch (pick(3)) {
-          case 0: {
-            const auto it = tickets.find(k);
-            return it != tickets.end() ? it->second
-                                       : ReplayWindow::Ticket{};
-          }
-          case 1:
-            return tickets.empty() ? ReplayWindow::Ticket{}
-                                   : tickets.begin()->second;
-          default:
-            return {};
-        }
-    }
-
     std::string
     apply(std::uint64_t op, std::size_t w, const ReplayWindow::Key& k)
     {
@@ -371,9 +351,7 @@ class Differential
         switch (op) {
           case 0: {  // mark
             ref.mark_in_progress(rk);
-            const ReplayWindow::Claim claimed = window.claim(k);
-            tickets_[w][k] = claimed.ticket;
-            if (claimed.verdict != before) {
+            if (window.claim(k).verdict != before) {
                 error << "claim verdict differs";
             }
             break;
@@ -381,7 +359,7 @@ class Differential
           case 1: {  // record
             const net::TraversalPacket response = random_response(k);
             ref.record_response(rk, response);
-            window.record_response(k, response, random_ticket(w, k));
+            window.record_response(k, response);
             break;
           }
           case 2:  // unmark
@@ -432,7 +410,6 @@ class Differential
                 ref.mark_in_progress(rk);
             }
             const ReplayWindow::Claim claimed = window.claim(k);
-            tickets_[w][k] = claimed.ticket;
             if (claimed.verdict != before) {
                 error << "arrival verdict differs";
             } else if (before == Verdict::kCached) {
@@ -524,25 +501,12 @@ class Differential
         return "";
     }
 
-    struct KeyLess
-    {
-        bool
-        operator()(const ReplayWindow::Key& a,
-                   const ReplayWindow::Key& b) const
-        {
-            return std::tie(a.id, a.visit) < std::tie(b.id, b.visit);
-        }
-    };
-
     ClientId clients_;
     std::uint64_t seqs_;
     std::mt19937_64 rng_;
     int step_ = 0;
     std::vector<std::unique_ptr<ReplayWindow>> windows_;
     std::vector<std::unique_ptr<reference::ReplayWindow>> refs_;
-    std::array<std::map<ReplayWindow::Key, ReplayWindow::Ticket, KeyLess>,
-               kWindows>
-        tickets_;
 };
 
 TEST(ReplayWindowDifferential, MatchesReferenceOnRandomSequences)
