@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/knobs.h"
 #include "common/logging.h"
 #include "serve/qos.h"
 
@@ -18,8 +17,7 @@ Accelerator::Accelerator(sim::EventQueue& queue, net::Network& network,
       memory_(memory), channels_(channels), node_(node), config_(config),
       tcam_(config.tcam_entries),
       pending_(config.sched_policy, network.packets()),
-      replay_(config.replay_window_entries),
-      pooling_(knobs::pooling_enabled())
+      replay_(config.replay_window_entries)
 {
     PULSE_ASSERT(config.num_cores > 0, "accelerator needs cores");
     PULSE_ASSERT(config.eta_pipelines > 0, "eta must be >= 1");
@@ -159,9 +157,7 @@ void
 Accelerator::release_context(std::unique_ptr<Context> context)
 {
     packets_.release(context->packet);
-    if (pooling_) {
-        context_pool_.push_back(std::move(context));
-    }
+    context_pool_.push_back(std::move(context));
 }
 
 const isa::ProgramAnalysis*

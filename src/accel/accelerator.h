@@ -202,15 +202,6 @@ class Accelerator
     std::uint64_t contexts_created() const { return contexts_created_; }
     std::uint64_t contexts_reused() const { return contexts_reused_; }
 
-    /** Packet-storage telemetry: heap blocks allocated by the
-     *  admission-queue pool and the replay window's per-client
-     *  storage (bench_wallclock's packet-pool row). */
-    std::uint64_t
-    packet_pool_fresh() const
-    {
-        return pending_.pool_fresh() + replay_.allocations();
-    }
-
   private:
     /** One in-flight traversal bound to a workspace. */
     struct Context
@@ -307,11 +298,9 @@ class Accelerator
     /**
      * Context freelist: finished visits park their Context here instead
      * of freeing it, so the dispatch hot path stops allocating once the
-     * pool is warm. Disabled (acquire news, release frees) when
-     * PULSE_POOLING=off.
+     * pool is warm.
      */
     std::vector<std::unique_ptr<Context>> context_pool_;
-    bool pooling_ = true;
     std::uint64_t contexts_created_ = 0;
     std::uint64_t contexts_reused_ = 0;
     /**

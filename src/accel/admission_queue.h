@@ -26,7 +26,6 @@
 #include <map>
 
 #include "accel/accel_config.h"
-#include "common/pool_allocator.h"
 #include "net/packet_arena.h"
 
 namespace pulse::serve {
@@ -62,37 +61,8 @@ class AdmissionQueue
      *  false. */
     net::PacketHandle pop();
 
-    /** Heap blocks the backing pools had to allocate (bench_wallclock
-     *  attribution: steady state should add ~none). */
-    std::uint64_t
-    pool_fresh() const
-    {
-        std::uint64_t fresh = fifo_.get_allocator().state()->fresh() +
-                              per_flow_.get_allocator().state()->fresh();
-        for (const auto& [flow, fifo] : per_flow_) {
-            fresh += fifo.get_allocator().state()->fresh();
-        }
-        return fresh;
-    }
-
-    /** Heap blocks recycled from the pools instead of the heap. */
-    std::uint64_t
-    pool_reused() const
-    {
-        std::uint64_t reused =
-            fifo_.get_allocator().state()->reused() +
-            per_flow_.get_allocator().state()->reused();
-        for (const auto& [flow, fifo] : per_flow_) {
-            reused += fifo.get_allocator().state()->reused();
-        }
-        return reused;
-    }
-
   private:
-    /** Per-flow FIFOs churn as flows drain and re-arrive; the pools
-     *  recycle their blocks. */
-    using PacketDeque =
-        std::deque<net::PacketHandle, PoolAllocator<net::PacketHandle>>;
+    using PacketDeque = std::deque<net::PacketHandle>;
 
     /** The scheduling key: origin client (kFairShare) or tenant
      *  (kWeightedDrr). */
@@ -106,9 +76,7 @@ class AdmissionQueue
     std::size_t size_ = 0;
     PacketDeque fifo_;
     /** Non-FIFO policies: one FIFO per flow. */
-    std::map<std::uint32_t, PacketDeque, std::less<std::uint32_t>,
-             PoolAllocator<std::pair<const std::uint32_t, PacketDeque>>>
-        per_flow_;
+    std::map<std::uint32_t, PacketDeque> per_flow_;
     /** Flows with queued work, in service order (see file comment). */
     std::deque<std::uint32_t> ring_;
     /** kWeightedDrr: remaining deficit of each flow's current round.

@@ -1,10 +1,12 @@
 #include "check/fuzzer.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -58,22 +60,31 @@ json_value_pos(const std::string& text, const std::string& key)
     return pos;
 }
 
+/**
+ * Read @p key's value into @p out when the key is present (an absent
+ * key leaves @p out as it is). False with @p error naming the key when
+ * the value is not a whole number in [0, @p max].
+ */
 bool
-json_u64(const std::string& text, const std::string& key,
-         std::uint64_t* out)
+json_uint(const std::string& text, const std::string& key,
+          std::uint64_t max, std::uint64_t* out, std::string* error)
 {
     const std::size_t pos = json_value_pos(text, key);
-    if (pos == std::string::npos || pos >= text.size()) {
-        return false;
+    if (pos == std::string::npos) {
+        return true;
     }
+    const char* begin = text.data() + pos;
+    const char* end = text.data() + text.size();
     std::uint64_t value = 0;
-    std::size_t digits = 0;
-    for (std::size_t i = pos;
-         i < text.size() && text[i] >= '0' && text[i] <= '9'; i++) {
-        value = value * 10 + static_cast<std::uint64_t>(text[i] - '0');
-        digits++;
-    }
-    if (digits == 0) {
+    const auto [ptr, ec] = std::from_chars(begin, end, value);
+    const bool ends = ptr == end ||
+                      std::string_view(",} \t\r\n").find(*ptr) !=
+                          std::string_view::npos;
+    if (ptr == begin || ec != std::errc() || !ends || value > max) {
+        if (error != nullptr) {
+            *error = "\"" + key + "\": not a whole number in [0, " +
+                     std::to_string(max) + "]";
+        }
         return false;
     }
     *out = value;
@@ -676,11 +687,13 @@ FuzzCase::from_json(const std::string& text, FuzzCase* out,
                     std::string* error)
 {
     FuzzCase c;
-    std::uint64_t value = 0;
-    if (!json_u64(text, "seed", &c.seed)) {
+    if (json_value_pos(text, "seed") == std::string::npos) {
         if (error != nullptr) {
             *error = "missing \"seed\"";
         }
+        return false;
+    }
+    if (!json_uint(text, "seed", UINT64_MAX, &c.seed, error)) {
         return false;
     }
     if (!json_string(text, "mode", &c.mode)) {
@@ -710,23 +723,20 @@ FuzzCase::from_json(const std::string& text, FuzzCase* out,
         }
         return false;
     }
-    if (json_u64(text, "ops", &value)) {
-        c.ops = static_cast<std::uint32_t>(value);
-    }
-    if (json_u64(text, "concurrency", &value)) {
-        c.concurrency = static_cast<std::uint32_t>(value);
-    }
-    if (json_u64(text, "nodes", &value)) {
-        c.nodes = static_cast<std::uint32_t>(value);
-    }
-    if (json_u64(text, "forks", &value)) {
-        c.forks = static_cast<std::uint32_t>(value);
-    }
-    if (json_u64(text, "fork_depth", &value)) {
-        c.fork_depth = static_cast<std::uint32_t>(value);
-    }
-    if (json_u64(text, "tenants", &value)) {
-        c.tenants = static_cast<std::uint32_t>(value);
+    const std::pair<const char*, std::uint32_t*> fields[] = {
+        {"ops", &c.ops},
+        {"concurrency", &c.concurrency},
+        {"nodes", &c.nodes},
+        {"forks", &c.forks},
+        {"fork_depth", &c.fork_depth},
+        {"tenants", &c.tenants},
+    };
+    for (const auto& [key, field] : fields) {
+        std::uint64_t value = *field;
+        if (!json_uint(text, key, UINT32_MAX, &value, error)) {
+            return false;
+        }
+        *field = static_cast<std::uint32_t>(value);
     }
     *out = c;
     return true;

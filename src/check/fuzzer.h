@@ -85,7 +85,9 @@ struct FuzzCase
     /**
      * Parse the flat JSON produced by to_json (tolerates whitespace
      * and reordered keys; unknown keys are ignored). Returns false
-     * with @p error set on malformed input or unknown enum values.
+     * with @p error set on malformed input, unknown enum values, or a
+     * number key whose value is not a whole number that fits its
+     * field (the error names the key).
      */
     static bool from_json(const std::string& text, FuzzCase* out,
                           std::string* error = nullptr);

@@ -31,7 +31,6 @@ constexpr Spec kTable[] = {
     {"PULSE_REPLICATION", Kind::kModes, "unset, empty, off, k2, k3",
      {"k2", "k3"}},
     {"PULSE_SERVING", Kind::kModes, "unset, empty, off, on", {"on"}},
-    {"PULSE_POOLING", Kind::kModes, "unset, empty, off", {"off"}},
     {"PULSE_BENCH_THREADS", Kind::kNumber,
      "unset, empty, off, or a positive integer", {},
      NumberRule::kPositiveInteger},
@@ -157,17 +156,6 @@ validate_env(std::string* error)
         }
     }
     return true;
-}
-
-bool
-pooling_enabled()
-{
-    static const bool enabled = [] {
-        Value value;
-        return !read(Knob::kPooling, &value, nullptr) ||
-               value.modes != kPoolingOff;
-    }();
-    return enabled;
 }
 
 }  // namespace pulse::knobs

@@ -6,10 +6,10 @@
  *
  * One grammar: unset, empty and "off" select the default (off, for
  * every plane). Otherwise a mode knob takes one of its named modes
- * (PULSE_CHECK: also "all" or a comma list; PULSE_POOLING's one mode
- * is "off"), a number knob a number that parses whole and is in
- * range, a path knob any path. Anything else is an error naming the
- * knob and the values it accepts; parsing never aborts.
+ * (PULSE_CHECK: also "all" or a comma list), a number knob a number
+ * that parses whole and is in range, a path knob any path. Anything
+ * else is an error naming the knob and the values it accepts; parsing
+ * never aborts.
  */
 #ifndef PULSE_COMMON_KNOBS_H
 #define PULSE_COMMON_KNOBS_H
@@ -22,7 +22,7 @@ namespace pulse::knobs {
 
 /** The knobs, in table order. */
 enum class Knob : std::uint8_t {
-    kCheck, kPlacement, kReplication, kServing, kPooling,
+    kCheck, kPlacement, kReplication, kServing,
     kBenchThreads, kBenchOpsScale, kMetricsOut, kBenchWallclockOut,
 };
 
@@ -31,7 +31,7 @@ inline constexpr std::uint32_t kCheckOracle = 1, kCheckInvariants = 2,
                                kCheckFailFast = 4;
 inline constexpr std::uint32_t kPlacementStatic = 1, kPlacementElastic = 2;
 inline constexpr std::uint32_t kReplicationK2 = 1, kReplicationK3 = 2;
-inline constexpr std::uint32_t kServingOn = 1, kPoolingOff = 1;
+inline constexpr std::uint32_t kServingOn = 1;
 
 /** What a number must be. */
 enum class NumberRule : std::uint8_t {
@@ -68,13 +68,6 @@ bool validate_env(std::string* error);
  */
 bool parse_number(std::string_view label, std::string_view text,
                   NumberRule rule, double* out, std::string* error);
-
-/**
- * False when PULSE_POOLING=off selects the naive per-event allocation
- * paths. Read once per process; a malformed value keeps pooling on,
- * since every bench and tool has rejected it through validate_env().
- */
-bool pooling_enabled();
 
 }  // namespace pulse::knobs
 

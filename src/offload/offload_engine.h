@@ -27,7 +27,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/pool_allocator.h"
 #include "common/scratch_buffer.h"
 #include "common/serial.h"
 #include "common/stats.h"
@@ -231,19 +230,6 @@ class OffloadEngine
     /** Operations still in flight. */
     std::size_t inflight() const { return inflight_.size(); }
 
-    /** In-flight-map pool telemetry (bench_wallclock attribution). */
-    std::uint64_t
-    pool_fresh() const
-    {
-        return inflight_.get_allocator().state()->fresh();
-    }
-
-    std::uint64_t
-    pool_reused() const
-    {
-        return inflight_.get_allocator().state()->reused();
-    }
-
     const OffloadStats& stats() const { return stats_; }
     void reset_stats() { stats_ = OffloadStats{}; }
     const OffloadConfig& config() const { return config_; }
@@ -368,15 +354,7 @@ class OffloadEngine
     ClientId client_;
     OffloadConfig config_;
     std::uint64_t next_seq_ = 1;
-    /**
-     * In-flight table churns once per operation; the pool allocator
-     * recycles its nodes so the steady state allocates nothing.
-     */
-    std::unordered_map<
-        std::uint64_t, InFlight, std::hash<std::uint64_t>,
-        std::equal_to<std::uint64_t>,
-        PoolAllocator<std::pair<const std::uint64_t, InFlight>>>
-        inflight_;
+    std::unordered_map<std::uint64_t, InFlight> inflight_;
     std::unordered_map<const isa::Program*, isa::ProgramAnalysis>
         analysis_cache_;
     /** Lifetime pins backing TraversalPacket's non-owning code refs. */

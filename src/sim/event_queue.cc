@@ -4,12 +4,9 @@
 #include <utility>
 
 #include "check/invariants.h"
-#include "common/knobs.h"
 #include "common/logging.h"
 
 namespace pulse::sim {
-
-EventQueue::EventQueue() : coalescing_(knobs::pooling_enabled()) {}
 
 std::uint32_t
 EventQueue::acquire_slot(EventFn&& fn)
@@ -93,24 +90,19 @@ EventQueue::schedule_at(Time when, EventFn fn)
                  static_cast<long long>(now_));
     const std::uint32_t slot = acquire_slot(std::move(fn));
     const std::uint64_t sequence = next_sequence_++;
-    if (coalescing_) {
-        ChainRef& ref = chains_[chain_index(when)];
-        if (ref.when == when && ref.head != kNilSlot) {
-            // An earlier event at this exact timestamp is still
-            // heaped: append instead of paying a heap push. The
-            // append's sequence exceeds every sequence already in the
-            // chain (the counter is monotone), and any chain heaped
-            // later for this timestamp starts at a yet higher
-            // sequence, so FIFO order among equal timestamps is
-            // preserved exactly.
-            chain_next_[ref.tail] = slot;
-            ref.tail = slot;
-            coalesced_++;
-        } else {
-            ref = ChainRef{when, slot, slot};
-            heap_push(Entry{when, sequence, slot});
-        }
+    ChainRef& ref = chains_[chain_index(when)];
+    if (ref.when == when && ref.head != kNilSlot) {
+        // An earlier event at this exact timestamp is still heaped:
+        // append instead of paying a heap push. The append's sequence
+        // exceeds every sequence already in the chain (the counter is
+        // monotone), and any chain heaped later for this timestamp
+        // starts at a yet higher sequence, so FIFO order among equal
+        // timestamps is preserved exactly.
+        chain_next_[ref.tail] = slot;
+        ref.tail = slot;
+        coalesced_++;
     } else {
+        ref = ChainRef{when, slot, slot};
         heap_push(Entry{when, sequence, slot});
     }
     pending_++;
@@ -213,15 +205,6 @@ EventQueue::run_while_pending(const std::function<bool()>& predicate)
         }
     }
     return true;
-}
-
-void
-EventQueue::set_coalescing(bool enabled)
-{
-    coalescing_ = enabled;
-    // Drop cached chain refs: after a disable/enable cycle they could
-    // name slots that have since been recycled.
-    chains_.fill(ChainRef{});
 }
 
 void

@@ -9,8 +9,7 @@
 set -eu
 here=$(cd "$(dirname "$0")" && pwd)
 build=${1:-build}
-unset PULSE_CHECK PULSE_PLACEMENT PULSE_REPLICATION PULSE_SERVING \
-      PULSE_POOLING
+unset PULSE_CHECK PULSE_PLACEMENT PULSE_REPLICATION PULSE_SERVING
 cmake --build "$build" --target fig4_latency fig5_throughput fig9_breakdown \
       test_checkpoint test_serving
 cmake -DBENCH_DIR="$build/bench" -DGOLDEN_DIR="$here" \

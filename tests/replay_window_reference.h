@@ -3,8 +3,8 @@
  * Reference oracle for tests/test_replay_window.cc: the replay window
  * as it was before the flat per-client storage, kept verbatim (a
  * node-based unordered_map of by-value entries plus a per-client
- * deque for FIFO eviction), only moved into its own namespace and
- * made header-only. The differential test drives it and
+ * deque for FIFO eviction), only moved into its own namespace, made
+ * header-only and put on the default allocator. The differential test drives it and
  * accel::ReplayWindow with the same operation sequences.
  */
 #ifndef PULSE_TESTS_REPLAY_WINDOW_REFERENCE_H
@@ -19,7 +19,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/pool_allocator.h"
 #include "common/types.h"
 #include "net/packet.h"
 
@@ -144,30 +143,6 @@ class ReplayWindow
 
     std::size_t size() const { return entries_.size(); }
 
-    /** Heap blocks the entry/order pools had to allocate (bench
-     *  attribution: plateaus once the FIFO budget is reached). */
-    std::uint64_t
-    pool_fresh() const
-    {
-        std::uint64_t fresh = entries_.get_allocator().state()->fresh();
-        for (const auto& [client, order] : order_) {
-            fresh += order.get_allocator().state()->fresh();
-        }
-        return fresh;
-    }
-
-    /** Heap blocks recycled from the pools instead of the heap. */
-    std::uint64_t
-    pool_reused() const
-    {
-        std::uint64_t reused =
-            entries_.get_allocator().state()->reused();
-        for (const auto& [client, order] : order_) {
-            reused += order.get_allocator().state()->reused();
-        }
-        return reused;
-    }
-
   private:
     struct Entry
     {
@@ -180,17 +155,13 @@ class ReplayWindow
     std::size_t capacity_;
     /**
      * Once the FIFO budget is reached, every visit is one insert plus
-     * one eviction — pooled node recycling keeps that churn off the
-     * heap. Each Entry embeds its cached packet by value (~0.9 KiB),
-     * one copy per visit; packets in flight live in the network's
-     * PacketArena instead.
+     * one eviction. Each Entry embeds its cached packet by value
+     * (~0.9 KiB), one copy per visit; packets in flight live in the
+     * network's PacketArena instead.
      */
-    std::unordered_map<Key, Entry, KeyHash, std::equal_to<Key>,
-                       PoolAllocator<std::pair<const Key, Entry>>>
-        entries_;
+    std::unordered_map<Key, Entry, KeyHash> entries_;
     /** Insertion order per client for FIFO eviction. */
-    std::unordered_map<ClientId, std::deque<Key, PoolAllocator<Key>>>
-        order_;
+    std::unordered_map<ClientId, std::deque<Key>> order_;
     /** In-progress visits absorbed elsewhere at a migration cutover;
      *  their completion must be mirrored to the absorbing windows. */
     std::unordered_set<Key, KeyHash> handed_off_;

@@ -223,7 +223,6 @@ TEST(EventQueueDeath, SchedulingIntoThePastPanics)
 TEST(EventQueueCoalescing, ChainsPreserveFifoOrder)
 {
     EventQueue queue;
-    queue.set_coalescing(true);
     std::vector<int> order;
     // Interleave two timestamps so chains grow out of arrival order.
     for (int i = 0; i < 16; i++) {
@@ -247,7 +246,6 @@ TEST(EventQueueCoalescing, ManyTimestampsEvictTheCacheSafely)
     // slots: evicted timestamps fall back to plain heap entries, and
     // order is still globally correct.
     EventQueue queue;
-    queue.set_coalescing(true);
     std::vector<Time> fired;
     for (int pass = 0; pass < 2; pass++) {
         for (Time t = 1; t <= 300; t++) {
@@ -266,7 +264,6 @@ TEST(EventQueueCoalescing, SchedulingDuringDrainJoinsTheChain)
     // An event scheduled *at the current timestamp while its chain is
     // draining* must still run within this drain, in FIFO position.
     EventQueue queue;
-    queue.set_coalescing(true);
     std::vector<int> order;
     queue.schedule_at(10, [&] {
         order.push_back(0);
@@ -278,27 +275,9 @@ TEST(EventQueueCoalescing, SchedulingDuringDrainJoinsTheChain)
     EXPECT_EQ(queue.now(), 10);
 }
 
-TEST(EventQueueCoalescing, OffKnobExecutesIdentically)
-{
-    const auto run_once = [](bool coalesce) {
-        EventQueue queue;
-        queue.set_coalescing(coalesce);
-        std::vector<int> order;
-        for (int i = 0; i < 32; i++) {
-            queue.schedule_at((i % 4) * 10,
-                              [&order, i] { order.push_back(i); });
-        }
-        queue.run();
-        return std::make_tuple(order, queue.now(),
-                               queue.events_executed());
-    };
-    EXPECT_EQ(run_once(true), run_once(false));
-}
-
 TEST(EventQueueCoalescing, RunUntilRespectsChainedDeadline)
 {
     EventQueue queue;
-    queue.set_coalescing(true);
     int before = 0;
     int after = 0;
     for (int i = 0; i < 4; i++) {
@@ -316,7 +295,6 @@ TEST(EventQueueCoalescing, RunUntilRespectsChainedDeadline)
 TEST(EventQueueCoalescing, CountersTrackChainedEvents)
 {
     EventQueue queue;
-    queue.set_coalescing(true);
     for (int i = 0; i < 10; i++) {
         queue.schedule_at(7, [] {});
     }
@@ -416,19 +394,14 @@ TEST(EventQueueHeap, MatchesPriorityQueueReferenceOrder)
 {
     const std::vector<Fired> expected = reference_order();
     ASSERT_GE(expected.size(), 100'000u);
-    for (const bool coalesce : {true, false}) {
-        auto run = std::make_unique<DifferentialRun>();
-        run->queue.set_coalescing(coalesce);
-        for (std::uint64_t i = 0; i < kSeedEvents; i++) {
-            run->schedule(seed_time(i));
-        }
-        run->queue.run();
-        EXPECT_EQ(run->order, expected) << "coalescing " << coalesce;
-        EXPECT_EQ(run->queue.events_executed(), expected.size());
-        if (coalesce) {
-            EXPECT_GT(run->queue.events_coalesced(), 0u);
-        }
+    auto run = std::make_unique<DifferentialRun>();
+    for (std::uint64_t i = 0; i < kSeedEvents; i++) {
+        run->schedule(seed_time(i));
     }
+    run->queue.run();
+    EXPECT_EQ(run->order, expected);
+    EXPECT_EQ(run->queue.events_executed(), expected.size());
+    EXPECT_GT(run->queue.events_coalesced(), 0u);
 }
 
 }  // namespace

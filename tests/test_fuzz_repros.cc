@@ -17,6 +17,8 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "check/fuzzer.h"
@@ -113,6 +115,40 @@ TEST(FuzzCase, JsonRoundTrips)
     EXPECT_FALSE(FuzzCase::from_json("not json", &parsed, &error));
     EXPECT_FALSE(FuzzCase::from_json("{\"mode\": \"bogus\"}", &parsed,
                                      &error));
+
+    // A number that overflows its field, or a key whose value is not a
+    // number, is rejected with an error naming the key.
+    const std::pair<const char*, const char*> bad[] = {
+        {"seed", "123456789012345678901"},
+        {"seed", "18446744073709551616"},
+        {"nodes", "4294967298"},
+        {"nodes", "4294967296"},
+        {"nodes", "-1"},
+        {"ops", "\"x\""},
+        {"concurrency", "1e3"},
+        {"forks", "2.5"},
+        {"fork_depth", "true"},
+        {"tenants", ""},
+    };
+    for (const auto& [key, value] : bad) {
+        const std::string seed =
+            std::string(key) == "seed" ? "" : "\"seed\": 7, ";
+        const std::string json = "{\"mode\": \"workload\", " + seed +
+                                 "\"" + key + "\": " + value + "}";
+        error.clear();
+        EXPECT_FALSE(FuzzCase::from_json(json, &parsed, &error)) << json;
+        EXPECT_NE(error.find("\"" + std::string(key) + "\""),
+                  std::string::npos)
+            << json << ": " << error;
+    }
+    // The largest values that fit still parse.
+    ASSERT_TRUE(FuzzCase::from_json(
+        "{\"mode\": \"workload\", \"seed\": 18446744073709551615, "
+        "\"nodes\": 4294967295}",
+        &parsed, &error))
+        << error;
+    EXPECT_EQ(parsed.seed, UINT64_MAX);
+    EXPECT_EQ(parsed.nodes, UINT32_MAX);
 }
 
 TEST(FuzzGenerator, RandomCasesAreDeterministic)

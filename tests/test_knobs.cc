@@ -50,22 +50,20 @@ class ScopedEnv
 };
 
 constexpr Knob kAll[] = {
-    Knob::kCheck,         Knob::kPlacement,    Knob::kReplication,
-    Knob::kServing,       Knob::kPooling,      Knob::kBenchThreads,
-    Knob::kBenchOpsScale, Knob::kMetricsOut,   Knob::kBenchWallclockOut,
+    Knob::kCheck,        Knob::kPlacement,     Knob::kReplication,
+    Knob::kServing,      Knob::kBenchThreads,  Knob::kBenchOpsScale,
+    Knob::kMetricsOut,   Knob::kBenchWallclockOut,
 };
 
 std::vector<Case>
 cases()
 {
     std::vector<Case> all;
-    // Unset, empty and off select the default for every knob, except
-    // that off is PULSE_POOLING's one mode.
+    // Unset, empty and off select the default for every knob.
     for (const Knob knob : kAll) {
-        const std::uint32_t off = knob == Knob::kPooling ? kPoolingOff : 0;
         all.push_back({knob, nullptr, true});
         all.push_back({knob, "", true});
-        all.push_back({knob, "off", true, off});
+        all.push_back({knob, "off", true});
     }
     const std::vector<Case> modes = {
         {Knob::kCheck, "all", true,
@@ -88,7 +86,6 @@ cases()
         {Knob::kReplication, "2", false},
         {Knob::kServing, "on", true, kServingOn},
         {Knob::kServing, "1", false},
-        {Knob::kPooling, "0", false},
         {Knob::kBenchThreads, "4", true, 0, 4.0},
         {Knob::kBenchThreads, "4x", false},
         {Knob::kBenchThreads, "-3", false},

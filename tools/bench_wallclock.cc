@@ -352,8 +352,8 @@ main(int argc, char** argv)
     // enough for every pool to plateau (the replay window's FIFO budget
     // is the slowest, hence 4096 ops), then allocation and event
     // counters are snapshotted at measure start. The breakdown rows
-    // attribute the remaining window allocations to their subsystem
-    // pools so future regressions name their source.
+    // attribute the remaining window allocations to the visit-context
+    // and event-slot pools; the rest count under "other".
     {
         RunSpec spec =
             main_spec(App::kUpc, core::SystemKind::kPulse, 1);
@@ -365,18 +365,6 @@ main(int argc, char** argv)
         core::Cluster& cluster = *experiment.cluster;
         sim::EventQueue& queue = cluster.queue();
 
-        const auto packet_fresh = [&cluster] {
-            std::uint64_t fresh = 0;
-            for (NodeId node = 0;
-                 node < cluster.config().num_mem_nodes; node++) {
-                fresh += cluster.accelerator(node).packet_pool_fresh();
-            }
-            for (ClientId client = 0;
-                 client < cluster.config().num_clients; client++) {
-                fresh += cluster.offload_engine(client).pool_fresh();
-            }
-            return fresh;
-        };
         // Packets the accelerators received since the last stats
         // reset: one replay-window visit each.
         const auto visits_since_reset = [&cluster] {
@@ -400,7 +388,6 @@ main(int argc, char** argv)
 
         std::uint64_t window_allocs = 0;
         std::uint64_t window_events = 0;
-        std::uint64_t window_packet_fresh = 0;
         std::uint64_t window_contexts = 0;
         std::uint64_t window_queue_slots = 0;
         std::uint64_t warmup_visits = 0;
@@ -418,7 +405,6 @@ main(int argc, char** argv)
             cluster.reset_stats();
             window_allocs = allocs_now();
             window_events = queue.events_executed();
-            window_packet_fresh = packet_fresh();
             window_contexts = contexts_created();
             window_queue_slots = queue.pool_slots();
             window_coalesced = queue.events_coalesced();
@@ -435,14 +421,11 @@ main(int argc, char** argv)
         const std::uint64_t allocs = allocs_now() - window_allocs;
         const std::uint64_t events =
             queue.events_executed() - window_events;
-        const std::uint64_t packet_allocs =
-            packet_fresh() - window_packet_fresh;
         const std::uint64_t visit_allocs =
             contexts_created() - window_contexts;
         const std::uint64_t queue_allocs =
             queue.pool_slots() - window_queue_slots;
-        const std::uint64_t attributed =
-            packet_allocs + visit_allocs + queue_allocs;
+        const std::uint64_t attributed = visit_allocs + queue_allocs;
         const std::uint64_t coalesced =
             queue.events_coalesced() - window_coalesced;
         const std::uint64_t batches =
@@ -462,8 +445,6 @@ main(int argc, char** argv)
         exporter.set("sim.setup.allocs",
                      static_cast<double>(window_allocs -
                                          total_allocs_before));
-        exporter.set("sim.breakdown.packet_pool",
-                     static_cast<double>(packet_allocs));
         exporter.set("sim.breakdown.visit_contexts",
                      static_cast<double>(visit_allocs));
         exporter.set("sim.breakdown.queue_slots",
@@ -512,11 +493,10 @@ main(int argc, char** argv)
         exporter.set("sim.arena.live_at_end",
                      static_cast<double>(arena.live()));
         std::printf("simulation cell: %" PRIu64 " steady-state events, "
-                    "%.4f allocs/event (packet %" PRIu64 ", visit %"
-                    PRIu64 ", queue %" PRIu64 ", other %" PRIu64 "), "
+                    "%.4f allocs/event (visit %" PRIu64 ", queue %"
+                    PRIu64 ", other %" PRIu64 "), "
                     "%" PRIu64 " coalesced into %" PRIu64 " batches\n",
-                    events, allocs_per_event, packet_allocs,
-                    visit_allocs, queue_allocs,
+                    events, allocs_per_event, visit_allocs, queue_allocs,
                     allocs > attributed ? allocs - attributed : 0,
                     coalesced, batches);
         std::printf("packet arena: peak %zu slots, %zu live at end\n",
