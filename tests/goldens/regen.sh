@@ -10,8 +10,8 @@ set -eu
 here=$(cd "$(dirname "$0")" && pwd)
 build=${1:-build}
 unset PULSE_CHECK PULSE_PLACEMENT PULSE_REPLICATION PULSE_SERVING
-cmake --build "$build" --target fig4_latency fig5_throughput fig9_breakdown \
-      test_checkpoint test_serving
+cmake --build "$build" --target fig4_latency fig5_throughput fig8_distributed \
+      fig9_breakdown table2_workloads test_checkpoint test_serving
 cmake -DBENCH_DIR="$build/bench" -DGOLDEN_DIR="$here" \
       -DWORK_DIR="$build/golden" -DREGEN=ON -P "$here/check_goldens.cmake"
 {
