@@ -45,10 +45,9 @@ double
 program_eta(core::Cluster& cluster,
             const std::shared_ptr<const isa::Program>& program)
 {
-    const auto& analysis =
-        cluster.offload_engine().analysis_for(program);
-    const auto& config = cluster.offload_engine().config();
-    return compute_eta(analysis, config.t_i, config.t_d);
+    const accel::AccelConfig& accel = cluster.config().accel;
+    return compute_eta(program->analysis(), accel.logic_time_per_insn,
+                       accel.mem_pipeline_latency);
 }
 
 void

@@ -18,6 +18,7 @@
 #include <iostream>
 #include <sstream>
 
+#include "accel/accel_config.h"
 #include "isa/analysis.h"
 #include "isa/assembler.h"
 #include "isa/codec.h"
@@ -81,10 +82,12 @@ main(int argc, char** argv)
         return 1;
     }
 
-    const isa::ProgramAnalysis analysis = isa::analyze(program);
+    const isa::ProgramAnalysis& analysis = program.analysis();
     const offload::OffloadConfig offload_defaults;
-    const double eta = compute_eta(analysis, offload_defaults.t_i,
-                                   offload_defaults.t_d);
+    const accel::AccelConfig accel_defaults;
+    const Time t_i = accel_defaults.logic_time_per_insn;
+    const double eta =
+        compute_eta(analysis, t_i, accel_defaults.mem_pipeline_latency);
 
     std::printf("verification        : OK\n");
     std::printf("instructions        : %u (worst logic path %u)\n",
@@ -100,10 +103,8 @@ main(int argc, char** argv)
                 analysis.has_store ? "yes" : "no",
                 analysis.has_div ? "yes" : "no");
     std::printf("t_c                 : %s (t_i = %s per instruction)\n",
-                format_time(compute_time(analysis,
-                                         offload_defaults.t_i))
-                    .c_str(),
-                format_time(offload_defaults.t_i).c_str());
+                format_time(compute_time(analysis, t_i)).c_str(),
+                format_time(t_i).c_str());
     std::printf("eta (t_c / t_d)     : %.3f\n", eta);
     std::printf("offload verdict     : %s (threshold %.2f)\n",
                 eta <= offload_defaults.eta_threshold
@@ -113,7 +114,7 @@ main(int argc, char** argv)
     std::printf("wire size           : %llu B installed, %llu B "
                 "diagnostic\n",
                 static_cast<unsigned long long>(
-                    isa::wire_code_size(program)),
+                    program.wire_code_size()),
                 static_cast<unsigned long long>(
                     isa::encoded_size(program)));
     if (analysis.max_data_ref > analysis.load_bytes) {

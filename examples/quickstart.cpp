@@ -45,7 +45,7 @@ main()
     auto program = list.find_program();
     std::printf("\nfind() as pulse ISA (%u instructions):\n%s",
                 program->size(), program->disassemble().c_str());
-    const auto analysis = isa::analyze(*program);
+    const isa::ProgramAnalysis& analysis = program->analysis();
     std::printf("worst-case logic path: %u instructions, "
                 "load footprint: %u bytes\n",
                 analysis.worst_path_instructions, analysis.load_bytes);

@@ -90,14 +90,6 @@ struct AccelConfig
      */
     std::uint32_t logic_pipeline_depth = 8;
 
-    /**
-     * When true (pulse), a traversal whose next pointer is not local is
-     * sent to the switch for re-routing to the owning node (section 5).
-     * When false (the pulse-ACC ablation of section 7.2), it returns to
-     * the origin client, which re-issues the request.
-     */
-    bool forward_via_switch = true;
-
     /** TCAM capacity (range entries) for local translations. */
     std::uint32_t tcam_entries = 64;
 

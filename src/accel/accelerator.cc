@@ -142,7 +142,6 @@ Accelerator::acquire_context()
         // configure() re-zeroes the workspace on the valid-program
         // path; reset the rest here so even the invalid-program early
         // exit never sees a previous visit's state.
-        context->analysis = nullptr;
         context->iterations_this_visit = 0;
         context->arrival_iterations = 0;
         context->workspace.cur_ptr = kNullAddr;
@@ -158,19 +157,6 @@ Accelerator::release_context(std::unique_ptr<Context> context)
 {
     packets_.release(context->packet);
     context_pool_.push_back(std::move(context));
-}
-
-const isa::ProgramAnalysis*
-Accelerator::analysis_for(const isa::Program* program)
-{
-    const auto it = analysis_cache_.find(program);
-    if (it != analysis_cache_.end()) {
-        return &it->second;
-    }
-    auto [pos, inserted] =
-        analysis_cache_.emplace(program, isa::analyze(*program));
-    (void)inserted;
-    return &pos->second;
 }
 
 Time
@@ -275,14 +261,13 @@ Accelerator::admit(net::PacketHandle packet)
     queue_.schedule_after(dispatch, [this, packet] {
         if (serving_ != nullptr) {
             // QoS admission: charge fresh roots against the tenant's
-            // traversal quota. A throttled packet has been moved out
-            // of its slot into the controller's park queue (re-enters
-            // via readmit() when the bucket refills).
-            switch (serving_->charge(node_, packets_[packet])) {
+            // traversal quota. A throttled packet's handle now sits in
+            // the controller's park queue (re-enters via readmit()
+            // when the bucket refills).
+            switch (serving_->charge(node_, packet)) {
               case serve::QosController::Verdict::kAdmit:
                 break;
               case serve::QosController::Verdict::kThrottle:
-                packets_.release(packet);
                 return;
               case serve::QosController::Verdict::kShed:
                 shed_reject(packet);
@@ -333,16 +318,17 @@ Accelerator::set_serving(serve::QosController* serving)
 }
 
 void
-Accelerator::readmit(net::TraversalPacket&& packet)
+Accelerator::readmit(net::PacketHandle handle)
 {
     // The controller stamped queued_at when it parked the packet; the
     // span covers the full time spent waiting for quota tokens.
+    const net::TraversalPacket& packet = packets_[handle];
     if (tracing(packet)) {
         record_span(packet, trace::SpanKind::kAccelQosThrottle,
                     packet.trace.queued_at,
                     queue_.now() - packet.trace.queued_at);
     }
-    place(packets_.acquire(packet));
+    place(handle);
 }
 
 void
@@ -461,8 +447,7 @@ Accelerator::try_dispatch(net::PacketHandle handle)
                            "failed to suppress a duplicate)"});
         }
     }
-    context->analysis = analysis_for(packet.code);
-    if (!context->analysis->valid) {
+    if (!packet.code->analysis().valid) {
         // Reject malformed programs with an execution fault response.
         send_response(*context, TraversalStatus::kExecFault,
                       isa::ExecFault::kIllegalInstruction);
@@ -790,27 +775,24 @@ Accelerator::send_response(Context& context, TraversalStatus status,
     response.is_response = true;
     response.status = status;
     response.fault = fault;
-    response.cur_ptr = (context.analysis != nullptr &&
-                        context.analysis->valid)
-                           ? context.workspace.cur_ptr
-                           : request.cur_ptr;
+    const isa::ProgramAnalysis& analysis = request.code->analysis();
+    response.cur_ptr =
+        analysis.valid ? context.workspace.cur_ptr : request.cur_ptr;
     response.iterations_done = request.iterations_done;
     response.visit_echo = request.visit_echo;
     response.trace = net::TraceContext{.sampled = request.trace.sampled};
     response.checksum = 0;
-    response.allow_switch_continuation =
-        request.allow_switch_continuation && config_.forward_via_switch;
+    // pulse vs pulse-ACC: the issuing engine stamped the mode
+    // (OffloadConfig::switch_continuation) on the request.
+    response.allow_switch_continuation = request.allow_switch_continuation;
     response.code = request.code;
     // Responses and forwarded continuations reference installed code.
     response.code_size = net::kCodeIdBytes;
 
     // Ship the scratch_pad footprint (state travels with the request,
     // section 5's stateful-continuation mechanism).
-    const std::size_t footprint =
-        context.analysis != nullptr
-            ? std::max<std::size_t>(context.analysis->scratch_footprint,
-                                    request.scratch.size())
-            : request.scratch.size();
+    const std::size_t footprint = std::max<std::size_t>(
+        analysis.scratch_footprint, request.scratch.size());
     response.scratch.assign(
         context.workspace.scratch.data(),
         std::min(footprint, context.workspace.scratch.size()));

@@ -20,12 +20,9 @@
 #ifndef PULSE_ACCEL_ACCELERATOR_H
 #define PULSE_ACCEL_ACCELERATOR_H
 
-#include <deque>
 #include <memory>
-#include <unordered_map>
-#include <vector>
-
 #include <unordered_set>
+#include <vector>
 
 #include "accel/accel_config.h"
 #include "accel/admission_queue.h"
@@ -34,7 +31,7 @@
 #include "common/serial.h"
 #include "common/stats.h"
 #include "faults/fault_plane.h"
-#include "isa/analysis.h"
+#include "isa/program.h"
 #include "mem/global_memory.h"
 #include "mem/memory_channel.h"
 #include "mem/range_tcam.h"
@@ -165,7 +162,7 @@ class Accelerator
      * scheduler stages were already paid on the way in) without being
      * charged again.
      */
-    void readmit(net::TraversalPacket&& packet);
+    void readmit(net::PacketHandle packet);
 
     /**
      * Attach the cluster's span tracer (nullptr detaches). Every
@@ -210,7 +207,6 @@ class Accelerator
          *  context). */
         net::PacketHandle packet;
         isa::Workspace workspace;
-        const isa::ProgramAnalysis* analysis = nullptr;
         std::uint64_t iterations_this_visit = 0;
         /** iterations_done when the packet arrived: the visit key. */
         std::uint64_t arrival_iterations = 0;
@@ -249,8 +245,6 @@ class Accelerator
                 isa::ExecFault fault);
     void send_response(Context& context, isa::TraversalStatus status,
                        isa::ExecFault fault);
-    const isa::ProgramAnalysis* analysis_for(
-        const isa::Program* program);
 
     /** Stretch @p t by the node's current slow factor (1.0 = as-is). */
     Time scaled(Time t) const;
@@ -283,8 +277,6 @@ class Accelerator
     mem::RangeTcam tcam_;
     std::vector<Core> cores_;
     AdmissionQueue pending_;
-    std::unordered_map<const isa::Program*, isa::ProgramAnalysis>
-        analysis_cache_;
     ReplayWindow replay_;
     const faults::FaultPlane* fault_plane_ = nullptr;
     placement::PlacementPlane* placement_ = nullptr;

@@ -4,6 +4,7 @@
 
 #include "common/logging.h"
 #include "isa/interpreter.h"
+#include "isa/traversal.h"
 
 namespace pulse::baselines {
 
@@ -12,7 +13,6 @@ using isa::TraversalStatus;
 namespace {
 
 constexpr Bytes kPageRequestBytes = net::kNetHeaderBytes + 16;
-constexpr std::uint64_t kIterationGuard = 1u << 20;
 
 }  // namespace
 
@@ -213,19 +213,19 @@ CacheClient::run_logic(const std::shared_ptr<OpState>& state)
                       st.length);
     }
 
-    queue_.schedule_after(logic_time, [this, state, iter] {
-        if (iter.end == isa::IterEnd::kNextIter &&
-            state->iterations < kIterationGuard) {
+    // No fork coordinator here: the chain ends as on the RPC runtime.
+    const isa::ChainEnd end = isa::chain_end(iter);
+    const bool resume =
+        !end.ended && state->iterations < offload::kGlobalIterationGuard;
+    queue_.schedule_after(logic_time, [this, state, resume, end] {
+        if (resume) {
             step(state);
             return;
         }
         offload::Completion completion;
         completion.status =
-            iter.end == isa::IterEnd::kReturn ? TraversalStatus::kDone
-            : iter.end == isa::IterEnd::kFault
-                ? TraversalStatus::kExecFault
-                : TraversalStatus::kMaxIter;
-        completion.fault = iter.fault;
+            end.ended ? end.status : TraversalStatus::kMaxIter;
+        completion.fault = end.fault;
         completion.final_ptr = state->workspace.cur_ptr;
         completion.scratch = state->workspace.scratch;
         completion.iterations = state->iterations;

@@ -3,18 +3,12 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "isa/analysis.h"
 #include "isa/interpreter.h"
+#include "isa/traversal.h"
 
 namespace pulse::baselines {
 
 using isa::TraversalStatus;
-
-namespace {
-
-constexpr std::uint64_t kIterationGuard = 1u << 20;
-
-}  // namespace
 
 struct RpcRuntime::OpState
 {
@@ -78,9 +72,8 @@ RpcRuntime::submit(offload::Operation&& op)
                 std::min(state->op.init_scratch.size(),
                          state->workspace.scratch.size()),
                 state->workspace.scratch.begin());
-    const auto analysis = isa::analyze(*state->op.program);
     state->scratch_wire =
-        std::max<Bytes>(analysis.scratch_footprint,
+        std::max<Bytes>(state->op.program->analysis().scratch_footprint,
                         state->op.init_scratch.size());
 
     const Time issue_cost =
@@ -269,54 +262,24 @@ RpcRuntime::execute_step(const std::shared_ptr<OpState>& state,
                       st.length);
     }
 
-    // The RPC baseline has no fork coordinator: a SPAWN that actually
-    // fires is outside its supported ISA subset (mirrors the
-    // single-chain production path in isa/traversal.cc).
-    if (!iter.spawns.empty()) {
-        queue_.schedule_at(iter_done, [this, state, node, worker,
-                                       start] {
-            finish_execution(state, node, worker, start,
-                             TraversalStatus::kExecFault,
-                             isa::ExecFault::kIllegalInstruction);
-        });
-        return;
-    }
-
-    switch (iter.end) {
-      case isa::IterEnd::kReturn:
-      case isa::IterEnd::kJoin:  // join of zero branches == RETURN
-        queue_.schedule_at(iter_done, [this, state, node, worker,
-                                       start] {
-            finish_execution(state, node, worker, start,
-                             TraversalStatus::kDone,
-                             isa::ExecFault::kNone);
-        });
-        return;
-      case isa::IterEnd::kFault: {
-        const isa::ExecFault fault = iter.fault;
-        queue_.schedule_at(iter_done, [this, state, node, worker,
-                                       start, fault] {
-            finish_execution(state, node, worker, start,
-                             TraversalStatus::kExecFault, fault);
-        });
-        return;
-      }
-      case isa::IterEnd::kNextIter:
-        if (state->iterations >= kIterationGuard) {
-            queue_.schedule_at(iter_done, [this, state, node, worker,
-                                           start] {
-                finish_execution(state, node, worker, start,
-                                 TraversalStatus::kMaxIter,
-                                 isa::ExecFault::kNone);
-            });
-            return;
-        }
+    // The RPC baseline has no fork coordinator (chain_end, as in the
+    // single-chain path of isa/traversal.cc).
+    const isa::ChainEnd end = isa::chain_end(iter);
+    if (!end.ended &&
+        state->iterations < offload::kGlobalIterationGuard) {
         queue_.schedule_at(iter_done,
                            [this, state, node, worker, start] {
                                execute_step(state, node, worker, start);
                            });
         return;
     }
+    const TraversalStatus status =
+        end.ended ? end.status : TraversalStatus::kMaxIter;
+    const isa::ExecFault fault = end.fault;
+    queue_.schedule_at(iter_done, [this, state, node, worker, start,
+                                   status, fault] {
+        finish_execution(state, node, worker, start, status, fault);
+    });
 }
 
 void
@@ -373,7 +336,7 @@ RpcRuntime::send_response(const std::shared_ptr<OpState>& state,
                 state->timer_generation++;  // quench the timer
             }
             if (status == TraversalStatus::kNotLocal &&
-                state->iterations < kIterationGuard) {
+                state->iterations < offload::kGlobalIterationGuard) {
                 // Continuation bounce: the client re-issues to the
                 // owning node after its software overhead.
                 stats_.node_bounces.increment();

@@ -37,7 +37,7 @@
 namespace pulse::core {
 namespace {
 
-constexpr std::uint32_t kCheckpointVersion = 2;
+constexpr std::uint32_t kCheckpointVersion = 3;
 
 }  // namespace
 
@@ -84,8 +84,6 @@ Cluster::checkpoint(StateIo& io)
     io.expect(c.accel.tcam_entries, "fingerprint accel.tcam_entries");
     io.expect(c.accel.replay_window_entries,
               "fingerprint accel.replay_window_entries");
-    io.expect(c.accel.forward_via_switch,
-              "fingerprint accel.forward_via_switch");
     io.expect(c.offload.switch_continuation,
               "fingerprint offload.switch_continuation");
     io.expect(c.offload.max_retransmits,

@@ -168,8 +168,8 @@ Cluster::Cluster(const ClusterConfig& config)
     }
 
     if (config.serve.enabled()) {
-        serve_plane_ =
-            std::make_unique<serve::QosController>(queue_, config.serve);
+        serve_plane_ = std::make_unique<serve::QosController>(
+            queue_, network_->packets(), config.serve);
         for (NodeId node = 0; node < accelerators_.size(); node++) {
             accel::Accelerator* accelerator = accelerators_[node].get();
             accelerator->set_serving(serve_plane_.get());
@@ -177,15 +177,17 @@ Cluster::Cluster(const ClusterConfig& config)
             // at placement: net-stack and scheduler stages were
             // already paid on the way in.
             serve_plane_->attach_node(
-                node, [accelerator](net::TraversalPacket&& packet) {
-                    accelerator->readmit(std::move(packet));
+                node, [accelerator](net::PacketHandle packet) {
+                    accelerator->readmit(packet);
                 });
         }
     }
 
     for (ClientId client = 0; client < config.num_clients; client++) {
         offload_.push_back(std::make_unique<offload::OffloadEngine>(
-            queue_, *network_, *memory_, client, config.offload));
+            queue_, *network_, *memory_, client, config.offload,
+            config.accel.logic_time_per_insn,
+            config.accel.mem_pipeline_latency));
         offload_.back()->set_tracer(&tracer_);
     }
     cache_ = std::make_unique<baselines::CacheClient>(
@@ -276,7 +278,7 @@ Cluster::submitter(SystemKind kind, ClientId client)
             return [this, client](offload::Operation&& op) {
                 offload::OffloadEngine& engine = *offload_[client];
                 const isa::ProgramAnalysis& analysis =
-                    engine.analysis_for(op.program);
+                    op.program->analysis();
                 checker_->oracle()->arm(op, analysis.valid,
                                         engine.should_offload(analysis));
                 if (replication_plane_) {

@@ -156,12 +156,7 @@ struct ClusterConfig
 
     /** Configure pulse-ACC (section 7.2): continuations bounce through
      *  the client instead of the switch. */
-    void
-    set_pulse_acc(bool acc)
-    {
-        accel.forward_via_switch = !acc;
-        offload.switch_continuation = !acc;
-    }
+    void set_pulse_acc(bool acc) { offload.switch_continuation = !acc; }
 };
 
 /** The assembled rack. */

@@ -18,48 +18,15 @@
 #ifndef PULSE_ISA_ANALYSIS_H
 #define PULSE_ISA_ANALYSIS_H
 
-#include <cstdint>
-#include <string>
-
 #include "common/units.h"
 #include "isa/program.h"
 
 namespace pulse::isa {
 
-/** Result of analyzing a program. */
-struct ProgramAnalysis
-{
-    bool valid = false;       ///< verify() passed
-    std::string error;        ///< reason when !valid
-
-    std::uint32_t num_instructions = 0;   ///< static count (incl. LOAD)
-    std::uint32_t worst_path_instructions = 0;  ///< N: longest logic path
-    std::uint32_t load_bytes = 0;         ///< declared LOAD footprint
-    std::uint32_t max_data_ref = 0;       ///< max data byte referenced
-    std::uint32_t scratch_footprint = 0;  ///< max scratch byte referenced
-    bool has_store = false;
-    bool has_div = false;
-    bool has_cas = false;  ///< uses the atomic extension
-
-    /**
-     * Fork/join extension (DAG traversals). A forking program's
-     * termination argument extends the chain case: each sub-traversal
-     * is itself a bounded chain (max_iters), the spawn depth is capped
-     * by max_spawn_depth <= 7, the per-iteration fan-out is capped by
-     * the static spawn-site count (<= 8, forward-only jumps execute
-     * each site at most once per iteration), and the engine's
-     * per-root fork-node guard bounds the total DAG size. eta is
-     * computed per sub-traversal — every branch runs the same
-     * iteration logic, so the chain cost model applies unchanged.
-     */
-    bool has_spawn = false;          ///< program forks sub-traversals
-    std::uint32_t spawn_sites = 0;   ///< static SPAWN count (<= 8)
-    ReduceOp reduce_op = ReduceOp::kAdd;  ///< join accumulator op
-    std::uint32_t reduce_offset = 0;      ///< accumulator scratch offset
-    std::uint32_t reduce_lanes = 0;       ///< 8-byte lanes (0 = no fork)
-};
-
-/** Analyze @p program (includes verification). */
+/**
+ * Analyze @p program (includes verification). Program's constructor
+ * runs this once; read Program::analysis() instead of calling it.
+ */
 ProgramAnalysis analyze(const Program& program);
 
 /**

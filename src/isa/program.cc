@@ -3,6 +3,8 @@
 #include <cstdio>
 
 #include "common/logging.h"
+#include "isa/analysis.h"
+#include "isa/codec.h"
 
 namespace pulse::isa {
 namespace {
@@ -94,7 +96,8 @@ Program::Program(std::vector<Instruction> code,
                  std::uint32_t max_spawn_depth)
     : code_(std::move(code)), scratch_bytes_(scratch_bytes),
       max_iters_(max_iters), max_spawn_depth_(max_spawn_depth),
-      decoded_(decode_micro_ops(code_, scratch_bytes_))
+      decoded_(decode_micro_ops(code_, scratch_bytes_)),
+      analysis_(analyze(*this)), wire_code_size_(isa::wire_code_size(*this))
 {
 }
 

@@ -9,6 +9,8 @@
  * forward-only jumps, one LOAD at instruction 0, every operand offset
  * within its register vector, and every path terminated by RETURN or
  * NEXT_ITER.
+ * A Program carries its static analysis and wire size, computed once
+ * at construction (section 4.1: analyze once, install, then refer).
  */
 #ifndef PULSE_ISA_PROGRAM_H
 #define PULSE_ISA_PROGRAM_H
@@ -17,10 +19,47 @@
 #include <string>
 #include <vector>
 
+#include "common/units.h"
 #include "isa/instruction.h"
 #include "isa/micro_op.h"
 
 namespace pulse::isa {
+
+/** Result of analyzing a program (analyze() in analysis.h). */
+struct ProgramAnalysis
+{
+    bool valid = false;       ///< verify() passed
+    std::string error;        ///< reason when !valid
+
+    std::uint32_t num_instructions = 0;   ///< static count (incl. LOAD)
+    std::uint32_t worst_path_instructions = 0;  ///< N: longest logic path
+    std::uint32_t load_bytes = 0;         ///< declared LOAD footprint
+    std::uint32_t max_data_ref = 0;       ///< max data byte referenced
+    std::uint32_t scratch_footprint = 0;  ///< max scratch byte referenced
+    bool has_store = false;
+    bool has_div = false;
+    bool has_cas = false;  ///< uses the atomic extension
+
+    /**
+     * Fork/join extension (DAG traversals). A forking program's
+     * termination argument extends the chain case: each sub-traversal
+     * is itself a bounded chain (max_iters), the spawn depth is capped
+     * by max_spawn_depth <= 7, the per-iteration fan-out is capped by
+     * the static spawn-site count (<= 8, forward-only jumps execute
+     * each site at most once per iteration), and the engine's
+     * per-root fork-node guard bounds the total DAG size. eta is
+     * computed per sub-traversal — every branch runs the same
+     * iteration logic, so the chain cost model applies unchanged.
+     */
+    bool has_spawn = false;          ///< program forks sub-traversals
+    std::uint32_t spawn_sites = 0;   ///< static SPAWN count (<= 8)
+    ReduceOp reduce_op = ReduceOp::kAdd;  ///< join accumulator op
+    std::uint32_t reduce_offset = 0;      ///< accumulator scratch offset
+    std::uint32_t reduce_lanes = 0;       ///< 8-byte lanes (0 = no fork)
+
+    friend bool operator==(const ProgramAnalysis&,
+                           const ProgramAnalysis&) = default;
+};
 
 /** A verified-or-not pulse traversal program. */
 class Program
@@ -78,7 +117,13 @@ class Program
      */
     const DecodedProgram& decoded() const { return decoded_; }
 
-    /** Equal code and limits (the decoded form follows from them). */
+    /** isa::analyze() and isa::wire_code_size() (codec.h) of this
+     *  program, computed at construction. */
+    const ProgramAnalysis& analysis() const { return analysis_; }
+    Bytes wire_code_size() const { return wire_code_size_; }
+
+    /** Equal code and limits (the decoded form, analysis and wire size
+     *  follow from them). */
     friend bool
     operator==(const Program& a, const Program& b)
     {
@@ -93,6 +138,8 @@ class Program
     std::uint32_t max_iters_ = kDefaultMaxIters;
     std::uint32_t max_spawn_depth_ = 0;
     DecodedProgram decoded_;
+    ProgramAnalysis analysis_;
+    Bytes wire_code_size_ = 0;
 };
 
 /**

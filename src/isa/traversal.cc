@@ -6,6 +6,28 @@
 
 namespace pulse::isa {
 
+ChainEnd
+chain_end(const IterationResult& iter)
+{
+    if (!iter.spawns.empty()) {
+        // No fork path here (the engine offloads forking programs; the
+        // client fallback cannot coordinate a join). Same convention
+        // as kCas without a hook.
+        return {true, TraversalStatus::kExecFault,
+                ExecFault::kIllegalInstruction};
+    }
+    switch (iter.end) {
+      case IterEnd::kFault:
+        return {true, TraversalStatus::kExecFault, iter.fault};
+      case IterEnd::kReturn:
+      case IterEnd::kJoin:  // a JOIN that spawned nothing completes
+        return {true, TraversalStatus::kDone, ExecFault::kNone};
+      case IterEnd::kNextIter:
+        break;
+    }
+    return {};
+}
+
 namespace {
 
 TraversalOutcome
@@ -72,24 +94,10 @@ run_traversal_impl(const Program& program, VirtAddr start_ptr,
             outcome.status = TraversalStatus::kMemFault;
             break;
         }
-        if (!iter.spawns.empty()) {
-            // This is a single-chain execution site with no fork path
-            // (the engine offloads forking programs; the client
-            // fallback cannot coordinate a join). Same convention as
-            // kCas without a hook.
-            outcome.status = TraversalStatus::kExecFault;
-            outcome.fault = ExecFault::kIllegalInstruction;
-            break;
-        }
-        if (iter.end == IterEnd::kFault) {
-            outcome.status = TraversalStatus::kExecFault;
-            outcome.fault = iter.fault;
-            break;
-        }
-        if (iter.end == IterEnd::kReturn ||
-            iter.end == IterEnd::kJoin) {
-            // A JOIN that spawned nothing completes immediately.
-            outcome.status = TraversalStatus::kDone;
+        const ChainEnd end = chain_end(iter);
+        if (end.ended) {
+            outcome.status = end.status;
+            outcome.fault = end.fault;
             break;
         }
         // NEXT_ITER: follow cur_ptr into the next iteration, unless the

@@ -6,12 +6,13 @@
  * run_traversal() drives a verified program to completion: per iteration
  * it performs the aggregated LOAD through the supplied memory callbacks,
  * runs the logic via the interpreter, applies pending STOREs, and either
- * follows cur_ptr into the next iteration or finishes. The callbacks are
- * what distinguish execution sites:
- *   - the accelerator model wires them to the node's TCAM + channels,
- *   - the RPC CPU model wires them to node-local DRAM timing,
- *   - the cache-based client wires them to its page cache,
- *   - tests wire them to plain GlobalMemory.
+ * follows cur_ptr into the next iteration or finishes. Its callers are
+ * the program fuzzer (check/fuzzer.cc, production side of the
+ * differential run) and tests, which wire the callbacks to plain
+ * GlobalMemory. The timed execution sites — the accelerator, the RPC
+ * runtime and the cache-based client — step run_iteration() themselves,
+ * one event per iteration; the two baselines end their chains with
+ * chain_end(), as this loop does.
  */
 #ifndef PULSE_ISA_TRAVERSAL_H
 #define PULSE_ISA_TRAVERSAL_H
@@ -72,6 +73,23 @@ struct MemoryHooks
     std::function<bool(VirtAddr addr, std::uint64_t expected,
                        std::uint64_t desired)> cas;
 };
+
+/** How a single-chain traversal continues after one iteration. */
+struct ChainEnd
+{
+    bool ended = false;  ///< false: NEXT_ITER, follow cur_ptr
+    TraversalStatus status = TraversalStatus::kDone;
+    ExecFault fault = ExecFault::kNone;
+};
+
+/**
+ * The end of @p iter at an execution site with no fork coordinator
+ * (run_traversal, the RPC runtime, the cache client): a SPAWN that
+ * fired is kExecFault / kIllegalInstruction, a logic fault kExecFault,
+ * and RETURN — or a JOIN that spawned nothing — kDone. Iteration caps
+ * stay the caller's.
+ */
+ChainEnd chain_end(const IterationResult& iter);
 
 /**
  * Run @p program from @p start_ptr with initial scratch_pad contents

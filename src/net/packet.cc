@@ -5,8 +5,7 @@ namespace pulse::net {
 void
 attach_program(TraversalPacket& packet, const isa::Program* program)
 {
-    packet.code_size =
-        program != nullptr ? isa::wire_code_size(*program) : 0;
+    packet.code_size = program != nullptr ? program->wire_code_size() : 0;
     packet.code = program;
 }
 

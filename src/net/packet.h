@@ -21,7 +21,7 @@
 #include "common/scratch_buffer.h"
 #include "common/types.h"
 #include "common/units.h"
-#include "isa/codec.h"
+#include "isa/program.h"
 #include "isa/traversal.h"
 
 namespace pulse::net {
@@ -231,12 +231,14 @@ struct TraversalPacket
      * Packets are copied into retransmit buffers, replay-window caches
      * and response slots, and a shared_ptr here would bounce the
      * refcount on each of those — measurable atomic traffic in the
-     * event hot path. Instead the
-     * issuing OffloadEngine pins one shared_ptr per distinct program
-     * for the cluster's lifetime (see OffloadEngine::analysis_for),
-     * and everything downstream carries this raw pointer. code_size
-     * preserves the honest wire cost of shipping the encoded program
-     * in every packet.
+     * event hot path. Instead the issuing OffloadEngine pins one
+     * shared_ptr per distinct program for the cluster's lifetime (its
+     * per-program record, filled in OffloadEngine::submit), and
+     * everything downstream carries this raw pointer; readers take the
+     * program's static analysis from code->analysis(). code_size is
+     * the wire cost of the code on this packet: the encoded program
+     * (Program::wire_code_size()) while it is being installed, then a
+     * kCodeIdBytes program id.
      */
     const isa::Program* code = nullptr;
     Bytes code_size = 0;
@@ -290,11 +292,11 @@ struct TraversalPacket
 static_assert(std::is_trivially_copyable_v<TraversalPacket>);
 
 /**
- * Attach @p program to @p packet, caching its encoded wire size. The
- * packet stores a non-owning reference: the caller must guarantee the
- * program outlives every packet (and packet copy) referencing it — in
- * the simulator the issuing OffloadEngine pins programs for the
- * cluster's lifetime.
+ * Attach @p program to @p packet, with code_size set to the program's
+ * wire_code_size(). The packet stores a non-owning reference: the
+ * caller must guarantee the program outlives every packet (and packet
+ * copy) referencing it — in the simulator the issuing OffloadEngine
+ * pins programs for the cluster's lifetime.
  */
 void attach_program(TraversalPacket& packet,
                     const isa::Program* program);

@@ -47,9 +47,11 @@ program_digest(const isa::Program& program)
 OffloadEngine::OffloadEngine(sim::EventQueue& queue,
                              net::Network& network,
                              mem::GlobalMemory& memory, ClientId client,
-                             const OffloadConfig& config)
+                             const OffloadConfig& config, Time t_i,
+                             Time t_d)
     : queue_(queue), network_(network), packets_(network.packets()),
-      memory_(memory), client_(client), config_(config),
+      memory_(memory), client_(client), config_(config), t_i_(t_i),
+      t_d_(t_d),
       rto_(config.retransmit_timeout, config.rto_min,
            config.retransmit_timeout, config.rto_srtt_multiplier)
 {
@@ -74,34 +76,9 @@ OffloadEngine::should_offload(const isa::ProgramAnalysis& analysis) const
     if (analysis.has_spawn) {
         return true;
     }
-    const Time t_c = isa::compute_time(analysis, config_.t_i);
+    const Time t_c = isa::compute_time(analysis, t_i_);
     return static_cast<double>(t_c) <=
-           config_.eta_threshold * static_cast<double>(config_.t_d);
-}
-
-const isa::ProgramAnalysis&
-OffloadEngine::analysis_for(
-    const std::shared_ptr<const isa::Program>& program)
-{
-    const auto it = analysis_cache_.find(program.get());
-    if (it != analysis_cache_.end()) {
-        return it->second;
-    }
-    program_pins_.emplace(program.get(), program);
-    if (!restored_code_sends_.empty()) {
-        // A checkpointed run already shipped install copies of this
-        // program; resume its count so continuation traffic (and wire
-        // accounting) matches the uninterrupted run byte for byte.
-        const auto sends =
-            restored_code_sends_.find(program_digest(*program));
-        if (sends != restored_code_sends_.end()) {
-            code_sends_[program.get()] = sends->second;
-            restored_code_sends_.erase(sends);
-        }
-    }
-    return analysis_cache_
-        .emplace(program.get(), isa::analyze(*program))
-        .first->second;
+           config_.eta_threshold * static_cast<double>(t_d_);
 }
 
 void
@@ -129,8 +106,10 @@ OffloadEngine::checkpoint(StateIo& io)
     // the blob is independent of hash-map iteration.
     std::vector<std::pair<std::uint64_t, std::uint32_t>> sends;
     if (!io.reading()) {
-        for (const auto& [program, count] : code_sends_) {
-            sends.emplace_back(program_digest(*program), count);
+        for (const auto& [program, record] : programs_) {
+            if (record.sends > 0) {
+                sends.emplace_back(program_digest(*program), record.sends);
+            }
         }
         sends.insert(sends.end(), restored_code_sends_.begin(),
                      restored_code_sends_.end());
@@ -152,11 +131,11 @@ OffloadEngine::checkpoint(StateIo& io)
     }
     // Counts for programs this engine already pinned re-attach now;
     // the rest wait for their program's first submit.
-    for (const auto& entry : program_pins_) {
+    for (auto& [program, record] : programs_) {
         const auto found =
-            restored_code_sends_.find(program_digest(*entry.first));
+            restored_code_sends_.find(program_digest(*program));
         if (found != restored_code_sends_.end()) {
-            code_sends_[entry.first] = found->second;
+            record.sends = found->second;
             restored_code_sends_.erase(found);
         }
     }
@@ -167,7 +146,7 @@ OffloadEngine::submit(Operation&& op)
 {
     stats_.submitted.increment();
     PULSE_ASSERT(static_cast<bool>(op.program), "operation without code");
-    const isa::ProgramAnalysis& analysis = analysis_for(op.program);
+    const isa::ProgramAnalysis& analysis = op.program->analysis();
     if (!analysis.valid) {
         Completion completion;
         completion.status = TraversalStatus::kExecFault;
@@ -183,6 +162,22 @@ OffloadEngine::submit(Operation&& op)
     }
 
     stats_.offloaded.increment();
+    const auto [record, first_submit] =
+        programs_.try_emplace(op.program.get());
+    if (first_submit) {
+        record->second.pin = op.program;
+    }
+    if (first_submit && !restored_code_sends_.empty()) {
+        // A checkpointed run already shipped install copies of this
+        // program; resume its count so continuation traffic (and wire
+        // accounting) matches the uninterrupted run byte for byte.
+        const auto sends =
+            restored_code_sends_.find(program_digest(*op.program));
+        if (sends != restored_code_sends_.end()) {
+            record->second.sends = sends->second;
+            restored_code_sends_.erase(sends);
+        }
+    }
     const std::uint64_t key = next_seq_++;
     InFlight inflight;
     inflight.op = std::move(op);
@@ -252,7 +247,7 @@ OffloadEngine::issue(std::uint64_t key, net::PacketHandle handle)
     attach_program(packet, inflight.op.program);
     // After the program is installed at the accelerators, requests
     // carry a 16-byte program id instead of the code.
-    std::uint32_t& sends = code_sends_[inflight.op.program.get()];
+    std::uint32_t& sends = programs_.at(inflight.op.program.get()).sends;
     if (sends >= config_.code_install_sends) {
         packet.code_size = net::kCodeIdBytes;
     } else {
@@ -471,7 +466,7 @@ OffloadEngine::ensure_fork(std::uint64_t key)
     if (inflight.fork == nullptr) {
         inflight.fork = std::make_unique<ForkState>();
         const isa::ProgramAnalysis& analysis =
-            analysis_for(inflight.op.program);
+            inflight.op.program->analysis();
         inflight.fork->acc.configure(analysis.reduce_op,
                                      analysis.reduce_lanes);
         inflight.fork->reduce_offset = analysis.reduce_offset;
@@ -495,7 +490,7 @@ OffloadEngine::process_spawns(std::uint64_t key,
     const std::uint32_t tenant = parent_it->second.op.tenant;
     ensure_fork(key);
     ensure_fork(root_key);
-    const isa::ProgramAnalysis& analysis = analysis_for(program);
+    const isa::ProgramAnalysis& analysis = program->analysis();
 
     std::uint32_t issued = 0;
     for (const isa::SpawnRecord& record : packet.spawns) {

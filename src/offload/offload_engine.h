@@ -3,10 +3,11 @@
  * The pulse offload engine at the CPU node (paper section 4.1).
  *
  * For each traversal the engine:
- *   1. statically analyzes the iterator's ISA program (instruction
- *      count N, load footprint, scratch footprint) and applies the
- *      offload test t_c = N*t_i <= eta_threshold * t_d — only
- *      memory-centric traversals go to the accelerator;
+ *   1. reads the static analysis the iterator's ISA program carries
+ *      (Program::analysis(): instruction count N, load and scratch
+ *      footprints) and applies the offload test
+ *      t_c = N*t_i <= eta_threshold * t_d — only memory-centric
+ *      traversals go to the accelerator;
  *   2. encapsulates code + cur_ptr + scratch_pad into a traversal
  *      request carrying a (client id, sequence) request id, and lets
  *      the network (switch) pick the memory node;
@@ -52,12 +53,6 @@ struct OffloadConfig
 {
     /** eta threshold for the offload test (paper sets eta = 1). */
     double eta_threshold = 1.0;
-
-    /** Accelerator per-instruction logic time t_i (for the test). */
-    Time t_i = nanos(7.0 / 6.0);
-
-    /** Accelerator memory-pipeline time t_d (for the test). */
-    Time t_d = nanos(120.0);
 
     /** Client software time to build/issue one request (DPDK path). */
     Time request_software_overhead = nanos(300.0);
@@ -113,7 +108,12 @@ struct OffloadConfig
      */
     double rto_jitter_fraction = 0.1;
 
-    /** pulse vs pulse-ACC: may the switch re-route continuations? */
+    /**
+     * pulse (true): a kNotLocal traversal is re-routed by the switch
+     * (section 5). pulse-ACC (false, section 7.2): it bounces through
+     * the origin client. Stamped on every request as
+     * allow_switch_continuation, which accelerators echo.
+     */
     bool switch_continuation = true;
 
     /**
@@ -203,29 +203,21 @@ struct OffloadStats
 class OffloadEngine
 {
   public:
+    /** @p t_i and @p t_d: the offload test's inputs, the accelerators'
+     *  AccelConfig::logic_time_per_insn and mem_pipeline_latency. */
     OffloadEngine(sim::EventQueue& queue, net::Network& network,
                   mem::GlobalMemory& memory, ClientId client,
-                  const OffloadConfig& config);
+                  const OffloadConfig& config, Time t_i, Time t_d);
 
     /** Submit a traversal; @p op.done fires on completion. */
     void submit(Operation&& op);
 
     /**
-     * The offload decision for @p program (exposed for Table 2 and the
-     * ablation benches): true when t_c <= eta_threshold * t_d.
+     * The offload decision for a program's analysis (exposed for
+     * Table 2 and the ablation benches): true when
+     * t_c <= eta_threshold * t_d.
      */
     bool should_offload(const isa::ProgramAnalysis& analysis) const;
-
-    /**
-     * Cached analysis for @p program. Also *pins* the program: the
-     * engine keeps one shared_ptr per distinct program until the
-     * cluster is torn down, so the non-owning `TraversalPacket::code`
-     * references that fan out from here (forwarded continuations,
-     * retransmit buffers, accelerator replay caches) stay valid
-     * without per-hop refcount traffic.
-     */
-    const isa::ProgramAnalysis& analysis_for(
-        const std::shared_ptr<const isa::Program>& program);
 
     /** Operations still in flight. */
     std::size_t inflight() const { return inflight_.size(); }
@@ -258,11 +250,11 @@ class OffloadEngine
 
     /**
      * Checkpoint support (core/checkpoint.cc): requires a quiesced
-     * engine (no in-flight operations). Program installation state
-     * (code_sends_) is keyed by interned Program pointers, which do
-     * not survive a process or cluster boundary — it is serialized as
-     * sorted encoded-program digests and re-attached when the restored
-     * run re-pins each program via analysis_for().
+     * engine (no in-flight operations). Program installation counts
+     * (ProgramRecord::sends) are keyed by interned Program pointers,
+     * which do not survive a process or cluster boundary — they are
+     * serialized as sorted encoded-program digests and re-attached
+     * when the restored run's submit() pins each program again.
      */
     void checkpoint(StateIo& io);
 
@@ -353,16 +345,24 @@ class OffloadEngine
     mem::GlobalMemory& memory_;
     ClientId client_;
     OffloadConfig config_;
+    Time t_i_;  ///< accelerator logic time per instruction
+    Time t_d_;  ///< accelerator memory-pipeline latency
     std::uint64_t next_seq_ = 1;
     std::unordered_map<std::uint64_t, InFlight> inflight_;
-    std::unordered_map<const isa::Program*, isa::ProgramAnalysis>
-        analysis_cache_;
-    /** Lifetime pins backing TraversalPacket's non-owning code refs. */
-    std::unordered_map<const isa::Program*,
-                       std::shared_ptr<const isa::Program>>
-        program_pins_;
-    std::unordered_map<const isa::Program*, std::uint32_t>
-        code_sends_;
+
+    /** One per distinct program this engine offloaded (see submit). */
+    struct ProgramRecord
+    {
+        /**
+         * Held until the cluster is torn down, so the non-owning
+         * `TraversalPacket::code` references that fan out from here
+         * (continuations, retransmit buffers, replay caches) stay valid
+         * without per-hop refcount traffic.
+         */
+        std::shared_ptr<const isa::Program> pin;
+        std::uint32_t sends = 0;  ///< requests that shipped full code
+    };
+    std::unordered_map<const isa::Program*, ProgramRecord> programs_;
     /**
      * Installation counts restored from a checkpoint, keyed by encoded-
      * program digest until the owning program is re-pinned (see

@@ -1,15 +1,17 @@
 #include "serve/qos.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <utility>
+
+#include "common/logging.h"
 
 namespace pulse::serve {
 
 QosController::QosController(sim::EventQueue& queue,
+                             net::PacketArena& packets,
                              const ServeConfig& config)
-    : queue_(queue), config_(config)
+    : queue_(queue), packets_(packets), config_(config)
 {
     // Pre-create state for configured tenants so counter iteration
     // order (and therefore metrics output) is fixed by the config, not
@@ -62,8 +64,9 @@ QosController::refill(TenantState& state, Time now) const
 }
 
 QosController::Verdict
-QosController::charge(NodeId node, net::TraversalPacket& packet)
+QosController::charge(NodeId node, net::PacketHandle handle)
 {
+    net::TraversalPacket& packet = packets_[handle];
     if (!is_fresh_root(packet)) {
         // Continuations, fork children, and responses represent work
         // already admitted: never charged, never rejected.
@@ -95,7 +98,7 @@ QosController::charge(NodeId node, net::TraversalPacket& packet)
     // Park timestamp: the accelerator's readmit() span covers the
     // whole wait for quota tokens.
     packet.trace.queued_at = queue_.now();
-    state.parked.push_back({node, std::move(packet)});
+    state.parked.push_back({node, handle});
     arm_release(tenant, state);
     return Verdict::kThrottle;
 }
@@ -125,13 +128,14 @@ QosController::release(TenantId tenant)
     TenantCounters& counters = counters_[tenant];
     while (!state.parked.empty() && state.tokens >= 1.0) {
         state.tokens -= 1.0;
-        TenantState::Parked parked = std::move(state.parked.front());
+        const TenantState::Parked parked = state.parked.front();
         state.parked.pop_front();
         counters.admitted++;
         stats_.admitted.increment();
-        assert(parked.node < readmit_.size() &&
-               readmit_[parked.node]);
-        readmit_[parked.node](std::move(parked.packet));
+        PULSE_ASSERT(parked.node < readmit_.size() &&
+                         readmit_[parked.node],
+                     "no readmit hook for node %u", parked.node);
+        readmit_[parked.node](parked.packet);
     }
     arm_release(tenant, state);
 }
@@ -164,10 +168,11 @@ QosController::note_enqueued(NodeId node, TenantId tenant)
 void
 QosController::note_dequeued(NodeId node, TenantId tenant)
 {
-    assert(node < queued_.size());
+    PULSE_ASSERT(node < queued_.size(), "dequeue at unknown node %u",
+                 node);
     std::uint32_t& depth =
         queued_[node][static_cast<std::size_t>(class_of(tenant))];
-    assert(depth > 0);
+    PULSE_ASSERT(depth > 0, "queue depth underflow at node %u", node);
     depth--;
 }
 

@@ -35,6 +35,7 @@
 
 #include "common/stats.h"
 #include "net/packet.h"
+#include "net/packet_arena.h"
 #include "serve/serve_config.h"
 #include "sim/event_queue.h"
 
@@ -53,14 +54,17 @@ class QosController
 {
   public:
     /** The accelerator's re-entry point for released packets. */
-    using ReadmitFn = std::function<void(net::TraversalPacket&&)>;
+    using ReadmitFn = std::function<void(net::PacketHandle)>;
 
-    QosController(sim::EventQueue& queue, const ServeConfig& config);
+    /** @p packets is the cluster's packet arena: charged packets are
+     *  read, and throttled ones parked, by handle. */
+    QosController(sim::EventQueue& queue, net::PacketArena& packets,
+                  const ServeConfig& config);
 
     /** What the admission point must do with a charged packet. */
     enum class Verdict : std::uint8_t {
         kAdmit,     ///< proceed to dispatch/queueing
-        kThrottle,  ///< controller parked the packet (moved-from)
+        kThrottle,  ///< controller took the handle and parked it
         kShed,      ///< reject with a typed kRejected response
     };
 
@@ -72,13 +76,14 @@ class QosController
     void attach_node(NodeId node, ReadmitFn readmit);
 
     /**
-     * Charge @p packet against its tenant's traversal quota at node
-     * @p node. Only fresh roots are charged; everything else admits
-     * unconditionally. On kThrottle the packet has been moved into the
-     * tenant's park queue and will re-enter via the node's ReadmitFn
-     * when the bucket refills — the caller must stop processing it.
+     * Charge the packet in @p handle against its tenant's traversal
+     * quota at node @p node. Only fresh roots are charged; everything
+     * else admits unconditionally. On kThrottle the controller owns
+     * the handle: it sits in the tenant's park queue and re-enters via
+     * the node's ReadmitFn when the bucket refills — the caller must
+     * stop processing it.
      */
-    Verdict charge(NodeId node, net::TraversalPacket& packet);
+    Verdict charge(NodeId node, net::PacketHandle handle);
 
     /**
      * Queue-depth cap check for @p packet joining node @p node's
@@ -135,7 +140,7 @@ class QosController
         struct Parked
         {
             NodeId node = 0;
-            net::TraversalPacket packet;
+            net::PacketHandle packet;
         };
         std::deque<Parked> parked;
     };
@@ -155,6 +160,7 @@ class QosController
     void release(TenantId tenant);
 
     sim::EventQueue& queue_;
+    net::PacketArena& packets_;
     ServeConfig config_;
     std::map<TenantId, TenantState> tenants_;
     std::map<TenantId, TenantCounters> counters_;

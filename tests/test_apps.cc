@@ -8,6 +8,7 @@
 
 #include "apps/apps.h"
 #include "isa/analysis.h"
+#include "isa/codec.h"
 
 namespace pulse::apps {
 namespace {
@@ -138,10 +139,10 @@ TEST(Apps, Table2EtaOrdering)
     TcApp tc(cluster, scale);
     TsvApp tsv(cluster, scale, 7.5);
 
-    auto& engine = cluster.offload_engine();
     const auto eta = [&](const auto& program) {
-        return compute_eta(engine.analysis_for(program),
-                           engine.config().t_i, engine.config().t_d);
+        return compute_eta(program->analysis(),
+                           config.accel.logic_time_per_insn,
+                           config.accel.mem_pipeline_latency);
     };
     const double upc_eta = eta(upc.table().find_program());
     const double tc_eta = eta(tc.tree().scan_fold_program());
@@ -151,6 +152,31 @@ TEST(Apps, Table2EtaOrdering)
     EXPECT_GT(tc_eta, upc_eta * 4);
     EXPECT_GT(tsv_eta, tc_eta);
     EXPECT_LE(tsv_eta, 1.0);
+
+    // Every app program, and invalid ones, carry exactly what
+    // isa::analyze() and isa::wire_code_size() derive.
+    std::vector<std::shared_ptr<const isa::Program>> programs = {
+        upc.table().find_program(), upc.table().update_program(),
+        tc.tree().scan_fold_program(),
+        tsv.tree().aggregate_forked_program()};
+    for (const ds::AggKind kind : {ds::AggKind::kSum, ds::AggKind::kCount,
+                                   ds::AggKind::kMin, ds::AggKind::kMax}) {
+        programs.push_back(tsv.tree().aggregate_program(kind));
+    }
+    isa::ProgramBuilder unterminated;
+    unterminated.load(16).add(isa::sp(0), isa::sp(0), isa::dat(0));
+    programs.push_back(
+        std::make_shared<const isa::Program>(unterminated.build()));
+    programs.push_back(std::make_shared<const isa::Program>());
+    for (const auto& program : programs) {
+        EXPECT_EQ(program->analysis(), isa::analyze(*program));
+        EXPECT_EQ(program->wire_code_size(),
+                  isa::wire_code_size(*program));
+    }
+    EXPECT_TRUE(programs.front()->analysis().valid);
+    EXPECT_TRUE(programs[3]->analysis().has_spawn);
+    EXPECT_FALSE(programs[programs.size() - 2]->analysis().valid);
+    EXPECT_FALSE(programs.back()->analysis().valid);
 }
 
 }  // namespace

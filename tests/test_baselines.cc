@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the baseline systems: the page cache, the Cache-based
- * client, the RPC runtime (worker pools, bounces, TCP factor) and the
- * AIFM-style object cache.
+ * client, the RPC runtime (worker pools, bounces, TCP factor), their
+ * shared fork/join outcome mapping and the AIFM-style object cache.
  */
 #include <gtest/gtest.h>
 
@@ -154,6 +154,73 @@ TEST(CacheClient, UnmappedPointerFaults)
     cluster.cache_client().submit(std::move(op));
     cluster.queue().run();
     EXPECT_EQ(result.status, TraversalStatus::kMemFault);
+}
+
+// ------------------------------------ fork/join outcome parity
+
+/**
+ * Fold data[8] into a one-lane accumulator, SPAWN at data[0] (a null
+ * pointer spawns nothing) and JOIN.
+ */
+std::shared_ptr<const isa::Program>
+forking_program()
+{
+    isa::ProgramBuilder b;
+    b.load(16)
+        .reduce(isa::ReduceOp::kAdd, 8, 1)
+        .add(isa::sp(8), isa::sp(8), isa::dat(8))
+        .spawn(isa::dat(0), 0, 8)
+        .join();
+    b.scratch_bytes(32);
+    b.max_spawn_depth(1);
+    return std::make_shared<const isa::Program>(b.build());
+}
+
+TEST(CacheClient, ForkingProgramEndsAsOnRpc)
+{
+    // Neither baseline has a fork coordinator: a SPAWN that fires is an
+    // illegal instruction, and a JOIN that spawned nothing completes
+    // like RETURN, on the Cache client as on the RPC runtime.
+    core::ClusterConfig config;
+    core::Cluster cluster(config);
+    const VirtAddr child = cluster.allocator().alloc_on(0, 16, 64);
+    const VirtAddr parent = cluster.allocator().alloc_on(0, 16, 64);
+    cluster.memory().write_as<std::uint64_t>(parent, child);
+    cluster.memory().write_as<std::uint64_t>(parent + 8, 5);
+    cluster.memory().write_as<std::uint64_t>(child, 0);
+    cluster.memory().write_as<std::uint64_t>(child + 8, 7);
+    const auto program = forking_program();
+    const auto run = [&](auto& system, VirtAddr start) {
+        offload::Completion result;
+        bool done = false;
+        offload::Operation op;
+        op.program = program;
+        op.start_ptr = start;
+        op.done = [&](offload::Completion&& completion) {
+            result = std::move(completion);
+            done = true;
+        };
+        system.submit(std::move(op));
+        cluster.queue().run();
+        EXPECT_TRUE(done);
+        return result;
+    };
+
+    const offload::Completion cache_fork =
+        run(cluster.cache_client(), parent);
+    const offload::Completion rpc_fork = run(cluster.rpc(), parent);
+    EXPECT_EQ(rpc_fork.status, TraversalStatus::kExecFault);
+    EXPECT_EQ(rpc_fork.fault, isa::ExecFault::kIllegalInstruction);
+    EXPECT_EQ(cache_fork.status, rpc_fork.status);
+    EXPECT_EQ(cache_fork.fault, rpc_fork.fault);
+
+    const offload::Completion cache_leaf =
+        run(cluster.cache_client(), child);
+    const offload::Completion rpc_leaf = run(cluster.rpc(), child);
+    EXPECT_EQ(rpc_leaf.status, TraversalStatus::kDone);
+    EXPECT_EQ(rpc_leaf.fault, isa::ExecFault::kNone);
+    EXPECT_EQ(cache_leaf.status, rpc_leaf.status);
+    EXPECT_EQ(cache_leaf.fault, rpc_leaf.fault);
 }
 
 // -------------------------------------------------------------- rpc

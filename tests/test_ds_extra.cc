@@ -92,8 +92,7 @@ TEST(HashUpdate, ProgramPassesOffloadTest)
     Cluster cluster(config);
     HashTable table(cluster.memory(), cluster.allocator(),
                     HashTableConfig{});
-    const auto& analysis = cluster.offload_engine().analysis_for(
-        table.update_program());
+    const auto& analysis = table.update_program()->analysis();
     ASSERT_TRUE(analysis.valid) << analysis.error;
     EXPECT_TRUE(analysis.has_store);
     EXPECT_TRUE(cluster.offload_engine().should_offload(analysis));

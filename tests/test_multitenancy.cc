@@ -175,7 +175,8 @@ TEST(AdmissionQueue, WeightedDrrServesTenantsInWeightProportion)
     serve_config.on = true;
     serve_config.tenants.push_back({.id = 0, .weight = 3});
     serve_config.tenants.push_back({.id = 1, .weight = 1});
-    serve::QosController qos(clock, serve_config);
+    net::PacketArena packets;
+    serve::QosController qos(clock, packets, serve_config);
 
     ArenaQueue queue(accel::SchedPolicy::kWeightedDrr);
     queue.set_qos(&qos);

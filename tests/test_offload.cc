@@ -55,14 +55,14 @@ TEST(OffloadDecision, EtaThresholdBoundsOffload)
     core::ClusterConfig config;
     core::Cluster cluster(config);
     auto& engine = cluster.offload_engine();
-    const Time t_d = engine.config().t_d;
-    const Time t_i = engine.config().t_i;
+    const Time t_d = config.accel.mem_pipeline_latency;
+    const Time t_i = config.accel.logic_time_per_insn;
 
     // A light program passes; a heavy one fails.
     const auto light = compute_heavy_program(4);
     const auto heavy = compute_heavy_program(200);
-    const auto& light_analysis = engine.analysis_for(light);
-    const auto& heavy_analysis = engine.analysis_for(heavy);
+    const auto& light_analysis = light->analysis();
+    const auto& heavy_analysis = heavy->analysis();
     EXPECT_TRUE(engine.should_offload(light_analysis));
     EXPECT_FALSE(engine.should_offload(heavy_analysis));
 
@@ -174,7 +174,7 @@ TEST(OffloadWire, CodeShipsOnlyUntilInstalled)
     EXPECT_LT(request_sizes[4], request_sizes[0]);
     EXPECT_EQ(request_sizes[4], request_sizes[5]);
     EXPECT_EQ(request_sizes[0] - request_sizes[4],
-              isa::wire_code_size(*list.find_program()) -
+              list.find_program()->wire_code_size() -
                   net::kCodeIdBytes);
 }
 
@@ -219,12 +219,11 @@ TEST(OffloadContinuation, MaxIterResumesCountsContinuations)
 
 TEST(OffloadAnalysis, CacheReturnsSameObject)
 {
-    core::ClusterConfig config;
-    core::Cluster cluster(config);
+    // The program carries its analysis: computed once at construction,
+    // the same object on every read.
     auto program = compute_heavy_program(4);
-    const auto& first = cluster.offload_engine().analysis_for(program);
-    const auto& second =
-        cluster.offload_engine().analysis_for(program);
+    const auto& first = program->analysis();
+    const auto& second = program->analysis();
     EXPECT_EQ(&first, &second);
     EXPECT_TRUE(first.valid);
 }

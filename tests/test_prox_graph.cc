@@ -68,8 +68,7 @@ TEST(ProxGraph, ProgramIsOffloadable)
     Cluster cluster(config);
     ProxGraph graph(cluster.memory(), cluster.allocator());
     graph.build(make_keys(64, 1), 0);
-    const auto& analysis = cluster.offload_engine().analysis_for(
-        graph.greedy_program());
+    const auto& analysis = graph.greedy_program()->analysis();
     ASSERT_TRUE(analysis.valid) << analysis.error;
     EXPECT_TRUE(cluster.offload_engine().should_offload(analysis));
     EXPECT_EQ(analysis.load_bytes, ProxGraph::kNodeBytes);
