@@ -467,11 +467,10 @@ run_program_case(const FuzzCase& c)
     }
 
     const isa::Program program = random_program(c.seed);
-    std::string verify_error;
-    if (!program.verify(&verify_error)) {
+    if (!program.analysis().valid) {
         result.ok = false;
-        result.message =
-            "generated program failed verify: " + verify_error;
+        result.message = "generated program failed verify: " +
+                         program.analysis().error;
         return result;
     }
 
@@ -624,11 +623,10 @@ run_fork_case(const FuzzCase& c)
 
     auto program = std::make_shared<const isa::Program>(
         random_fork_program(c.seed, fanout, depth));
-    std::string verify_error;
-    if (!program->verify(&verify_error)) {
+    if (!program->analysis().valid) {
         result.ok = false;
-        result.message =
-            "generated fork program failed verify: " + verify_error;
+        result.message = "generated fork program failed verify: " +
+                         program->analysis().error;
         return result;
     }
 

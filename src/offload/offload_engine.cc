@@ -107,9 +107,7 @@ OffloadEngine::checkpoint(StateIo& io)
     std::vector<std::pair<std::uint64_t, std::uint32_t>> sends;
     if (!io.reading()) {
         for (const auto& [program, record] : programs_) {
-            if (record.sends > 0) {
-                sends.emplace_back(program_digest(*program), record.sends);
-            }
+            sends.emplace_back(program_digest(*program), record.sends);
         }
         sends.insert(sends.end(), restored_code_sends_.begin(),
                      restored_code_sends_.end());
@@ -163,10 +161,7 @@ OffloadEngine::submit(Operation&& op)
 
     stats_.offloaded.increment();
     const auto [record, first_submit] =
-        programs_.try_emplace(op.program.get());
-    if (first_submit) {
-        record->second.pin = op.program;
-    }
+        programs_.try_emplace(op.program.get(), op.program);
     if (first_submit && !restored_code_sends_.empty()) {
         // A checkpointed run already shipped install copies of this
         // program; resume its count so continuation traffic (and wire
