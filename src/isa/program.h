@@ -9,6 +9,7 @@
  * forward-only jumps, one LOAD at instruction 0, every operand offset
  * within its register vector, and every path terminated by RETURN or
  * NEXT_ITER.
+ *
  * A Program carries its static analysis and wire size, computed once
  * at construction (section 4.1: analyze once, install, then refer).
  */
