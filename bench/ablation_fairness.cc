@@ -50,7 +50,7 @@ std::vector<Point> g_points(kFloods.size());
 
 double
 victim_latency(CellContext& ctx, accel::SchedPolicy policy,
-               std::uint32_t flood_depth, double* flood_kops)
+               std::uint32_t flood_depth)
 {
     core::ClusterConfig config;
     config.num_clients = 2;
@@ -98,13 +98,7 @@ victim_latency(CellContext& ctx, accel::SchedPolicy policy,
     };
     cluster.queue().schedule_after(micros(20.0), probe_one);
 
-    const Time start = cluster.queue().now();
     ctx.add_events(cluster.queue().run());
-    if (flood_kops != nullptr) {
-        *flood_kops =
-            static_cast<double>(flood_done) /
-            to_seconds(cluster.queue().now() - start) / 1e3;
-    }
     return to_micros(victim.mean());
 }
 
@@ -112,10 +106,10 @@ void
 fairness_cell(CellContext& ctx, std::uint32_t flood_depth, Point& out)
 {
     out.flood = flood_depth;
-    out.fifo_us = victim_latency(ctx, accel::SchedPolicy::kFifo,
-                                 flood_depth, nullptr);
-    out.fair_us = victim_latency(ctx, accel::SchedPolicy::kFairShare,
-                                 flood_depth, nullptr);
+    out.fifo_us =
+        victim_latency(ctx, accel::SchedPolicy::kFifo, flood_depth);
+    out.fair_us =
+        victim_latency(ctx, accel::SchedPolicy::kFairShare, flood_depth);
 }
 
 // ------------------------------------- serving-plane tenant isolation
@@ -179,6 +173,7 @@ isolation_run(CellContext& ctx, bool with_batch_flood,
     // so the token bucket throttles and (past the park cap) sheds.
     std::uint64_t batch_issued = 0;
     std::uint64_t batch_done = 0;
+    Time last_batch_done = 0;
     constexpr std::uint64_t kBatchBudget = 2000;
     std::function<void()> batch_one = [&] {
         batch_issued++;
@@ -187,6 +182,7 @@ isolation_run(CellContext& ctx, bool with_batch_flood,
         op.done = [&](offload::Completion&& completion) {
             if (!completion.timed_out) {
                 batch_done++;
+                last_batch_done = cluster.queue().now();
             }
             if (batch_issued < kBatchBudget) {
                 batch_one();
@@ -227,9 +223,13 @@ isolation_run(CellContext& ctx, bool with_batch_flood,
         out->admitted = counters.admitted;
         out->throttled = counters.throttled;
         out->shed = counters.shed;
+        // Over the span that produced the completions, not up to
+        // when the queue drained: the probes may run on past them.
         out->batch_kops =
-            static_cast<double>(batch_done) /
-            to_seconds(cluster.queue().now() - start) / 1e3;
+            batch_done > 0
+                ? static_cast<double>(batch_done) /
+                      to_seconds(last_batch_done - start) / 1e3
+                : 0.0;
     }
     return to_micros(probe_latency.percentile(0.99));
 }

@@ -225,8 +225,11 @@ Accelerator::on_packet(net::PacketHandle handle)
                 // cutover's replay-digest handoff), replaying it would
                 // bounce the packet between switch and accelerator
                 // forever. Re-execute under current routes instead,
-                // mirrored exactly like a new visit.
+                // mirrored exactly like a new visit. The checker's
+                // exactly-once record of the bounce goes too: the
+                // re-execution is deliberate.
                 replay_.restart(claim.ticket);
+                executed_visits_.erase(key);
                 [[fallthrough]];
             case ReplayWindow::Verdict::kNew:
                 if (replication_ != nullptr) {

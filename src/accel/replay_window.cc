@@ -3,66 +3,11 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
-#include <type_traits>
 
 #include "common/logging.h"
 
 namespace pulse::accel {
 
-namespace {
-
-using net::TraversalPacket;
-
-/** Header: every field before the scratch pad. */
-constexpr std::size_t kHeaderBytes = offsetof(TraversalPacket, scratch);
-/** Between the scratch pad and the spawn list (padding today). */
-constexpr std::size_t kGapBegin =
-    offsetof(TraversalPacket, scratch) + sizeof(ScratchBuffer);
-constexpr std::size_t kGapEnd = offsetof(TraversalPacket, spawns);
-/** After the spawn list: the lineage fields, to the packet's end. */
-constexpr std::size_t kTailBegin =
-    offsetof(TraversalPacket, spawns) + sizeof(net::SpawnList);
-
-// copy_used() block-copies every byte outside the scratch pad and the
-// spawn list, so a field added anywhere else is copied with no change
-// here; only the two arrays are copied up to their used sizes.
-static_assert(std::is_trivially_copyable_v<TraversalPacket>);
-static_assert(std::is_standard_layout_v<TraversalPacket>);
-static_assert(kHeaderBytes == 104 && kGapBegin <= kGapEnd);
-
-/** Copy bytes [@p begin, @p end) of @p src into @p dst. */
-std::size_t
-copy_range(TraversalPacket& dst, const TraversalPacket& src,
-           std::size_t begin, std::size_t end)
-{
-    std::memcpy(reinterpret_cast<char*>(&dst) + begin,
-                reinterpret_cast<const char*>(&src) + begin, end - begin);
-    return end - begin;
-}
-
-/**
- * Copy the bytes @p src uses into @p dst: everything but the unused
- * parts of the scratch pad and the spawn list. Bytes past the used
- * sizes are left as they were (no reader looks past a size). Returns
- * the bytes copied.
- */
-std::size_t
-copy_used(TraversalPacket& dst, const TraversalPacket& src)
-{
-    std::size_t bytes = copy_range(dst, src, 0, kHeaderBytes);
-    dst.scratch.assign(src.scratch.data(), src.scratch.size());
-    bytes += src.scratch.size();
-    bytes += copy_range(dst, src, kGapBegin, kGapEnd);
-    dst.spawns.clear();
-    for (const isa::SpawnRecord& record : src.spawns) {
-        dst.spawns.push(record);
-    }
-    bytes += src.spawns.size() * sizeof(isa::SpawnRecord);
-    return bytes + copy_range(dst, src, kTailBegin, sizeof(TraversalPacket));
-}
-
-}  // namespace
 
 ReplayWindow::ReplayWindow(std::size_t per_client_entries)
     : capacity_(per_client_entries)
@@ -188,7 +133,7 @@ ReplayWindow::complete(Ring& ring, std::uint32_t slot,
                        const net::TraversalPacket& response)
 {
     ring.slots[slot].state = State::kDone;
-    copy_bytes_ += copy_used(ring.responses[slot], response);
+    copy_bytes_ += net::copy_used(ring.responses[slot], response);
 }
 
 ReplayWindow::Verdict
@@ -349,7 +294,7 @@ void
 ReplayWindow::copy_response(Ticket ticket, net::TraversalPacket& out)
 {
     copy_bytes_ +=
-        copy_used(out, rings_[ticket.client].responses[ticket.slot]);
+        net::copy_used(out, rings_[ticket.client].responses[ticket.slot]);
 }
 
 std::size_t

@@ -37,7 +37,8 @@ struct RpcRuntime::OpState
     std::uint64_t leg = 0;
     NodeId target_node = 0;
     std::uint32_t retransmits = 0;
-    std::uint64_t timer_generation = 0;
+    /** The armed retransmission timer (cancelled when quenched). */
+    sim::EventId timer;
     isa::TraversalStatus resp_status = isa::TraversalStatus::kDone;
     isa::ExecFault resp_fault = isa::ExecFault::kNone;
 };
@@ -122,15 +123,13 @@ RpcRuntime::send_request(const std::shared_ptr<OpState>& state,
 void
 RpcRuntime::arm_timer(const std::shared_ptr<OpState>& state)
 {
-    const std::uint64_t generation = ++state->timer_generation;
+    queue_.cancel(state->timer);  // supersede the previous leg's
     const Time delay =
         config_.retransmit_timeout
         << std::min<std::uint32_t>(state->retransmits, 6);
-    queue_.schedule_after(delay, [this, state, generation] {
-        if (state->timer_generation != generation ||
-            state->phase == OpState::Phase::kDone) {
-            return;
-        }
+    // The response that quenches the leg cancels the timer, so it only
+    // fires for a leg still awaiting its response.
+    state->timer = queue_.schedule_after(delay, [this, state] {
         if (state->retransmits >= config_.max_retransmits) {
             state->phase = OpState::Phase::kDone;
             stats_.failures.increment();
@@ -333,7 +332,9 @@ RpcRuntime::send_response(const std::shared_ptr<OpState>& state,
                     state->phase == OpState::Phase::kDone) {
                     return;  // duplicate/stale response at the client
                 }
-                state->timer_generation++;  // quench the timer
+                // Quench the timer; cancelling also drops its
+                // reference to this state.
+                queue_.cancel(state->timer);
             }
             if (status == TraversalStatus::kNotLocal &&
                 state->iterations < offload::kGlobalIterationGuard) {

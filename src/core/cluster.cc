@@ -261,8 +261,8 @@ Cluster::verify_quiesce()
     if (!checker_) {
         return 0;
     }
-    // Drain leftovers (quenched retransmit timers are harmless no-op
-    // events) so the structural audit sees the settled state.
+    // Drain leftovers (events still in flight after the last
+    // completion) so the structural audit sees the settled state.
     queue_.run();
     return checker_->verify_quiesce();
 }

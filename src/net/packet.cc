@@ -1,6 +1,55 @@
 #include "net/packet.h"
 
+#include <cstddef>
+#include <cstring>
+#include <type_traits>
+
 namespace pulse::net {
+
+namespace {
+
+/** Header: every field before the scratch pad. */
+constexpr std::size_t kHeaderBytes = offsetof(TraversalPacket, scratch);
+/** Between the scratch pad and the spawn list (padding today). */
+constexpr std::size_t kGapBegin =
+    offsetof(TraversalPacket, scratch) + sizeof(ScratchBuffer);
+constexpr std::size_t kGapEnd = offsetof(TraversalPacket, spawns);
+/** After the spawn list: the lineage fields, to the packet's end. */
+constexpr std::size_t kTailBegin =
+    offsetof(TraversalPacket, spawns) + sizeof(SpawnList);
+
+// copy_used() block-copies every byte outside the scratch pad and the
+// spawn list, so a field added anywhere else is copied with no change
+// here; only the two arrays are copied up to their used sizes.
+static_assert(std::is_standard_layout_v<TraversalPacket>);
+static_assert(kHeaderBytes == 104 && kGapBegin <= kGapEnd);
+
+/** Copy bytes [@p begin, @p end) of @p src into @p dst. */
+std::size_t
+copy_range(TraversalPacket& dst, const TraversalPacket& src,
+           std::size_t begin, std::size_t end)
+{
+    std::memcpy(reinterpret_cast<char*>(&dst) + begin,
+                reinterpret_cast<const char*>(&src) + begin, end - begin);
+    return end - begin;
+}
+
+}  // namespace
+
+std::size_t
+copy_used(TraversalPacket& dst, const TraversalPacket& src)
+{
+    std::size_t bytes = copy_range(dst, src, 0, kHeaderBytes);
+    dst.scratch.assign(src.scratch.data(), src.scratch.size());
+    bytes += src.scratch.size();
+    bytes += copy_range(dst, src, kGapBegin, kGapEnd);
+    dst.spawns.clear();
+    for (const isa::SpawnRecord& record : src.spawns) {
+        dst.spawns.push(record);
+    }
+    bytes += src.spawns.size() * sizeof(isa::SpawnRecord);
+    return bytes + copy_range(dst, src, kTailBegin, sizeof(TraversalPacket));
+}
 
 void
 attach_program(TraversalPacket& packet, const isa::Program* program)

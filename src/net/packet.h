@@ -292,6 +292,14 @@ struct TraversalPacket
 static_assert(std::is_trivially_copyable_v<TraversalPacket>);
 
 /**
+ * Copy the bytes @p src uses into @p dst: everything but the unused
+ * parts of the scratch pad and the spawn list, which are most of the
+ * packet. Bytes past the used sizes are left as they were; no reader
+ * looks past a size. Returns the bytes copied.
+ */
+std::size_t copy_used(TraversalPacket& dst, const TraversalPacket& src);
+
+/**
  * Attach @p program to @p packet, with code_size set to the program's
  * wire_code_size(). The packet stores a non-owning reference: the
  * caller must guarantee the program outlives every packet (and packet

@@ -83,12 +83,13 @@ class PacketArena
                             index};
     }
 
-    /** A slot holding a copy of @p packet (which may live here). */
+    /** A slot holding a used-bytes copy of @p packet (which may live
+     *  here; see copy_used). */
     PacketHandle
     acquire(const TraversalPacket& packet)
     {
         const PacketHandle handle = acquire();
-        (*this)[handle] = packet;
+        copy_used((*this)[handle], packet);
         return handle;
     }
 

@@ -249,7 +249,7 @@ OffloadEngine::issue(std::uint64_t key, net::PacketHandle handle)
         sends++;
     }
 
-    inflight.last_request = packet;
+    net::copy_used(inflight.last_request, packet);
     inflight.leg_issue_time = queue_.now();
     inflight.leg_retransmitted = false;
     inflight.expected_echo = iterations_done;
@@ -262,6 +262,7 @@ OffloadEngine::arm_timer(std::uint64_t key)
 {
     auto it = inflight_.find(key);
     PULSE_ASSERT(it != inflight_.end(), "arming timer for unknown op");
+    queue_.cancel(it->second.timer);  // supersede the previous leg's
     const std::uint64_t generation = ++it->second.timer_generation;
     // Exponential backoff keeps loaded (queued) traversals from being
     // duplicated by premature retransmissions.
@@ -280,12 +281,12 @@ OffloadEngine::arm_timer(std::uint64_t key)
         delay += static_cast<Time>(static_cast<double>(delay) *
                                    config_.rto_jitter_fraction * unit);
     }
-    queue_.schedule_after(delay, [this, key, generation] {
+    it->second.timer = queue_.schedule_after(delay, [this, key] {
+        // A response, a newer leg or completion cancels the timer, so
+        // it only ever fires for a leg still awaiting its response.
         auto pos = inflight_.find(key);
-        if (pos == inflight_.end() ||
-            pos->second.timer_generation != generation) {
-            return;  // response arrived or a newer request superseded us
-        }
+        PULSE_ASSERT(pos != inflight_.end(),
+                     "retransmit timer outlived its operation");
         InFlight& inflight = pos->second;
         if (inflight.retransmits >= config_.max_retransmits) {
             Completion completion;
@@ -357,7 +358,8 @@ OffloadEngine::on_response(net::PacketHandle handle)
     if (config_.adaptive_rto && !inflight.leg_retransmitted) {
         rto_.sample(queue_.now() - inflight.leg_issue_time);
     }
-    inflight.timer_generation++;  // quench the timer
+    queue_.cancel(inflight.timer);  // quench the timer
+    inflight.timer_generation++;
     inflight.iterations = packet.iterations_done;
     if (tracer_ != nullptr && tracer_->enabled() &&
         packet.trace.sampled) {
@@ -557,6 +559,7 @@ OffloadEngine::finalize(std::uint64_t key, Completion&& completion)
     auto it = inflight_.find(key);
     PULSE_ASSERT(it != inflight_.end(), "finalize of unknown operation");
     InFlight& inflight = it->second;
+    queue_.cancel(inflight.timer);
     if (inflight.fork != nullptr) {
         ForkState& fork = *inflight.fork;
         if (completion.status == TraversalStatus::kDone) {

@@ -300,8 +300,14 @@ class OffloadEngine
         std::uint32_t retransmits = 0;
         std::uint32_t client_bounces = 0;
         std::uint32_t continuations = 0;
+        /** Bumped on every arm and every quench; the retransmit
+         *  jitter hashes it. */
         std::uint64_t timer_generation = 0;
-        net::TraversalPacket last_request;  ///< for retransmission
+        /** The armed retransmit timer (cancelled when quenched). */
+        sim::EventId timer;
+        /** The current leg's request, used bytes only (for
+         *  retransmission). */
+        net::TraversalPacket last_request;
         /** When the current leg's request hit the wire (RTT anchor). */
         Time leg_issue_time = 0;
         /** Karn's rule: a retransmitted leg yields no RTT sample. */

@@ -48,6 +48,7 @@ SlabCopier::start(VirtAddr va_base, Bytes length, NodeId src,
     active_->dst = dst;
     active_->dst_phys = dst_phys;
     active_->acked.assign(chunks, false);
+    active_->rto.assign(chunks, sim::EventId{});
     active_->done = std::move(done);
 
     // Open the selective-repeat window.
@@ -119,6 +120,7 @@ SlabCopier::on_ack(std::uint64_t generation, std::size_t chunk)
     }
     copy.acked[chunk] = true;
     copy.acked_count++;
+    queue_.cancel(copy.rto[chunk]);
     if (copy.acked_count == copy.acked.size()) {
         finish();
         return;
@@ -131,11 +133,9 @@ SlabCopier::on_ack(std::uint64_t generation, std::size_t chunk)
 void
 SlabCopier::arm_rto(std::size_t chunk)
 {
-    const std::uint64_t gen = generation_;
-    queue_.schedule_after(rto_, [this, gen, chunk] {
-        if (generation_ != gen || !active_ || active_->acked[chunk]) {
-            return;
-        }
+    // Cancelled when the chunk is acked or the copy ends, so the timer
+    // only fires for an unacked chunk of the copy in flight.
+    active_->rto[chunk] = queue_.schedule_after(rto_, [this, chunk] {
         if (++active_->retries > max_retries_) {
             abort();
             return;
@@ -144,12 +144,22 @@ SlabCopier::arm_rto(std::size_t chunk)
     });
 }
 
-void
-SlabCopier::finish()
+SlabCopier::Active
+SlabCopier::end_copy()
 {
     Active copy = std::move(*active_);
     active_.reset();
-    generation_++;  // quench copy-phase timers and stragglers
+    generation_++;  // quench stragglers
+    for (const sim::EventId rto : copy.rto) {
+        queue_.cancel(rto);
+    }
+    return copy;
+}
+
+void
+SlabCopier::finish()
+{
+    Active copy = end_copy();
 
     // Functional copy in the same event: the placement-aware read pulls
     // the authoritative bytes from the current owner, so every store
@@ -166,9 +176,7 @@ SlabCopier::finish()
 void
 SlabCopier::abort()
 {
-    Active copy = std::move(*active_);
-    active_.reset();
-    generation_++;
+    Active copy = end_copy();
     allocator_.free_backing(copy.dst, copy.dst_phys, copy.length);
     copy.done(false);
 }

@@ -94,6 +94,7 @@ class SlabCopier
         NodeId dst = kInvalidNode;
         Bytes dst_phys = 0;
         std::vector<bool> acked;     // per chunk
+        std::vector<sim::EventId> rto;  // per chunk: its armed timer
         std::size_t next_unsent = 0; // chunk index
         std::size_t acked_count = 0;
         std::uint32_t retries = 0;
@@ -105,6 +106,8 @@ class SlabCopier
     void on_chunk_delivered(std::uint64_t generation, std::size_t chunk);
     void on_ack(std::uint64_t generation, std::size_t chunk);
     void arm_rto(std::size_t chunk);
+    /** End the copy in flight: cancel its timers, go idle. */
+    Active end_copy();
     void finish();
 
     sim::EventQueue& queue_;
@@ -118,7 +121,7 @@ class SlabCopier
     std::uint32_t max_retries_;
     CopyStats& stats_;
     std::optional<Active> active_;
-    /** Bumped whenever a copy ends; stale timers/acks from a finished
+    /** Bumped whenever a copy ends; stale reads/acks from a finished
      *  copy check it and become no-ops. */
     std::uint64_t generation_ = 0;
 };

@@ -11,18 +11,26 @@ namespace pulse::sim {
 std::uint32_t
 EventQueue::acquire_slot(EventFn&& fn)
 {
+    PULSE_ASSERT(fn, "scheduling an empty callback");
     std::uint32_t slot;
     if (!free_slots_.empty()) {
         slot = free_slots_.back();
         free_slots_.pop_back();
         pool_[slot] = std::move(fn);
-        chain_next_[slot] = kNilSlot;
     } else {
         slot = static_cast<std::uint32_t>(pool_.size());
         pool_.push_back(std::move(fn));
+        generation_.push_back(0);
         chain_next_.push_back(kNilSlot);
     }
     return slot;
+}
+
+void
+EventQueue::release_slot(std::uint32_t slot)
+{
+    chain_next_[slot] = kNilSlot;
+    free_slots_.push_back(slot);
 }
 
 void
@@ -47,16 +55,21 @@ EventQueue::heap_pop()
     const Entry top = heap_.front();
     const Entry last = heap_.back();
     heap_.pop_back();
-    const std::size_t n = heap_.size();
-    if (n == 0) {
-        return top;
+    if (!heap_.empty()) {
+        sift_down(0, last);
     }
-    // Sift the former last entry down from the root: move the
-    // earliest child up until `last` precedes all children. The
-    // earliest child is picked by comparing packed 128-bit keys, which
-    // compiles to conditional moves: on a deep heap the branchy
+    return top;
+}
+
+void
+EventQueue::sift_down(std::size_t i, Entry entry)
+{
+    // Move the earliest child up until `entry` precedes all children.
+    // The earliest child is picked by comparing packed 128-bit keys,
+    // which compiles to conditional moves: on a deep heap the branchy
     // (when, sequence) comparison mispredicts about once per child.
-    std::size_t i = 0;
+    const std::size_t n = heap_.size();
+    const Key entry_key = key(entry);
     for (;;) {
         const std::size_t first = kArity * i + 1;
         if (first >= n) {
@@ -71,17 +84,16 @@ EventQueue::heap_pop()
             best = earlier ? c : best;
             best_key = earlier ? k : best_key;
         }
-        if (best_key >= key(last)) {
+        if (best_key >= entry_key) {
             break;
         }
         heap_[i] = heap_[best];
         i = best;
     }
-    heap_[i] = last;
-    return top;
+    heap_[i] = entry;
 }
 
-void
+EventId
 EventQueue::schedule_at(Time when, EventFn fn)
 {
     PULSE_ASSERT(when >= now_,
@@ -107,28 +119,138 @@ EventQueue::schedule_at(Time when, EventFn fn)
     }
     pending_++;
     peak_pending_ = std::max(peak_pending_, pending_);
+    return EventId{slot, generation_[slot]};
 }
 
-void
+EventId
 EventQueue::schedule_after(Time delay, EventFn fn)
 {
     PULSE_ASSERT(delay >= 0, "negative delay %lld",
                  static_cast<long long>(delay));
-    schedule_at(now_ + delay, std::move(fn));
+    return schedule_at(now_ + delay, std::move(fn));
+}
+
+bool
+EventQueue::cancel(EventId id)
+{
+    // A matching generation means the slot still holds this event:
+    // running or cancelling it bumps the generation.
+    if (id.slot >= pool_.size() || generation_[id.slot] != id.generation) {
+        return false;
+    }
+    generation_[id.slot]++;
+    pool_[id.slot] = EventFn{};
+    pending_--;
+    tombstones_++;
+    if (tombstones_ > pending_) {
+        compact();
+    }
+    return true;
+}
+
+std::uint32_t
+EventQueue::prune_chain(std::uint32_t slot)
+{
+    std::uint32_t first = kNilSlot;
+    std::uint32_t* link = &first;
+    while (slot != kNilSlot) {
+        const std::uint32_t next = chain_next_[slot];
+        if (pool_[slot]) {
+            *link = slot;
+            link = &chain_next_[slot];
+        } else {
+            release_slot(slot);
+            tombstones_--;
+        }
+        slot = next;
+    }
+    *link = kNilSlot;
+    return first;
+}
+
+std::uint32_t
+EventQueue::skip_tombstones(std::uint32_t slot)
+{
+    while (slot != kNilSlot && !pool_[slot]) {
+        const std::uint32_t next = chain_next_[slot];
+        release_slot(slot);
+        tombstones_--;
+        slot = next;
+    }
+    return slot;
+}
+
+void
+EventQueue::compact()
+{
+    drain_next_ = prune_chain(drain_next_);
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < heap_.size(); i++) {
+        Entry entry = heap_[i];
+        entry.slot = prune_chain(entry.slot);
+        if (entry.slot != kNilSlot) {
+            heap_[kept++] = entry;
+        }
+    }
+    heap_.resize(kept);
+    for (std::size_t i = kept > 1 ? (kept - 2) / kArity + 1 : 0;
+         i-- > 0;) {
+        sift_down(i, heap_[i]);
+    }
+    // Surviving chains may have lost their head or tail slot; later
+    // events at their timestamps start fresh (later) chains instead.
+    chains_.fill(ChainRef{});
+    PULSE_ASSERT(tombstones_ == 0, "%zu tombstones survived a compaction",
+                 tombstones_);
+    compactions_++;
+}
+
+bool
+EventQueue::settle()
+{
+    if (tombstones_ == 0) {
+        return drain_next_ != kNilSlot || !heap_.empty();
+    }
+    drain_next_ = skip_tombstones(drain_next_);
+    if (drain_next_ != kNilSlot) {
+        return true;
+    }
+    while (!heap_.empty()) {
+        Entry& top = heap_.front();
+        const std::uint32_t head = top.slot;
+        const std::uint32_t first = skip_tombstones(head);
+        // The cache entry naming this chain by its head must follow the
+        // head (or go), since a reclaimed slot can be reused at once.
+        ChainRef& ref = chains_[chain_index(top.when)];
+        if (first != kNilSlot) {
+            // The entry keeps its key: the first live event inherits
+            // the cancelled head's place in the order.
+            if (ref.head == head) {
+                ref.head = first;
+            }
+            top.slot = first;
+            return true;
+        }
+        if (ref.head == head) {
+            ref = ChainRef{};
+        }
+        heap_pop();
+    }
+    return false;
 }
 
 bool
 EventQueue::step()
 {
+    if (!settle()) {
+        return false;
+    }
     std::uint32_t slot;
     if (drain_next_ != kNilSlot) {
         // Continue draining the chain popped earlier; every event in
         // it shares the already-installed clock value.
         slot = drain_next_;
     } else {
-        if (heap_.empty()) {
-            return false;
-        }
         // The entry is 24 bytes of plain data; the callback is moved
         // out of its pool slot below.
         const Entry entry = heap_pop();
@@ -144,8 +266,10 @@ EventQueue::step()
         // Close the chain before running anything: events scheduled at
         // this same timestamp during the drain must start a fresh
         // chain (heaped behind the one being drained). A slot is only
-        // recycled after its chain element executes, so head-slot
-        // equality uniquely identifies this chain's cache entry.
+        // recycled after its chain element executes or its tombstone
+        // is reclaimed (which moves the cache entry's head along, see
+        // settle()), so head-slot equality uniquely identifies this
+        // chain's cache entry.
         ChainRef& ref = chains_[chain_index(entry.when)];
         if (ref.head == entry.slot) {
             ref = ChainRef{};
@@ -160,11 +284,12 @@ EventQueue::step()
     executed_++;
     pending_--;
     // The slot returns to the free list *before* the callback runs so
-    // the callback may schedule into it; the local `fn` is unaffected
-    // if pool_ reallocates meanwhile.
+    // the callback may schedule into it (and its EventId goes stale, so
+    // a self-cancel is a no-op); the local `fn` is unaffected if pool_
+    // reallocates meanwhile.
     EventFn fn = std::move(pool_[slot]);
-    chain_next_[slot] = kNilSlot;
-    free_slots_.push_back(slot);
+    generation_[slot]++;
+    release_slot(slot);
     fn();
     return true;
 }
@@ -185,8 +310,8 @@ EventQueue::run_until(Time deadline)
     std::uint64_t n = 0;
     // A chain mid-drain is at now_ <= deadline by construction, so it
     // never outruns the deadline check.
-    while (drain_next_ != kNilSlot ||
-           (!heap_.empty() && heap_.front().when <= deadline)) {
+    while (settle() && (drain_next_ != kNilSlot ||
+                        heap_.front().when <= deadline)) {
         step();
         n++;
     }
@@ -213,6 +338,9 @@ EventQueue::checkpoint(StateIo& io)
     PULSE_ASSERT(pending_ == 0,
                  "checkpoint requires a quiesced queue (%zu pending)",
                  pending_);
+    if (tombstones_ > 0) {
+        compact();
+    }
     Time now = now_;
     io.i64(now);
     if (now < now_) {

@@ -33,6 +33,19 @@
  * one timestamp occupy disjoint, heap-ordered sequence ranges, and the
  * cache entry is invalidated when its chain's head is popped so events
  * scheduled *during* a drain start a fresh (later) chain.
+ *
+ * Cancellation: schedule_at() returns an EventId (slot + generation,
+ * the PacketHandle idiom), and cancel() turns the pending event into a
+ * tombstone: its closure is destroyed at once and it leaves pending(),
+ * but its slot stays linked where it is. step() and run_until() discard
+ * tombstones they reach without moving the clock. Once tombstones
+ * outnumber live events, compact() rebuilds the heap in bulk: it
+ * unlinks every tombstone, drops entries whose whole chain was
+ * cancelled, hands a cancelled chain head's entry to its first live
+ * successor (keeping the entry's (when, sequence) key, which still
+ * precedes every later chain at that timestamp) and re-heapifies. Keys
+ * are never reused, so the pop order of the live events is exactly the
+ * order they would have had without the cancelled ones.
  */
 #ifndef PULSE_SIM_EVENT_QUEUE_H
 #define PULSE_SIM_EVENT_QUEUE_H
@@ -71,6 +84,17 @@ static_assert(sizeof(EventFn) <= 128,
               "an event slot must stay within two cache lines");
 
 /**
+ * Names one scheduled event for EventQueue::cancel(). A default id
+ * names no event; an id whose event already ran or was cancelled is
+ * stale, and cancelling it does nothing.
+ */
+struct EventId
+{
+    std::uint32_t slot = 0xFFFFFFFFu;
+    std::uint32_t generation = 0;
+};
+
+/**
  * Time-ordered event queue with a monotonically advancing clock: a
  * calendar-free 4-ary heap, adequate for the rack-scale models here
  * (tens of components, millions of events).
@@ -86,15 +110,22 @@ class EventQueue
     Time now() const { return now_; }
 
     /** Schedule @p fn to run at absolute time @p when (>= now). */
-    void schedule_at(Time when, EventFn fn);
+    EventId schedule_at(Time when, EventFn fn);
 
     /** Schedule @p fn to run @p delay after the current time. */
-    void schedule_after(Time delay, EventFn fn);
+    EventId schedule_after(Time delay, EventFn fn);
 
-    /** Number of pending events. */
+    /**
+     * Cancel the pending event @p id: its closure is destroyed now and
+     * it never runs. Returns false, doing nothing, when @p id is stale
+     * (the event ran, is running, or was cancelled) or default.
+     */
+    bool cancel(EventId id);
+
+    /** Number of pending (live, uncancelled) events. */
     std::size_t pending() const { return pending_; }
 
-    /** True when no events remain. */
+    /** True when no live events remain. */
     bool empty() const { return pending_ == 0; }
 
     /**
@@ -141,7 +172,8 @@ class EventQueue
     /**
      * Callback slots ever allocated (pool high-water). Steady state
      * allocates nothing: slots recycle through the free list, so this
-     * converges to peak_pending() and stays there.
+     * converges to the peak of pending() plus tombstones (at most
+     * twice peak_pending()) and stays there.
      */
     std::size_t pool_slots() const { return pool_.size(); }
 
@@ -153,6 +185,12 @@ class EventQueue
 
     /** Heap pops that drained a multi-event chain. */
     std::uint64_t batches_drained() const { return batches_; }
+
+    /** Cancelled events whose slots are not yet reclaimed. */
+    std::size_t tombstones() const { return tombstones_; }
+
+    /** Bulk heap rebuilds that reclaimed tombstones. */
+    std::uint64_t compactions() const { return compactions_; }
 
     /**
      * Attach an invariant registry (nullptr detaches). When present,
@@ -171,8 +209,8 @@ class EventQueue
      * bit-identical to the uninterrupted run. Only a *quiesced* queue
      * — no pending events — can be captured or restored: in-flight
      * callbacks are type-erased closures over live component state and
-     * are deliberately not serializable. Restoring rejects a clock
-     * behind the live one.
+     * are deliberately not serializable (tombstones are reclaimed
+     * first). Restoring rejects a clock behind the live one.
      */
     void checkpoint(StateIo& io);
 
@@ -181,7 +219,8 @@ class EventQueue
      * Heap entry: plain data only. The callback lives in pool_[slot]
      * and is moved out exactly once, when the entry is popped — the
      * heap's sift operations never touch callable state. `slot` heads
-     * a chain of same-timestamp events linked through chain_next_.
+     * a chain of same-timestamp events linked through chain_next_; an
+     * empty pool_ slot in a chain is a tombstone.
      */
     struct Entry
     {
@@ -227,13 +266,37 @@ class EventQueue
     }
 
     std::uint32_t acquire_slot(EventFn&& fn);
+    void release_slot(std::uint32_t slot);
     void heap_push(const Entry& entry);
     Entry heap_pop();
+    /** Place @p entry at hole @p i and sift it down. */
+    void sift_down(std::size_t i, Entry entry);
+
+    /**
+     * Discard the tombstones in front of the next live event (never
+     * moving the clock). Returns true when a live event is next: at
+     * drain_next_, else at heap_.front().slot.
+     */
+    bool settle();
+
+    /** Reclaim the tombstones leading the chain at @p slot; returns
+     *  its first live slot (kNilSlot if none). */
+    std::uint32_t skip_tombstones(std::uint32_t slot);
+
+    /** Unlink and reclaim every tombstone of the chain at @p slot;
+     *  returns its first live slot (kNilSlot if none). */
+    std::uint32_t prune_chain(std::uint32_t slot);
+
+    /** Reclaim every tombstone and rebuild the heap (see file doc). */
+    void compact();
 
     /** 4-ary min-heap: the children of i are kArity*i+1 ..
      *  kArity*i+kArity. */
     std::vector<Entry> heap_;
     std::vector<EventFn> pool_;
+    /** Per slot; bumped when its event runs or is cancelled, which
+     *  makes every EventId naming that event stale. */
+    std::vector<std::uint32_t> generation_;
     /** Next slot in the same-timestamp chain (kNilSlot = end). */
     std::vector<std::uint32_t> chain_next_;
     std::vector<std::uint32_t> free_slots_;
@@ -246,6 +309,8 @@ class EventQueue
     std::size_t peak_pending_ = 0;
     std::uint64_t coalesced_ = 0;
     std::uint64_t batches_ = 0;
+    std::uint64_t compactions_ = 0;
+    std::size_t tombstones_ = 0;
     /** Chain tail still to drain from the last popped heap entry. */
     std::uint32_t drain_next_ = kNilSlot;
 };

@@ -9,6 +9,7 @@
 #include <cstring>
 
 #include "accel/accelerator.h"
+#include "check/invariants.h"
 #include "isa/program.h"
 
 namespace pulse::accel {
@@ -220,6 +221,38 @@ TEST_F(AccelFixture, NotLocalPointerBouncesViaSwitchPolicy)
     queue.run();
     ASSERT_EQ(responses.size(), 1u);
     EXPECT_EQ(responses[0].status, TraversalStatus::kMemFault);
+}
+
+TEST_F(AccelFixture, RestartedBounceIsNotADuplicateExecution)
+{
+    // A retransmit of a visit whose cached response is a zero-progress
+    // kNotLocal bounce re-executes on purpose (replay_.restart). The
+    // exactly-once checker must not report that as a duplicate.
+    Accelerator& accelerator = make_accel();
+    check::InvariantRegistry registry;
+    accelerator.set_invariants(&registry);
+    // The switch routes this address here, but the TCAM no longer maps
+    // it: the visit bounces before its first iteration.
+    const VirtAddr away = memory.address_map().region(0).base + kMiB;
+    ASSERT_TRUE(accelerator.tcam().punch(away, 4096));
+    pinned_programs_.push_back(count_program());
+    net::TraversalPacket packet;
+    packet.id = RequestId{0, 1};
+    packet.cur_ptr = away;
+    packet.allow_switch_continuation = false;  // bounce to the client
+    attach_program(packet, pinned_programs_.back());
+    packet.scratch.assign(16, 0);
+    for (int copy = 0; copy < 2; copy++) {
+        network->send_traversal(net::EndpointAddr::client(0),
+                                network->packets().acquire(packet));
+        queue.run();
+    }
+    ASSERT_EQ(responses.size(), 2u);
+    EXPECT_EQ(responses[1].status, TraversalStatus::kNotLocal);
+    EXPECT_EQ(responses[1].iterations_done, 0u);
+    EXPECT_EQ(accelerator.stats().replays_sent.value(), 0u);
+    EXPECT_EQ(registry.count(check::InvariantKind::kDuplicateExecution),
+              0u);
 }
 
 TEST_F(AccelFixture, QueueOverflowDropsAndCounts)

@@ -302,6 +302,34 @@ TEST(RpcRuntime, TcpTransportSlowerThanErpc)
     EXPECT_GT(tcp, erpc);
 }
 
+TEST(RpcRuntime, QuenchedTimersLeaveTheQueue)
+{
+    // Reliable mode arms a 20 ms timer per leg; the response cancels
+    // it, dropping the timer's reference to the operation's state, so
+    // the queue holds only the legs in flight.
+    constexpr std::uint32_t kConcurrency = 32;
+    core::ClusterConfig config;
+    config.rpc.retransmit_timeout = micros(20000.0);
+    core::Cluster cluster(config);
+    ds::HashTable table(cluster.memory(), cluster.allocator(),
+                        ds::HashTableConfig{.num_buckets = 32});
+    for (std::uint64_t k = 1; k <= 512; k++) {
+        table.insert(k);
+    }
+    workloads::DriverConfig driver;
+    driver.warmup_ops = 0;
+    driver.measure_ops = 2000;
+    driver.concurrency = kConcurrency;
+    const workloads::DriverResult result = run_closed_loop(
+        cluster.queue(), cluster.submitter(core::SystemKind::kRpc),
+        [&](std::uint64_t i) { return table.make_find(1 + i % 512, {}); },
+        driver);
+    EXPECT_EQ(result.completed, 2000u);
+    EXPECT_EQ(result.errors, 0u);
+    EXPECT_EQ(cluster.rpc().stats().retransmits.value(), 0u);
+    EXPECT_LE(cluster.queue().peak_pending(), 2 * kConcurrency + 16);
+}
+
 // -------------------------------------------------------------- aifm
 
 TEST(Aifm, EvictsByBytes)

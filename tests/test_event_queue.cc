@@ -4,7 +4,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <map>
 #include <memory>
 #include <queue>
 #include <utility>
@@ -305,9 +307,128 @@ TEST(EventQueueCoalescing, CountersTrackChainedEvents)
     EXPECT_EQ(queue.batches_drained(), 1u);
 }
 
+// ------------------------------------------------------- cancellation
+
+TEST(EventQueueCancel, CancelledEventsNeverRunAndLeavePending)
+{
+    EventQueue queue;
+    std::vector<int> order;
+    const EventId head = queue.schedule_at(5, [&] { order.push_back(0); });
+    queue.schedule_at(5, [&] { order.push_back(1); });
+    const EventId mid = queue.schedule_at(5, [&] { order.push_back(2); });
+    queue.schedule_at(5, [&] { order.push_back(3); });
+    queue.schedule_at(9, [&] { order.push_back(4); });
+    EXPECT_TRUE(queue.cancel(head));
+    EXPECT_TRUE(queue.cancel(mid));
+    EXPECT_FALSE(queue.cancel(mid));        // double cancel
+    EXPECT_FALSE(queue.cancel(EventId{}));  // names no event
+    EXPECT_EQ(queue.pending(), 3u);
+    EXPECT_EQ(queue.run(), 3u);
+    EXPECT_EQ(order, (std::vector<int>{1, 3, 4}));
+    EXPECT_EQ(queue.events_executed(), 3u);
+    EXPECT_EQ(queue.tombstones(), 0u);
+}
+
+TEST(EventQueueCancel, StaleIdsCancelNothing)
+{
+    EventQueue queue;
+    int runs = 0;
+    const EventId first = queue.schedule_at(1, [&] { runs++; });
+    queue.run();
+    // The slot is reused; the old id must not cancel its new event.
+    const EventId second = queue.schedule_at(2, [&] { runs++; });
+    EXPECT_EQ(first.slot, second.slot);
+    EXPECT_FALSE(queue.cancel(first));
+    EventId self;
+    self = queue.schedule_at(3, [&] {
+        runs++;
+        EXPECT_FALSE(queue.cancel(self));  // running: stale
+    });
+    queue.run();
+    EXPECT_EQ(runs, 3);
+}
+
+TEST(EventQueueCancel, WholeChainCancelDoesNotMoveTheClock)
+{
+    EventQueue queue;
+    std::vector<EventId> chain;
+    for (int i = 0; i < 4; i++) {
+        chain.push_back(queue.schedule_at(50, [] {}));
+    }
+    Time fired_at = -1;
+    queue.schedule_at(80, [&] { fired_at = queue.now(); });
+    for (const EventId id : chain) {
+        queue.cancel(id);
+    }
+    // run_until stops short of the live event; the tombstones at 50
+    // are discarded without the clock visiting 50 early or late.
+    EXPECT_EQ(queue.run_until(60), 0u);
+    EXPECT_EQ(queue.now(), 60);
+    EXPECT_EQ(queue.pending(), 1u);
+    EXPECT_TRUE(queue.step());
+    EXPECT_EQ(fired_at, 80);
+    EXPECT_FALSE(queue.step());
+    EXPECT_EQ(queue.now(), 80);
+}
+
+TEST(EventQueueCancel, CancellingTheDrainingChainSkipsItsRest)
+{
+    EventQueue queue;
+    std::vector<int> order;
+    std::vector<EventId> ids;
+    for (int i = 0; i < 4; i++) {
+        ids.push_back(queue.schedule_at(7, [&, i] {
+            order.push_back(i);
+            if (i == 0) {
+                queue.cancel(ids[1]);
+                queue.cancel(ids[3]);
+            }
+        }));
+    }
+    queue.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 2}));
+}
+
+TEST(EventQueueCancel, CompactionReclaimsSlotsAndKeepsOrder)
+{
+    EventQueue queue;
+    std::vector<Time> order;
+    std::vector<EventId> ids;
+    const auto record = [&] { order.push_back(queue.now()); };
+    // 50 chains of 20 events each (event i at timestamp 1000 + i % 50).
+    for (int i = 0; i < 1000; i++) {
+        ids.push_back(queue.schedule_at(1000 + i % 50, record));
+    }
+    // Cancel 3 of every 4: all of each odd chain, and every other
+    // event of each even chain, half of those starting at the head.
+    // The tombstones outnumber the live events, so the heap is
+    // rebuilt.
+    for (std::size_t i = 0; i < ids.size(); i++) {
+        if (i % 4 != 0) {
+            queue.cancel(ids[i]);
+        }
+    }
+    EXPECT_GT(queue.compactions(), 0u);
+    EXPECT_LE(queue.tombstones(), queue.pending());
+    EXPECT_EQ(queue.pending(), 250u);
+    queue.run();
+    ASSERT_EQ(order.size(), 250u);
+    EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
+    // Reclaimed slots are reused: scheduling as many again allocates
+    // no new slot.
+    const std::size_t slots = queue.pool_slots();
+    for (int i = 0; i < 250; i++) {
+        queue.schedule_after(1, [] {});
+    }
+    EXPECT_EQ(queue.pool_slots(), slots);
+}
+
 // ------------------------------------------- heap differential test
 
-/** An executed event: its timestamp and its scheduling sequence. */
+/**
+ * An executed event: its timestamp and its scheduling sequence; or, with
+ * timestamp -1, a cancel that found the event still pending.
+ */
 using Fired = std::pair<Time, std::uint64_t>;
 
 std::uint64_t
@@ -348,43 +469,114 @@ spawn_children(std::uint64_t seq, Time now, std::uint64_t scheduled,
     }
 }
 
+/**
+ * Which events a firing event cancels, from a ledger both queues keep
+ * identically. Event @p seq, firing at @p now, with @p scheduled
+ * events scheduled so far, picks by hash:
+ *  - one event at random: pending ones are chain heads or mid-chain
+ *    events, and the rest are stale (ran, or already cancelled, which
+ *    makes a double cancel);
+ *  - itself, which is running, so the cancel is stale;
+ *  - every event ever scheduled at one of the timestamps its children
+ *    may use, now's included: whole chains, the one being drained too.
+ */
+struct CancelLedger
+{
+    std::vector<Time> when;  ///< by sequence
+    std::map<Time, std::vector<std::uint64_t>> at;
+
+    void
+    scheduled(Time t)
+    {
+        at[t].push_back(when.size());
+        when.push_back(t);
+    }
+
+    std::vector<std::uint64_t>
+    victims(std::uint64_t seq, Time now) const
+    {
+        const std::uint64_t h = mix(seq ^ 0x2545f491u);
+        const std::uint64_t pick = h % 1024;
+        if (pick < 32) {
+            return {mix(h) % when.size()};
+        }
+        if (pick < 48) {
+            return {seq};
+        }
+        if (pick == 48) {
+            const auto it =
+                at.find(now + static_cast<Time>((h >> 10) % 4) * 500);
+            if (it != at.end()) {
+                return it->second;
+            }
+        }
+        return {};
+    }
+};
+
 /** The same workload on std::priority_queue, ordered by (when, seq). */
 std::vector<Fired>
 reference_order()
 {
     std::priority_queue<Fired, std::vector<Fired>, std::greater<Fired>>
         heap;
-    std::uint64_t next = 0;
-    const auto schedule = [&](Time when) { heap.push({when, next++}); };
+    CancelLedger ledger;
+    std::vector<bool> done;  // ran or cancelled, by sequence
+    const auto schedule = [&](Time when) {
+        heap.push({when, ledger.when.size()});
+        ledger.scheduled(when);
+        done.push_back(false);
+    };
     for (std::uint64_t i = 0; i < kSeedEvents; i++) {
         schedule(seed_time(i));
     }
-    std::vector<Fired> order;
+    std::vector<Fired> log;
     while (!heap.empty()) {
         const Fired event = heap.top();
         heap.pop();
-        order.push_back(event);
-        spawn_children(event.second, event.first, next, schedule);
+        if (done[event.second]) {
+            continue;  // cancelled
+        }
+        done[event.second] = true;
+        log.push_back(event);
+        for (const std::uint64_t victim :
+             ledger.victims(event.second, event.first)) {
+            if (!done[victim]) {
+                done[victim] = true;
+                log.push_back({-1, victim});
+            }
+        }
+        spawn_children(event.second, event.first, ledger.when.size(),
+                       schedule);
     }
-    return order;
+    return log;
 }
 
 struct DifferentialRun
 {
     EventQueue queue;
-    std::vector<Fired> order;
+    CancelLedger ledger;
+    std::vector<EventId> ids;  // by sequence
+    std::vector<Fired> log;
 
     void
     schedule(Time when)
     {
         const std::uint64_t seq = queue.events_scheduled();
-        queue.schedule_at(when, [this, seq] { fire(seq); });
+        ids.push_back(queue.schedule_at(when, [this, seq] { fire(seq); }));
+        ledger.scheduled(when);
     }
 
     void
     fire(std::uint64_t seq)
     {
-        order.push_back({queue.now(), seq});
+        log.push_back({queue.now(), seq});
+        for (const std::uint64_t victim :
+             ledger.victims(seq, queue.now())) {
+            if (queue.cancel(ids[victim])) {
+                log.push_back({-1, victim});
+            }
+        }
         spawn_children(seq, queue.now(), queue.events_scheduled(),
                        [this](Time when) { schedule(when); });
     }
@@ -393,15 +585,31 @@ struct DifferentialRun
 TEST(EventQueueHeap, MatchesPriorityQueueReferenceOrder)
 {
     const std::vector<Fired> expected = reference_order();
-    ASSERT_GE(expected.size(), 100'000u);
+    std::uint64_t fired = 0;
+    for (const Fired& entry : expected) {
+        fired += entry.first >= 0 ? 1 : 0;
+    }
+    ASSERT_GE(fired, 50'000u);
+    ASSERT_GE(expected.size() - fired, 10'000u);  // cancels
+
     auto run = std::make_unique<DifferentialRun>();
     for (std::uint64_t i = 0; i < kSeedEvents; i++) {
         run->schedule(seed_time(i));
     }
+    // Windows of run_until, so deadlines fall among tombstones, then a
+    // final run() for what lies past the last window.
+    for (Time deadline = 0; deadline < 80'000; deadline += 777) {
+        run->queue.run_until(deadline);
+        EXPECT_EQ(run->queue.now(), deadline);
+    }
     run->queue.run();
-    EXPECT_EQ(run->order, expected);
-    EXPECT_EQ(run->queue.events_executed(), expected.size());
+    EXPECT_EQ(run->log, expected);
+    EXPECT_EQ(run->queue.events_executed(), fired);
     EXPECT_GT(run->queue.events_coalesced(), 0u);
+    EXPECT_GT(run->queue.compactions(), 0u);
+    EXPECT_TRUE(run->queue.empty());
+    EXPECT_EQ(run->queue.tombstones(), 0u);
+    EXPECT_LE(run->queue.pool_slots(), 2 * run->queue.peak_pending());
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "core/cluster.h"
 #include "ds/linked_list.h"
 #include "isa/analysis.h"
+#include "workloads/driver.h"
 
 namespace pulse::offload {
 namespace {
@@ -194,6 +195,63 @@ TEST(OffloadRetransmit, GivesUpAfterMaxRetries)
     EXPECT_EQ(completion.retransmits, 3u);
     EXPECT_EQ(cluster.offload_engine().stats().retransmits.value(),
               3u);
+    EXPECT_EQ(cluster.offload_engine().inflight(), 0u);
+}
+
+/** Closed loop of @p ops list walks, @p concurrency outstanding. */
+workloads::DriverResult
+run_walks(core::Cluster& cluster, std::uint32_t concurrency,
+          std::uint64_t ops)
+{
+    ds::LinkedList list(cluster.memory(), cluster.allocator());
+    std::vector<std::uint64_t> values(64);
+    for (std::size_t i = 0; i < values.size(); i++) {
+        values[i] = i;
+    }
+    list.build(values, 0);
+    workloads::DriverConfig driver;
+    driver.warmup_ops = 0;
+    driver.measure_ops = ops;
+    driver.concurrency = concurrency;
+    return workloads::run_closed_loop(
+        cluster.queue(), cluster.submitter(core::SystemKind::kPulse),
+        [&](std::uint64_t i) { return list.make_walk(8 + i % 32, {}); },
+        driver);
+}
+
+TEST(OffloadTimers, HealthyLoopHoldsOnlyLiveEvents)
+{
+    // Every leg arms a 20 ms retransmit timer and its response
+    // quenches it within microseconds. Quenched timers are cancelled,
+    // so the queue holds about one timer and one in-transit event per
+    // operation in flight, not every timer armed in the last 20 ms.
+    constexpr std::uint32_t kConcurrency = 64;
+    core::Cluster cluster{core::ClusterConfig{}};
+    const workloads::DriverResult result =
+        run_walks(cluster, kConcurrency, 4000);
+    EXPECT_EQ(result.completed, 4000u);
+    EXPECT_EQ(result.errors, 0u);
+    EXPECT_EQ(cluster.offload_engine().stats().retransmits.value(), 0u);
+    EXPECT_LE(cluster.queue().peak_pending(), 2 * kConcurrency + 16);
+    EXPECT_TRUE(cluster.queue().empty());
+    EXPECT_EQ(cluster.queue().tombstones(), 0u);
+}
+
+TEST(OffloadTimers, LossyLoopRetransmitsExactlyAsBefore)
+{
+    // Cancelling a quenched timer removes only events that would have
+    // fired as no-ops: under loss, every live timer still fires at its
+    // instant, so the retransmit count is the one the uncancelled
+    // timers gave (153 with this seed and profile).
+    core::ClusterConfig config;
+    config.faults.links.loss = 0.02;
+    config.offload.retransmit_timeout = micros(200.0);
+    core::Cluster cluster(config);
+    const workloads::DriverResult result = run_walks(cluster, 32, 2000);
+    EXPECT_EQ(result.completed, 2000u);
+    EXPECT_EQ(result.errors, 0u);
+    EXPECT_EQ(cluster.offload_engine().stats().retransmits.value(),
+              153u);
     EXPECT_EQ(cluster.offload_engine().inflight(), 0u);
 }
 

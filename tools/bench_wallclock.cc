@@ -15,8 +15,9 @@
  *    simulation cell, reporting allocations and events for the whole
  *    run (setup + steady state) — the number that bounds how much the
  *    hot path can still be hiding — the packet arena's peak and
- *    end-of-run slot counts, and the replay window's index probes and
- *    response bytes copied per visit (deterministic counts).
+ *    end-of-run slot counts, the event queue's peak pending events,
+ *    and the replay window's index probes and response bytes copied
+ *    per visit (deterministic counts).
  *
  *    The same cell's programs then feed an interpreter
  *    microbenchmark: isa::run_iteration alone over iteration states
@@ -501,6 +502,13 @@ main(int argc, char** argv)
                     coalesced, batches);
         std::printf("packet arena: peak %zu slots, %zu live at end\n",
                     arena.peak(), arena.live());
+        // Event queue high-water mark over the whole cell: live events
+        // only, about one retransmit timer and one in-transit event
+        // per operation in flight.
+        exporter.set("sim.peak_pending",
+                     static_cast<double>(queue.peak_pending()));
+        std::printf("event queue: peak %zu pending at concurrency %u\n",
+                    queue.peak_pending(), scaled.concurrency);
 
         // Phase 2b — checkpoint/restore cost on the warmed cluster
         // (the queue is drained, so this is a legal quiesce point).
