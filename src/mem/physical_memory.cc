@@ -1,74 +1,15 @@
 #include "mem/physical_memory.h"
 
 #include <cstring>
-#include <mutex>
 
 #include "common/logging.h"
 
 namespace pulse::mem {
 
-namespace {
-
-/**
- * Chunks of destroyed memories, handed to the next ones. A process
- * that builds clusters one after another (a sweep's cells, repeated
- * set-ups) then faults fresh pages in only for the largest cluster it
- * holds at once. Otherwise whether a destroyed cluster's chunks stay
- * mapped is up to the C library's heuristics, and a later cluster may
- * page-fault every chunk in again.
- */
-struct SpareChunks
-{
-    std::mutex mutex;
-    std::vector<std::unique_ptr<std::uint8_t[]>> chunks;
-};
-
-SpareChunks&
-spare_chunks()
-{
-    // Never destroyed, so a memory destroyed during static
-    // destruction still finds it.
-    static SpareChunks& spare = *new SpareChunks;
-    return spare;
-}
-
-/** A zeroed chunk: a spare one if any, else a new one. */
-std::unique_ptr<std::uint8_t[]>
-zeroed_chunk(Bytes size)
-{
-    std::unique_ptr<std::uint8_t[]> chunk;
-    {
-        SpareChunks& spare = spare_chunks();
-        const std::lock_guard lock(spare.mutex);
-        if (!spare.chunks.empty()) {
-            chunk = std::move(spare.chunks.back());
-            spare.chunks.pop_back();
-        }
-    }
-    if (!chunk) {
-        chunk = std::make_unique_for_overwrite<std::uint8_t[]>(size);
-    }
-    std::memset(chunk.get(), 0, size);
-    return chunk;
-}
-
-}  // namespace
-
 PhysicalMemory::PhysicalMemory(Bytes capacity) : capacity_(capacity)
 {
     PULSE_ASSERT(capacity > 0, "zero-capacity memory node");
     chunks_.resize((capacity + kChunkSize - 1) / kChunkSize);
-}
-
-PhysicalMemory::~PhysicalMemory()
-{
-    SpareChunks& spare = spare_chunks();
-    const std::lock_guard lock(spare.mutex);
-    for (auto& chunk : chunks_) {
-        if (chunk) {
-            spare.chunks.push_back(std::move(chunk));
-        }
-    }
 }
 
 Bytes
@@ -94,7 +35,8 @@ PhysicalMemory::chunk_for(PhysAddr addr, bool commit) const
         if (!commit) {
             return nullptr;
         }
-        chunks_[index] = zeroed_chunk(kChunkSize);
+        chunks_[index] = std::make_unique<std::uint8_t[]>(kChunkSize);
+        std::memset(chunks_[index].get(), 0, kChunkSize);
     }
     return chunks_[index].get();
 }
@@ -165,7 +107,7 @@ PhysicalMemory::checkpoint(StateIo& io)
             return;
         }
         if (io.reading()) {
-            chunks_[index] = zeroed_chunk(kChunkSize);
+            chunks_[index] = std::make_unique<std::uint8_t[]>(kChunkSize);
         }
         io.bytes(chunks_[index].get(), kChunkSize);
     }

@@ -27,12 +27,6 @@ class PhysicalMemory
     /** Create a node memory of @p capacity bytes. */
     explicit PhysicalMemory(Bytes capacity);
 
-    /** Hands the committed chunks to the next memory (see .cc). */
-    ~PhysicalMemory();
-
-    PhysicalMemory(const PhysicalMemory&) = delete;
-    PhysicalMemory& operator=(const PhysicalMemory&) = delete;
-
     /** Total addressable capacity. */
     Bytes capacity() const { return capacity_; }
 

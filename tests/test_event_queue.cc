@@ -440,7 +440,7 @@ mix(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
-constexpr std::uint64_t kSeedEvents = 20'000;
+constexpr std::uint64_t kSeedEvents = 40'000;
 constexpr std::uint64_t kTotalEvents = 150'000;
 
 /** Seed events land on 64 timestamps, so most share one with others. */
@@ -471,8 +471,8 @@ spawn_children(std::uint64_t seq, Time now, std::uint64_t scheduled,
 
 /**
  * Which events a firing event cancels, from a ledger both queues keep
- * identically. Event @p seq, firing at @p now, with @p scheduled
- * events scheduled so far, picks by hash:
+ * identically; none unless @c cancels is set. Event @p seq, firing at
+ * @p now, picks by hash:
  *  - one event at random: pending ones are chain heads or mid-chain
  *    events, and the rest are stale (ran, or already cancelled, which
  *    makes a double cancel);
@@ -482,6 +482,7 @@ spawn_children(std::uint64_t seq, Time now, std::uint64_t scheduled,
  */
 struct CancelLedger
 {
+    bool cancels = false;
     std::vector<Time> when;  ///< by sequence
     std::map<Time, std::vector<std::uint64_t>> at;
 
@@ -495,6 +496,9 @@ struct CancelLedger
     std::vector<std::uint64_t>
     victims(std::uint64_t seq, Time now) const
     {
+        if (!cancels) {
+            return {};
+        }
         const std::uint64_t h = mix(seq ^ 0x2545f491u);
         const std::uint64_t pick = h % 1024;
         if (pick < 32) {
@@ -516,11 +520,11 @@ struct CancelLedger
 
 /** The same workload on std::priority_queue, ordered by (when, seq). */
 std::vector<Fired>
-reference_order()
+reference_order(bool cancels)
 {
     std::priority_queue<Fired, std::vector<Fired>, std::greater<Fired>>
         heap;
-    CancelLedger ledger;
+    CancelLedger ledger{.cancels = cancels};
     std::vector<bool> done;  // ran or cancelled, by sequence
     const auto schedule = [&](Time when) {
         heap.push({when, ledger.when.size()});
@@ -584,32 +588,40 @@ struct DifferentialRun
 
 TEST(EventQueueHeap, MatchesPriorityQueueReferenceOrder)
 {
-    const std::vector<Fired> expected = reference_order();
-    std::uint64_t fired = 0;
-    for (const Fired& entry : expected) {
-        fired += entry.first >= 0 ? 1 : 0;
-    }
-    ASSERT_GE(fired, 50'000u);
-    ASSERT_GE(expected.size() - fired, 10'000u);  // cancels
+    // Once without cancels, when every scheduled event fires, and once
+    // with them, when a cancelled event spawns no children.
+    for (const bool cancels : {false, true}) {
+        SCOPED_TRACE(cancels ? "with cancels" : "without cancels");
+        const std::vector<Fired> expected = reference_order(cancels);
+        std::uint64_t fired = 0;
+        for (const Fired& entry : expected) {
+            fired += entry.first >= 0 ? 1 : 0;
+        }
+        ASSERT_GE(fired, 100'000u);
+        if (cancels) {
+            ASSERT_GE(expected.size() - fired, 10'000u);
+        }
 
-    auto run = std::make_unique<DifferentialRun>();
-    for (std::uint64_t i = 0; i < kSeedEvents; i++) {
-        run->schedule(seed_time(i));
+        auto run = std::make_unique<DifferentialRun>();
+        run->ledger.cancels = cancels;
+        for (std::uint64_t i = 0; i < kSeedEvents; i++) {
+            run->schedule(seed_time(i));
+        }
+        // Windows of run_until, so deadlines fall among tombstones,
+        // then a final run() for what lies past the last window.
+        for (Time deadline = 0; deadline < 80'000; deadline += 777) {
+            run->queue.run_until(deadline);
+            EXPECT_EQ(run->queue.now(), deadline);
+        }
+        run->queue.run();
+        EXPECT_EQ(run->log, expected);
+        EXPECT_EQ(run->queue.events_executed(), fired);
+        EXPECT_GT(run->queue.events_coalesced(), 0u);
+        EXPECT_EQ(run->queue.compactions() > 0, cancels);
+        EXPECT_TRUE(run->queue.empty());
+        EXPECT_EQ(run->queue.tombstones(), 0u);
+        EXPECT_LE(run->queue.pool_slots(), 2 * run->queue.peak_pending());
     }
-    // Windows of run_until, so deadlines fall among tombstones, then a
-    // final run() for what lies past the last window.
-    for (Time deadline = 0; deadline < 80'000; deadline += 777) {
-        run->queue.run_until(deadline);
-        EXPECT_EQ(run->queue.now(), deadline);
-    }
-    run->queue.run();
-    EXPECT_EQ(run->log, expected);
-    EXPECT_EQ(run->queue.events_executed(), fired);
-    EXPECT_GT(run->queue.events_coalesced(), 0u);
-    EXPECT_GT(run->queue.compactions(), 0u);
-    EXPECT_TRUE(run->queue.empty());
-    EXPECT_EQ(run->queue.tombstones(), 0u);
-    EXPECT_LE(run->queue.pool_slots(), 2 * run->queue.peak_pending());
 }
 
 }  // namespace

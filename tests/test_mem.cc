@@ -63,28 +63,6 @@ TEST(PhysicalMemory, CrossChunkAccess)
     EXPECT_EQ(out, data);
 }
 
-TEST(PhysicalMemory, ChunksOfADestroyedMemoryComeBackZeroed)
-{
-    // A destroyed memory's chunks go to the next memory to commit one;
-    // what the first one wrote must not show through.
-    {
-        PhysicalMemory first(4 * kMiB);
-        std::vector<std::uint8_t> ones(kMiB, 0xFF);
-        for (PhysAddr addr = 0; addr < 4 * kMiB; addr += kMiB) {
-            first.write(addr, ones.data(), ones.size());
-        }
-    }
-    PhysicalMemory second(4 * kMiB);
-    for (PhysAddr addr = 0; addr < 4 * kMiB; addr += kMiB) {
-        second.write_as<std::uint8_t>(addr, 1);
-        std::vector<std::uint8_t> chunk(kMiB);
-        second.read(addr, chunk.data(), chunk.size());
-        EXPECT_EQ(chunk[0], 1u);
-        EXPECT_EQ(std::count(chunk.begin() + 1, chunk.end(), 0),
-                  static_cast<std::ptrdiff_t>(kMiB - 1));
-    }
-}
-
 TEST(PhysicalMemoryDeath, OutOfRangePanics)
 {
     PhysicalMemory memory(1 * kMiB);
