@@ -13,13 +13,14 @@
  * saturated either way).
  *
  * The second table is the serving-plane tenant-isolation benchmark
- * (src/serve): a latency-sensitive tenant's open-loop probes run solo,
- * then again while a batch tenant saturates the node with scans under
- * a full QoS contract — WDRR admission weights, a token-bucket quota
- * on the batch tenant and queue-depth caps. The gate: the latency
- * tenant's p99 stays within 2x its solo value, while the batch flood
- * demonstrably hit the quota (throttled > 0) and the shed path
- * (shed > 0). A violated gate fails the binary (CI uses it directly).
+ * (src/serve), driven open loop by serve::Fleet: a latency-sensitive
+ * tenant's probes run solo, then again while a batch tenant saturates
+ * the node with scans under a full QoS contract — WDRR admission
+ * weights, a token-bucket quota on the batch tenant and queue-depth
+ * caps. The gate: the latency tenant's p99 stays within 2x its solo
+ * value, while the batch flood demonstrably hit the quota
+ * (throttled > 0) and the shed path (shed > 0). A violated gate fails
+ * the binary (the ablation_fairness_gate ctest and CI use it directly).
  *
  * Cells execute on the parallel sweep runner (--threads /
  * PULSE_BENCH_THREADS); each writes its own pre-sized result slot, so
@@ -29,6 +30,7 @@
 
 #include "bench_util.h"
 #include "ds/linked_list.h"
+#include "serve/fleet.h"
 #include "serve/qos.h"
 #include "sweep_runner.h"
 
@@ -155,7 +157,8 @@ isolation_config()
 /**
  * Run the latency tenant's open-loop probes, optionally under the
  * batch tenant's saturating scan flood, and report the probe latency
- * distribution plus the QoS admission ledger.
+ * distribution plus the QoS admission ledger. serve::Fleet generates
+ * every arrival of both tenants; tenant i submits through client i.
  */
 double
 isolation_run(CellContext& ctx, bool with_batch_flood,
@@ -169,52 +172,52 @@ isolation_run(CellContext& ctx, bool with_batch_flood,
     }
     list.build(values, 0);
 
-    // Batch tenant: a closed loop of scans, issued far over its quota
-    // so the token bucket throttles and (past the park cap) sheds.
-    std::uint64_t batch_issued = 0;
-    std::uint64_t batch_done = 0;
-    Time last_batch_done = 0;
-    constexpr std::uint64_t kBatchBudget = 2000;
-    std::function<void()> batch_one = [&] {
-        batch_issued++;
-        auto op = list.make_walk(128, {});
-        op.tenant = 1;
-        op.done = [&](offload::Completion&& completion) {
-            if (!completion.timed_out) {
-                batch_done++;
-                last_batch_done = cluster.queue().now();
-            }
-            if (batch_issued < kBatchBudget) {
-                batch_one();
-            }
-        };
-        cluster.submitter(core::SystemKind::kPulse, 1)(std::move(op));
-    };
+    // Latency tenant: 200 probes, one every 25 us — arrival times
+    // fixed by the clock, not by completions, so queueing shows up as
+    // latency instead of a slowed-down generator.
+    serve::FleetConfig fleet_config;
+    fleet_config.tenants.push_back(
+        {.id = 0,
+         .arrivals = serve::ArrivalKind::kDeterministic,
+         .rate_ops_per_s = 4e4,
+         .coalesce = false,
+         .total_ops = 200});
+    // Batch tenant: 2000 scans arriving at once and kept 32 in flight,
+    // far over its quota, so the token bucket throttles and (past the
+    // park cap) sheds; a shed scan is not retried.
     if (with_batch_flood) {
-        for (int i = 0; i < 32; i++) {
-            batch_one();
-        }
+        fleet_config.tenants.push_back(
+            {.id = 1,
+             .arrivals = serve::ArrivalKind::kDeterministic,
+             .rate_ops_per_s = 1e8,
+             .window = 32,
+             .coalesce = false,
+             .max_retries = 0,
+             .total_ops = 2000});
     }
 
-    // Latency tenant: 200 open-loop probes, one every 25 us — arrival
-    // times fixed by the clock, not by completions, so queueing shows
-    // up as latency instead of a slowed-down generator.
-    Histogram probe_latency;
-    constexpr int kProbes = 200;
-    for (int i = 0; i < kProbes; i++) {
-        cluster.queue().schedule_at(
-            micros(20.0) + i * micros(25.0), [&, i] {
-                auto op = list.make_walk(8, {});
-                op.tenant = 0;
-                op.done = [&](offload::Completion&& completion) {
-                    probe_latency.add(completion.latency);
+    Time last_batch_done = 0;
+    serve::Fleet fleet(
+        cluster.queue(), fleet_config,
+        [&list](serve::TenantId tenant, std::uint64_t) {
+            return list.make_walk(tenant == 0 ? 8 : 128, {});
+        },
+        [&](serve::TenantId tenant, offload::Operation&& op) {
+            if (tenant == 1) {
+                op.done = [&, done = std::move(op.done)](
+                              offload::Completion&& completion) {
+                    if (!completion.timed_out) {
+                        last_batch_done = cluster.queue().now();
+                    }
+                    done(std::move(completion));
                 };
-                cluster.submitter(core::SystemKind::kPulse,
-                                  0)(std::move(op));
-            });
-    }
+            }
+            cluster.submitter(core::SystemKind::kPulse,
+                              tenant)(std::move(op));
+        });
 
     const Time start = cluster.queue().now();
+    fleet.start(kSecond);
     ctx.add_events(cluster.queue().run());
 
     if (out != nullptr) {
@@ -225,13 +228,14 @@ isolation_run(CellContext& ctx, bool with_batch_flood,
         out->shed = counters.shed;
         // Over the span that produced the completions, not up to
         // when the queue drained: the probes may run on past them.
+        const std::uint64_t batch_done = fleet.stats().at(1).completed;
         out->batch_kops =
             batch_done > 0
                 ? static_cast<double>(batch_done) /
                       to_seconds(last_batch_done - start) / 1e3
                 : 0.0;
     }
-    return to_micros(probe_latency.percentile(0.99));
+    return to_micros(fleet.stats().at(0).latency.percentile(0.99));
 }
 
 void

@@ -138,7 +138,6 @@ Accelerator::acquire_context()
         std::unique_ptr<Context> context =
             std::move(context_pool_.back());
         context_pool_.pop_back();
-        contexts_reused_++;
         // configure() re-zeroes the workspace on the valid-program
         // path; reset the rest here so even the invalid-program early
         // exit never sees a previous visit's state.

@@ -197,7 +197,6 @@ class Accelerator
 
     /** Context-pool telemetry (bench_wallclock's visit-pool row). */
     std::uint64_t contexts_created() const { return contexts_created_; }
-    std::uint64_t contexts_reused() const { return contexts_reused_; }
 
   private:
     /** One in-flight traversal bound to a workspace. */
@@ -294,7 +293,6 @@ class Accelerator
      */
     std::vector<std::unique_ptr<Context>> context_pool_;
     std::uint64_t contexts_created_ = 0;
-    std::uint64_t contexts_reused_ = 0;
     /**
      * Persistent CAS functor for the logic phase. Captures only `this`
      * (fits std::function's inline buffer); per-iteration operands

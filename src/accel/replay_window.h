@@ -115,7 +115,8 @@ class ReplayWindow
 
     bool enabled() const { return capacity_ > 0; }
 
-    /** Classify @p key without modifying the window. */
+    /** Classify @p key without modifying the window.
+     *  Only tests call this: observation hook. */
     Verdict classify(const Key& key) const;
 
     /**
@@ -163,7 +164,8 @@ class ReplayWindow
      */
     void restart(Ticket ticket);
 
-    /** Cached response for @p key (nullptr unless Verdict::kCached). */
+    /** Cached response for @p key (nullptr unless Verdict::kCached).
+     *  Only tests call this: observation hook. */
     const net::TraversalPacket* cached_response(const Key& key) const;
 
     /** Copy the cached response at @p ticket (fresh from a kCached

@@ -46,9 +46,6 @@ class ShadowMemory
     bool cas(VirtAddr va, std::uint64_t expected, std::uint64_t desired,
              bool* swapped);
 
-    /** Bytes written through the overlay so far. */
-    std::size_t dirty_bytes() const { return overlay_.size(); }
-
     /**
      * Successful store() calls plus successful CAS swaps. Mirrors how
      * the timed path counts PhysicalMemory::write() calls (one per

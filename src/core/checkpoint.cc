@@ -25,9 +25,6 @@
  * reach (drain the queue between driver phases) and is exactly the
  * boundary long scenarios want to fork from.
  */
-#include <cstdio>
-#include <fstream>
-#include <iterator>
 #include <vector>
 
 #include "common/logging.h"
@@ -125,36 +122,6 @@ Cluster::restore_checkpoint(const std::vector<std::uint8_t>& bytes,
         *error = io.error();
     }
     return false;
-}
-
-void
-Cluster::save_checkpoint_file(const std::string& path)
-{
-    const std::vector<std::uint8_t> blob = save_checkpoint();
-    std::FILE* file = std::fopen(path.c_str(), "wb");
-    PULSE_ASSERT(file != nullptr, "cannot open checkpoint file %s",
-                 path.c_str());
-    const std::size_t written =
-        std::fwrite(blob.data(), 1, blob.size(), file);
-    std::fclose(file);
-    PULSE_ASSERT(written == blob.size(),
-                 "short write to checkpoint file %s", path.c_str());
-}
-
-bool
-Cluster::restore_checkpoint_file(const std::string& path,
-                                 std::string* error)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        if (error != nullptr) {
-            *error = "cannot open checkpoint file " + path;
-        }
-        return false;
-    }
-    const std::vector<std::uint8_t> blob{std::istreambuf_iterator<char>(in),
-                                         std::istreambuf_iterator<char>()};
-    return restore_checkpoint(blob, error);
 }
 
 }  // namespace pulse::core

@@ -289,12 +289,6 @@ class Cluster
     bool restore_checkpoint(const std::vector<std::uint8_t>& bytes,
                             std::string* error);
 
-    /** File-based convenience wrappers around the blob API; an
-     *  unreadable file is an error like a malformed blob. */
-    void save_checkpoint_file(const std::string& path);
-    bool restore_checkpoint_file(const std::string& path,
-                                 std::string* error);
-
   private:
     /** The one checkpoint layout, shared by save and restore. */
     void checkpoint(StateIo& io);

@@ -243,20 +243,4 @@ HashTable::find_reference(std::uint64_t key) const
     return std::nullopt;
 }
 
-std::uint64_t
-HashTable::chain_length(std::uint64_t bucket) const
-{
-    PULSE_ASSERT(bucket < config_.num_buckets, "bad bucket");
-    const std::uint64_t partition = bucket / buckets_per_partition_;
-    const std::uint64_t within = bucket % buckets_per_partition_;
-    VirtAddr node = memory_.read_as<std::uint64_t>(
-        partition_base_[partition] + within * 8);
-    std::uint64_t length = 0;
-    while (node != kNullAddr) {
-        length++;
-        node = memory_.read_as<std::uint64_t>(node + kNextOff);
-    }
-    return length;
-}
-
 }  // namespace pulse::ds

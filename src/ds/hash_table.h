@@ -132,9 +132,6 @@ class HashTable
     /** Host-side reference find (plain remote reads, no ISA). */
     std::optional<std::uint64_t> find_reference(std::uint64_t key) const;
 
-    /** Chain length of @p key's bucket (for load-factor stats). */
-    std::uint64_t chain_length(std::uint64_t bucket) const;
-
     const HashTableConfig& config() const { return config_; }
 
     /** Bytes of one chain node. */

@@ -55,7 +55,8 @@ struct AdapterInfo
         make_lookup;
 };
 
-/** All 13 Table 3 adapters. */
+/** All 13 Table 3 adapters.
+ *  Only tests call this: observation hook. */
 const std::vector<AdapterInfo>& table3_adapters();
 
 }  // namespace pulse::ds

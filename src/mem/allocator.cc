@@ -103,23 +103,6 @@ ClusterAllocator::app_allocated_on(NodeId node) const
 }
 
 Bytes
-ClusterAllocator::total_allocated() const
-{
-    Bytes total = 0;
-    for (const Bytes b : bump_) {
-        total += b;
-    }
-    return total;
-}
-
-Bytes
-ClusterAllocator::free_on(NodeId node) const
-{
-    PULSE_ASSERT(node < bump_.size(), "bad node id %u", node);
-    return map_.region_size() - bump_[node];
-}
-
-Bytes
 ClusterAllocator::alloc_backing(NodeId node, Bytes size, Bytes align)
 {
     PULSE_ASSERT(node < bump_.size(), "bad node id %u", node);

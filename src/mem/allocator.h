@@ -83,12 +83,6 @@ class ClusterAllocator
      */
     Bytes app_allocated_on(NodeId node) const;
 
-    /** Total bytes allocated. */
-    Bytes total_allocated() const;
-
-    /** Remaining capacity on @p node. */
-    Bytes free_on(NodeId node) const;
-
     /**
      * Reserve @p size bytes of node-local backing store on @p node for
      * a migrated slab. Prefers ranges recycled by free_backing (first
@@ -106,7 +100,8 @@ class ClusterAllocator
      */
     void free_backing(NodeId node, Bytes offset, Bytes size);
 
-    /** Total bytes currently sitting in @p node's free list. */
+    /** Total bytes currently sitting in @p node's free list.
+     *  Only tests call this: observation hook. */
     Bytes free_list_bytes(NodeId node) const;
 
     /** Checkpoint support (core/checkpoint.cc). */

@@ -53,7 +53,6 @@ ChannelSet::ChannelSet(std::uint32_t num_channels,
 void
 ChannelSet::set_interconnect_enabled(bool enabled)
 {
-    interconnect_ = enabled;
     for (auto& channel : channels_) {
         channel.set_efficiency(enabled ? efficiency_ : 1.0);
     }
@@ -73,16 +72,6 @@ ChannelSet::access(Time now, Bytes bytes)
     const Time start = std::max(now, best->busy_until());
     const Time done = best->access(now, bytes);
     record_span(best_index, start, done, bytes);
-    return done;
-}
-
-Time
-ChannelSet::access_on(std::uint32_t channel, Time now, Bytes bytes)
-{
-    PULSE_ASSERT(channel < channels_.size(), "bad channel %u", channel);
-    const Time start = std::max(now, channels_[channel].busy_until());
-    const Time done = channels_[channel].access(now, bytes);
-    record_span(channel, start, done, bytes);
     return done;
 }
 

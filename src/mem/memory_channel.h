@@ -39,9 +39,6 @@ class MemoryChannel
     /** Channel with raw bandwidth @p raw_bw (bytes/s). */
     explicit MemoryChannel(Rate raw_bw);
 
-    /** Raw (no-interconnect) bandwidth. */
-    Rate raw_bandwidth() const { return raw_bw_; }
-
     /** Effective bandwidth after the interconnect factor. */
     Rate effective_bandwidth() const { return raw_bw_ * efficiency_; }
 
@@ -86,8 +83,7 @@ class MemoryChannel
 /**
  * A memory node's set of channels. Accesses are steered to the channel
  * that can start earliest (the interconnect IP connects all cores to all
- * channels); with the interconnect disabled, callers may pin accesses to
- * a specific channel (dedicated-channel mode).
+ * channels).
  */
 class ChannelSet
 {
@@ -108,14 +104,8 @@ class ChannelSet
     /** Toggle the interconnect IP model (shared vs dedicated mode). */
     void set_interconnect_enabled(bool enabled);
 
-    /** Whether the interconnect model is active. */
-    bool interconnect_enabled() const { return interconnect_; }
-
     /** Schedule an access on the least-busy channel. */
     Time access(Time now, Bytes bytes);
-
-    /** Schedule an access pinned to channel @p channel. */
-    Time access_on(std::uint32_t channel, Time now, Bytes bytes);
 
     /** Aggregate effective bandwidth (bytes/s). */
     Rate total_effective_bandwidth() const;
@@ -152,7 +142,6 @@ class ChannelSet
 
     std::vector<MemoryChannel> channels_;
     double efficiency_;
-    bool interconnect_ = true;
     trace::Tracer* tracer_ = nullptr;
     NodeId node_ = 0;
 };

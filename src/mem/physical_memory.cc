@@ -35,8 +35,8 @@ PhysicalMemory::chunk_for(PhysAddr addr, bool commit) const
         if (!commit) {
             return nullptr;
         }
+        // make_unique<T[]> value-initializes: the chunk starts zeroed.
         chunks_[index] = std::make_unique<std::uint8_t[]>(kChunkSize);
-        std::memset(chunks_[index].get(), 0, kChunkSize);
     }
     return chunks_[index].get();
 }

@@ -95,7 +95,8 @@ class RangeTcam
      */
     bool insert_coalesce(const RangeEntry& entry);
 
-    /** Remove the entry whose va_base equals @p va_base, if present. */
+    /** Remove the entry whose va_base equals @p va_base, if present.
+     *  Only tests call this: observation hook. */
     bool remove(VirtAddr va_base);
 
     /**

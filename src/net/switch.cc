@@ -13,18 +13,6 @@ SwitchTable::add_rule(const SwitchRule& rule)
     rules_.push_back(rule);
 }
 
-bool
-SwitchTable::remove_rule(NodeId node)
-{
-    for (auto it = rules_.begin(); it != rules_.end(); ++it) {
-        if (it->node == node) {
-            rules_.erase(it);
-            return true;
-        }
-    }
-    return false;
-}
-
 void
 SwitchTable::set_overlay(const std::vector<mem::Remap>& remaps)
 {

@@ -62,9 +62,6 @@ class SwitchTable
     /** Install one rule per memory node. */
     void add_rule(const SwitchRule& rule);
 
-    /** Remove the rule for @p node (e.g. node decommission). */
-    bool remove_rule(NodeId node);
-
     /** Number of installed rules (paper: one per memory node). */
     std::size_t num_rules() const { return rules_.size(); }
 
@@ -79,9 +76,6 @@ class SwitchTable
      * AddressMap's remap set.
      */
     void set_overlay(const std::vector<mem::Remap>& remaps);
-
-    /** Number of installed overlay rules. */
-    std::size_t num_overlay_rules() const { return overlay_.size(); }
 
     /** Owning node for @p va, if any rule matches (overlay wins). */
     std::optional<NodeId> lookup(VirtAddr va) const;

@@ -335,29 +335,4 @@ Fleet::checkpoint(StateIo& io)
     }
 }
 
-void
-Fleet::export_metrics(trace::MetricsExporter& exporter,
-                      const std::string& prefix) const
-{
-    for (const auto& [tenant, stats] : stats_) {
-        const std::string base =
-            prefix + ".tenant" + std::to_string(tenant);
-        exporter.set(base + ".arrivals",
-                     static_cast<double>(stats.arrivals));
-        exporter.set(base + ".issued",
-                     static_cast<double>(stats.issued));
-        exporter.set(base + ".completed",
-                     static_cast<double>(stats.completed));
-        exporter.set(base + ".coalesced",
-                     static_cast<double>(stats.coalesced));
-        exporter.set(base + ".shed_retries",
-                     static_cast<double>(stats.shed_retries));
-        exporter.set(base + ".timeout_retries",
-                     static_cast<double>(stats.timeout_retries));
-        exporter.set(base + ".failed",
-                     static_cast<double>(stats.failed));
-        exporter.add_histogram(base + ".latency", stats.latency);
-    }
-}
-
 }  // namespace pulse::serve

@@ -42,7 +42,6 @@
 #include "offload/offload_engine.h"
 #include "serve/serve_config.h"
 #include "sim/event_queue.h"
-#include "trace/metrics_exporter.h"
 
 namespace pulse::serve {
 
@@ -150,10 +149,12 @@ class Fleet
      */
     void start(Time horizon);
 
-    /** Resume parked arrival processes up to @p new_horizon. */
+    /** Resume parked arrival processes up to @p new_horizon.
+     *  Only tests call this: observation hook. */
     void extend(Time new_horizon);
 
-    /** Instantaneous offered rate of @p tenant at time @p t (op/s). */
+    /** Instantaneous offered rate of @p tenant at time @p t (op/s).
+     *  Only tests call this: observation hook. */
     double offered_rate(TenantId tenant, Time t) const;
 
     /** Per-tenant telemetry (deterministic iteration order). */
@@ -167,10 +168,12 @@ class Fleet
      * (tenant, key, latency): two runs are behaviorally identical iff
      * their digests match. The serving tests compare an uninterrupted
      * run against a checkpoint/restore continuation with it.
+     * Only tests call this: observation hook.
      */
     std::uint64_t completion_digest() const { return digest_; }
 
-    /** Traversals currently in flight across all tenants. */
+    /** Traversals currently in flight across all tenants.
+     *  Only tests call this: observation hook. */
     std::size_t outstanding() const;
 
     /**
@@ -182,10 +185,6 @@ class Fleet
      * from the same tenant list.
      */
     void checkpoint(StateIo& io);
-
-    /** Export per-tenant metrics under @p prefix ("serve.tenantN..."). */
-    void export_metrics(trace::MetricsExporter& exporter,
-                        const std::string& prefix) const;
 
   private:
     /**

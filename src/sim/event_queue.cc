@@ -321,17 +321,6 @@ EventQueue::run_until(Time deadline)
     return n;
 }
 
-bool
-EventQueue::run_while_pending(const std::function<bool()>& predicate)
-{
-    while (!predicate()) {
-        if (!step()) {
-            return false;
-        }
-    }
-    return true;
-}
-
 void
 EventQueue::checkpoint(StateIo& io)
 {

@@ -151,14 +151,9 @@ class EventQueue
      * mid-window. Events already at timestamps beyond the deadline
      * stay pending and now() stays at @p deadline — strictly behind
      * heap_.front().when — so no event ever fires in its past.
+     * Only tests call this: observation hook.
      */
     std::uint64_t run_until(Time deadline);
-
-    /**
-     * Run until @p predicate() becomes true (checked after each event)
-     * or the queue drains. Returns true if the predicate was met.
-     */
-    bool run_while_pending(const std::function<bool()>& predicate);
 
     /** Total events executed since construction. */
     std::uint64_t events_executed() const { return executed_; }

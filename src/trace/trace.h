@@ -103,7 +103,6 @@ class Tracer
     explicit Tracer(const TraceConfig& config = TraceConfig{});
 
     bool enabled() const { return enabled_; }
-    void set_enabled(bool enabled) { enabled_ = enabled; }
 
     /** Append one span (overwrites the oldest when full). No-op when
      *  disabled. */

@@ -139,8 +139,6 @@ class TsvQueries
      *  sum+count finished client-side, so it draws kSum here). */
     Query next(Rng& rng);
 
-    std::uint64_t window_ms() const { return window_ms_; }
-
   private:
     std::uint64_t first_ts_;
     std::uint64_t span_ms_;

@@ -171,24 +171,6 @@ TEST(Checkpoint, SaveRestoreSaveIsByteStable)
     EXPECT_EQ(forked.save_checkpoint(), blob);
 }
 
-TEST(Checkpoint, FileRoundTrip)
-{
-    const std::string path =
-        (std::filesystem::temp_directory_path() / "pulse_ckpt_test.bin")
-            .string();
-
-    core::Cluster original(test_config());
-    apps::UpcApp app_a(original, test_scale());
-    run_ops(original, app_a, 0, 150, 4);
-    original.save_checkpoint_file(path);
-
-    core::Cluster forked(test_config());
-    apps::UpcApp app_b(forked, test_scale());
-    ASSERT_TRUE(forked.restore_checkpoint_file(path, nullptr));
-    EXPECT_EQ(forked.save_checkpoint(), original.save_checkpoint());
-    std::filesystem::remove(path);
-}
-
 TEST(Checkpoint, FingerprintMismatchIsFatal)
 {
     core::Cluster original(test_config());

@@ -118,24 +118,6 @@ TEST(EventQueue, RunUntilAdvancesClockOnEarlyDrain)
     EXPECT_EQ(queue.now(), 3000);
 }
 
-TEST(EventQueue, RunWhilePendingStopsOnPredicate)
-{
-    EventQueue queue;
-    int count = 0;
-    for (int i = 0; i < 10; i++) {
-        queue.schedule_at(i, [&] { count++; });
-    }
-    const bool met =
-        queue.run_while_pending([&] { return count >= 4; });
-    EXPECT_TRUE(met);
-    EXPECT_EQ(count, 4);
-    // Predicate never met: drains and reports false.
-    const bool never =
-        queue.run_while_pending([&] { return count >= 100; });
-    EXPECT_FALSE(never);
-    EXPECT_EQ(count, 10);
-}
-
 TEST(EventQueue, StepReturnsFalseWhenEmpty)
 {
     EventQueue queue;

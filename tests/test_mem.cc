@@ -47,6 +47,10 @@ TEST(PhysicalMemory, LazyCommitOnWrite)
     memory.write_as<std::uint64_t>(0, 1);
     memory.write_as<std::uint64_t>(32 * kMiB, 2);
     EXPECT_EQ(memory.committed(), 2 * kMiB);  // two 1 MiB chunks
+    // The rest of a chunk that a write committed reads back as zero.
+    EXPECT_EQ(memory.read_as<std::uint64_t>(8), 0u);
+    EXPECT_EQ(memory.read_as<std::uint64_t>(33 * kMiB - 8), 0u);
+    EXPECT_EQ(memory.committed(), 2 * kMiB);
 }
 
 TEST(PhysicalMemory, CrossChunkAccess)
@@ -196,8 +200,8 @@ TEST(Allocator, PartitionedPinsNodes)
         const VirtAddr addr = alloc.alloc_on(node, 256, 256);
         EXPECT_EQ(*map.node_for(addr), node);
         EXPECT_EQ(addr % 256, 0u);
+        EXPECT_EQ(alloc.allocated_on(node), 256u);
     }
-    EXPECT_EQ(alloc.total_allocated(), 4 * 256u);
 }
 
 TEST(Allocator, ExhaustionFailsCleanly)
@@ -206,7 +210,7 @@ TEST(Allocator, ExhaustionFailsCleanly)
     ClusterAllocator alloc(map, AllocPolicy::kPartitioned);
     EXPECT_NE(alloc.alloc_on(0, 1 * kMiB, 8), kNullAddr);
     EXPECT_EQ(alloc.alloc_on(0, 1, 8), kNullAddr);
-    EXPECT_EQ(alloc.free_on(0), 0u);
+    EXPECT_EQ(alloc.allocated_on(0), 1 * kMiB);
 }
 
 TEST(Allocator, UniformSpreadsAcrossNodes)

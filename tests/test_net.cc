@@ -74,8 +74,6 @@ TEST(SwitchTable, LookupByRange)
     EXPECT_EQ(*table.lookup(0x1800), 0u);
     EXPECT_EQ(*table.lookup(0x2000), 1u);
     EXPECT_FALSE(table.lookup(0x3000).has_value());
-    EXPECT_TRUE(table.remove_rule(0));
-    EXPECT_FALSE(table.lookup(0x1800).has_value());
 }
 
 TEST(SwitchTable, RequestsRouteByCurPtr)

@@ -354,7 +354,7 @@ main(int argc, char** argv)
     // is the slowest, hence 4096 ops), then allocation and event
     // counters are snapshotted at measure start. The breakdown rows
     // attribute the remaining window allocations to the visit-context
-    // and event-slot pools; the rest count under "other".
+    // pool; the rest count under "other".
     {
         RunSpec spec =
             main_spec(App::kUpc, core::SystemKind::kPulse, 1);
@@ -390,7 +390,6 @@ main(int argc, char** argv)
         std::uint64_t window_allocs = 0;
         std::uint64_t window_events = 0;
         std::uint64_t window_contexts = 0;
-        std::uint64_t window_queue_slots = 0;
         std::uint64_t warmup_visits = 0;
         std::uint64_t window_coalesced = 0;
         std::uint64_t window_batches = 0;
@@ -407,7 +406,6 @@ main(int argc, char** argv)
             window_allocs = allocs_now();
             window_events = queue.events_executed();
             window_contexts = contexts_created();
-            window_queue_slots = queue.pool_slots();
             window_coalesced = queue.events_coalesced();
             window_batches = queue.batches_drained();
             window_start = std::chrono::steady_clock::now();
@@ -424,9 +422,8 @@ main(int argc, char** argv)
             queue.events_executed() - window_events;
         const std::uint64_t visit_allocs =
             contexts_created() - window_contexts;
-        const std::uint64_t queue_allocs =
-            queue.pool_slots() - window_queue_slots;
-        const std::uint64_t attributed = visit_allocs + queue_allocs;
+        const std::uint64_t other_allocs =
+            allocs > visit_allocs ? allocs - visit_allocs : 0;
         const std::uint64_t coalesced =
             queue.events_coalesced() - window_coalesced;
         const std::uint64_t batches =
@@ -448,12 +445,8 @@ main(int argc, char** argv)
                                          total_allocs_before));
         exporter.set("sim.breakdown.visit_contexts",
                      static_cast<double>(visit_allocs));
-        exporter.set("sim.breakdown.queue_slots",
-                     static_cast<double>(queue_allocs));
         exporter.set("sim.breakdown.other",
-                     static_cast<double>(allocs > attributed
-                                             ? allocs - attributed
-                                             : 0));
+                     static_cast<double>(other_allocs));
         exporter.set("sim.coalescing.events_coalesced",
                      static_cast<double>(coalesced));
         exporter.set("sim.coalescing.batches_drained",
@@ -494,11 +487,10 @@ main(int argc, char** argv)
         exporter.set("sim.arena.live_at_end",
                      static_cast<double>(arena.live()));
         std::printf("simulation cell: %" PRIu64 " steady-state events, "
-                    "%.4f allocs/event (visit %" PRIu64 ", queue %"
-                    PRIu64 ", other %" PRIu64 "), "
+                    "%.4f allocs/event (visit %" PRIu64
+                    ", other %" PRIu64 "), "
                     "%" PRIu64 " coalesced into %" PRIu64 " batches\n",
-                    events, allocs_per_event, visit_allocs, queue_allocs,
-                    allocs > attributed ? allocs - attributed : 0,
+                    events, allocs_per_event, visit_allocs, other_allocs,
                     coalesced, batches);
         std::printf("packet arena: peak %zu slots, %zu live at end\n",
                     arena.peak(), arena.live());
