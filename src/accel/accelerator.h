@@ -228,7 +228,7 @@ class Accelerator
 
     /**
      * Release a finished context's request packet and return the
-     * context to the pool (frees it if pooling off).
+     * context to the pool.
      */
     void release_context(std::unique_ptr<Context> context);
 

@@ -1,13 +1,32 @@
 #include "accel/replay_window.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "common/logging.h"
 
 namespace pulse::accel {
 
+namespace {
+
+/** Response stride for a @p bytes-long packed response: rounded up to
+ *  a cache line, never wider than the whole packet. */
+std::size_t
+stride_for(std::size_t bytes)
+{
+    return std::min((bytes + 63) / 64 * 64, sizeof(net::TraversalPacket));
+}
+
+// cached_bounce() reads these two fields at their offsets in the packed
+// header.
+static_assert(offsetof(net::TraversalPacket, iterations_done) +
+                  sizeof(std::uint64_t) <=
+              offsetof(net::TraversalPacket, scratch));
+
+}  // namespace
 
 ReplayWindow::ReplayWindow(std::size_t per_client_entries)
     : capacity_(per_client_entries)
@@ -39,7 +58,9 @@ ReplayWindow::ring_for(ClientId client)
         // Load factor <= 1/2, so every probe run ends at an empty
         // bucket within a few steps.
         ring.slots.reserve(capacity_);
-        ring.responses.reserve(capacity_);
+        ring.stride = stride_for(net::packed_size(0, 0));
+        ring.responses = std::make_unique_for_overwrite<std::uint8_t[]>(
+            capacity_ * ring.stride);
         ring.index.resize(std::bit_ceil(2 * capacity_));
         allocations_ += 3;
     }
@@ -128,12 +149,51 @@ ReplayWindow::remove(Ring& ring, std::uint32_t slot)
     return at;
 }
 
+std::uint8_t*
+ReplayWindow::store(Ring& ring, std::uint32_t slot,
+                    std::size_t scratch_bytes, std::size_t spawns)
+{
+    if (const std::size_t bytes = net::packed_size(scratch_bytes, spawns);
+        bytes > ring.stride) {
+        // Re-lay the ring out at the wider stride. The new block is
+        // left unwritten past the entries copied into it.
+        const std::size_t stride = stride_for(bytes);
+        auto responses =
+            std::make_unique_for_overwrite<std::uint8_t[]>(capacity_ *
+                                                           stride);
+        for (std::uint32_t s = 0; s < ring.slots.size(); s++) {
+            if (ring.slots[s].state == State::kDone) {
+                std::memcpy(responses.get() + s * stride, ring.response(s),
+                            ring.slots[s].packed_bytes());
+            }
+        }
+        ring.responses = std::move(responses);
+        ring.stride = stride;
+        allocations_++;
+    }
+    Slot& entry = ring.slots[slot];
+    entry.state = State::kDone;
+    entry.spawns = static_cast<std::uint8_t>(spawns);
+    entry.scratch_bytes = static_cast<std::uint16_t>(scratch_bytes);
+    return ring.response(slot);
+}
+
 void
 ReplayWindow::complete(Ring& ring, std::uint32_t slot,
                        const net::TraversalPacket& response)
 {
-    ring.slots[slot].state = State::kDone;
-    copy_bytes_ += net::copy_used(ring.responses[slot], response);
+    copy_bytes_ += net::pack(store(ring, slot, response.scratch.size(),
+                                   response.spawns.size()),
+                             response);
+}
+
+std::size_t
+ReplayWindow::unpack(const Ring& ring, std::uint32_t slot,
+                     net::TraversalPacket& out)
+{
+    const Slot& entry = ring.slots[slot];
+    return net::unpack(out, ring.response(slot), entry.scratch_bytes,
+                       entry.spawns);
 }
 
 ReplayWindow::Verdict
@@ -184,7 +244,6 @@ ReplayWindow::claim(const Key& key)
     } else {
         slot = static_cast<std::uint32_t>(ring.slots.size());
         ring.slots.emplace_back();
-        ring.responses.emplace_back();
     }
     Slot& entry = ring.slots[slot];
     entry.key = key;
@@ -261,10 +320,21 @@ bool
 ReplayWindow::cached_bounce(Ticket ticket) const
 {
     const Ring& ring = rings_[ticket.client];
-    const net::TraversalPacket& response = ring.responses[ticket.slot];
-    return ring.slots[ticket.slot].state == State::kDone &&
-           response.status == isa::TraversalStatus::kNotLocal &&
-           response.iterations_done == ring.slots[ticket.slot].key.visit;
+    const Slot& entry = ring.slots[ticket.slot];
+    if (entry.state != State::kDone) {
+        return false;
+    }
+    const std::uint8_t* header = ring.response(ticket.slot);
+    isa::TraversalStatus status;
+    std::uint64_t iterations_done = 0;
+    std::memcpy(&status,
+                header + offsetof(net::TraversalPacket, status),
+                sizeof status);
+    std::memcpy(&iterations_done,
+                header + offsetof(net::TraversalPacket, iterations_done),
+                sizeof iterations_done);
+    return status == isa::TraversalStatus::kNotLocal &&
+           iterations_done == entry.key.visit;
 }
 
 void
@@ -276,25 +346,36 @@ ReplayWindow::restart(Ticket ticket)
     link_newest(ring, ticket.slot);
 }
 
-const net::TraversalPacket*
+std::optional<net::TraversalPacket>
 ReplayWindow::cached_response(const Key& key) const
 {
     const Ring* ring = find_ring(key.id.client);
     if (ring == nullptr) {
-        return nullptr;
+        return std::nullopt;
     }
     const std::uint32_t slot = find_slot(*ring, key);
     if (slot == kNone || ring->slots[slot].state != State::kDone) {
-        return nullptr;
+        return std::nullopt;
     }
-    return &ring->responses[slot];
+    net::TraversalPacket response;
+    unpack(*ring, slot, response);
+    return response;
 }
 
 void
 ReplayWindow::copy_response(Ticket ticket, net::TraversalPacket& out)
 {
-    copy_bytes_ +=
-        net::copy_used(out, rings_[ticket.client].responses[ticket.slot]);
+    copy_bytes_ += unpack(rings_[ticket.client], ticket.slot, out);
+}
+
+std::size_t
+ReplayWindow::stride_bytes() const
+{
+    std::size_t widest = 0;
+    for (const Ring& ring : rings_) {
+        widest = std::max(widest, ring.stride);
+    }
+    return widest;
 }
 
 std::size_t
@@ -317,8 +398,13 @@ ReplayWindow::absorb_from(ReplayWindow& donor)
             }
             copied++;
             if (entry.state == State::kDone) {
-                complete(rings_[claimed.ticket.client], claimed.ticket.slot,
-                         from.responses[slot]);
+                // The packed bytes copy as they are.
+                const std::size_t bytes = entry.packed_bytes();
+                std::memcpy(store(rings_[claimed.ticket.client],
+                                  claimed.ticket.slot, entry.scratch_bytes,
+                                  entry.spawns),
+                            from.response(slot), bytes);
+                copy_bytes_ += bytes;
             } else {
                 // Still executing at the donor: remember to mirror the
                 // eventual response (or admission drop) to the windows

@@ -20,21 +20,31 @@
  * is reached, marking a new visit evicts the client's oldest live entry,
  * bounding memory like the real accelerator's fixed-size dedup SRAM.
  *
- * Storage, per client, is flat and allocated once, on the client's first
- * visit, with no growth copies: a slot array and a parallel response
- * array, each reserved to exactly the budget and built slot by slot as
- * the high-water mark rises, plus an open-addressed, linear-probing index
- * (a power of two, at least twice the budget, backward-shift delete)
- * from Key to slot. Live slots are threaded oldest-to-newest by index
- * links, so unmark and forget unlink a slot from the middle of the FIFO
- * in O(1) and eviction takes the oldest live entry; the evicted slot
- * holds the new visit, so once the budget is reached the slots cycle
- * like a ring and nothing allocates. Keys and links stay apart from the
- * ~0.9 KiB responses, so probes and FIFO updates touch one compact
- * array. A cached response copies only the bytes a packet uses: all
- * but the unused parts of the scratch pad and the spawn list (the
- * 104-byte header, the used scratch bytes and spawn records, and the
- * 38 bytes of lineage fields and padding around the spawn list).
+ * Storage, per client, is flat and allocated on the client's first
+ * visit: a slot array reserved to exactly the budget and built slot by
+ * slot as the high-water mark rises, a response block with room for
+ * the budget at a fixed stride, and an open-addressed, linear-probing
+ * index (a power of two, at least twice the budget, backward-shift
+ * delete) from Key to slot. Live slots are threaded oldest-to-newest by
+ * index links, so unmark and forget unlink a slot from the middle of
+ * the FIFO in O(1) and eviction takes the oldest live entry; the
+ * evicted slot holds the new visit, so once the budget is reached the
+ * slots cycle like a ring and nothing allocates. Keys and links stay
+ * apart from the responses, so probes and FIFO updates touch one
+ * compact array.
+ *
+ * A cached response is stored packed (net::pack): only the bytes a
+ * packet uses, back to back — the 104-byte header, the used scratch
+ * bytes and spawn records, and the 38 bytes of lineage fields and
+ * padding around the spawn list — with the scratch size and spawn count
+ * kept in the slot. The block's stride is the largest packed response
+ * the client's ring has held, rounded up to 64 bytes and capped at
+ * sizeof(TraversalPacket): 256 bytes for a 238-byte response instead
+ * of a whole 920-byte packet. A response wider than the stride re-lays
+ * the ring out once at the new stride (a new block, the cached entries
+ * copied over), which can happen at most 12 times in a ring's life; the
+ * block is allocated without being written, so only the slots up to
+ * the high-water mark ever take memory.
  *
  * A visit costs the accelerator two index lookups: claim() (classify
  * and mark fused) on arrival and record_response() on completion. The
@@ -47,6 +57,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -164,12 +176,13 @@ class ReplayWindow
      */
     void restart(Ticket ticket);
 
-    /** Cached response for @p key (nullptr unless Verdict::kCached).
-     *  Only tests call this: observation hook. */
-    const net::TraversalPacket* cached_response(const Key& key) const;
+    /** A copy of the cached response for @p key (empty unless
+     *  Verdict::kCached). Only tests call this: observation hook. */
+    std::optional<net::TraversalPacket>
+    cached_response(const Key& key) const;
 
-    /** Copy the cached response at @p ticket (fresh from a kCached
-     *  claim()) into @p out, used bytes only. */
+    /** Unpack the cached response at @p ticket (fresh from a kCached
+     *  claim()) into @p out: the bytes copy_used() would write. */
     void copy_response(Ticket ticket, net::TraversalPacket& out);
 
     /**
@@ -217,8 +230,13 @@ class ReplayWindow
     std::uint64_t copy_bytes() const { return copy_bytes_; }
 
     /** Heap blocks the window's storage allocated (per-client storage
-     *  on a client's first visit; flat once every client has one). */
+     *  on a client's first visit, and a response block per re-layout;
+     *  flat once every client's stride has reached its widest). */
     std::uint64_t allocations() const { return allocations_; }
+
+    /** The widest response stride of any client's ring, in bytes (0
+     *  before the first visit). */
+    std::size_t stride_bytes() const;
 
   private:
     static constexpr std::uint32_t kNone = Ticket::kNone;
@@ -235,7 +253,18 @@ class ReplayWindow
         /** Index bucket holding this slot while live. */
         std::uint32_t bucket = 0;
         State state = State::kFree;
+        /** Used sizes of the packed response (valid while kDone). */
+        std::uint8_t spawns = 0;
+        std::uint16_t scratch_bytes = 0;
+
+        std::size_t
+        packed_bytes() const
+        {
+            return net::packed_size(scratch_bytes, spawns);
+        }
     };
+    /** The used sizes fill the slot's padding. */
+    static_assert(sizeof(Slot) == 40);
 
     /** Index bucket: the key's 32-bit hash and its slot (kNone =
      *  empty). */
@@ -248,17 +277,25 @@ class ReplayWindow
     /** One client's entries. */
     struct Ring
     {
-        /** Both reserved to the budget on creation: they never
-         *  reallocate. */
+        /** Reserved to the budget on creation: never reallocates. */
         std::vector<Slot> slots;
-        /** responses[s] is valid while slots[s] is kDone; only the
-         *  used bytes are ever written. */
-        std::vector<net::TraversalPacket> responses;
+        /** Room for the budget at `stride` bytes per slot; slot s's
+         *  packed response starts at s * stride and is valid while
+         *  slots[s] is kDone. */
+        std::unique_ptr<std::uint8_t[]> responses;
+        std::size_t stride = 0;
         std::vector<Bucket> index;
         std::uint32_t head = kNone;  ///< oldest live slot
         std::uint32_t tail = kNone;  ///< newest live slot
         std::uint32_t free = kNone;  ///< released slots, via `next`
         std::uint32_t live = 0;
+
+        /** Start of @p slot's packed response. */
+        std::uint8_t*
+        response(std::uint32_t slot) const
+        {
+            return responses.get() + slot * stride;
+        }
     };
 
     /** @p client's ring, or nullptr if it has never had an entry. */
@@ -285,9 +322,17 @@ class ReplayWindow
     /** Remove the live entry in @p slot (index, FIFO, free list).
      *  Returns the empty bucket that ended the backward shift. */
     std::uint32_t remove(Ring& ring, std::uint32_t slot);
-    /** Mark @p slot done with a used-bytes copy of @p response. */
+    /** Mark @p slot done with a response of the given used sizes and
+     *  return where its packed bytes go, first re-laying @p ring out
+     *  at a wider stride if they do not fit. */
+    std::uint8_t* store(Ring& ring, std::uint32_t slot,
+                        std::size_t scratch_bytes, std::size_t spawns);
+    /** Mark @p slot done with @p response, packed. */
     void complete(Ring& ring, std::uint32_t slot,
                   const net::TraversalPacket& response);
+    /** Unpack @p slot's response into @p out; returns the bytes. */
+    static std::size_t unpack(const Ring& ring, std::uint32_t slot,
+                              net::TraversalPacket& out);
     void link_newest(Ring& ring, std::uint32_t slot);
     void unlink(Ring& ring, std::uint32_t slot);
 

@@ -18,9 +18,10 @@ constexpr std::size_t kGapEnd = offsetof(TraversalPacket, spawns);
 constexpr std::size_t kTailBegin =
     offsetof(TraversalPacket, spawns) + sizeof(SpawnList);
 
-// copy_used() block-copies every byte outside the scratch pad and the
-// spawn list, so a field added anywhere else is copied with no change
-// here; only the two arrays are copied up to their used sizes.
+// copy_used(), pack() and unpack() block-copy every byte outside the
+// scratch pad and the spawn list, so a field added anywhere else is
+// copied with no change here; only the two arrays are copied up to
+// their used sizes.
 static_assert(std::is_standard_layout_v<TraversalPacket>);
 static_assert(kHeaderBytes == 104 && kGapBegin <= kGapEnd);
 
@@ -49,6 +50,55 @@ copy_used(TraversalPacket& dst, const TraversalPacket& src)
     }
     bytes += src.spawns.size() * sizeof(isa::SpawnRecord);
     return bytes + copy_range(dst, src, kTailBegin, sizeof(TraversalPacket));
+}
+
+std::size_t
+packed_size(std::size_t scratch_bytes, std::size_t spawns)
+{
+    return kHeaderBytes + scratch_bytes + (kGapEnd - kGapBegin) +
+           spawns * sizeof(isa::SpawnRecord) +
+           (sizeof(TraversalPacket) - kTailBegin);
+}
+
+std::size_t
+pack(std::uint8_t* dst, const TraversalPacket& src)
+{
+    const auto* from = reinterpret_cast<const std::uint8_t*>(&src);
+    std::uint8_t* at = dst;
+    auto put = [&at](const void* bytes, std::size_t length) {
+        std::memcpy(at, bytes, length);
+        at += length;
+    };
+    put(from, kHeaderBytes);
+    put(src.scratch.data(), src.scratch.size());
+    put(from + kGapBegin, kGapEnd - kGapBegin);
+    put(src.spawns.begin(), src.spawns.size() * sizeof(isa::SpawnRecord));
+    put(from + kTailBegin, sizeof(TraversalPacket) - kTailBegin);
+    return static_cast<std::size_t>(at - dst);
+}
+
+std::size_t
+unpack(TraversalPacket& dst, const std::uint8_t* src,
+       std::size_t scratch_bytes, std::size_t spawns)
+{
+    auto* to = reinterpret_cast<std::uint8_t*>(&dst);
+    const std::uint8_t* at = src;
+    auto take = [&at](void* bytes, std::size_t length) {
+        std::memcpy(bytes, at, length);
+        at += length;
+    };
+    take(to, kHeaderBytes);
+    dst.scratch.assign(at, scratch_bytes);
+    at += scratch_bytes;
+    take(to + kGapBegin, kGapEnd - kGapBegin);
+    dst.spawns.clear();
+    for (std::size_t i = 0; i < spawns; i++) {
+        isa::SpawnRecord record;
+        take(&record, sizeof record);
+        dst.spawns.push(record);
+    }
+    take(to + kTailBegin, sizeof(TraversalPacket) - kTailBegin);
+    return static_cast<std::size_t>(at - src);
 }
 
 void

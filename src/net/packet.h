@@ -300,6 +300,30 @@ static_assert(std::is_trivially_copyable_v<TraversalPacket>);
 std::size_t copy_used(TraversalPacket& dst, const TraversalPacket& src);
 
 /**
+ * Bytes pack() writes for a packet with @p scratch_bytes of scratch
+ * pad and @p spawns spawn records: the count copy_used() returns.
+ */
+std::size_t packed_size(std::size_t scratch_bytes, std::size_t spawns);
+
+/**
+ * Write the bytes copy_used() would copy from @p src to @p dst, back
+ * to back: the header (every field before the scratch pad, byte for
+ * byte at its offsetof), the used scratch bytes, the gap before the
+ * spawn list, the used spawn records and the lineage tail. The two
+ * used sizes are not written; unpack() takes them back. Returns
+ * packed_size() of those sizes.
+ */
+std::size_t pack(std::uint8_t* dst, const TraversalPacket& src);
+
+/**
+ * Rebuild into @p dst the packet pack() wrote at @p src, given its
+ * scratch size and spawn count: the same bytes of @p dst that
+ * copy_used() writes. Returns packed_size(scratch_bytes, spawns).
+ */
+std::size_t unpack(TraversalPacket& dst, const std::uint8_t* src,
+                   std::size_t scratch_bytes, std::size_t spawns);
+
+/**
  * Attach @p program to @p packet, with code_size set to the program's
  * wire_code_size(). The packet stores a non-owning reference: the
  * caller must guarantee the program outlives every packet (and packet

@@ -1,7 +1,5 @@
 #include "placement/migration.h"
 
-#include "common/logging.h"
-
 namespace pulse::placement {
 
 namespace {
@@ -63,18 +61,18 @@ MigrationEngine::start(VirtAddr va_base, Bytes length, NodeId dst,
                   [this, va_base, length, src = p.node,
                    src_phys = p.phys, dst, dst_phys,
                    on_done = std::move(on_done)](bool copied) {
-                      if (copied) {
-                          cutover(va_base, length, src, src_phys, dst,
-                                  dst_phys);
-                      } else {
+                      const bool moved =
+                          copied && cutover(va_base, length, src,
+                                            src_phys, dst, dst_phys);
+                      if (!moved) {
                           stats_.aborted.increment();
                       }
-                      on_done(copied);
+                      on_done(moved);
                   });
     return true;
 }
 
-void
+bool
 MigrationEngine::cutover(VirtAddr va_base, Bytes length, NodeId src,
                          Bytes src_phys, NodeId dst, Bytes dst_phys)
 {
@@ -84,8 +82,14 @@ MigrationEngine::cutover(VirtAddr va_base, Bytes length, NodeId src,
         flip_route(memory_.mutable_address_map(),
                    network_.switch_table(), tcams_, src, dst, va_base,
                    length, dst_phys);
-    PULSE_ASSERT(flip != RouteFlip::kRefused,
-                 "pre-checked cutover flip failed");
+    if (flip == RouteFlip::kRefused) {
+        // PLAN's pre-check no longer holds: a TCAM changed during the
+        // copy (a replica or another span took the destination's last
+        // entry). Nothing moved, so the source keeps serving the slab
+        // and the destination copy is dropped, as after a failed copy.
+        allocator_.free_backing(dst, dst_phys, length);
+        return false;
+    }
     if (flip == RouteFlip::kRemapped) {
         stats_.remaps_installed.increment();
     }
@@ -103,6 +107,7 @@ MigrationEngine::cutover(VirtAddr va_base, Bytes length, NodeId src,
     // later migration (possibly back here) reuses the address range.
     allocator_.free_backing(src, src_phys, length);
     stats_.completed.increment();
+    return true;
 }
 
 }  // namespace pulse::placement

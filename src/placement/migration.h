@@ -13,7 +13,9 @@
  * CUTOVER is a single atomic event: the copier's functional copy
  * lands the authoritative bytes, flip_route() moves the AddressMap
  * remap, switch overlay and both TCAM entries together, and the
- * vacated source backing returns to the allocator. DUAL is the window
+ * vacated source backing returns to the allocator. A TCAM that changed
+ * during the copy can refuse the flip; the migration then aborts like
+ * a failed copy, and the source keeps the slab. DUAL is the window
  * where traversals that loaded before cutover store after it: the
  * source TCAM now misses, and the accelerator forwards the write to
  * the new owner through the placement plane instead of faulting.
@@ -69,7 +71,9 @@ class MigrationEngine
      * application frontier: backing reserved for other slabs can sit
      * past it inside the same frame), either TCAM would refuse the
      * cutover, or the destination is out of memory. @p on_done fires exactly once with
-     * success after cutover or failure after an abort.
+     * success after cutover or failure after an abort: a failed copy,
+     * or a cutover whose route flip a TCAM refused because it changed
+     * during the copy.
      */
     bool start(VirtAddr va_base, Bytes length, NodeId dst,
                std::function<void(bool)> on_done);
@@ -90,7 +94,10 @@ class MigrationEngine
     }
 
   private:
-    void cutover(VirtAddr va_base, Bytes length, NodeId src,
+    /** Flip routing to the copy at @p dst and retire the source
+     *  backing. False, with the destination backing freed and nothing
+     *  else changed, when a TCAM refuses the flip. */
+    bool cutover(VirtAddr va_base, Bytes length, NodeId src,
                  Bytes src_phys, NodeId dst, Bytes dst_phys);
 
     net::Network& network_;

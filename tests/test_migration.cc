@@ -4,7 +4,8 @@
  * integrity, map/switch/TCAM coherence, backing reuse, migrate-home
  * overlay retirement, rejection of ineligible starts including a tail
  * slab whose frame holds another slab's backing, abort on a dead
- * link), and the full elastic plane rebalancing live CAS traffic —
+ * link or on a cutover flip a filled destination TCAM refuses), and
+ * the full elastic plane rebalancing live CAS traffic —
  * with and without the fault plane mangling every message class —
  * while in-flight operations keep exactly-once semantics.
  */
@@ -245,6 +246,63 @@ TEST(MigrationEngine, AbortsOnDeadLinkAndFreesBacking)
               mem::TranslateStatus::kOk);
     EXPECT_EQ(cluster.allocator().free_list_bytes(1), kSlab);
     EXPECT_EQ(cluster.allocator().free_list_bytes(0), 0u);
+}
+
+TEST(MigrationEngine, AbortsWhenTheDestinationTcamFillsDuringCopy)
+{
+    core::ClusterConfig config;
+    config.num_mem_nodes = 2;
+    core::Cluster cluster(config);
+    MigrationEngine engine = make_engine(cluster, engine_config());
+
+    const VirtAddr va = cluster.allocator().alloc_on(0, kSlab, kSlab);
+    ASSERT_NE(va, kNullAddr);
+    const std::vector<std::uint8_t> data = pattern(kSlab);
+    cluster.memory().write(va, data.data(), data.size());
+    bool done = false;
+    bool success = true;
+    ASSERT_TRUE(engine.start(va, kSlab, 1, [&](bool migrated) {
+        done = true;
+        success = migrated;
+    }));
+
+    // While the copy runs, other spans (past the mapped regions) take
+    // every free entry of the destination TCAM, so PLAN's pre-check no
+    // longer holds at cutover.
+    const mem::AddressMap& map = cluster.memory().address_map();
+    mem::RangeTcam& tcam = cluster.accelerator(1).tcam();
+    const VirtAddr far = map.region(1).base + map.region_size();
+    for (VirtAddr at = far; tcam.size() < tcam.capacity();
+         at += 2 * 4096) {
+        ASSERT_TRUE(tcam.insert(
+            mem::RangeEntry{at, 4096, at - far, mem::Perm::kRead}));
+    }
+    cluster.queue().run();
+
+    // The refused flip aborted the migration instead of the process.
+    ASSERT_TRUE(done);
+    EXPECT_FALSE(success);
+    EXPECT_FALSE(engine.active());
+    EXPECT_EQ(engine.stats().aborted.value(), 1u);
+    EXPECT_EQ(engine.stats().completed.value(), 0u);
+    // The destination backing went back to the allocator.
+    EXPECT_EQ(cluster.allocator().free_list_bytes(1), kSlab);
+    EXPECT_EQ(cluster.allocator().free_list_bytes(0), 0u);
+    // The source still serves the slab: owner, switch route, TCAM
+    // translation and bytes are all as before.
+    EXPECT_EQ(*map.node_for(va), 0u);
+    EXPECT_TRUE(map.remaps().empty());
+    EXPECT_EQ(*cluster.network().switch_table().lookup(va), 0u);
+    EXPECT_EQ(cluster.accelerator(0)
+                  .tcam()
+                  .translate(va, mem::Perm::kRead)
+                  .status,
+              mem::TranslateStatus::kOk);
+    EXPECT_EQ(tcam.translate(va, mem::Perm::kRead).status,
+              mem::TranslateStatus::kMiss);
+    std::vector<std::uint8_t> readback(kSlab);
+    cluster.memory().read(va, readback.data(), readback.size());
+    EXPECT_EQ(readback, data);
 }
 
 isa::Program

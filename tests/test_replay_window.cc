@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -53,12 +54,13 @@ TEST(ReplayWindow, VerdictStateMachine)
     EXPECT_EQ(window.classify(k), ReplayWindow::Verdict::kNew);
     window.claim(k);
     EXPECT_EQ(window.classify(k), ReplayWindow::Verdict::kInProgress);
-    EXPECT_EQ(window.cached_response(k), nullptr);
+    EXPECT_FALSE(window.cached_response(k).has_value());
 
     window.record_response(k, response_for(k));
     EXPECT_EQ(window.classify(k), ReplayWindow::Verdict::kCached);
-    const net::TraversalPacket* cached = window.cached_response(k);
-    ASSERT_NE(cached, nullptr);
+    const std::optional<net::TraversalPacket> cached =
+        window.cached_response(k);
+    ASSERT_TRUE(cached.has_value());
     EXPECT_EQ(cached->id, k.id);
     EXPECT_TRUE(cached->is_response);
 }
@@ -165,7 +167,7 @@ TEST(ReplayWindow, NewVisitCostsTwoProbes)
     window.record_response(a, response_for(a));
     EXPECT_EQ(window.probes(), before + 1);
     EXPECT_EQ(window.classify(b), ReplayWindow::Verdict::kInProgress);
-    EXPECT_EQ(window.cached_response(a), nullptr);
+    EXPECT_FALSE(window.cached_response(a).has_value());
 }
 
 TEST(ReplayWindow, CopiesOnlyTheUsedBytes)
@@ -187,13 +189,84 @@ TEST(ReplayWindow, CopiesOnlyTheUsedBytes)
     EXPECT_EQ(window.copy_bytes(),
               104u + 40u + sizeof(isa::SpawnRecord) + 6u + 32u);
     EXPECT_LT(window.copy_bytes(), sizeof(net::TraversalPacket) / 2);
-    const net::TraversalPacket* cached = window.cached_response(k);
-    ASSERT_NE(cached, nullptr);
+    const std::optional<net::TraversalPacket> cached =
+        window.cached_response(k);
+    ASSERT_TRUE(cached.has_value());
     EXPECT_TRUE(cached->scratch == response.scratch);
     EXPECT_TRUE(cached->spawns == response.spawns);
     EXPECT_EQ(cached->spawn_depth, 2u);
     EXPECT_EQ(cached->parent_id, response.parent_id);
     EXPECT_EQ(cached->branch_index, 3u);
+}
+
+/** A response with @p scratch_bytes of scratch pad and @p spawns
+ *  spawn records, its bytes derived from @p k. */
+net::TraversalPacket
+sized_response(const ReplayWindow::Key& k, std::size_t scratch_bytes,
+               std::size_t spawns)
+{
+    net::TraversalPacket response = response_for(k);
+    response.cur_ptr = 0x1000 + k.id.seq;
+    for (std::size_t i = 0; i < scratch_bytes; i++) {
+        response.scratch.push_back(static_cast<std::uint8_t>(k.id.seq + i));
+    }
+    for (std::size_t i = 0; i < spawns; i++) {
+        isa::SpawnRecord record;
+        record.start_ptr = 0x2000 + i;
+        record.arg_length = 8;
+        record.args[0] = static_cast<std::uint8_t>(k.id.seq);
+        response.spawns.push(record);
+    }
+    response.parent_id = {k.id.client, k.id.seq + 100};
+    response.branch_index = 1;
+    return response;
+}
+
+TEST(ReplayWindow, WiderResponseReLaysTheRingOut)
+{
+    ReplayWindow window(/*per_client_entries=*/8);
+    // Four 238-byte responses (tsv's size): a 256-byte stride.
+    std::vector<net::TraversalPacket> recorded;
+    for (std::uint64_t seq = 0; seq < 4; seq++) {
+        const auto k = key(0, seq);
+        window.claim(k);
+        recorded.push_back(sized_response(k, 96, 0));
+        window.record_response(k, recorded.back());
+    }
+    window.claim(key(0, 4));  // in progress across the re-layout
+    EXPECT_EQ(window.stride_bytes(), 256u);
+    const std::uint64_t allocations = window.allocations();
+
+    // One with all 8 spawn records needs 622 bytes: the ring is laid
+    // out again, once, at a 640-byte stride.
+    const auto wide = key(0, 5);
+    window.claim(wide);
+    recorded.push_back(sized_response(wide, 96, net::SpawnList::kCapacity));
+    window.record_response(wide, recorded.back());
+    EXPECT_EQ(window.stride_bytes(), 640u);
+    EXPECT_EQ(window.allocations(), allocations + 1);
+    EXPECT_EQ(window.classify(key(0, 4)),
+              ReplayWindow::Verdict::kInProgress);
+
+    // Every entry, cached before the re-layout or after, replays the
+    // bytes copy_used() would copy from the recorded packet.
+    for (const net::TraversalPacket& original : recorded) {
+        const auto k = key(0, original.id.seq);
+        const ReplayWindow::Claim claimed = window.claim(k);
+        ASSERT_EQ(claimed.verdict, ReplayWindow::Verdict::kCached);
+        net::TraversalPacket replayed;
+        net::TraversalPacket expected;
+        window.copy_response(claimed.ticket, replayed);
+        net::copy_used(expected, original);
+        EXPECT_EQ(std::memcmp(&replayed, &expected, sizeof replayed), 0)
+            << "seq " << k.id.seq;
+    }
+    // A narrower response later keeps the wide stride.
+    const auto narrow = key(0, 6);
+    window.claim(narrow);
+    window.record_response(narrow, sized_response(narrow, 0, 0));
+    EXPECT_EQ(window.stride_bytes(), 640u);
+    EXPECT_EQ(window.allocations(), allocations + 1);
 }
 
 TEST(ReplayWindow, StorageAllocatesOncePerClient)
@@ -474,9 +547,11 @@ class Differential
                        std::to_string(k.id.seq) + "/" +
                        std::to_string(k.visit);
             }
+            const std::optional<net::TraversalPacket> cached =
+                windows_[w]->cached_response(k);
             const std::string diff =
                 diff_response(refs_[w]->cached_response(rk),
-                              windows_[w]->cached_response(k));
+                              cached ? &*cached : nullptr);
             if (!diff.empty()) {
                 return "window " + std::to_string(w) + ": " + diff;
             }

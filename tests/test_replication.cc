@@ -16,6 +16,7 @@
 
 #include <cstring>
 #include <memory>
+#include <optional>
 
 #include "core/cluster.h"
 #include "isa/program.h"
@@ -245,9 +246,9 @@ TEST(ReplicationPlane, ReexecutedBounceIsMirroredToEveryWindow)
     const accel::ReplayWindow::Key key{packet.id, 0};
     for (const NodeId node : {kA, kB, kC}) {
         SCOPED_TRACE("node " + std::to_string(node));
-        const net::TraversalPacket* cached =
+        const std::optional<net::TraversalPacket> cached =
             cluster.accelerator(node).replay_window().cached_response(key);
-        ASSERT_NE(cached, nullptr);
+        ASSERT_TRUE(cached.has_value());
         EXPECT_EQ(cached->status, isa::TraversalStatus::kDone);
         EXPECT_EQ(cached->iterations_done, 1u);
         std::uint64_t loaded = 0;

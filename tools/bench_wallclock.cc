@@ -461,12 +461,14 @@ main(int argc, char** argv)
         const std::uint64_t visits = warmup_visits + visits_since_reset();
         std::uint64_t probes = 0;
         std::uint64_t copy_bytes = 0;
+        std::size_t stride_bytes = 0;
         for (NodeId node = 0; node < cluster.config().num_mem_nodes;
              node++) {
             const accel::ReplayWindow& window =
                 cluster.accelerator(node).replay_window();
             probes += window.probes();
             copy_bytes += window.copy_bytes();
+            stride_bytes = std::max(stride_bytes, window.stride_bytes());
         }
         const double per_visit =
             visits > 0 ? 1.0 / static_cast<double>(visits) : 0.0;
@@ -477,9 +479,15 @@ main(int argc, char** argv)
         exporter.set("sim.replay.probes_per_visit", probes_per_visit);
         exporter.set("sim.replay.copy_bytes_per_visit",
                      copy_bytes_per_visit);
+        // The widest per-client response stride: the bytes each cached
+        // response holds in the window.
+        exporter.set("sim.replay.stride_bytes",
+                     static_cast<double>(stride_bytes));
         std::printf("replay window: %.3f probes/visit, %.1f bytes "
-                    "copied/visit over %" PRIu64 " visits\n",
-                    probes_per_visit, copy_bytes_per_visit, visits);
+                    "copied/visit over %" PRIu64 " visits, %zu-byte "
+                    "response stride\n",
+                    probes_per_visit, copy_bytes_per_visit, visits,
+                    stride_bytes);
         // Packet arena: the run drained, so every slot must be back.
         const net::PacketArena& arena = cluster.packets();
         exporter.set("sim.arena.peak_slots",
