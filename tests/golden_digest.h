@@ -1,11 +1,19 @@
 /**
  * @file
- * Checkpoint-format goldens: the FNV-1a digest of a checkpoint blob is
- * compared with its line in tests/goldens/checkpoint.digests, so any
- * change to field order, width or tags fails a test instead of
- * silently changing the format. Every call also prints the digest as
- * "checkpoint digest: <hex>  <name>", which tests/goldens/regen.sh
- * collects to rewrite the file after an intended format change.
+ * Digest goldens: the FNV-1a digest of a byte blob is compared with its
+ * line in a digests file under tests/goldens/, so any change to the
+ * bytes fails a test instead of passing silently. Two files use it:
+ *
+ *   - checkpoint.digests: checkpoint blobs, so a change to field
+ *     order, width or tags is caught;
+ *   - program.digests: encoded ISA programs of the data-structure
+ *     adapters, so a refactor of a program builder must emit the same
+ *     instructions.
+ *
+ * Every call prints "<kind> digest: <hex>  <name>" (kind = file stem).
+ * tests/goldens/regen.sh collects the checkpoint lines to rewrite that
+ * file after an intended format change; the program digests are an
+ * identity gate and have no regeneration step.
  */
 #ifndef PULSE_TESTS_GOLDEN_DIGEST_H
 #define PULSE_TESTS_GOLDEN_DIGEST_H
@@ -23,7 +31,8 @@ namespace pulse::testing {
 
 inline void
 expect_golden_digest(const std::string& name,
-                     const std::vector<std::uint8_t>& blob)
+                     const std::vector<std::uint8_t>& blob,
+                     const std::string& kind = "checkpoint")
 {
     std::uint64_t h = 0xcbf29ce484222325ull;
     for (const std::uint8_t byte : blob) {
@@ -32,11 +41,11 @@ expect_golden_digest(const std::string& name,
     char hex[17];
     std::snprintf(hex, sizeof(hex), "%016llx",
                   static_cast<unsigned long long>(h));
-    std::printf("checkpoint digest: %s  %s\n", hex, name.c_str());
+    std::printf("%s digest: %s  %s\n", kind.c_str(), hex, name.c_str());
 
-    std::ifstream in(std::string(PULSE_GOLDEN_DIR) +
-                     "/checkpoint.digests");
-    ASSERT_TRUE(in.good()) << "missing tests/goldens/checkpoint.digests";
+    const std::string file = kind + ".digests";
+    std::ifstream in(std::string(PULSE_GOLDEN_DIR) + "/" + file);
+    ASSERT_TRUE(in.good()) << "missing tests/goldens/" << file;
     std::string line;
     while (std::getline(in, line)) {
         std::istringstream fields(line);
@@ -44,14 +53,15 @@ expect_golden_digest(const std::string& name,
         std::string golden_name;
         if (fields >> golden >> golden_name && golden_name == name) {
             EXPECT_EQ(hex, golden)
-                << "checkpoint blob '" << name << "' (" << blob.size()
-                << " bytes) moved from its golden digest; if the format "
-                   "changed on purpose, run tests/goldens/regen.sh and "
-                   "name the change in CHANGES.md";
+                << kind << " blob '" << name << "' (" << blob.size()
+                << " bytes) moved from its golden digest in " << file
+                << "; if the bytes changed on purpose, regenerate the "
+                   "file and name the change in CHANGES.md";
             return;
         }
     }
-    ADD_FAILURE() << "no golden digest named '" << name << "'";
+    ADD_FAILURE() << "no golden digest named '" << name << "' in "
+                  << file;
 }
 
 }  // namespace pulse::testing
