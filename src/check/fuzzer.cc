@@ -16,13 +16,12 @@
 #include "common/random.h"
 #include "core/cluster.h"
 #include "faults/nemesis.h"
-#include "ds/balanced_tree.h"
 #include "ds/bptree.h"
-#include "ds/bst_map.h"
 #include "ds/ds_common.h"
 #include "ds/hash_table.h"
 #include "ds/linked_list.h"
 #include "ds/prox_graph.h"
+#include "ds/search_tree.h"
 #include "isa/traversal.h"
 
 namespace pulse::check {
@@ -270,8 +269,7 @@ run_workload_case(const FuzzCase& c)
     std::unique_ptr<ds::HashTable> hash;
     std::unique_ptr<ds::LinkedList> list;
     std::unique_ptr<ds::BPTree> bptree;
-    std::unique_ptr<ds::BstMap> bst;
-    std::unique_ptr<ds::BalancedTree> balanced;
+    std::unique_ptr<ds::SearchTree> tree;
     std::unique_ptr<ds::ProxGraph> prox;
     bool bptree_inline = true;
     if (c.ds == "hash") {
@@ -298,15 +296,16 @@ run_workload_case(const FuzzCase& c)
             entries.push_back({k, ds::value_pattern_word(k)});
         }
         bptree->build(entries);
-    } else if (c.ds == "bst") {
-        bst = std::make_unique<ds::BstMap>(cluster.memory(),
-                                           cluster.allocator());
-        bst->build(keys);
-    } else if (c.ds == "balanced") {
-        const auto flavor = static_cast<ds::TreeFlavor>(c.seed % 3);
-        balanced = std::make_unique<ds::BalancedTree>(
-            cluster.memory(), cluster.allocator(), flavor);
-        balanced->build(keys);
+    } else if (c.ds == "bst" || c.ds == "balanced") {
+        // "balanced" picks a Boost layout (AVL, splay, scapegoat) from
+        // the seed; they follow kStl in TreeLayout.
+        const auto layout =
+            c.ds == "bst" ? ds::TreeLayout::kStl
+                          : static_cast<ds::TreeLayout>(1 + c.seed % 3);
+        tree = std::make_unique<ds::SearchTree>(cluster.memory(),
+                                                cluster.allocator(),
+                                                layout);
+        tree->build(keys);
     } else if (c.ds == "prox") {
         prox = std::make_unique<ds::ProxGraph>(cluster.memory(),
                                                cluster.allocator());
@@ -387,12 +386,8 @@ run_workload_case(const FuzzCase& c)
             return bptree->make_scan(pick, 1 + rng.next_below(12),
                                      on_done);
         }
-        if (bst) {
-            return bst->make_lower_bound(
-                key_lo + rng.next_below(key_hi + 8 - key_lo), on_done);
-        }
-        if (balanced) {
-            return balanced->make_lower_bound(
+        if (tree) {
+            return tree->make_lower_bound(
                 key_lo + rng.next_below(key_hi + 8 - key_lo), on_done);
         }
         return prox->make_search(

@@ -35,12 +35,11 @@
 #include "isa/traversal.h"
 
 // Adapted data structures (supp. Table 3).
-#include "ds/balanced_tree.h"
 #include "ds/bptree.h"
-#include "ds/bst_map.h"
 #include "ds/hash_table.h"
 #include "ds/linked_list.h"
 #include "ds/prox_graph.h"
+#include "ds/search_tree.h"
 #include "ds/table3.h"
 
 // Workloads and the measurement driver.

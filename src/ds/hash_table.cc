@@ -83,84 +83,78 @@ HashTable::insert_many(const std::vector<std::uint64_t>& keys)
     }
 }
 
+namespace {
+
+/**
+ * The two-phase walk find and update share: phase 0 loads the bucket
+ * slot to pick up the chain head, phase 1 runs Listing 4's
+ * compare/advance logic down the chain. @p found emits what runs at
+ * the matching node, before the final RET.
+ */
+template <typename FoundTail>
 std::shared_ptr<const isa::Program>
-HashTable::find_program() const
+chain_walk_program(FoundTail&& found)
 {
-    if (find_program_) {
-        return find_program_;
-    }
-    const auto value_width =
-        static_cast<std::uint16_t>(config_.value_bytes);
     isa::ProgramBuilder b;
     b.load(256)
         // Phase dispatch: 0 = bucket slot, 1 = chain node.
-        .compare(isa::sp(kSpPhase), isa::imm(1))
+        .compare(isa::sp(HashTable::kSpPhase), isa::imm(1))
         .jump_eq("chain")
         // Phase 0: the loaded data starts with the bucket head pointer.
         .compare(isa::dat(0), isa::imm(0))
         .jump_eq("notfound")
         .move(isa::cur(), isa::dat(0))
-        .move(isa::sp(kSpPhase), isa::imm(1))
+        .move(isa::sp(HashTable::kSpPhase), isa::imm(1))
         .next_iter()
         // Phase 1: Listing 4's chain logic.
         .label("chain")
-        .compare(isa::sp(kSpKey), isa::dat(kKeyOff))
+        .compare(isa::sp(HashTable::kSpKey), isa::dat(HashTable::kKeyOff))
         .jump_eq("found")
-        .compare(isa::imm(0), isa::dat(kNextOff))
+        .compare(isa::imm(0), isa::dat(HashTable::kNextOff))
         .jump_eq("notfound")
-        .move(isa::cur(), isa::dat(kNextOff))
+        .move(isa::cur(), isa::dat(HashTable::kNextOff))
         .next_iter()
         .label("notfound")
-        .move(isa::sp(kSpFlag), isa::imm(kKeyNotFound))
+        .move(isa::sp(HashTable::kSpFlag), isa::imm(kKeyNotFound))
         .ret()
-        .label("found")
-        .move(isa::sp(kSpFlag), isa::imm(1))
-        // Register-vector move: the whole value in one instruction.
-        .move(isa::sp(kSpValue, value_width),
-              isa::dat(kValueOff, value_width))
-        .ret();
-    b.scratch_bytes(kSpPhase + 8);
-    find_program_ = std::make_shared<const isa::Program>(b.build());
+        .label("found");
+    found(b);
+    b.ret();
+    b.scratch_bytes(HashTable::kSpPhase + 8);
+    return std::make_shared<const isa::Program>(b.build());
+}
+
+}  // namespace
+
+std::shared_ptr<const isa::Program>
+HashTable::find_program() const
+{
+    if (!find_program_) {
+        const auto width = static_cast<std::uint16_t>(config_.value_bytes);
+        find_program_ = chain_walk_program([&](isa::ProgramBuilder& b) {
+            b.move(isa::sp(kSpFlag), isa::imm(1))
+                // Register-vector move: the whole value in one
+                // instruction.
+                .move(isa::sp(kSpValue, width),
+                      isa::dat(kValueOff, width));
+        });
+    }
     return find_program_;
 }
 
 std::shared_ptr<const isa::Program>
 HashTable::update_program() const
 {
-    if (update_program_) {
-        return update_program_;
+    if (!update_program_) {
+        const auto width = static_cast<std::uint16_t>(config_.value_bytes);
+        update_program_ = chain_walk_program([&](isa::ProgramBuilder& b) {
+            // Stage the new value into the data registers, then write
+            // it back over the node's value field.
+            b.move(isa::dat(kValueOff, width), isa::sp(kSpValue, width))
+                .store(kValueOff, kValueOff, width)
+                .move(isa::sp(kSpFlag), isa::imm(1));
+        });
     }
-    const auto value_width =
-        static_cast<std::uint16_t>(config_.value_bytes);
-    isa::ProgramBuilder b;
-    b.load(256)
-        .compare(isa::sp(kSpPhase), isa::imm(1))
-        .jump_eq("chain")
-        .compare(isa::dat(0), isa::imm(0))
-        .jump_eq("notfound")
-        .move(isa::cur(), isa::dat(0))
-        .move(isa::sp(kSpPhase), isa::imm(1))
-        .next_iter()
-        .label("chain")
-        .compare(isa::sp(kSpKey), isa::dat(kKeyOff))
-        .jump_eq("found")
-        .compare(isa::imm(0), isa::dat(kNextOff))
-        .jump_eq("notfound")
-        .move(isa::cur(), isa::dat(kNextOff))
-        .next_iter()
-        .label("notfound")
-        .move(isa::sp(kSpFlag), isa::imm(kKeyNotFound))
-        .ret()
-        .label("found")
-        // Stage the new value into the data registers, then write it
-        // back over the node's value field.
-        .move(isa::dat(kValueOff, value_width),
-              isa::sp(kSpValue, value_width))
-        .store(kValueOff, kValueOff, value_width)
-        .move(isa::sp(kSpFlag), isa::imm(1))
-        .ret();
-    b.scratch_bytes(kSpPhase + 8);
-    update_program_ = std::make_shared<const isa::Program>(b.build());
     return update_program_;
 }
 

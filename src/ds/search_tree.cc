@@ -1,4 +1,4 @@
-#include "ds/bst_map.h"
+#include "ds/search_tree.h"
 
 #include <algorithm>
 #include <cstring>
@@ -7,15 +7,33 @@
 
 namespace pulse::ds {
 
-BstMap::BstMap(mem::GlobalMemory& memory, mem::ClusterAllocator& alloc)
-    : memory_(memory), alloc_(alloc)
+namespace {
+
+/** Bytes of the Boost layouts' leading metadata word (0 for STL). */
+std::uint32_t
+meta_bytes(TreeLayout layout)
+{
+    return layout == TreeLayout::kStl ? 0 : 8;
+}
+
+}  // namespace
+
+SearchTree::SearchTree(mem::GlobalMemory& memory,
+                       mem::ClusterAllocator& alloc, TreeLayout layout)
+    : memory_(memory),
+      alloc_(alloc),
+      layout_(layout),
+      key_off_(meta_bytes(layout)),
+      left_off_(key_off_ + 8),
+      right_off_(key_off_ + 16),
+      value_off_(key_off_ + 24)
 {
 }
 
 VirtAddr
-BstMap::build_subtree(const std::vector<std::uint64_t>& keys,
-                      std::size_t lo, std::size_t hi, NodeId node,
-                      std::uint32_t level)
+SearchTree::build_subtree(const std::vector<std::uint64_t>& keys,
+                          std::size_t lo, std::size_t hi, NodeId node,
+                          std::uint32_t level)
 {
     if (lo >= hi) {
         return kNullAddr;
@@ -26,26 +44,36 @@ BstMap::build_subtree(const std::vector<std::uint64_t>& keys,
         node == kInvalidNode
             ? alloc_.alloc(kNodeBytes, kNodeBytes)
             : alloc_.alloc_on(node, kNodeBytes, kNodeBytes);
-    PULSE_ASSERT(addr != kNullAddr, "out of memory for BST node");
+    PULSE_ASSERT(addr != kNullAddr, "out of memory for tree node");
 
     const VirtAddr left =
         build_subtree(keys, lo, mid, node, level + 1);
     const VirtAddr right =
         build_subtree(keys, mid + 1, hi, node, level + 1);
 
+    // Layout-specific bookkeeping word (unused on the read path, but
+    // present so the layout matches the intrusive containers).
+    std::uint64_t meta = 0;  // AVL balance factor: balanced by build
+    if (layout_ == TreeLayout::kSplay) {
+        meta = 1;  // access epoch
+    } else if (layout_ == TreeLayout::kScapegoat) {
+        meta = hi - lo;  // subtree size
+    }
+
     std::uint8_t buffer[kNodeBytes] = {};
     const std::uint64_t value = value_pattern_word(keys[mid]);
-    std::memcpy(buffer + kKeyOff, &keys[mid], 8);
-    std::memcpy(buffer + kLeftOff, &left, 8);
-    std::memcpy(buffer + kRightOff, &right, 8);
-    std::memcpy(buffer + kValueOff, &value, 8);
+    std::memcpy(buffer, &meta, key_off_);
+    std::memcpy(buffer + key_off_, &keys[mid], 8);
+    std::memcpy(buffer + left_off_, &left, 8);
+    std::memcpy(buffer + right_off_, &right, 8);
+    std::memcpy(buffer + value_off_, &value, 8);
     memory_.write(addr, buffer, kNodeBytes);
     return addr;
 }
 
 void
-BstMap::build(const std::vector<std::uint64_t>& sorted_keys,
-              NodeId node)
+SearchTree::build(const std::vector<std::uint64_t>& sorted_keys,
+                  NodeId node)
 {
     PULSE_ASSERT(root_ == kNullAddr, "tree already built");
     PULSE_ASSERT(!sorted_keys.empty(), "empty build");
@@ -58,7 +86,7 @@ BstMap::build(const std::vector<std::uint64_t>& sorted_keys,
 }
 
 std::shared_ptr<const isa::Program>
-BstMap::lower_bound_program() const
+SearchTree::lower_bound_program() const
 {
     if (program_) {
         return program_;
@@ -69,25 +97,37 @@ BstMap::lower_bound_program() const
     using isa::sp;
 
     isa::ProgramBuilder b;
-    b.load(32)
+    // x->key >= key: x is the best candidate so far; go left.
+    const auto go_left = [&] {
+        b.move(sp(kSpCandidate), cur())
+            .move(cur(), dat(left_off_))
+            .next_iter();
+    };
+    const auto go_right = [&] {
+        b.move(cur(), dat(right_off_)).next_iter();
+    };
+    b.load(value_off_ + 8)
         // Phase 1: cur_ptr points at the recorded candidate; emit it.
         .compare(sp(kSpPhase), imm(1))
         .jump_eq("emit")
-        // Listing 8's loop body. Null means the descent is over.
+        // The listings' loop body. Null means the descent is over.
         .compare(cur(), imm(0))
         .jump_eq("descended")
-        .compare(dat(kKeyOff), sp(kSpKey))
-        .jump_lt("go_right")
-        // x->key >= key: x is the best candidate so far; go left.
-        .move(sp(kSpCandidate), cur())
-        .move(cur(), dat(kLeftOff))
-        .next_iter()
-        .label("go_right")
-        .move(cur(), dat(kRightOff))
-        .next_iter()
-        // Descent finished: revisit the candidate (if any) to fetch
-        // its key/value in one extra iteration.
-        .label("descended")
+        .compare(dat(key_off_), sp(kSpKey));
+    if (layout_ == TreeLayout::kStl) {
+        b.jump_lt("go_right");
+        go_left();
+        b.label("go_right");
+        go_right();
+    } else {
+        b.jump_ge("go_left");
+        go_right();
+        b.label("go_left");
+        go_left();
+    }
+    // Descent finished: revisit the candidate (if any) to fetch its
+    // key/value in one extra iteration.
+    b.label("descended")
         .compare(sp(kSpCandidate), imm(0))
         .jump_eq("notfound")
         .move(cur(), sp(kSpCandidate))
@@ -97,8 +137,8 @@ BstMap::lower_bound_program() const
         .move(sp(kSpDone), imm(kKeyNotFound))
         .ret()
         .label("emit")
-        .move(sp(kSpFoundKey), dat(kKeyOff))
-        .move(sp(kSpValue), dat(kValueOff))
+        .move(sp(kSpFoundKey), dat(key_off_))
+        .move(sp(kSpValue), dat(value_off_))
         .move(sp(kSpDone), imm(1))
         .ret();
     b.scratch_bytes(kSpBytes);
@@ -107,8 +147,8 @@ BstMap::lower_bound_program() const
 }
 
 offload::Operation
-BstMap::make_lower_bound(std::uint64_t key,
-                         offload::CompletionFn done) const
+SearchTree::make_lower_bound(std::uint64_t key,
+                             offload::CompletionFn done) const
 {
     offload::Operation op;
     op.program = lower_bound_program();
@@ -120,8 +160,8 @@ BstMap::make_lower_bound(std::uint64_t key,
     return op;
 }
 
-BstMap::LowerBoundResult
-BstMap::parse_lower_bound(const offload::Completion& completion)
+SearchTree::LowerBoundResult
+SearchTree::parse_lower_bound(const offload::Completion& completion)
 {
     LowerBoundResult result;
     if (completion.status != isa::TraversalStatus::kDone ||
@@ -139,30 +179,29 @@ BstMap::parse_lower_bound(const offload::Completion& completion)
     result.found = true;
     result.key = word(kSpFoundKey);
     result.value = word(kSpValue);
-    result.node = word(kSpCandidate);
     return result;
 }
 
 std::optional<std::pair<std::uint64_t, std::uint64_t>>
-BstMap::lower_bound_reference(std::uint64_t key) const
+SearchTree::lower_bound_reference(std::uint64_t key) const
 {
     VirtAddr x = root_;
     VirtAddr y = kNullAddr;
     while (x != kNullAddr) {
         const std::uint64_t node_key =
-            memory_.read_as<std::uint64_t>(x + kKeyOff);
+            memory_.read_as<std::uint64_t>(x + key_off_);
         if (node_key >= key) {
             y = x;
-            x = memory_.read_as<std::uint64_t>(x + kLeftOff);
+            x = memory_.read_as<std::uint64_t>(x + left_off_);
         } else {
-            x = memory_.read_as<std::uint64_t>(x + kRightOff);
+            x = memory_.read_as<std::uint64_t>(x + right_off_);
         }
     }
     if (y == kNullAddr) {
         return std::nullopt;
     }
-    return std::make_pair(memory_.read_as<std::uint64_t>(y + kKeyOff),
-                          memory_.read_as<std::uint64_t>(y + kValueOff));
+    return std::make_pair(memory_.read_as<std::uint64_t>(y + key_off_),
+                          memory_.read_as<std::uint64_t>(y + value_off_));
 }
 
 }  // namespace pulse::ds

@@ -3,11 +3,10 @@
 #include <cstring>
 #include <memory>
 
-#include "ds/balanced_tree.h"
 #include "ds/bptree.h"
-#include "ds/bst_map.h"
 #include "ds/hash_table.h"
 #include "ds/linked_list.h"
+#include "ds/search_tree.h"
 
 namespace pulse::ds {
 namespace {
@@ -71,61 +70,35 @@ hash_adapter(const std::string& name, const std::string& api)
     return info;
 }
 
-/** STL tree-category adapter factory (_M_lower_bound). */
+/**
+ * Tree-category adapter factory: _M_lower_bound over the STL layout,
+ * lower_bound_loop over the Boost intrusive layouts.
+ */
 AdapterInfo
-stl_tree_adapter(const std::string& name)
+tree_adapter(const std::string& name, TreeLayout layout)
 {
+    const bool stl = layout == TreeLayout::kStl;
     AdapterInfo info;
     info.name = name;
     info.category = "Tree";
-    info.library = "STL";
+    info.library = stl ? "STL" : "Boost";
     info.api = "find(&key)";
-    info.internal_fn = "_M_lower_bound(x, y, key)";
+    info.internal_fn = stl ? "_M_lower_bound(x, y, key)"
+                           : "lower_bound_loop(x, y, key)";
     info.make_lookup =
-        [](mem::GlobalMemory& memory, mem::ClusterAllocator& alloc,
-           const std::vector<std::uint64_t>& keys, std::uint64_t probe,
-           std::function<bool(const offload::Completion&)>* checker) {
-            auto tree = std::make_shared<BstMap>(memory, alloc);
-            tree->build(keys, 0);
-            const auto expected = tree->lower_bound_reference(probe);
-            *checker = [tree, expected](
-                           const offload::Completion& completion) {
-                const auto got = BstMap::parse_lower_bound(completion);
-                if (got.found != expected.has_value()) {
-                    return false;
-                }
-                return !got.found || (got.key == expected->first &&
-                                      got.value == expected->second);
-            };
-            return tree->make_lower_bound(probe, nullptr);
-        };
-    return info;
-}
-
-/** Boost intrusive-tree adapter factory (lower_bound_loop). */
-AdapterInfo
-boost_tree_adapter(const std::string& name, TreeFlavor flavor)
-{
-    AdapterInfo info;
-    info.name = name;
-    info.category = "Tree";
-    info.library = "Boost";
-    info.api = "find(&key)";
-    info.internal_fn = "lower_bound_loop(x, y, key)";
-    info.make_lookup =
-        [flavor](mem::GlobalMemory& memory,
+        [layout](mem::GlobalMemory& memory,
                  mem::ClusterAllocator& alloc,
                  const std::vector<std::uint64_t>& keys,
                  std::uint64_t probe,
                  std::function<bool(const offload::Completion&)>*
                      checker) {
-            auto tree = std::make_shared<BalancedTree>(memory, alloc,
-                                                       flavor);
+            auto tree =
+                std::make_shared<SearchTree>(memory, alloc, layout);
             tree->build(keys, 0);
             const auto expected = tree->lower_bound_reference(probe);
             *checker = [tree, expected](
                            const offload::Completion& completion) {
-                const auto got = BalancedTree::parse(completion);
+                const auto got = SearchTree::parse_lower_bound(completion);
                 if (got.found != expected.has_value()) {
                     return false;
                 }
@@ -185,16 +158,15 @@ build_registry()
     adapters.push_back(
         hash_adapter("boost::unordered_set", "find(key, hash)"));
     adapters.push_back(google_btree_adapter());
-    adapters.push_back(stl_tree_adapter("std::map"));
-    adapters.push_back(stl_tree_adapter("std::set"));
-    adapters.push_back(stl_tree_adapter("std::multimap"));
-    adapters.push_back(stl_tree_adapter("std::multiset"));
+    for (const char* name :
+         {"std::map", "std::set", "std::multimap", "std::multiset"}) {
+        adapters.push_back(tree_adapter(name, TreeLayout::kStl));
+    }
+    adapters.push_back(tree_adapter("boost::avl_set", TreeLayout::kAvl));
     adapters.push_back(
-        boost_tree_adapter("boost::avl_set", TreeFlavor::kAvl));
+        tree_adapter("boost::splay_set", TreeLayout::kSplay));
     adapters.push_back(
-        boost_tree_adapter("boost::splay_set", TreeFlavor::kSplay));
-    adapters.push_back(
-        boost_tree_adapter("boost::sg_set", TreeFlavor::kScapegoat));
+        tree_adapter("boost::sg_set", TreeLayout::kScapegoat));
     return adapters;
 }
 

@@ -10,9 +10,9 @@
  *   - hash category (bucket chains):    HashTable
  *       Boost bimap, Boost unordered_map, Boost unordered_set
  *   - Google btree (internal_locate):   BPTree
- *   - STL tree (_M_lower_bound):        BstMap
+ *   - STL tree (_M_lower_bound):        SearchTree, STL layout
  *       std::map, std::set, std::multimap, std::multiset
- *   - Boost intrusive (lower_bound_loop): BalancedTree
+ *   - Boost intrusive (lower_bound_loop): SearchTree, Boost layouts
  *       AVL tree, splay tree, scapegoat tree
  *
  * Each registry entry can instantiate a small remote instance and

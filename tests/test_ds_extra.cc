@@ -1,20 +1,19 @@
 /**
  * @file
  * Additional data-structure coverage: the hash-table STORE update
- * path, BST/balanced-tree corner cases, custom linked-list node
- * sizes, and B+Tree boundary shapes (single leaf, exactly-full
- * levels, fragmentation gaps).
+ * path, search-tree corner cases (STL and Boost layouts), custom
+ * linked-list node sizes, and B+Tree boundary shapes (single leaf,
+ * exactly-full levels, fragmentation gaps).
  */
 #include <gtest/gtest.h>
 
 #include <cstring>
 
 #include "core/cluster.h"
-#include "ds/balanced_tree.h"
 #include "ds/bptree.h"
-#include "ds/bst_map.h"
 #include "ds/hash_table.h"
 #include "ds/linked_list.h"
+#include "ds/search_tree.h"
 #include "isa/analysis.h"
 
 namespace pulse::ds {
@@ -98,13 +97,14 @@ TEST(HashUpdate, ProgramPassesOffloadTest)
     EXPECT_TRUE(cluster.offload_engine().should_offload(analysis));
 }
 
-// ------------------------------------------------------- BST maps
+// --------------------------------------------------- search trees
 
-TEST(BstMapEdge, SingleNodeTree)
+TEST(SearchTreeEdge, SingleNodeTree)
 {
     ClusterConfig config;
     Cluster cluster(config);
-    BstMap tree(cluster.memory(), cluster.allocator());
+    SearchTree tree(cluster.memory(), cluster.allocator(),
+                    TreeLayout::kStl);
     tree.build({500});
     EXPECT_EQ(tree.depth(), 1u);
 
@@ -115,7 +115,7 @@ TEST(BstMapEdge, SingleNodeTree)
         auto completion =
             run_pulse(cluster, tree.make_lower_bound(probe, {}));
         ASSERT_EQ(completion.status, TraversalStatus::kDone);
-        const auto result = BstMap::parse_lower_bound(completion);
+        const auto result = SearchTree::parse_lower_bound(completion);
         EXPECT_EQ(result.found, expect_found) << probe;
         if (expect_found) {
             EXPECT_EQ(result.key, 500u);
@@ -123,11 +123,12 @@ TEST(BstMapEdge, SingleNodeTree)
     }
 }
 
-TEST(BstMapEdge, LowerBoundSweepMatchesReference)
+TEST(SearchTreeEdge, LowerBoundSweepMatchesReference)
 {
     ClusterConfig config;
     Cluster cluster(config);
-    BstMap tree(cluster.memory(), cluster.allocator());
+    SearchTree tree(cluster.memory(), cluster.allocator(),
+                    TreeLayout::kStl);
     std::vector<std::uint64_t> keys;
     for (std::uint64_t i = 0; i < 200; i++) {
         keys.push_back(10 + i * 5);
@@ -140,7 +141,7 @@ TEST(BstMapEdge, LowerBoundSweepMatchesReference)
         auto completion =
             run_pulse(cluster, tree.make_lower_bound(key, {}));
         ASSERT_EQ(completion.status, TraversalStatus::kDone);
-        const auto got = BstMap::parse_lower_bound(completion);
+        const auto got = SearchTree::parse_lower_bound(completion);
         const auto want = tree.lower_bound_reference(key);
         ASSERT_EQ(got.found, want.has_value()) << key;
         if (want) {
@@ -150,11 +151,12 @@ TEST(BstMapEdge, LowerBoundSweepMatchesReference)
     }
 }
 
-TEST(BstMapEdge, IterationCountIsDepthPlusRevisit)
+TEST(SearchTreeEdge, IterationCountIsDepthPlusRevisit)
 {
     ClusterConfig config;
     Cluster cluster(config);
-    BstMap tree(cluster.memory(), cluster.allocator());
+    SearchTree tree(cluster.memory(), cluster.allocator(),
+                    TreeLayout::kStl);
     std::vector<std::uint64_t> keys;
     for (std::uint64_t i = 1; i <= 1023; i++) {  // full 10-level tree
         keys.push_back(i);
@@ -167,7 +169,7 @@ TEST(BstMapEdge, IterationCountIsDepthPlusRevisit)
     EXPECT_GE(completion.iterations, 3u);
 }
 
-TEST(BalancedTreeEdge, AllFlavorsShareSemantics)
+TEST(SearchTreeEdge, AllLayoutsShareSemantics)
 {
     ClusterConfig config;
     Cluster cluster(config);
@@ -175,21 +177,20 @@ TEST(BalancedTreeEdge, AllFlavorsShareSemantics)
     for (std::uint64_t i = 0; i < 300; i++) {
         keys.push_back(7 + i * 3);
     }
-    for (const TreeFlavor flavor :
-         {TreeFlavor::kAvl, TreeFlavor::kSplay,
-          TreeFlavor::kScapegoat}) {
-        BalancedTree tree(cluster.memory(), cluster.allocator(),
-                          flavor);
+    for (const TreeLayout layout :
+         {TreeLayout::kStl, TreeLayout::kAvl, TreeLayout::kSplay,
+          TreeLayout::kScapegoat}) {
+        SearchTree tree(cluster.memory(), cluster.allocator(), layout);
         tree.build(keys);
         for (const std::uint64_t probe : {6ull, 7ull, 300ull, 904ull,
                                           905ull}) {
             auto completion =
                 run_pulse(cluster, tree.make_lower_bound(probe, {}));
             ASSERT_EQ(completion.status, TraversalStatus::kDone);
-            const auto got = BalancedTree::parse(completion);
+            const auto got = SearchTree::parse_lower_bound(completion);
             const auto want = tree.lower_bound_reference(probe);
             ASSERT_EQ(got.found, want.has_value())
-                << static_cast<int>(flavor) << " " << probe;
+                << static_cast<int>(layout) << " " << probe;
             if (want) {
                 EXPECT_EQ(got.key, want->first);
                 EXPECT_EQ(got.value, want->second);

@@ -10,9 +10,8 @@
 #include <gtest/gtest.h>
 
 #include "core/cluster.h"
-#include "ds/balanced_tree.h"
-#include "ds/bst_map.h"
 #include "ds/hash_table.h"
+#include "ds/search_tree.h"
 #include "golden_digest.h"
 #include "isa/codec.h"
 
@@ -30,15 +29,14 @@ expect_program_digest(const std::string& name,
 TEST(ProgramGolden, TreeLowerBound)
 {
     core::Cluster cluster(core::ClusterConfig{});
-    BstMap stl(cluster.memory(), cluster.allocator());
-    expect_program_digest("tree_stl", *stl.lower_bound_program());
-    const std::pair<const char*, TreeFlavor> boost[] = {
-        {"tree_avl", TreeFlavor::kAvl},
-        {"tree_splay", TreeFlavor::kSplay},
-        {"tree_scapegoat", TreeFlavor::kScapegoat},
+    const std::pair<const char*, TreeLayout> layouts[] = {
+        {"tree_stl", TreeLayout::kStl},
+        {"tree_avl", TreeLayout::kAvl},
+        {"tree_splay", TreeLayout::kSplay},
+        {"tree_scapegoat", TreeLayout::kScapegoat},
     };
-    for (const auto& [name, flavor] : boost) {
-        BalancedTree tree(cluster.memory(), cluster.allocator(), flavor);
+    for (const auto& [name, layout] : layouts) {
+        SearchTree tree(cluster.memory(), cluster.allocator(), layout);
         expect_program_digest(name, *tree.lower_bound_program());
     }
 }
