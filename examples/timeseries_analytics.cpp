@@ -99,14 +99,16 @@ main()
                             static_cast<double>(sum.count)
                       : 0.0;
         // Sanity: the aggregation window's point count.
-        const std::string hops =
-            "~" + std::to_string(sum.count / tree_config.leaf_fill +
-                                 index.depth());
+        char hops[24];
+        std::snprintf(hops, sizeof(hops), "~%llu",
+                      static_cast<unsigned long long>(
+                          sum.count / tree_config.leaf_fill +
+                          index.depth()));
         std::printf("%-8.1fs %12.0f %12lld %12lld %12llu %10s %8s\n",
                     window_s, avg, (long long)min.value,
                     (long long)max.value,
                     (unsigned long long)sum.count,
-                    format_time(latency).c_str(), hops.c_str());
+                    format_time(latency).c_str(), hops);
     }
 
     // Validate against the host reference.

@@ -1,43 +1,12 @@
 #include "baselines/aifm_client.h"
 
-#include "common/logging.h"
-
 namespace pulse::baselines {
 
 AifmClient::AifmClient(sim::EventQueue& queue, RpcRuntime& rpc,
                        const AifmConfig& config)
-    : queue_(queue), rpc_(rpc), config_(config)
+    : queue_(queue), rpc_(rpc), config_(config),
+      cache_(config.cache_bytes)
 {
-    PULSE_ASSERT(config.cache_bytes > 0, "empty object cache");
-}
-
-bool
-AifmClient::cache_lookup(std::uint64_t object_id)
-{
-    const auto it = map_.find(object_id);
-    if (it == map_.end()) {
-        return false;
-    }
-    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-    return true;
-}
-
-void
-AifmClient::cache_install(std::uint64_t object_id, Bytes bytes)
-{
-    if (map_.count(object_id)) {
-        return;
-    }
-    while (cached_bytes_ + bytes > config_.cache_bytes && !lru_.empty()) {
-        const std::uint64_t victim = lru_.back();
-        lru_.pop_back();
-        cached_bytes_ -= map_[victim].bytes;
-        map_.erase(victim);
-        stats_.evictions.increment();
-    }
-    lru_.push_front(object_id);
-    map_[object_id] = Entry{lru_.begin(), bytes};
-    cached_bytes_ += bytes;
 }
 
 void
@@ -45,8 +14,7 @@ AifmClient::submit(offload::Operation&& op)
 {
     stats_.operations.increment();
     const bool cacheable = op.object_bytes > 0;
-    if (cacheable && cache_lookup(op.object_id)) {
-        stats_.hits.increment();
+    if (cacheable && cache_.access(op.object_id)) {
         // Local object dereference; completion carries no scratch (the
         // cached object is already client-resident).
         const Time start = queue_.now();
@@ -63,10 +31,6 @@ AifmClient::submit(offload::Operation&& op)
             });
         return;
     }
-    if (cacheable) {
-        stats_.misses.increment();
-    }
-
     const std::uint64_t object_id = op.object_id;
     const Bytes object_bytes = op.object_bytes;
     offload::CompletionFn user_done = std::move(op.done);
@@ -75,7 +39,7 @@ AifmClient::submit(offload::Operation&& op)
                   offload::Completion&& completion) mutable {
         if (object_bytes > 0 &&
             completion.status == isa::TraversalStatus::kDone) {
-            cache_install(object_id, object_bytes);
+            cache_.fill(object_id, object_bytes);
         }
         if (user_done) {
             queue_.schedule_after(

@@ -9,7 +9,8 @@
  * B+Trees nor distributed execution) and notes its TCP-based transport
  * costs it latency versus eRPC — both restrictions are mirrored here.
  *
- * Model: an LRU cache keyed by object id (the lookup key). Hits pay a
+ * Model: an LRU cache (PageCache) keyed by object id (the lookup key)
+ * under a byte budget, each object at its own size. Hits pay a
  * local dereference; misses run the full traversal via the RPC runtime
  * configured with a TCP-like transport factor, then install the object.
  * Pointer-chasing workloads with uniform access get next to no reuse,
@@ -20,10 +21,8 @@
 #define PULSE_BASELINES_AIFM_CLIENT_H
 
 #include <cstdint>
-#include <list>
-#include <memory>
-#include <unordered_map>
 
+#include "baselines/page_cache.h"
 #include "baselines/rpc_runtime.h"
 
 namespace pulse::baselines {
@@ -41,13 +40,10 @@ struct AifmConfig
     Time install_latency = nanos(90.0);
 };
 
-/** Statistics. */
+/** Statistics (the object cache keeps hits, misses and evictions). */
 struct AifmStats
 {
     Counter operations;
-    Counter hits;
-    Counter misses;
-    Counter evictions;
 };
 
 /** The Cache+RPC client. */
@@ -69,24 +65,20 @@ class AifmClient
     void submit(offload::Operation&& op);
 
     const AifmStats& stats() const { return stats_; }
-    void reset_stats() { stats_ = AifmStats{}; }
+    const PageCache& cache() const { return cache_; }
+    void
+    reset_stats()
+    {
+        stats_ = AifmStats{};
+        cache_.reset_stats();
+    }
     const AifmConfig& config() const { return config_; }
 
   private:
-    bool cache_lookup(std::uint64_t object_id);
-    void cache_install(std::uint64_t object_id, Bytes bytes);
-
     sim::EventQueue& queue_;
     RpcRuntime& rpc_;
     AifmConfig config_;
-    std::list<std::uint64_t> lru_;
-    struct Entry
-    {
-        std::list<std::uint64_t>::iterator lru_pos;
-        Bytes bytes = 0;
-    };
-    std::unordered_map<std::uint64_t, Entry> map_;
-    Bytes cached_bytes_ = 0;
+    PageCache cache_;  ///< object ids, object_bytes each
     AifmStats stats_;
 };
 

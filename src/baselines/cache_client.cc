@@ -31,18 +31,22 @@ CacheClient::CacheClient(sim::EventQueue& queue, net::Network& network,
     : queue_(queue), network_(network), memory_(memory),
       client_(client), config_(config),
       node_channels_(std::move(node_channels)),
-      cache_(std::make_unique<PageCache>(config.cache_bytes,
-                                         config.page_bytes)),
+      cache_(config.cache_bytes),
       handler_free_(config.fault_handlers, 0)
 {
     PULSE_ASSERT(config.fault_handlers > 0, "need a fault handler");
+    PULSE_ASSERT(config.page_bytes > 0 &&
+                     (config.page_bytes & (config.page_bytes - 1)) == 0,
+                 "page size must be a power of two");
+    PULSE_ASSERT(config.cache_bytes >= config.page_bytes,
+                 "cache smaller than one page");
 }
 
 void
 CacheClient::reset_stats()
 {
     stats_ = CacheClientStats{};
-    cache_->reset_stats();
+    cache_.reset_stats();
 }
 
 void
@@ -81,9 +85,9 @@ CacheClient::step(const std::shared_ptr<OpState>& state)
     // Collect the pages this aggregated load touches (node alignment
     // keeps this to one page except for unaligned slot loads).
     std::vector<VirtAddr> missing;
-    for (VirtAddr page = cache_->page_of(ptr);
+    for (VirtAddr page = page_of(ptr, config_.page_bytes);
          page < ptr + load_bytes; page += config_.page_bytes) {
-        if (!cache_->access(page)) {
+        if (!cache_.access(page)) {
             missing.push_back(page);
         }
     }
@@ -161,7 +165,7 @@ CacheClient::fetch_pages(const std::shared_ptr<OpState>& state,
                         const Time done =
                             exit_start + config_.fault_exit_latency;
                         handler_free_[handler_index] = done;
-                        cache_->fill(page);
+                        cache_.fill(page, config_.page_bytes);
                         queue_.schedule_at(
                             done,
                             [this, state,

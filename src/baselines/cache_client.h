@@ -83,9 +83,6 @@ class CacheClient
     /** Run a traversal through the page cache; op.done fires at end. */
     void submit(offload::Operation&& op);
 
-    /** The underlying page cache (pre-warming, assertions). */
-    PageCache& cache() { return *cache_; }
-
     const CacheClientStats& stats() const { return stats_; }
     void reset_stats();
     const CacheClientConfig& config() const { return config_; }
@@ -107,7 +104,7 @@ class CacheClient
     ClientId client_;
     CacheClientConfig config_;
     std::vector<mem::ChannelSet*> node_channels_;
-    std::unique_ptr<PageCache> cache_;
+    PageCache cache_;  ///< page-aligned VAs, page_bytes each
     std::vector<Time> handler_free_;
     CacheClientStats stats_;
     std::size_t inflight_ = 0;

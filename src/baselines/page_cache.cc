@@ -4,45 +4,40 @@
 
 namespace pulse::baselines {
 
-PageCache::PageCache(Bytes capacity_bytes, Bytes page_bytes)
-    : page_bytes_(page_bytes),
-      capacity_pages_(static_cast<std::size_t>(
-          capacity_bytes / page_bytes))
+PageCache::PageCache(Bytes budget_bytes) : budget_bytes_(budget_bytes)
 {
-    PULSE_ASSERT(page_bytes > 0 && (page_bytes & (page_bytes - 1)) == 0,
-                 "page size must be a power of two");
-    PULSE_ASSERT(capacity_pages_ > 0, "cache smaller than one page");
+    PULSE_ASSERT(budget_bytes > 0, "empty cache");
 }
 
 bool
-PageCache::access(VirtAddr va)
+PageCache::access(std::uint64_t key)
 {
-    const VirtAddr page = page_of(va);
-    const auto it = map_.find(page);
+    const auto it = map_.find(key);
     if (it == map_.end()) {
-        misses_.increment();
+        stats_.misses.increment();
         return false;
     }
-    lru_.splice(lru_.begin(), lru_, it->second);
-    hits_.increment();
+    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+    stats_.hits.increment();
     return true;
 }
 
 void
-PageCache::fill(VirtAddr va)
+PageCache::fill(std::uint64_t key, Bytes bytes)
 {
-    const VirtAddr page = page_of(va);
-    if (map_.count(page)) {
-        return;  // raced fill (two faults on one page)
+    if (map_.count(key)) {
+        return;
     }
-    if (map_.size() >= capacity_pages_) {
-        const VirtAddr victim = lru_.back();
-        lru_.pop_back();
+    while (cached_bytes_ + bytes > budget_bytes_ && !lru_.empty()) {
+        const auto victim = map_.find(lru_.back());
+        cached_bytes_ -= victim->second.bytes;
         map_.erase(victim);
-        evictions_.increment();
+        lru_.pop_back();
+        stats_.evictions.increment();
     }
-    lru_.push_front(page);
-    map_[page] = lru_.begin();
+    lru_.push_front(key);
+    map_[key] = Entry{lru_.begin(), bytes};
+    cached_bytes_ += bytes;
 }
 
 void
@@ -50,14 +45,7 @@ PageCache::clear()
 {
     lru_.clear();
     map_.clear();
-}
-
-void
-PageCache::reset_stats()
-{
-    hits_.reset();
-    misses_.reset();
-    evictions_.reset();
+    cached_bytes_ = 0;
 }
 
 }  // namespace pulse::baselines

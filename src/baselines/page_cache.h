@@ -1,9 +1,14 @@
 /**
  * @file
- * Client-side page cache (the Cache-based baseline's core, modelling
- * Fastswap-style swap-backed far memory, paper section 7 "Cache-based").
+ * Client-side LRU cache with a byte budget, the core of both caching
+ * baselines (paper section 7):
  *
- * Timing-only model: it tracks page *presence* with LRU eviction; data
+ *   - Cache-based (Fastswap-style swap-backed far memory): keyed by
+ *     page-aligned virtual address, every entry one page;
+ *   - Cache+RPC (AIFM): keyed by object id, every entry its object's
+ *     bytes.
+ *
+ * Timing-only model: it tracks *presence* with LRU eviction; data
  * always comes functionally from GlobalMemory (the measured workloads
  * are read-only during measurement, so contents never diverge). The
  * paper's key observation — pointer chasing has poor page locality, so
@@ -22,51 +27,64 @@
 
 namespace pulse::baselines {
 
-/** LRU page cache keyed by page-aligned virtual address. */
+/** Page-align @p va (@p page_bytes is a power of two). */
+inline VirtAddr
+page_of(VirtAddr va, Bytes page_bytes)
+{
+    return va & ~(page_bytes - 1);
+}
+
+/** LRU cache of u64 keys under a byte budget. */
 class PageCache
 {
   public:
+    struct Stats
+    {
+        Counter hits;
+        Counter misses;
+        Counter evictions;
+    };
+
     /**
-     * @param capacity_bytes cache size (the paper uses 2 GB against
-     *        ~120 GB of data; benches scale both together)
-     * @param page_bytes     page size (4 KB)
+     * @param budget_bytes cache size (the paper's page cache is 2 GB
+     *        against ~120 GB of data; benches scale both together)
      */
-    PageCache(Bytes capacity_bytes, Bytes page_bytes);
+    explicit PageCache(Bytes budget_bytes);
 
-    /** Page-align @p va. */
-    VirtAddr page_of(VirtAddr va) const { return va & ~(page_bytes_ - 1); }
+    /** True (and LRU-refreshed) when @p key is resident. */
+    bool access(std::uint64_t key);
 
-    /** Page size. */
-    Bytes page_bytes() const { return page_bytes_; }
+    /**
+     * Install @p key at @p bytes, first evicting least-recently-used
+     * entries while the cached bytes plus @p bytes exceed the budget.
+     * A resident key stays as it is (a raced fill).
+     */
+    void fill(std::uint64_t key, Bytes bytes);
 
-    /** Capacity in pages. */
-    std::size_t capacity_pages() const { return capacity_pages_; }
-
-    /** True (and LRU-refreshed) when @p va's page is resident. */
-    bool access(VirtAddr va);
-
-    /** Install @p va's page, evicting the LRU page if needed. */
-    void fill(VirtAddr va);
-
-    /** Resident page count. */
+    /** Resident entry count. */
     std::size_t resident() const { return map_.size(); }
+
+    /** Bytes of the resident entries. */
+    Bytes cached_bytes() const { return cached_bytes_; }
 
     /** Drop everything. */
     void clear();
 
-    std::uint64_t hits() const { return hits_.value(); }
-    std::uint64_t misses() const { return misses_.value(); }
-    std::uint64_t evictions() const { return evictions_.value(); }
-    void reset_stats();
+    const Stats& stats() const { return stats_; }
+    void reset_stats() { stats_ = Stats{}; }
 
   private:
-    Bytes page_bytes_;
-    std::size_t capacity_pages_;
-    std::list<VirtAddr> lru_;  // front = most recent
-    std::unordered_map<VirtAddr, std::list<VirtAddr>::iterator> map_;
-    Counter hits_;
-    Counter misses_;
-    Counter evictions_;
+    struct Entry
+    {
+        std::list<std::uint64_t>::iterator lru_pos;
+        Bytes bytes = 0;
+    };
+
+    Bytes budget_bytes_;
+    Bytes cached_bytes_ = 0;
+    std::list<std::uint64_t> lru_;  // front = most recent
+    std::unordered_map<std::uint64_t, Entry> map_;
+    Stats stats_;
 };
 
 }  // namespace pulse::baselines

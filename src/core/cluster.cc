@@ -476,14 +476,13 @@ Cluster::register_stats(StatRegistry& registry)
                                       &stats.worker_busy_time);
     }
     {
-        const auto& stats = aifm_->stats();
         registry.register_counter("client0.aifm.operations",
-                                  &stats.operations);
-        registry.register_counter("client0.aifm.hits", &stats.hits);
-        registry.register_counter("client0.aifm.misses",
-                                  &stats.misses);
+                                  &aifm_->stats().operations);
+        const auto& cache = aifm_->cache().stats();
+        registry.register_counter("client0.aifm.hits", &cache.hits);
+        registry.register_counter("client0.aifm.misses", &cache.misses);
         registry.register_counter("client0.aifm.evictions",
-                                  &stats.evictions);
+                                  &cache.evictions);
     }
 }
 

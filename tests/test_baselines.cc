@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "baselines/page_cache.h"
 #include "core/cluster.h"
 #include "ds/hash_table.h"
@@ -21,49 +23,83 @@ using isa::TraversalStatus;
 
 TEST(PageCache, LruEviction)
 {
-    PageCache cache(3 * 4096, 4096);
-    EXPECT_EQ(cache.capacity_pages(), 3u);
-    cache.fill(0x0000);
-    cache.fill(0x1000);
-    cache.fill(0x2000);
+    PageCache cache(3 * 4096);
+    cache.fill(0x0000, 4096);
+    cache.fill(0x1000, 4096);
+    cache.fill(0x2000, 4096);
+    EXPECT_EQ(cache.resident(), 3u);  // three pages fit the budget
+    EXPECT_EQ(cache.stats().evictions.value(), 0u);
     EXPECT_TRUE(cache.access(0x0000));  // refresh page 0
-    cache.fill(0x3000);                 // evicts LRU = page 1
+    cache.fill(0x3000, 4096);           // evicts LRU = page 1
     EXPECT_TRUE(cache.access(0x0000));
     EXPECT_FALSE(cache.access(0x1000));
     EXPECT_TRUE(cache.access(0x2000));
     EXPECT_TRUE(cache.access(0x3000));
-    EXPECT_EQ(cache.evictions(), 1u);
+    EXPECT_EQ(cache.stats().evictions.value(), 1u);
 }
 
 TEST(PageCache, PageAlignment)
 {
-    PageCache cache(16 * 4096, 4096);
-    cache.fill(0x1234);  // fills page 0x1000
-    EXPECT_TRUE(cache.access(0x1FFF));
-    EXPECT_FALSE(cache.access(0x2000));
-    EXPECT_EQ(cache.page_of(0x1FFF), 0x1000u);
+    PageCache cache(16 * 4096);
+    cache.fill(page_of(0x1234, 4096), 4096);  // fills page 0x1000
+    EXPECT_TRUE(cache.access(page_of(0x1FFF, 4096)));
+    EXPECT_FALSE(cache.access(page_of(0x2000, 4096)));
+    EXPECT_EQ(page_of(0x1FFF, 4096), 0x1000u);
 }
 
 TEST(PageCache, RedundantFillIsNoop)
 {
-    PageCache cache(2 * 4096, 4096);
-    cache.fill(0x1000);
-    cache.fill(0x1100);  // same page
+    PageCache cache(2 * 4096);
+    cache.fill(page_of(0x1000, 4096), 4096);
+    cache.fill(page_of(0x1100, 4096), 4096);  // same page
     EXPECT_EQ(cache.resident(), 1u);
+    EXPECT_EQ(cache.cached_bytes(), 4096u);
 }
 
 TEST(PageCache, StatsAndClear)
 {
-    PageCache cache(2 * 4096, 4096);
-    cache.fill(0x0);
+    PageCache cache(2 * 4096);
+    cache.fill(0x0, 4096);
     cache.access(0x0);
     cache.access(0x5000);
-    EXPECT_EQ(cache.hits(), 1u);
-    EXPECT_EQ(cache.misses(), 1u);
+    EXPECT_EQ(cache.stats().hits.value(), 1u);
+    EXPECT_EQ(cache.stats().misses.value(), 1u);
     cache.clear();
     EXPECT_EQ(cache.resident(), 0u);
+    EXPECT_EQ(cache.cached_bytes(), 0u);
     cache.reset_stats();
-    EXPECT_EQ(cache.hits(), 0u);
+    EXPECT_EQ(cache.stats().hits.value(), 0u);
+}
+
+TEST(PageCache, FixedSizeEntriesEvictAtTheOldPageCount)
+{
+    // A budget that is not a page multiple holds floor(budget / page)
+    // pages: every fill past that count evicts exactly one page.
+    PageCache cache(5 * 4096 + 100);
+    for (std::uint64_t page = 0; page < 12; page++) {
+        cache.fill(page * 4096, 4096);
+        EXPECT_EQ(cache.stats().evictions.value(),
+                  page < 5 ? std::uint64_t{0} : page - 4);
+        EXPECT_EQ(cache.resident(), std::min<std::size_t>(page + 1, 5));
+    }
+}
+
+TEST(PageCache, VariableSizesEvictUntilTheEntryFits)
+{
+    PageCache cache(1000);
+    cache.fill(1, 400);
+    cache.fill(2, 400);
+    cache.fill(3, 400);  // 1200 > 1000: evicts key 1
+    EXPECT_FALSE(cache.access(1));
+    EXPECT_EQ(cache.cached_bytes(), 800u);
+    EXPECT_TRUE(cache.access(2));  // key 3 is now the LRU entry
+    cache.fill(4, 700);            // evicts keys 3 and 2
+    EXPECT_EQ(cache.stats().evictions.value(), 3u);
+    EXPECT_EQ(cache.resident(), 1u);
+    EXPECT_EQ(cache.cached_bytes(), 700u);
+    cache.fill(5, 2000);  // larger than the budget: evicts all, installs
+    EXPECT_EQ(cache.resident(), 1u);
+    EXPECT_TRUE(cache.access(5));
 }
 
 // ------------------------------------------------------ cache client
@@ -353,11 +389,12 @@ TEST(Aifm, EvictsByBytes)
     for (std::uint64_t k = 1; k <= 6; k++) {
         run(k);  // 6 objects through a 4-object cache
     }
-    EXPECT_EQ(cluster.aifm().stats().evictions.value(), 2u);
+    const PageCache::Stats& cache = cluster.aifm().cache().stats();
+    EXPECT_EQ(cache.evictions.value(), 2u);
     run(6);  // most recent: still cached
-    EXPECT_EQ(cluster.aifm().stats().hits.value(), 1u);
+    EXPECT_EQ(cache.hits.value(), 1u);
     run(1);  // evicted long ago
-    EXPECT_EQ(cluster.aifm().stats().misses.value(), 7u);
+    EXPECT_EQ(cache.misses.value(), 7u);
 }
 
 TEST(Aifm, UncacheableOpsBypassTheCache)
@@ -374,8 +411,8 @@ TEST(Aifm, UncacheableOpsBypassTheCache)
         cluster.aifm().submit(std::move(op));
         cluster.queue().run();
     }
-    EXPECT_EQ(cluster.aifm().stats().hits.value(), 0u);
-    EXPECT_EQ(cluster.aifm().stats().misses.value(), 0u);
+    EXPECT_EQ(cluster.aifm().cache().stats().hits.value(), 0u);
+    EXPECT_EQ(cluster.aifm().cache().stats().misses.value(), 0u);
     EXPECT_EQ(cluster.aifm().stats().operations.value(), 3u);
 }
 

@@ -299,7 +299,7 @@ TEST(ClusterBaselines, AifmCachesObjects)
     ASSERT_EQ(cold.status, TraversalStatus::kDone);
     auto warm = run_one(cluster, SystemKind::kCacheRpc, make_op(7));
     ASSERT_EQ(warm.status, TraversalStatus::kDone);
-    EXPECT_EQ(cluster.aifm().stats().hits.value(), 1u);
+    EXPECT_EQ(cluster.aifm().cache().stats().hits.value(), 1u);
     EXPECT_LT(warm.latency, cold.latency / 5);
 }
 
