@@ -182,63 +182,61 @@ Accelerator::on_packet(net::PacketHandle handle)
     // (request id, iterations_done), unique per node visit because
     // iterations_done only grows along a traversal.
     const ReplayWindow::Key key{packet.id, packet.iterations_done};
-    if (replay_.enabled()) {
-        const ReplayWindow::Claim claim = replay_.claim(key);
-        switch (claim.verdict) {
-            case ReplayWindow::Verdict::kInProgress:
-                // Still executing; the eventual response answers both
-                // copies (the client matches by id, not by copy).
-                stats_.duplicates_suppressed.increment();
+    const ReplayWindow::Claim claim = replay_.claim(key);
+    switch (claim.verdict) {
+        case ReplayWindow::Verdict::kInProgress:
+            // Still executing; the eventual response answers both
+            // copies (the client matches by id, not by copy).
+            stats_.duplicates_suppressed.increment();
+            packets_.release(handle);
+            return;
+        case ReplayWindow::Verdict::kCached:
+            // Executed already: replay the recorded packet rather
+            // than re-running (exactly-once for stores/CAS). This
+            // also repairs a dropped forward: the cached packet IS
+            // the continuation the switch re-routes.
+            if (!replay_.cached_bounce(claim.ticket)) {
+                stats_.replays_sent.increment();
+                const Time parse = scaled(config_.net_stack_latency);
+                stats_.net_stack_time.add(static_cast<double>(parse));
+                if (tracing(packet)) {
+                    record_span(packet,
+                                trace::SpanKind::kAccelNetStackRx,
+                                queue_.now(), parse);
+                }
+                // The replay is a copy in its own slot: the window
+                // keeps its entry for later duplicates.
+                const net::PacketHandle cached = packets_.acquire();
+                replay_.copy_response(claim.ticket, packets_[cached]);
                 packets_.release(handle);
+                queue_.schedule_after(parse, [this, cached] {
+                    network_.send_traversal(
+                        net::EndpointAddr::mem_node(node_), cached);
+                });
                 return;
-            case ReplayWindow::Verdict::kCached:
-                // Executed already: replay the recorded packet rather
-                // than re-running (exactly-once for stores/CAS). This
-                // also repairs a dropped forward: the cached packet IS
-                // the continuation the switch re-routes.
-                if (!replay_.cached_bounce(claim.ticket)) {
-                    stats_.replays_sent.increment();
-                    const Time parse = scaled(config_.net_stack_latency);
-                    stats_.net_stack_time.add(static_cast<double>(parse));
-                    if (tracing(packet)) {
-                        record_span(packet,
-                                    trace::SpanKind::kAccelNetStackRx,
-                                    queue_.now(), parse);
-                    }
-                    // The replay is a copy in its own slot: the window
-                    // keeps its entry for later duplicates.
-                    const net::PacketHandle cached = packets_.acquire();
-                    replay_.copy_response(claim.ticket, packets_[cached]);
-                    packets_.release(handle);
-                    queue_.schedule_after(parse, [this, cached] {
-                        network_.send_traversal(
-                            net::EndpointAddr::mem_node(node_), cached);
-                    });
-                    return;
-                }
-                // Exception: a zero-progress kNotLocal bounce (no
-                // iteration ran, so no side effects). Its cached packet
-                // only says "route me by current ownership" — and when
-                // this node *became* the owner since it was recorded
-                // (the slab migrated here, or the entry arrived via a
-                // cutover's replay-digest handoff), replaying it would
-                // bounce the packet between switch and accelerator
-                // forever. Re-execute under current routes instead,
-                // mirrored exactly like a new visit. The checker's
-                // exactly-once record of the bounce goes too: the
-                // re-execution is deliberate.
-                replay_.restart(claim.ticket);
-                executed_visits_.erase(key);
-                [[fallthrough]];
-            case ReplayWindow::Verdict::kNew:
-                if (replication_ != nullptr) {
-                    // Write-synchronous digest mirroring: replicas must
-                    // suppress a retransmit of this visit even if this
-                    // node dies before completing it.
-                    replication_->mirror_mark(node_, key);
-                }
-                break;
-        }
+            }
+            // Exception: a zero-progress kNotLocal bounce (no
+            // iteration ran, so no side effects). Its cached packet
+            // only says "route me by current ownership" — and when
+            // this node *became* the owner since it was recorded
+            // (the slab migrated here, or the entry arrived via a
+            // cutover's replay-digest handoff), replaying it would
+            // bounce the packet between switch and accelerator
+            // forever. Re-execute under current routes instead,
+            // mirrored exactly like a new visit. The checker's
+            // exactly-once record of the bounce goes too: the
+            // re-execution is deliberate.
+            replay_.restart(claim.ticket);
+            executed_visits_.erase(key);
+            [[fallthrough]];
+        case ReplayWindow::Verdict::kNew:
+            if (replication_ != nullptr) {
+                // Write-synchronous digest mirroring: replicas must
+                // suppress a retransmit of this visit even if this
+                // node dies before completing it.
+                replication_->mirror_mark(node_, key);
+            }
+            break;
     }
     // Hardware network stack: parse the packet (rx side).
     const Time parse = scaled(config_.net_stack_latency);
@@ -433,7 +431,7 @@ Accelerator::try_dispatch(net::PacketHandle handle)
     context->packet = handle;
     context->arrival_iterations = packet.iterations_done;
     context->iterations_this_visit = 0;
-    if (invariants_ != nullptr && replay_.enabled()) {
+    if (invariants_ != nullptr) {
         const ReplayWindow::Key key{packet.id,
                                     context->arrival_iterations};
         if (!executed_visits_.insert(key).second) {

@@ -31,8 +31,8 @@ static_assert(offsetof(net::TraversalPacket, iterations_done) +
 ReplayWindow::ReplayWindow(std::size_t per_client_entries)
     : capacity_(per_client_entries)
 {
-    PULSE_ASSERT(capacity_ < (std::size_t{1} << 30),
-                 "replay window budget %zu too large", capacity_);
+    PULSE_ASSERT(capacity_ > 0 && capacity_ < (std::size_t{1} << 30),
+                 "replay window budget %zu out of range", capacity_);
 }
 
 std::uint32_t
@@ -214,9 +214,6 @@ ReplayWindow::classify(const Key& key) const
 ReplayWindow::Claim
 ReplayWindow::claim(const Key& key)
 {
-    if (!enabled()) {
-        return {};
-    }
     Ring& ring = ring_for(key.id.client);
     const std::uint32_t h = hash(key);
     std::uint32_t at = probe(ring, key, h);
@@ -381,9 +378,6 @@ ReplayWindow::stride_bytes() const
 std::size_t
 ReplayWindow::absorb_from(ReplayWindow& donor)
 {
-    if (!enabled() || !donor.enabled()) {
-        return 0;
-    }
     PULSE_ASSERT(&donor != this, "a window cannot absorb itself");
     // Deterministic absorption order: clients ascending, each
     // client's FIFO oldest first.

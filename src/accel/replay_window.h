@@ -121,11 +121,9 @@ class ReplayWindow
         Ticket ticket;
     };
 
-    /** @param per_client_entries live-entry budget per client (0
-     *  disables the window). */
+    /** @param per_client_entries live-entry budget per client
+     *  (> 0). */
     explicit ReplayWindow(std::size_t per_client_entries);
-
-    bool enabled() const { return capacity_ > 0; }
 
     /** Classify @p key without modifying the window.
      *  Only tests call this: observation hook. */
@@ -135,8 +133,7 @@ class ReplayWindow
      * Fused classify + mark in progress, one index probe: returns the
      * verdict @p key had and a ticket to its entry. On kNew the key is
      * now in progress, at the FIFO's newest end, and the client's
-     * oldest live entry was evicted if the budget was full. A disabled
-     * window answers kNew with no ticket and stores nothing.
+     * oldest live entry was evicted if the budget was full.
      */
     Claim claim(const Key& key);
 

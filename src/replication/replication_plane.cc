@@ -566,7 +566,7 @@ ReplicationPlane::mirror_mark(NodeId from,
     note_activity();
     for (NodeId node = 0; node < replay_windows_.size(); node++) {
         accel::ReplayWindow* window = replay_windows_[node];
-        if (node == from || window == nullptr || !window->enabled()) {
+        if (node == from || window == nullptr) {
             continue;
         }
         // A retransmit that reaches a replica before the original
@@ -594,7 +594,7 @@ ReplicationPlane::mirror_response(NodeId from,
     note_activity();
     for (NodeId node = 0; node < replay_windows_.size(); node++) {
         accel::ReplayWindow* window = replay_windows_[node];
-        if (node == from || window == nullptr || !window->enabled()) {
+        if (node == from || window == nullptr) {
             continue;
         }
         const accel::ReplayWindow::Claim claim = window->claim(key);
@@ -613,7 +613,7 @@ ReplicationPlane::mirror_unmark(NodeId from,
     note_activity();
     for (NodeId node = 0; node < replay_windows_.size(); node++) {
         accel::ReplayWindow* window = replay_windows_[node];
-        if (node == from || window == nullptr || !window->enabled()) {
+        if (node == from || window == nullptr) {
             continue;
         }
         if (window->unmark(key)) {

@@ -59,13 +59,11 @@ class ReplayWindow
         kCached,      ///< finished: replay the recorded response
     };
 
-    /** @param per_client_entries FIFO budget per client (0 disables). */
+    /** @param per_client_entries FIFO budget per client (> 0). */
     explicit ReplayWindow(std::size_t per_client_entries)
         : capacity_(per_client_entries)
     {
     }
-
-    bool enabled() const { return capacity_ > 0; }
 
     /** Classify @p key without modifying the window. */
     Verdict
@@ -187,9 +185,6 @@ ReplayWindow::evict_for(ClientId client)
 inline void
 ReplayWindow::mark_in_progress(const Key& key)
 {
-    if (!enabled()) {
-        return;
-    }
     const auto [it, inserted] = entries_.try_emplace(key);
     if (!inserted) {
         return;
@@ -238,9 +233,6 @@ inline void
 ReplayWindow::record_response(const Key& key,
                               const net::TraversalPacket& response)
 {
-    if (!enabled()) {
-        return;
-    }
     const auto it = entries_.find(key);
     if (it == entries_.end()) {
         // The entry was evicted mid-execution; nothing to record.
@@ -253,9 +245,6 @@ ReplayWindow::record_response(const Key& key,
 inline std::size_t
 ReplayWindow::absorb_from(ReplayWindow& donor)
 {
-    if (!enabled() || !donor.enabled()) {
-        return 0;
-    }
     // Deterministic absorption order: unordered_map iteration varies
     // between runs, so walk clients ascending and each client's FIFO.
     std::vector<ClientId> clients;
@@ -297,9 +286,6 @@ inline void
 ReplayWindow::import_completion(const Key& key,
                                 const net::TraversalPacket& response)
 {
-    if (!enabled()) {
-        return;
-    }
     const auto it = entries_.find(key);
     if (it == entries_.end() || it->second.done) {
         return;  // not absorbed here, or already completed

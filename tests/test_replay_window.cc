@@ -48,7 +48,6 @@ response_for(const ReplayWindow::Key& k)
 TEST(ReplayWindow, VerdictStateMachine)
 {
     ReplayWindow window(4);
-    ASSERT_TRUE(window.enabled());
     const auto k = key(0, 1);
 
     EXPECT_EQ(window.classify(k), ReplayWindow::Verdict::kNew);
