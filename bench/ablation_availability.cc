@@ -189,7 +189,9 @@ main(int argc, char** argv)
     SweepRunner sweep("ablation_availability");
     for (std::size_t i = 0; i < kFactors.size(); i++) {
         const std::uint32_t k = kFactors[i];
-        sweep.add("k" + std::to_string(k), [i, k](CellContext& ctx) {
+        std::string cell = "k";
+        cell += std::to_string(k);
+        sweep.add(cell, [i, k](CellContext& ctx) {
             g_points[i] = run_availability_cell(ctx, k);
         });
     }
