@@ -34,7 +34,7 @@
 namespace pulse::core {
 namespace {
 
-constexpr std::uint32_t kCheckpointVersion = 3;
+constexpr std::uint32_t kCheckpointVersion = 4;
 
 }  // namespace
 

@@ -26,7 +26,6 @@ MemoryChannel::access(Time now, Bytes bytes)
     const Time occupancy = transfer_time(bytes, effective_bandwidth());
     busy_until_ = start + occupancy;
     bytes_ += bytes;
-    busy_time_ += occupancy;
     return busy_until_;
 }
 
@@ -34,7 +33,6 @@ void
 MemoryChannel::reset_stats()
 {
     bytes_ = 0;
-    busy_time_ = 0;
 }
 
 ChannelSet::ChannelSet(std::uint32_t num_channels,

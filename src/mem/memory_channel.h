@@ -57,19 +57,15 @@ class MemoryChannel
     /** Total bytes transferred. */
     Bytes bytes_transferred() const { return bytes_; }
 
-    /** Total time the channel spent transferring. */
-    Time busy_time() const { return busy_time_; }
-
     /** Reset statistics (not the busy horizon). */
     void reset_stats();
 
-    /** Checkpoint support: busy horizon + counters. */
+    /** Checkpoint support: busy horizon + byte counter. */
     void
     checkpoint(StateIo& io)
     {
         io.i64(busy_until_);
         io.u64(bytes_);
-        io.i64(busy_time_);
     }
 
   private:
@@ -77,7 +73,6 @@ class MemoryChannel
     double efficiency_ = 1.0;
     Time busy_until_ = 0;
     Bytes bytes_ = 0;
-    Time busy_time_ = 0;
 };
 
 /**

@@ -20,8 +20,6 @@ Link::transmit(Time now, Bytes bytes)
     const Time serialization = transfer_time(bytes, bandwidth_);
     busy_until_ = start + serialization;
     bytes_ += bytes;
-    packets_++;
-    busy_time_ += serialization;
     return busy_until_ + propagation_;
 }
 
@@ -38,8 +36,6 @@ void
 Link::reset_stats()
 {
     bytes_ = 0;
-    packets_ = 0;
-    busy_time_ = 0;
 }
 
 }  // namespace pulse::net

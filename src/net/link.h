@@ -41,26 +41,18 @@ class Link
     /** Total bytes sent. */
     Bytes bytes_sent() const { return bytes_; }
 
-    /** Total packets sent. */
-    std::uint64_t packets_sent() const { return packets_; }
-
-    /** Time spent serializing. */
-    Time busy_time() const { return busy_time_; }
-
     /** Achieved bandwidth over @p window (bytes/s). */
     Rate achieved_bandwidth(Time window) const;
 
     /** Reset statistics (not the busy horizon). */
     void reset_stats();
 
-    /** Checkpoint support: busy horizon + counters. */
+    /** Checkpoint support: busy horizon + byte counter. */
     void
     checkpoint(StateIo& io)
     {
         io.i64(busy_until_);
         io.u64(bytes_);
-        io.u64(packets_);
-        io.i64(busy_time_);
     }
 
   private:
@@ -68,8 +60,6 @@ class Link
     Time propagation_;
     Time busy_until_ = 0;
     Bytes bytes_ = 0;
-    std::uint64_t packets_ = 0;
-    Time busy_time_ = 0;
 };
 
 }  // namespace pulse::net

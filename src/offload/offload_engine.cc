@@ -99,9 +99,8 @@ OffloadEngine::checkpoint(StateIo& io)
         counter->checkpoint(io);
     }
     // Fork/join join-state record: the quiesce precondition means no
-    // join is open, so the lifetime counters are the whole state.
+    // join is open, so the lifetime fork counter is the whole state.
     io.u64(forks_spawned_);
-    io.u64(joins_completed_);
     // Installation counts, keyed by content digest in sorted order so
     // the blob is independent of hash-map iteration.
     std::vector<std::pair<std::uint64_t, std::uint32_t>> sends;
@@ -577,7 +576,6 @@ OffloadEngine::finalize(std::uint64_t key, Completion&& completion)
             }
         }
         completion.iterations += fork.child_iterations;
-        joins_completed_++;
     }
     const std::uint64_t parent_key = inflight.parent_key;
     if (parent_key == 0) {

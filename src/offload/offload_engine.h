@@ -233,11 +233,9 @@ class OffloadEngine
      * Fork/join telemetry (not registered stats: the metrics schema —
      * and therefore every golden metrics JSON — is unchanged when the
      * feature is unused). forks_spawned counts sub-traversals this
-     * engine forked; joins_completed counts join records that folded
-     * to completion.
+     * engine forked.
      */
     std::uint64_t forks_spawned() const { return forks_spawned_; }
-    std::uint64_t joins_completed() const { return joins_completed_; }
 
     /**
      * Serving-plane telemetry (same non-registered pattern): responses
@@ -380,7 +378,6 @@ class OffloadEngine
     trace::Tracer* tracer_ = nullptr;
     OffloadStats stats_;
     std::uint64_t forks_spawned_ = 0;
-    std::uint64_t joins_completed_ = 0;
     std::uint64_t rejections_seen_ = 0;
 };
 
