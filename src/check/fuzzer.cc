@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <string_view>
 #include <utility>
@@ -119,6 +120,46 @@ known_name(const char* const* names, std::size_t count,
     return false;
 }
 
+/** Index of @p value in @p names (known_name's lookup). */
+std::size_t
+name_index(const char* const* names, std::size_t count,
+           const std::string& value)
+{
+    std::size_t i = 0;
+    while (i < count && value != names[i]) {
+        i++;
+    }
+    return i;
+}
+
+/**
+ * Read @p key's string value into @p out when the key is present (an
+ * absent key leaves @p out as it is). False with @p error naming the
+ * key when the value is not a quoted string among @p names.
+ */
+bool
+json_name(const std::string& text, const std::string& key,
+          const char* const* names, std::size_t count, std::string* out,
+          std::string* error)
+{
+    if (json_value_pos(text, key) == std::string::npos) {
+        return true;
+    }
+    std::string value;
+    if (json_string(text, key, &value) &&
+        known_name(names, count, value)) {
+        *out = value;
+        return true;
+    }
+    if (error != nullptr) {
+        *error = "\"" + key + "\": expected one of";
+        for (std::size_t i = 0; i < count; i++) {
+            *error += std::string(i == 0 ? " " : ", ") + names[i];
+        }
+    }
+    return false;
+}
+
 /** The lock-free fetch-and-add retry loop (supp. section B). */
 isa::Program
 cas_increment_program()
@@ -160,8 +201,9 @@ diagnostics_message(const InvariantRegistry& registry)
  * first, so a whole sweep can race a plane against the fuzzed
  * traversals under the oracle and invariants (PULSE_PLACEMENT=elastic
  * in the CI migration-soak job, PULSE_REPLICATION=k2 in chaos-soak);
- * the case's own settings win over them. Returns false with @p error
- * set on a malformed knob or an unknown fault profile.
+ * the case's own settings, planes included, win over them. Returns
+ * false with @p error set on a malformed knob or an unknown fault
+ * profile.
  */
 bool
 case_config(const FuzzCase& c, core::ClusterConfig* config,
@@ -182,6 +224,21 @@ case_config(const FuzzCase& c, core::ClusterConfig* config,
     if (!fault_known) {
         *error = "unknown fault profile: " + c.fault;
         return false;
+    }
+    if (!c.placement.empty()) {
+        config->placement.mode = static_cast<placement::PlacementMode>(
+            name_index(kFuzzPlacements, std::size(kFuzzPlacements),
+                       c.placement));
+    }
+    if (!c.replication.empty()) {
+        config->replication.replication_factor =
+            1 + static_cast<std::uint32_t>(
+                    name_index(kFuzzReplications,
+                               std::size(kFuzzReplications),
+                               c.replication));
+    }
+    if (c.slab_bytes != 0) {
+        config->placement.slab_bytes = c.slab_bytes;
     }
     if (config->faults.enabled()) {
         // Fast loss recovery so even lossy cases drain quickly.
@@ -671,6 +728,15 @@ FuzzCase::to_json() const
     out += u64_json("forks", forks);
     out += u64_json("fork_depth", fork_depth);
     out += u64_json("tenants", tenants, /*last=*/true);
+    if (!placement.empty()) {
+        out += ", \"placement\": \"" + placement + "\"";
+    }
+    if (!replication.empty()) {
+        out += ", \"replication\": \"" + replication + "\"";
+    }
+    if (slab_bytes != 0) {
+        out += ", " + u64_json("slab_bytes", slab_bytes, /*last=*/true);
+    }
     out += "}";
     return out;
 }
@@ -731,6 +797,27 @@ FuzzCase::from_json(const std::string& text, FuzzCase* out,
         }
         *field = static_cast<std::uint32_t>(value);
     }
+    if (!json_name(text, "placement", kFuzzPlacements,
+                   std::size(kFuzzPlacements), &c.placement, error) ||
+        !json_name(text, "replication", kFuzzReplications,
+                   std::size(kFuzzReplications), &c.replication,
+                   error)) {
+        return false;
+    }
+    std::uint64_t slab = 0;
+    if (!json_uint(text, "slab_bytes", kFuzzMaxSlabBytes, &slab, error)) {
+        return false;
+    }
+    if (slab != 0 &&
+        (slab < kFuzzMinSlabBytes || (slab & (slab - 1)) != 0)) {
+        if (error != nullptr) {
+            *error = "\"slab_bytes\": not a power of two in [" +
+                     std::to_string(kFuzzMinSlabBytes) + ", " +
+                     std::to_string(kFuzzMaxSlabBytes) + "]";
+        }
+        return false;
+    }
+    c.slab_bytes = static_cast<std::uint32_t>(slab);
     *out = c;
     return true;
 }

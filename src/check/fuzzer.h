@@ -4,8 +4,8 @@
  *
  * A FuzzCase is a tiny, fully-deterministic description of one checked
  * run — every byte of behaviour derives from (mode, seed, ds, fault,
- * ops, concurrency, nodes), so a failing case *is* its reproducer. Two
- * modes:
+ * ops, concurrency, nodes) plus the planes it sets, so a failing case
+ * *is* its reproducer. Three modes:
  *
  *   - **workload**: build one of the six data-structure adapters in a
  *     real cluster, drive a seeded mix of reads / writes / CAS
@@ -56,6 +56,18 @@ inline constexpr const char* kFuzzFaultConfigs[] = {
 };
 inline constexpr std::size_t kNumFuzzFaultConfigs = 6;
 
+/** Plane modes a case can set, spelled as the PULSE_PLACEMENT and
+ *  PULSE_REPLICATION knobs spell them (index = PlacementMode, and
+ *  index + 1 = replication factor). */
+inline constexpr const char* kFuzzPlacements[] = {"off", "static",
+                                                  "elastic"};
+inline constexpr const char* kFuzzReplications[] = {"off", "k2", "k3"};
+
+/** Range of a case's placement slab size (powers of two; the upper
+ *  bound is a case's per-node memory, which a slab must divide). */
+inline constexpr std::uint32_t kFuzzMinSlabBytes = 4096;
+inline constexpr std::uint32_t kFuzzMaxSlabBytes = 32u << 20;
+
 /** One deterministic fuzz case (== its own reproducer). */
 struct FuzzCase
 {
@@ -79,15 +91,29 @@ struct FuzzCase
      */
     std::uint32_t tenants = 0;
 
+    /**
+     * Plane settings the case carries, so a case found under a plane
+     * replays with it: placement "off" / "static" / "elastic",
+     * replication "off" / "k2" / "k3", and the placement slab size in
+     * bytes. They win over the PULSE_PLACEMENT / PULSE_REPLICATION
+     * environment; empty (or slab_bytes 0) keeps the environment's
+     * mode and the default slab, and leaves the key out of the JSON.
+     */
+    std::string placement;
+    std::string replication;
+    std::uint32_t slab_bytes = 0;
+
     /** Flat single-line JSON encoding. */
     std::string to_json() const;
 
     /**
      * Parse the flat JSON produced by to_json (tolerates whitespace
      * and reordered keys; unknown keys are ignored). Returns false
-     * with @p error set on malformed input, unknown enum values, or a
+     * with @p error set on malformed input, unknown enum values, a
      * number key whose value is not a whole number that fits its
-     * field (the error names the key).
+     * field, or a slab_bytes that is not a power of two in
+     * [kFuzzMinSlabBytes, kFuzzMaxSlabBytes] (the error names the
+     * key).
      */
     static bool from_json(const std::string& text, FuzzCase* out,
                           std::string* error = nullptr);

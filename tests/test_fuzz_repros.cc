@@ -152,6 +152,68 @@ TEST(FuzzCase, JsonRoundTrips)
     EXPECT_EQ(parsed.nodes, UINT32_MAX);
 }
 
+TEST(FuzzCase, PlaneFieldsRoundTripAndRejectBadValues)
+{
+    // Absent plane fields stay out of the JSON, so pre-plane
+    // reproducers keep their exact encoding.
+    FuzzCase plain;
+    EXPECT_EQ(plain.to_json().find("placement"), std::string::npos);
+    EXPECT_EQ(plain.to_json().find("replication"), std::string::npos);
+    EXPECT_EQ(plain.to_json().find("slab_bytes"), std::string::npos);
+
+    FuzzCase c;
+    c.seed = 4292;
+    c.placement = "elastic";
+    c.replication = "k2";
+    c.slab_bytes = 4096;
+    FuzzCase parsed;
+    std::string error;
+    ASSERT_TRUE(FuzzCase::from_json(c.to_json(), &parsed, &error))
+        << error;
+    EXPECT_EQ(parsed.placement, "elastic");
+    EXPECT_EQ(parsed.replication, "k2");
+    EXPECT_EQ(parsed.slab_bytes, 4096u);
+    EXPECT_EQ(parsed.to_json(), c.to_json());
+
+    for (const char* mode : kFuzzPlacements) {
+        ASSERT_TRUE(FuzzCase::from_json(
+            std::string("{\"mode\": \"workload\", \"seed\": 1, "
+                        "\"placement\": \"") + mode + "\"}",
+            &parsed, &error))
+            << error;
+        EXPECT_EQ(parsed.placement, mode);
+    }
+    ASSERT_TRUE(FuzzCase::from_json(
+        "{\"mode\": \"workload\", \"seed\": 1, \"slab_bytes\": 33554432}",
+        &parsed, &error))
+        << error;
+    EXPECT_EQ(parsed.slab_bytes, kFuzzMaxSlabBytes);
+
+    // A value that does not parse is an error naming its key.
+    const std::pair<const char*, const char*> bad[] = {
+        {"placement", "\"dynamic\""},
+        {"placement", "2"},
+        {"placement", "\"\""},
+        {"replication", "\"k4\""},
+        {"replication", "true"},
+        {"slab_bytes", "4095"},
+        {"slab_bytes", "2048"},
+        {"slab_bytes", "12288"},
+        {"slab_bytes", "67108864"},
+        {"slab_bytes", "\"4096\""},
+        {"slab_bytes", "-4096"},
+    };
+    for (const auto& [key, value] : bad) {
+        const std::string json = "{\"mode\": \"workload\", \"seed\": 7, \"" +
+                                 std::string(key) + "\": " + value + "}";
+        error.clear();
+        EXPECT_FALSE(FuzzCase::from_json(json, &parsed, &error)) << json;
+        EXPECT_NE(error.find("\"" + std::string(key) + "\""),
+                  std::string::npos)
+            << json << ": " << error;
+    }
+}
+
 TEST(FuzzGenerator, RandomCasesAreDeterministic)
 {
     for (std::uint64_t seed = 1; seed <= 16; seed++) {

@@ -8,7 +8,9 @@
  *     run each with oracle + invariants on, stop early when
  *     --budget-ms is exhausted. On the first failure: minimize, print
  *     the reproducer JSON, write it next to the corpus (or cwd), and
- *     exit 1.
+ *     exit 1. A generated case carries the PULSE_PLACEMENT and
+ *     PULSE_REPLICATION modes it ran under, so its reproducer replays
+ *     with them.
  *   - --repro=FILE.json: replay one committed reproducer.
  *   - --corpus=DIR: replay every *.json in DIR (what CI's fuzz lane
  *     and tests/test_fuzz_repros.cc do).
@@ -138,6 +140,32 @@ load_case(const std::filesystem::path& path, FuzzCase* out)
     return true;
 }
 
+/**
+ * Copy the environment's plane modes into a generated case, so the
+ * printed case and a failure's reproducer replay with the planes they
+ * ran under. validate_env() has passed, so the reads cannot fail.
+ */
+void
+stamp_env_planes(FuzzCase* c)
+{
+    pulse::knobs::Value placement;
+    pulse::knobs::Value replication;
+    pulse::knobs::read(pulse::knobs::Knob::kPlacement, &placement,
+                       nullptr);
+    pulse::knobs::read(pulse::knobs::Knob::kReplication, &replication,
+                       nullptr);
+    if (placement.modes != 0) {
+        c->placement = placement.modes == pulse::knobs::kPlacementElastic
+                           ? "elastic"
+                           : "static";
+    }
+    if (replication.modes != 0) {
+        c->replication =
+            replication.modes == pulse::knobs::kReplicationK3 ? "k3"
+                                                               : "k2";
+    }
+}
+
 /** Run one case; on failure print + (optionally) minimize and save. */
 bool
 run_one(const FuzzCase& c, const Options& options, bool minimize)
@@ -256,8 +284,8 @@ main(int argc, char** argv)
                             static_cast<unsigned long long>(executed));
                 break;
             }
-            const FuzzCase c =
-                pulse::check::random_case(options.seed + i);
+            FuzzCase c = pulse::check::random_case(options.seed + i);
+            stamp_env_planes(&c);
             if (!options.corpus_out.empty()) {
                 std::error_code ec;
                 std::filesystem::create_directories(options.corpus_out,
