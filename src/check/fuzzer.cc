@@ -120,18 +120,6 @@ known_name(const char* const* names, std::size_t count,
     return false;
 }
 
-/** Index of @p value in @p names (known_name's lookup). */
-std::size_t
-name_index(const char* const* names, std::size_t count,
-           const std::string& value)
-{
-    std::size_t i = 0;
-    while (i < count && value != names[i]) {
-        i++;
-    }
-    return i;
-}
-
 /**
  * Read @p key's string value into @p out when the key is present (an
  * absent key leaves @p out as it is). False with @p error naming the
@@ -226,16 +214,14 @@ case_config(const FuzzCase& c, core::ClusterConfig* config,
         return false;
     }
     if (!c.placement.empty()) {
-        config->placement.mode = static_cast<placement::PlacementMode>(
-            name_index(kFuzzPlacements, std::size(kFuzzPlacements),
-                       c.placement));
+        config->placement.mode =
+            c.placement == "elastic"  ? placement::PlacementMode::kElastic
+            : c.placement == "static" ? placement::PlacementMode::kStatic
+                                      : placement::PlacementMode::kOff;
     }
     if (!c.replication.empty()) {
         config->replication.replication_factor =
-            1 + static_cast<std::uint32_t>(
-                    name_index(kFuzzReplications,
-                               std::size(kFuzzReplications),
-                               c.replication));
+            c.replication == "k3" ? 3 : c.replication == "k2" ? 2 : 1;
     }
     if (c.slab_bytes != 0) {
         config->placement.slab_bytes = c.slab_bytes;

@@ -57,8 +57,7 @@ inline constexpr const char* kFuzzFaultConfigs[] = {
 inline constexpr std::size_t kNumFuzzFaultConfigs = 6;
 
 /** Plane modes a case can set, spelled as the PULSE_PLACEMENT and
- *  PULSE_REPLICATION knobs spell them (index = PlacementMode, and
- *  index + 1 = replication factor). */
+ *  PULSE_REPLICATION knobs spell them. */
 inline constexpr const char* kFuzzPlacements[] = {"off", "static",
                                                   "elastic"};
 inline constexpr const char* kFuzzReplications[] = {"off", "k2", "k3"};

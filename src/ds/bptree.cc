@@ -653,21 +653,6 @@ BPTree::make_aggregate_forked(std::uint64_t lo, std::uint64_t hi,
 // Completion parsing
 // ---------------------------------------------------------------------
 
-namespace {
-
-std::uint64_t
-scratch_word(const offload::Completion& completion, std::uint32_t off)
-{
-    if (completion.scratch.size() < off + 8) {
-        return 0;
-    }
-    std::uint64_t word = 0;
-    std::memcpy(&word, completion.scratch.data() + off, 8);
-    return word;
-}
-
-}  // namespace
-
 BPTree::FindResult
 BPTree::parse_find(const offload::Completion& completion)
 {

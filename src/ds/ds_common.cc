@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "offload/offload_engine.h"
+
 namespace pulse::ds {
 
 std::uint64_t
@@ -32,6 +34,17 @@ fill_value_pattern(std::uint64_t key, std::uint8_t* out, Bytes len)
     if (len > 0) {
         std::memcpy(out, &word, len);
     }
+}
+
+std::uint64_t
+scratch_word(const offload::Completion& completion, std::uint32_t off)
+{
+    if (completion.scratch.size() < off + 8) {
+        return 0;
+    }
+    std::uint64_t word = 0;
+    std::memcpy(&word, completion.scratch.data() + off, 8);
+    return word;
 }
 
 }  // namespace pulse::ds

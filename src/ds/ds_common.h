@@ -17,6 +17,10 @@
 #include "common/types.h"
 #include "common/units.h"
 
+namespace pulse::offload {
+struct Completion;
+}  // namespace pulse::offload
+
 namespace pulse::ds {
 
 /**
@@ -44,6 +48,10 @@ std::uint64_t value_pattern_word(std::uint64_t key);
 
 /** 64-bit mix used as the hash function of the hash-table adapters. */
 std::uint64_t mix64(std::uint64_t key);
+
+/** The u64 at @p off in a completion's scratch_pad (0 if it is short). */
+std::uint64_t scratch_word(const offload::Completion& completion,
+                           std::uint32_t off);
 
 }  // namespace pulse::ds
 

@@ -180,13 +180,8 @@ HashTable::make_update(std::uint64_t key,
 bool
 HashTable::parse_update(const offload::Completion& completion)
 {
-    if (completion.status != isa::TraversalStatus::kDone ||
-        completion.scratch.size() < kSpFlag + 8) {
-        return false;
-    }
-    std::uint64_t flag = 0;
-    std::memcpy(&flag, completion.scratch.data() + kSpFlag, 8);
-    return flag == 1;
+    return completion.status == isa::TraversalStatus::kDone &&
+           scratch_word(completion, kSpFlag) == 1;
 }
 
 offload::Operation
@@ -208,12 +203,8 @@ HashTable::parse_find(const offload::Completion& completion) const
 {
     FindResult result;
     if (completion.status != isa::TraversalStatus::kDone ||
-        completion.scratch.size() < kSpValue + config_.value_bytes) {
-        return result;
-    }
-    std::uint64_t flag = 0;
-    std::memcpy(&flag, completion.scratch.data() + kSpFlag, 8);
-    if (flag != 1) {
+        completion.scratch.size() < kSpValue + config_.value_bytes ||
+        scratch_word(completion, kSpFlag) != 1) {
         return result;
     }
     result.found = true;

@@ -129,8 +129,7 @@ LinkedList::parse_find(const offload::Completion& completion)
         completion.scratch.size() < kSpResult + 8) {
         return std::nullopt;
     }
-    std::uint64_t result = 0;
-    std::memcpy(&result, completion.scratch.data() + kSpResult, 8);
+    const std::uint64_t result = scratch_word(completion, kSpResult);
     if (result == kKeyNotFound) {
         return std::nullopt;
     }

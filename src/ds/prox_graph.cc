@@ -156,15 +156,10 @@ ProxGraph::parse_search(const offload::Completion& completion)
         completion.scratch.size() < kSpBytes) {
         return result;
     }
-    const auto word = [&](std::uint32_t off) {
-        std::uint64_t value = 0;
-        std::memcpy(&value, completion.scratch.data() + off, 8);
-        return value;
-    };
     result.complete = true;
-    result.key = word(kSpFoundKey);
-    result.vertex = word(kSpFoundPtr);
-    result.distance = word(kSpBestDist);
+    result.key = scratch_word(completion, kSpFoundKey);
+    result.vertex = scratch_word(completion, kSpFoundPtr);
+    result.distance = scratch_word(completion, kSpBestDist);
     return result;
 }
 
@@ -262,14 +257,9 @@ ProxGraph::parse_nhood(const offload::Completion& completion)
         completion.scratch.size() < kNhBytes) {
         return result;
     }
-    const auto word = [&](std::uint32_t off) {
-        std::uint64_t value = 0;
-        std::memcpy(&value, completion.scratch.data() + off, 8);
-        return value;
-    };
-    result.complete = word(kNhFlag) == 1;
-    result.vertices = word(kNhCount);
-    result.key_sum = word(kNhKeySum);
+    result.complete = scratch_word(completion, kNhFlag) == 1;
+    result.vertices = scratch_word(completion, kNhCount);
+    result.key_sum = scratch_word(completion, kNhKeySum);
     return result;
 }
 

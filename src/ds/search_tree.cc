@@ -7,23 +7,13 @@
 
 namespace pulse::ds {
 
-namespace {
-
-/** Bytes of the Boost layouts' leading metadata word (0 for STL). */
-std::uint32_t
-meta_bytes(TreeLayout layout)
-{
-    return layout == TreeLayout::kStl ? 0 : 8;
-}
-
-}  // namespace
-
 SearchTree::SearchTree(mem::GlobalMemory& memory,
                        mem::ClusterAllocator& alloc, TreeLayout layout)
     : memory_(memory),
       alloc_(alloc),
       layout_(layout),
-      key_off_(meta_bytes(layout)),
+      // The Boost layouts' metadata word comes first.
+      key_off_(layout == TreeLayout::kStl ? 0 : 8),
       left_off_(key_off_ + 8),
       right_off_(key_off_ + 16),
       value_off_(key_off_ + 24)
@@ -165,20 +155,12 @@ SearchTree::parse_lower_bound(const offload::Completion& completion)
 {
     LowerBoundResult result;
     if (completion.status != isa::TraversalStatus::kDone ||
-        completion.scratch.size() < kSpBytes) {
-        return result;
-    }
-    const auto word = [&](std::uint32_t off) {
-        std::uint64_t value = 0;
-        std::memcpy(&value, completion.scratch.data() + off, 8);
-        return value;
-    };
-    if (word(kSpDone) != 1) {
+        scratch_word(completion, kSpDone) != 1) {
         return result;
     }
     result.found = true;
-    result.key = word(kSpFoundKey);
-    result.value = word(kSpValue);
+    result.key = scratch_word(completion, kSpFoundKey);
+    result.value = scratch_word(completion, kSpValue);
     return result;
 }
 
