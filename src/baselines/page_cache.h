@@ -64,9 +64,6 @@ class PageCache
     /** Resident entry count. */
     std::size_t resident() const { return map_.size(); }
 
-    /** Bytes of the resident entries. */
-    Bytes cached_bytes() const { return cached_bytes_; }
-
     /** Drop everything. */
     void clear();
 

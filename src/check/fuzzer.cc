@@ -754,18 +754,15 @@ FuzzCase::from_json(const std::string& text, FuzzCase* out,
         }
         return false;
     }
-    json_string(text, "ds", &c.ds);
-    json_string(text, "fault", &c.fault);
-    if (!known_name(kFuzzDataStructures, kNumFuzzDataStructures, c.ds)) {
-        if (error != nullptr) {
-            *error = "unknown ds: " + c.ds;
-        }
-        return false;
-    }
-    if (!known_name(kFuzzFaultConfigs, kNumFuzzFaultConfigs, c.fault)) {
-        if (error != nullptr) {
-            *error = "unknown fault: " + c.fault;
-        }
+    if (!json_name(text, "ds", kFuzzDataStructures,
+                   kNumFuzzDataStructures, &c.ds, error) ||
+        !json_name(text, "fault", kFuzzFaultConfigs, kNumFuzzFaultConfigs,
+                   &c.fault, error) ||
+        !json_name(text, "placement", kFuzzPlacements,
+                   std::size(kFuzzPlacements), &c.placement, error) ||
+        !json_name(text, "replication", kFuzzReplications,
+                   std::size(kFuzzReplications), &c.replication,
+                   error)) {
         return false;
     }
     const std::pair<const char*, std::uint32_t*> fields[] = {
@@ -782,13 +779,6 @@ FuzzCase::from_json(const std::string& text, FuzzCase* out,
             return false;
         }
         *field = static_cast<std::uint32_t>(value);
-    }
-    if (!json_name(text, "placement", kFuzzPlacements,
-                   std::size(kFuzzPlacements), &c.placement, error) ||
-        !json_name(text, "replication", kFuzzReplications,
-                   std::size(kFuzzReplications), &c.replication,
-                   error)) {
-        return false;
     }
     std::uint64_t slab = 0;
     if (!json_uint(text, "slab_bytes", kFuzzMaxSlabBytes, &slab, error)) {

@@ -53,7 +53,6 @@ TEST(PageCache, RedundantFillIsNoop)
     cache.fill(page_of(0x1000, 4096), 4096);
     cache.fill(page_of(0x1100, 4096), 4096);  // same page
     EXPECT_EQ(cache.resident(), 1u);
-    EXPECT_EQ(cache.cached_bytes(), 4096u);
 }
 
 TEST(PageCache, StatsAndClear)
@@ -66,9 +65,12 @@ TEST(PageCache, StatsAndClear)
     EXPECT_EQ(cache.stats().misses.value(), 1u);
     cache.clear();
     EXPECT_EQ(cache.resident(), 0u);
-    EXPECT_EQ(cache.cached_bytes(), 0u);
     cache.reset_stats();
     EXPECT_EQ(cache.stats().hits.value(), 0u);
+    // clear() also empties the byte budget: two pages fit again.
+    cache.fill(0x1000, 4096);
+    cache.fill(0x2000, 4096);
+    EXPECT_EQ(cache.stats().evictions.value(), 0u);
 }
 
 TEST(PageCache, FixedSizeEntriesEvictAtTheOldPageCount)
@@ -91,15 +93,17 @@ TEST(PageCache, VariableSizesEvictUntilTheEntryFits)
     cache.fill(2, 400);
     cache.fill(3, 400);  // 1200 > 1000: evicts key 1
     EXPECT_FALSE(cache.access(1));
-    EXPECT_EQ(cache.cached_bytes(), 800u);
+    EXPECT_EQ(cache.resident(), 2u);
     EXPECT_TRUE(cache.access(2));  // key 3 is now the LRU entry
-    cache.fill(4, 700);            // evicts keys 3 and 2
-    EXPECT_EQ(cache.stats().evictions.value(), 3u);
+    cache.fill(4, 500);            // 1300 > 1000: evicts key 3 only
+    EXPECT_FALSE(cache.access(3));
+    EXPECT_TRUE(cache.access(2));
+    cache.fill(5, 700);  // evicts keys 4 and 2 (LRU first)
+    EXPECT_EQ(cache.stats().evictions.value(), 4u);
     EXPECT_EQ(cache.resident(), 1u);
-    EXPECT_EQ(cache.cached_bytes(), 700u);
-    cache.fill(5, 2000);  // larger than the budget: evicts all, installs
+    cache.fill(6, 2000);  // larger than the budget: evicts all, installs
     EXPECT_EQ(cache.resident(), 1u);
-    EXPECT_TRUE(cache.access(5));
+    EXPECT_TRUE(cache.access(6));
 }
 
 // ------------------------------------------------------ cache client

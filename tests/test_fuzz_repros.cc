@@ -117,8 +117,9 @@ TEST(FuzzCase, JsonRoundTrips)
     EXPECT_FALSE(FuzzCase::from_json("{\"mode\": \"bogus\"}", &parsed,
                                      &error));
 
-    // A number that overflows its field, or a key whose value is not a
-    // number, is rejected with an error naming the key.
+    // A number that overflows its field, a key whose value is not a
+    // number, or a name outside its list is rejected with an error
+    // naming the key.
     const std::pair<const char*, const char*> bad[] = {
         {"seed", "123456789012345678901"},
         {"seed", "18446744073709551616"},
@@ -130,6 +131,10 @@ TEST(FuzzCase, JsonRoundTrips)
         {"forks", "2.5"},
         {"fork_depth", "true"},
         {"tenants", ""},
+        {"ds", "5"},
+        {"ds", "\"tree\""},
+        {"fault", "\"storm\""},
+        {"fault", "true"},
     };
     for (const auto& [key, value] : bad) {
         const std::string seed =
