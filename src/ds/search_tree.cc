@@ -71,7 +71,6 @@ SearchTree::build(const std::vector<std::uint64_t>& sorted_keys,
         PULSE_ASSERT(sorted_keys[i - 1] < sorted_keys[i],
                      "keys must be strictly increasing");
     }
-    size_ = sorted_keys.size();
     root_ = build_subtree(sorted_keys, 0, sorted_keys.size(), node, 0);
 }
 

@@ -73,8 +73,6 @@ class SearchTree
     void build(const std::vector<std::uint64_t>& sorted_keys,
                NodeId node = kInvalidNode);
 
-    VirtAddr root() const { return root_; }
-    std::uint64_t size() const { return size_; }
     std::uint32_t depth() const { return depth_; }
 
     /**
@@ -118,7 +116,6 @@ class SearchTree
     const std::uint32_t right_off_;
     const std::uint32_t value_off_;
     VirtAddr root_ = kNullAddr;
-    std::uint64_t size_ = 0;
     std::uint32_t depth_ = 0;
     mutable std::shared_ptr<const isa::Program> program_;
 };
