@@ -236,6 +236,8 @@ Accelerator::on_packet(net::PacketHandle handle)
                 // node dies before completing it.
                 replication_->mirror_mark(node_, key);
             }
+            // The visit will execute: its first load is known now.
+            prefetch_load(packet.cur_ptr, packet.code->load_bytes());
             break;
     }
     // Hardware network stack: parse the packet (rx side).
@@ -568,6 +570,23 @@ Accelerator::start_memory_phase(CoreId core_id, WorkspaceId ws)
 }
 
 void
+Accelerator::prefetch_load(VirtAddr ptr, std::uint32_t load_bytes)
+{
+    // Host-side only: warms the bytes a later load copies out of node
+    // memory. The load translates again at issue, since a cutover or
+    // failover may change the TCAM in between.
+    if (ptr == kNullAddr || load_bytes == 0) {
+        return;
+    }
+    const auto translated =
+        tcam_.translate_span(ptr, load_bytes, mem::Perm::kRead);
+    if (translated.status == mem::TranslateStatus::kOk) {
+        memory_.node(node_).prefetch(translated.phys, load_bytes);
+        prefetches_++;
+    }
+}
+
+void
 Accelerator::start_logic_phase(CoreId core_id, WorkspaceId ws,
                                Time mem_done)
 {
@@ -718,6 +737,7 @@ Accelerator::start_logic_phase(CoreId core_id, WorkspaceId ws,
     }
 
     if (continue_traversal) {
+        prefetch_load(context.workspace.cur_ptr, packet.code->load_bytes());
         // Commit the next pointer and hand back to the memory pipeline.
         queue_.schedule_at(done, [this, core_id, ws] {
             Context& ctx = *cores_[core_id].workspaces[ws];

@@ -198,6 +198,13 @@ class Accelerator
     /** Context-pool telemetry (bench_wallclock's visit-pool row). */
     std::uint64_t contexts_created() const { return contexts_created_; }
 
+    /**
+     * Host prefetches of node memory issued ahead of a load
+     * (bench_wallclock's prefetch row). Host telemetry, like
+     * contexts_created(): outside AccelStats and the checkpoint.
+     */
+    std::uint64_t prefetches() const { return prefetches_; }
+
   private:
     /** One in-flight traversal bound to a workspace. */
     struct Context
@@ -239,6 +246,7 @@ class Accelerator
     void forget_visit(const ReplayWindow::Key& key);
     bool try_dispatch(net::PacketHandle packet);
     void start_memory_phase(CoreId core, WorkspaceId ws);
+    void prefetch_load(VirtAddr ptr, std::uint32_t load_bytes);
     void start_logic_phase(CoreId core, WorkspaceId ws, Time mem_done);
     void finish(CoreId core, WorkspaceId ws, isa::TraversalStatus status,
                 isa::ExecFault fault);
@@ -293,6 +301,7 @@ class Accelerator
      */
     std::vector<std::unique_ptr<Context>> context_pool_;
     std::uint64_t contexts_created_ = 0;
+    std::uint64_t prefetches_ = 0;
     /**
      * Persistent CAS functor for the logic phase. Captures only `this`
      * (fits std::function's inline buffer); per-iteration operands

@@ -249,6 +249,11 @@ judge_case(core::Cluster& cluster, const FuzzCase& c,
     const OracleStats& oracle = cluster.checker()->oracle()->stats();
     result->oracle_exact = oracle.exact;
     result->oracle_weak = oracle.weak;
+    if (const placement::PlacementPlane* plane =
+            cluster.placement_plane()) {
+        result->migrations_started =
+            plane->migration_stats().started.value();
+    }
     result->ok = result->violations == 0 && completed == c.ops;
     if (result->violations != 0) {
         result->message =
@@ -866,6 +871,13 @@ random_case(std::uint64_t seed)
     // workload seed only gains tenants via this extra draw.
     if (c.mode == "workload" && rng.next_bool(0.2)) {
         c.tenants = static_cast<std::uint32_t>(2 + rng.next_below(3));
+    }
+    // Slab draw last, for cluster cases only. A case's data set fits
+    // in one or two default 64 KiB slabs, so without a smaller slab a
+    // sweep under PULSE_PLACEMENT=elastic never migrates. Only the
+    // placement plane reads it.
+    if (c.mode != "program" && rng.next_bool(0.5)) {
+        c.slab_bytes = kFuzzMinSlabBytes;
     }
     return c;
 }

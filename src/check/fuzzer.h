@@ -125,6 +125,7 @@ struct FuzzResult
     std::uint64_t violations = 0;         ///< invariant + oracle
     std::uint64_t oracle_exact = 0;       ///< exact comparisons run
     std::uint64_t oracle_weak = 0;        ///< weak comparisons run
+    std::uint64_t migrations_started = 0; ///< placement plane, if on
     std::string message;                  ///< first diagnostics
 };
 

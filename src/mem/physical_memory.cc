@@ -1,5 +1,6 @@
 #include "mem/physical_memory.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/logging.h"
@@ -58,6 +59,19 @@ PhysicalMemory::read(PhysAddr addr, void* out, Bytes len) const
         dst += take;
         addr += take;
         len -= take;
+    }
+}
+
+void
+PhysicalMemory::prefetch(PhysAddr addr, Bytes len) const
+{
+    constexpr Bytes kLine = 64;
+    const PhysAddr end = std::min<PhysAddr>(addr + len, capacity_);
+    for (PhysAddr line = addr & ~(kLine - 1); line < end; line += kLine) {
+        const std::uint8_t* chunk = chunks_[line / kChunkSize].get();
+        if (chunk != nullptr) {
+            __builtin_prefetch(chunk + line % kChunkSize);
+        }
     }
 }
 

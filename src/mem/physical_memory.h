@@ -40,6 +40,14 @@ class PhysicalMemory
     void write(PhysAddr addr, const void* in, Bytes len);
 
     /**
+     * Host-side hint: bring the committed bytes of [@p addr, @p addr +
+     * @p len) toward the host's cache ahead of a read(). It changes no
+     * simulated state: it commits no chunk, counts no mutation, and
+     * skips whatever lies past capacity() instead of asserting.
+     */
+    void prefetch(PhysAddr addr, Bytes len) const;
+
+    /**
      * Number of write() calls since construction. Every mutation of
      * node memory funnels through write(), so the golden oracle uses
      * this to detect whether other writers raced a checked traversal

@@ -255,6 +255,48 @@ TEST_F(AccelFixture, RestartedBounceIsNotADuplicateExecution)
               0u);
 }
 
+TEST_F(AccelFixture, PrefetchesEachLoadOnce)
+{
+    Accelerator& accelerator = make_accel();
+    // A 3-node walk: one prefetch on arrival, one per continuation.
+    submit(count_program(), build_chain(3));
+    queue.run();
+    ASSERT_EQ(responses.size(), 1u);
+    EXPECT_EQ(accelerator.stats().loads.value(), 3u);
+    EXPECT_EQ(accelerator.prefetches(), 3u);
+
+    // A next pointer outside the TCAM: the arrival prefetch only.
+    const VirtAddr head = build_chain(3);
+    memory.write_as<std::uint64_t>(head + 8, 0xDEAD000ull);
+    submit(count_program(), head, 2);
+    queue.run();
+    ASSERT_EQ(responses.size(), 2u);
+    EXPECT_EQ(accelerator.prefetches(), 4u);
+
+    // An arriving pointer the switch routes here but the TCAM no
+    // longer maps, and a null cur_ptr (routed here by an extra rule):
+    // no prefetch.
+    const VirtAddr away = memory.address_map().region(0).base + kMiB;
+    ASSERT_TRUE(accelerator.tcam().punch(away, 4096));
+    network->switch_table().add_rule({kNullAddr, 4096, 0});
+    std::uint64_t seq = 3;
+    for (const VirtAddr start : {away, kNullAddr}) {
+        pinned_programs_.push_back(count_program());
+        net::TraversalPacket packet;
+        packet.id = RequestId{0, seq++};
+        packet.cur_ptr = start;
+        packet.allow_switch_continuation = false;
+        attach_program(packet, pinned_programs_.back());
+        packet.scratch.assign(16, 0);
+        network->send_traversal(net::EndpointAddr::client(0),
+                                network->packets().acquire(packet));
+        queue.run();
+    }
+    ASSERT_EQ(responses.size(), 4u);
+    EXPECT_EQ(accelerator.stats().requests_received.value(), 4u);
+    EXPECT_EQ(accelerator.prefetches(), 4u);
+}
+
 TEST_F(AccelFixture, QueueOverflowDropsAndCounts)
 {
     AccelConfig config;

@@ -67,6 +67,21 @@ TEST(PhysicalMemory, CrossChunkAccess)
     EXPECT_EQ(out, data);
 }
 
+TEST(PhysicalMemory, PrefetchIsOnlyAHint)
+{
+    PhysicalMemory memory(4 * kMiB);
+    memory.write_as<std::uint64_t>(kMiB - 8, 1);  // commits chunk 0
+    const std::uint64_t mutations = memory.mutations();
+    memory.prefetch(2 * kMiB, 256);       // uncommitted chunk
+    memory.prefetch(kMiB - 128, 256);     // across a chunk boundary
+    memory.prefetch(4 * kMiB - 1, 1);     // the last byte
+    memory.prefetch(4 * kMiB - 64, 512);  // past capacity
+    memory.prefetch(8 * kMiB, 256);       // wholly past capacity
+    EXPECT_EQ(memory.committed(), kMiB);
+    EXPECT_EQ(memory.mutations(), mutations);
+    EXPECT_EQ(memory.read_as<std::uint64_t>(kMiB - 8), 1u);
+}
+
 TEST(PhysicalMemoryDeath, OutOfRangePanics)
 {
     PhysicalMemory memory(1 * kMiB);

@@ -19,6 +19,10 @@
  *    and the replay window's index probes and response bytes copied
  *    per visit (deterministic counts).
  *
+ *    The cell also reports the accelerators' node-memory prefetches
+ *    per load (one per load when the prefetch layer works; a
+ *    deterministic count).
+ *
  *    The same cell's programs then feed an interpreter
  *    microbenchmark: isa::run_iteration alone over iteration states
  *    captured from the cell, in host ns per instruction and as a ratio
@@ -27,7 +31,11 @@
  *
  * 3. Sweep scaling: a reduced multi-cell sweep executed serially
  *    (--threads=1) and with the configured worker count, reporting
- *    wall clock for both and the speedup.
+ *    wall clock for both and the speedup. A compute-only spin, timed
+ *    on 1 thread before the serial sweep and on the worker count
+ *    before the parallel one, gives the cores the host actually
+ *    granted (sweep.host_capacity) and the speedup over that
+ *    (sweep.efficiency).
  *
  * Options (also honors PULSE_BENCH_THREADS / PULSE_BENCH_OPS_SCALE):
  *   --out=PATH       artifact path (default BENCH_wallclock.json)
@@ -290,6 +298,37 @@ interpreter_ns_per_instr(const mem::GlobalMemory& memory,
     return per_instr[per_instr.size() / 2];
 }
 
+/**
+ * Wall seconds for @p threads threads to each run the same fixed
+ * compute-only loop (no memory traffic, no shared state). On a host
+ * that grants every thread a core, this equals the 1-thread time.
+ */
+double
+spin_seconds(unsigned threads)
+{
+    constexpr std::uint64_t kIterations = 40'000'000;
+    std::atomic<std::uint64_t> sink{0};
+    const auto spin = [&sink] {
+        std::uint64_t x = 0x9E3779B97F4A7C15ull;
+        for (std::uint64_t i = 0; i < kIterations; i++) {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+        }
+        sink.fetch_add(x, std::memory_order_relaxed);
+    };
+    const auto start = std::chrono::steady_clock::now();
+    std::vector<std::thread> workers;
+    for (unsigned t = 1; t < threads; t++) {
+        workers.emplace_back(spin);
+    }
+    spin();
+    for (std::thread& worker : workers) {
+        worker.join();
+    }
+    return seconds_since(start);
+}
+
 /** Reduced sweep: one saturation cell per app on pulse + RPC. */
 void
 add_sweep_cells(SweepRunner& sweep)
@@ -366,30 +405,37 @@ main(int argc, char** argv)
         core::Cluster& cluster = *experiment.cluster;
         sim::EventQueue& queue = cluster.queue();
 
+        // Sum of one count over every node's accelerator.
+        const auto sum_accels = [&cluster](auto count) {
+            std::uint64_t total = 0;
+            for (NodeId node = 0;
+                 node < cluster.config().num_mem_nodes; node++) {
+                total += count(cluster.accelerator(node));
+            }
+            return total;
+        };
         // Packets the accelerators received since the last stats
         // reset: one replay-window visit each.
-        const auto visits_since_reset = [&cluster] {
-            std::uint64_t visits = 0;
-            for (NodeId node = 0;
-                 node < cluster.config().num_mem_nodes; node++) {
-                visits += cluster.accelerator(node)
-                              .stats()
-                              .requests_received.value();
-            }
-            return visits;
+        const auto visits_since_reset = [&sum_accels] {
+            return sum_accels([](const accel::Accelerator& a) {
+                return a.stats().requests_received.value();
+            });
         };
-        const auto contexts_created = [&cluster] {
-            std::uint64_t created = 0;
-            for (NodeId node = 0;
-                 node < cluster.config().num_mem_nodes; node++) {
-                created += cluster.accelerator(node).contexts_created();
-            }
-            return created;
+        const auto contexts_created = [&sum_accels] {
+            return sum_accels([](const accel::Accelerator& a) {
+                return a.contexts_created();
+            });
+        };
+        const auto prefetches = [&sum_accels] {
+            return sum_accels([](const accel::Accelerator& a) {
+                return a.prefetches();
+            });
         };
 
         std::uint64_t window_allocs = 0;
         std::uint64_t window_events = 0;
         std::uint64_t window_contexts = 0;
+        std::uint64_t window_prefetches = 0;
         std::uint64_t warmup_visits = 0;
         std::uint64_t window_coalesced = 0;
         std::uint64_t window_batches = 0;
@@ -406,6 +452,7 @@ main(int argc, char** argv)
             window_allocs = allocs_now();
             window_events = queue.events_executed();
             window_contexts = contexts_created();
+            window_prefetches = prefetches();
             window_coalesced = queue.events_coalesced();
             window_batches = queue.batches_drained();
             window_start = std::chrono::steady_clock::now();
@@ -488,6 +535,22 @@ main(int argc, char** argv)
                     "response stride\n",
                     probes_per_visit, copy_bytes_per_visit, visits,
                     stride_bytes);
+        // Node-memory prefetch layer: the accelerators prefetch each
+        // load's bytes once, on arrival or when the previous iteration
+        // yields the pointer. Both counts cover the measure window.
+        const std::uint64_t loads =
+            sum_accels([](const accel::Accelerator& a) {
+                return a.stats().loads.value();
+            });
+        const double prefetches_per_load =
+            loads > 0 ? static_cast<double>(prefetches() -
+                                            window_prefetches) /
+                            static_cast<double>(loads)
+                      : 0.0;
+        exporter.set("sim.mem.prefetches_per_load", prefetches_per_load);
+        std::printf("node memory: %.4f prefetches/load over %" PRIu64
+                    " loads\n",
+                    prefetches_per_load, loads);
         // Packet arena: the run drained, so every slot must be back.
         const net::PacketArena& arena = cluster.packets();
         exporter.set("sim.arena.peak_slots",
@@ -563,6 +626,7 @@ main(int argc, char** argv)
     // Phase 3 — sweep scaling, serial vs parallel.
     const unsigned parallel_threads = bench_options().threads;
     bench_options().threads = 1;
+    const double spin_serial = spin_seconds(1);
     double serial_seconds = 0.0;
     {
         SweepRunner sweep("wallclock_serial");
@@ -570,6 +634,7 @@ main(int argc, char** argv)
         serial_seconds = sweep.run_all();
     }
     bench_options().threads = parallel_threads;
+    const double spin_parallel = spin_seconds(parallel_threads);
     double parallel_seconds = 0.0;
     {
         SweepRunner sweep("wallclock_parallel");
@@ -592,18 +657,22 @@ main(int argc, char** argv)
                  static_cast<double>(hardware_threads));
     exporter.set("sweep.parallel.oversubscribed",
                  parallel_threads > hardware_threads ? 1.0 : 0.0);
-    exporter.set("sweep.speedup",
-                 parallel_seconds > 0.0
-                     ? serial_seconds / parallel_seconds
-                     : 0.0);
+    const double speedup =
+        parallel_seconds > 0.0 ? serial_seconds / parallel_seconds : 0.0;
+    // Cores the host granted the spin: N threads' work over the time
+    // one thread's work took. Report-only, like the wall-clock rows.
+    const double host_capacity = static_cast<double>(parallel_threads) *
+                                 spin_serial / spin_parallel;
+    exporter.set("sweep.speedup", speedup);
+    exporter.set("sweep.host_capacity", host_capacity);
+    exporter.set("sweep.efficiency", speedup / host_capacity);
     exporter.set("process.peak_rss_kib",
                  static_cast<double>(peak_rss_kib()));
     std::printf("sweep: serial %.2f s, parallel %.2f s on %u "
-                "threads (%.2fx, %u hardware thread%s%s)\n",
+                "threads (%.2fx of a %.2f-core host capacity, %u "
+                "hardware thread%s%s)\n",
                 serial_seconds, parallel_seconds, parallel_threads,
-                parallel_seconds > 0.0
-                    ? serial_seconds / parallel_seconds
-                    : 0.0,
+                speedup, host_capacity,
                 hardware_threads, hardware_threads == 1 ? "" : "s",
                 parallel_threads > hardware_threads
                     ? "; oversubscribed — speedup bounded by the "

@@ -166,11 +166,16 @@ stamp_env_planes(FuzzCase* c)
     }
 }
 
-/** Run one case; on failure print + (optionally) minimize and save. */
+/**
+ * Run one case and add its started migrations to @p migrations; on
+ * failure print + (optionally) minimize and save.
+ */
 bool
-run_one(const FuzzCase& c, const Options& options, bool minimize)
+run_one(const FuzzCase& c, const Options& options, bool minimize,
+        std::uint64_t* migrations)
 {
     const FuzzResult result = pulse::check::run_case(c);
+    *migrations += result.migrations_started;
     if (result.ok) {
         std::printf("ok   %s (exact=%llu weak=%llu)\n",
                     c.to_json().c_str(),
@@ -229,6 +234,7 @@ main(int argc, char** argv)
 
     std::uint64_t failures = 0;
     std::uint64_t executed = 0;
+    std::uint64_t migrations = 0;
     const auto start = std::chrono::steady_clock::now();
     auto budget_left = [&] {
         if (options.budget_ms == 0) {
@@ -250,7 +256,7 @@ main(int argc, char** argv)
             return 2;
         }
         executed++;
-        if (!run_one(c, options, minimize)) {
+        if (!run_one(c, options, minimize, &migrations)) {
             failures++;
         }
     } else if (!options.corpus.empty()) {
@@ -273,7 +279,7 @@ main(int argc, char** argv)
                 return 2;
             }
             executed++;
-            if (!run_one(c, options, minimize)) {
+            if (!run_one(c, options, minimize, &migrations)) {
                 failures++;
             }
         }
@@ -297,7 +303,7 @@ main(int argc, char** argv)
                 out << c.to_json() << "\n";
             }
             executed++;
-            if (!run_one(c, options, minimize)) {
+            if (!run_one(c, options, minimize, &migrations)) {
                 failures++;
                 if (!options.expect_mismatch) {
                     break;  // reproducer already written
@@ -306,9 +312,11 @@ main(int argc, char** argv)
         }
     }
 
-    std::printf("%llu case(s), %llu failure(s)\n",
+    std::printf("%llu case(s), %llu failure(s), %llu migration(s) "
+                "started\n",
                 static_cast<unsigned long long>(executed),
-                static_cast<unsigned long long>(failures));
+                static_cast<unsigned long long>(failures),
+                static_cast<unsigned long long>(migrations));
     if (options.expect_mismatch) {
         if (failures == 0) {
             std::fprintf(stderr,
