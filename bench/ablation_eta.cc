@@ -95,13 +95,11 @@ eta_threshold_sweep(CellContext& ctx, double threshold, EtaPoint& out)
     };
     Experiment experiment = make_experiment(spec);
     core::Cluster& cluster = *experiment.cluster;
-    workloads::DriverConfig driver;
-    driver.warmup_ops = spec.warmup_ops;
-    driver.measure_ops = spec.measure_ops;
-    driver.concurrency = 1;
-    auto result = run_closed_loop(
+    serve::TenantLoad load =
+        serve::closed_loop(spec.warmup_ops, spec.measure_ops, 1);
+    auto result = serve::run_closed_loop(
         cluster.queue(), cluster.submitter(core::SystemKind::kPulse),
-        experiment.factory, driver);
+        experiment.factory, load);
     ctx.add_events(cluster.queue().events_executed());
     out.mean_us = to_micros(result.latency.mean());
     out.fallbacks = cluster.offload_engine().stats().fallback.value();

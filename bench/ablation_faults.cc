@@ -91,14 +91,13 @@ run_fault_cell(CellContext& ctx, const std::string& label,
 
     Experiment experiment = make_experiment(spec);
     core::Cluster& cluster = *experiment.cluster;
-    workloads::DriverConfig driver;
-    driver.warmup_ops = spec.warmup_ops;
-    driver.measure_ops = spec.measure_ops;
-    driver.concurrency = spec.concurrency;
-    driver.on_measure_start = [&cluster] { cluster.reset_stats(); };
-    const workloads::DriverResult result = run_closed_loop(
+    serve::TenantLoad load =
+        serve::closed_loop(spec.warmup_ops, spec.measure_ops,
+                           spec.concurrency);
+    load.on_measure_start = [&cluster] { cluster.reset_stats(); };
+    const serve::TenantFleetStats result = serve::run_closed_loop(
         cluster.queue(), cluster.submitter(system),
-        experiment.factory, driver);
+        experiment.factory, load);
     ctx.add_events(cluster.queue().events_executed());
 
     FaultPoint point;
@@ -106,13 +105,11 @@ run_fault_cell(CellContext& ctx, const std::string& label,
     point.system = system;
     const double window = to_seconds(result.measure_time);
     point.goodput_kops =
-        window > 0 ? static_cast<double>(result.completed -
-                                         result.failed_ops) /
-                         window / 1e3
+        window > 0 ? static_cast<double>(result.completed) / window / 1e3
                    : 0.0;
     point.mean_us = to_micros(result.latency.mean());
     point.p99_us = to_micros(result.latency.percentile(0.99));
-    point.failed = result.failed_ops;
+    point.failed = result.failed;
     if (system == core::SystemKind::kPulse) {
         point.retransmits =
             cluster.offload_engine().stats().retransmits.value();

@@ -110,10 +110,7 @@ fork_sweep(CellContext& ctx, std::uint32_t fanout, ForkPoint& out)
     std::uint64_t fork_fold = 0;
 
     const auto run_variant = [&](bool forked, std::uint64_t* fold) {
-        workloads::DriverConfig driver;
-        driver.warmup_ops = warmup;
-        driver.measure_ops = measure;
-        driver.concurrency = 1;
+        serve::TenantLoad load = serve::closed_loop(warmup, measure, 1);
         const workloads::OpFactory factory =
             [&, forked, fold](std::uint64_t index) {
                 const auto [lo, hi] = range_for(fanout, index);
@@ -134,18 +131,18 @@ fork_sweep(CellContext& ctx, std::uint32_t fanout, ForkPoint& out)
                               : tree.make_aggregate(
                                     ds::AggKind::kSum, lo, hi, done);
             };
-        const workloads::DriverResult result = run_closed_loop(
+        const serve::TenantFleetStats result = serve::run_closed_loop(
             cluster.queue(),
             cluster.submitter(core::SystemKind::kPulse), factory,
-            driver);
+            load);
         ctx.add_events(cluster.queue().events_executed());
         return result;
     };
 
-    const workloads::DriverResult seq = run_variant(false, &seq_fold);
+    const serve::TenantFleetStats seq = run_variant(false, &seq_fold);
     const std::uint64_t forks_before =
         cluster.offload_engine().forks_spawned();
-    const workloads::DriverResult fork = run_variant(true, &fork_fold);
+    const serve::TenantFleetStats fork = run_variant(true, &fork_fold);
     const std::uint64_t forks =
         cluster.offload_engine().forks_spawned() - forks_before;
 

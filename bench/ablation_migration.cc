@@ -86,10 +86,9 @@ run_migration_cell(CellContext& ctx, const std::string& label,
 
     Experiment experiment = make_experiment(spec);
     core::Cluster& cluster = *experiment.cluster;
-    workloads::DriverConfig driver;
-    driver.warmup_ops = spec.warmup_ops;
-    driver.measure_ops = spec.measure_ops;
-    driver.concurrency = spec.concurrency;
+    serve::TenantLoad load =
+        serve::closed_loop(spec.warmup_ops, spec.measure_ops,
+                           spec.concurrency);
     // Most migrations land during warmup (that is the point: the
     // plane converges, then the measured window runs balanced).
     // reset_stats() zeroes the counters at the measure boundary, so
@@ -102,7 +101,7 @@ run_migration_cell(CellContext& ctx, const std::string& label,
         std::uint64_t retransmits = 0;
         std::uint64_t forwards = 0;
     } warmup;
-    driver.on_measure_start = [&cluster, &warmup] {
+    load.on_measure_start = [&cluster, &warmup] {
         if (const placement::PlacementPlane* plane =
                 cluster.placement_plane()) {
             const placement::MigrationStats& mig =
@@ -116,9 +115,9 @@ run_migration_cell(CellContext& ctx, const std::string& label,
         }
         cluster.reset_stats();
     };
-    const workloads::DriverResult result = run_closed_loop(
+    const serve::TenantFleetStats result = serve::run_closed_loop(
         cluster.queue(), cluster.submitter(core::SystemKind::kPulse),
-        experiment.factory, driver);
+        experiment.factory, load);
     // Same contract as run_cell: a PULSE_CHECK run must end clean even
     // with migrations (and the fault plane) racing the traffic.
     if (cluster.checker() != nullptr) {
@@ -139,7 +138,7 @@ run_migration_cell(CellContext& ctx, const std::string& label,
     MigrationPoint point;
     point.label = label;
     point.mode = mode;
-    point.kops = result.throughput / 1e3;
+    point.kops = result.throughput() / 1e3;
     point.mean_us = to_micros(result.latency.mean());
     point.p99_us = to_micros(result.latency.percentile(0.99));
     point.request_imbalance = cluster.node_load_imbalance();

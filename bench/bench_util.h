@@ -27,8 +27,8 @@
 #include "core/cluster.h"
 #include "energy/energy_model.h"
 #include "isa/analysis.h"
+#include "serve/fleet.h"
 #include "trace/metrics_exporter.h"
-#include "workloads/driver.h"
 
 namespace pulse::bench {
 
@@ -166,7 +166,7 @@ struct RunSpec
 /** Everything measured for one cell. */
 struct RunOutcome
 {
-    workloads::DriverResult driver;
+    serve::TenantFleetStats stats;  ///< the closed-loop tenant
     double mem_bw = 0.0;          ///< achieved memory bandwidth (B/s)
     double mem_bw_capacity = 0.0; ///< effective capacity (B/s)
     double net_bw = 0.0;          ///< client port traffic (B/s)
@@ -284,10 +284,10 @@ make_experiment(const RunSpec& spec)
 /** Energy for the measured window (pulse / RPC / RPC-W / Cache+RPC). */
 inline double
 measure_energy_per_op(core::Cluster& cluster, core::SystemKind system,
-                      const workloads::DriverResult& result,
+                      const serve::TenantFleetStats& result,
                       std::uint32_t nodes)
 {
-    if (result.completed == 0 || result.measure_time <= 0) {
+    if (result.finished() == 0 || result.measure_time <= 0) {
         return 0.0;
     }
     double joules = 0.0;
@@ -330,7 +330,7 @@ measure_energy_per_op(core::Cluster& cluster, core::SystemKind system,
                  power.idle_w * to_seconds(result.measure_time) *
                      (nodes - 1);
     }
-    return joules / static_cast<double>(result.completed);
+    return joules / static_cast<double>(result.finished());
 }
 
 /**
@@ -370,7 +370,7 @@ make_sink_record(const RunSpec& spec, const RunOutcome& outcome,
     record.metrics.set("net_bw_gbps", outcome.net_bw / 1e9);
     record.metrics.set("joules_per_op", outcome.joules_per_op);
     record.metrics.set("avg_iterations", outcome.avg_iterations);
-    record.metrics.add_histogram("latency", outcome.driver.latency);
+    record.metrics.add_histogram("latency", outcome.stats.latency);
     cluster.export_metrics(record.metrics, "");
     return record;
 }
@@ -488,18 +488,16 @@ run_cell(const RunSpec& requested, std::vector<SinkRecord>* records,
     Experiment experiment = make_experiment(spec);
     core::Cluster& cluster = *experiment.cluster;
 
-    workloads::DriverConfig driver;
-    driver.warmup_ops = spec.warmup_ops;
-    driver.measure_ops = spec.measure_ops;
-    driver.concurrency = spec.concurrency;
-    driver.on_measure_start = [&cluster] { cluster.reset_stats(); };
+    serve::TenantLoad load = serve::closed_loop(
+        spec.warmup_ops, spec.measure_ops, spec.concurrency);
+    load.on_measure_start = [&cluster] { cluster.reset_stats(); };
 
     RunOutcome outcome;
-    outcome.driver = workloads::run_closed_loop(
+    outcome.stats = serve::run_closed_loop(
         cluster.queue(), cluster.submitter(spec.system),
-        experiment.factory, driver);
+        experiment.factory, load);
 
-    const Time window = outcome.driver.measure_time;
+    const Time window = outcome.stats.measure_time;
     outcome.mem_bw = cluster.memory_bandwidth(window);
     outcome.mem_bw_capacity = cluster.memory_bandwidth_capacity();
     outcome.net_bw = window > 0
@@ -510,15 +508,15 @@ run_cell(const RunSpec& requested, std::vector<SinkRecord>* records,
     outcome.net_bw_capacity =
         2.0 * cluster.config().network.link_bandwidth;  // full duplex
     outcome.joules_per_op = measure_energy_per_op(
-        cluster, spec.system, outcome.driver, spec.nodes);
+        cluster, spec.system, outcome.stats, spec.nodes);
     outcome.avg_iterations =
-        outcome.driver.completed
-            ? static_cast<double>(outcome.driver.iterations) /
-                  static_cast<double>(outcome.driver.completed)
+        outcome.stats.finished()
+            ? static_cast<double>(outcome.stats.iterations) /
+                  static_cast<double>(outcome.stats.finished())
             : 0.0;
-    outcome.mean_us = to_micros(outcome.driver.latency.mean());
-    outcome.p99_us = to_micros(outcome.driver.latency.percentile(0.99));
-    outcome.kops = outcome.driver.throughput / 1e3;
+    outcome.mean_us = to_micros(outcome.stats.latency.mean());
+    outcome.p99_us = to_micros(outcome.stats.latency.percentile(0.99));
+    outcome.kops = outcome.stats.throughput() / 1e3;
     outcome.node_imbalance = cluster.node_load_imbalance();
     if (records != nullptr && MetricsSink::instance().enabled()) {
         records->push_back(make_sink_record(spec, outcome, cluster));

@@ -155,7 +155,7 @@ register_benchmarks()
                 state.counters["iters_per_op"] =
                     outcome.avg_iterations;
                 state.counters["errors"] =
-                    static_cast<double>(outcome.driver.errors);
+                    static_cast<double>(outcome.stats.errors);
             })
             ->Iterations(1)
             ->Unit(benchmark::kMillisecond);

@@ -145,7 +145,7 @@ register_benchmarks()
                 state.counters["kops"] = outcome.kops;
                 state.counters["mem_bw_gbps"] = outcome.mem_bw / 1e9;
                 state.counters["errors"] =
-                    static_cast<double>(outcome.driver.errors);
+                    static_cast<double>(outcome.stats.errors);
             })
             ->Iterations(1)
             ->Unit(benchmark::kMillisecond);

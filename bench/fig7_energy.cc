@@ -59,11 +59,11 @@ to_cell(const RunOutcome& outcome)
     Cell cell;
     cell.uj_per_op = outcome.joules_per_op * 1e6;
     if (outcome.joules_per_op > 0 &&
-        outcome.driver.measure_time > 0) {
+        outcome.stats.measure_time > 0) {
         const double watts =
-            outcome.joules_per_op * outcome.driver.throughput;
+            outcome.joules_per_op * outcome.stats.throughput();
         cell.kops_per_watt =
-            outcome.driver.throughput / 1e3 / watts;
+            outcome.stats.throughput() / 1e3 / watts;
     }
     return cell;
 }

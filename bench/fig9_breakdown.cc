@@ -50,19 +50,16 @@ breakdown_cell(CellContext& ctx)
     table.insert_many(keys);
 
     Rng rng(17);
-    workloads::DriverConfig driver;
-    driver.warmup_ops = 20;
-    driver.measure_ops = 400;
-    driver.concurrency = 1;
-    driver.on_measure_start = [&cluster] { cluster.reset_stats(); };
+    serve::TenantLoad load = serve::closed_loop(20, 400, 1);
+    load.on_measure_start = [&cluster] { cluster.reset_stats(); };
 
-    const workloads::DriverResult result = run_closed_loop(
+    const serve::TenantFleetStats result = serve::run_closed_loop(
         cluster.queue(), cluster.submitter(core::SystemKind::kPulse),
         [&](std::uint64_t) {
             return table.make_find(keys[rng.next_below(keys.size())],
                                    nullptr);
         },
-        driver);
+        load);
     ctx.add_events(cluster.queue().events_executed());
 
     const auto& stats = cluster.accelerator(0).stats();

@@ -68,14 +68,11 @@ traversal_length(CellContext& ctx, std::uint64_t hops,
     core::Cluster cluster(config);
     auto list = build_list(cluster, hops + 8);
 
-    workloads::DriverConfig driver;
-    driver.warmup_ops = 10;
-    driver.measure_ops = 150;
-    driver.concurrency = 1;
-    const workloads::DriverResult result = run_closed_loop(
+    serve::TenantLoad load = serve::closed_loop(10, 150, 1);
+    const serve::TenantFleetStats result = serve::run_closed_loop(
         cluster.queue(), cluster.submitter(core::SystemKind::kPulse),
         [&](std::uint64_t) { return list->make_walk(hops, {}); },
-        driver);
+        load);
     ctx.add_events(cluster.queue().events_executed());
     out = {hops, to_micros(result.latency.mean())};
 }
@@ -92,18 +89,15 @@ core_count(CellContext& ctx, std::uint32_t cores, bool interconnect,
     auto list = build_list(cluster, 4096);
 
     Rng rng(5);
-    workloads::DriverConfig driver;
-    driver.concurrency = 256;
-    driver.warmup_ops = 256;
-    driver.measure_ops = 1500;
-    driver.on_measure_start = [&cluster] { cluster.reset_stats(); };
-    const workloads::DriverResult result = run_closed_loop(
+    serve::TenantLoad load = serve::closed_loop(256, 1500, 256);
+    load.on_measure_start = [&cluster] { cluster.reset_stats(); };
+    const serve::TenantFleetStats result = serve::run_closed_loop(
         cluster.queue(), cluster.submitter(core::SystemKind::kPulse),
         [&](std::uint64_t) {
             // Short walks from the head keep requests flowing.
             return list->make_walk(24 + rng.next_below(16), {});
         },
-        driver);
+        load);
     ctx.add_events(cluster.queue().events_executed());
     out = {cores, interconnect,
            cluster.memory_bandwidth(result.measure_time) / 1e9};

@@ -89,16 +89,15 @@ characterize(CellContext& ctx, App app, Row& row)
             std::max(row.program_insns, program->size());
     }
 
-    workloads::DriverConfig driver;
-    driver.warmup_ops = spec.warmup_ops;
-    driver.measure_ops = spec.measure_ops;
-    driver.concurrency = spec.concurrency;
-    auto result = run_closed_loop(
+    serve::TenantLoad load =
+        serve::closed_loop(spec.warmup_ops, spec.measure_ops,
+                           spec.concurrency);
+    auto result = serve::run_closed_loop(
         cluster.queue(), cluster.submitter(core::SystemKind::kPulse),
-        experiment.factory, driver);
+        experiment.factory, load);
     ctx.add_events(cluster.queue().events_executed());
     row.iterations = static_cast<double>(result.iterations) /
-                     static_cast<double>(result.completed);
+                     static_cast<double>(result.finished());
     // Confirm the offload decision accepted everything.
     row.offloaded =
         cluster.offload_engine().stats().fallback.value() == 0;

@@ -17,7 +17,7 @@
 
 #include "core/cluster.h"
 #include "ds/bptree.h"
-#include "workloads/driver.h"
+#include "serve/fleet.h"
 #include "workloads/workloads.h"
 
 using namespace pulse;
@@ -38,12 +38,9 @@ run_scans(core::Cluster& cluster, ds::BPTree& index)
 {
     workloads::YcsbE scans(kMessages);
     Rng rng(11);
-    workloads::DriverConfig driver;
-    driver.warmup_ops = 50;
-    driver.measure_ops = 400;
-    driver.concurrency = 4;
-    driver.on_measure_start = [&cluster] { cluster.reset_stats(); };
-    auto result = run_closed_loop(
+    serve::TenantLoad load = serve::closed_loop(50, 400, 4);
+    load.on_measure_start = [&cluster] { cluster.reset_stats(); };
+    auto result = serve::run_closed_loop(
         cluster.queue(), cluster.submitter(core::SystemKind::kPulse),
         [&](std::uint64_t) {
             const auto scan = scans.next(rng);
@@ -51,7 +48,7 @@ run_scans(core::Cluster& cluster, ds::BPTree& index)
                 workloads::key_of(scan.start_index), scan.length,
                 nullptr);
         },
-        driver);
+        load);
     RunStats stats;
     stats.mean = result.latency.mean();
     for (NodeId node = 0; node < 2; node++) {

@@ -18,7 +18,7 @@
 #include "common/histogram.h"
 #include "core/cluster.h"
 #include "ds/hash_table.h"
-#include "workloads/driver.h"
+#include "serve/fleet.h"
 #include "workloads/workloads.h"
 
 using namespace pulse;
@@ -66,11 +66,7 @@ main()
     Rng rng(2026);
     std::uint64_t found = 0;
     std::uint64_t updated = 0;
-    workloads::DriverConfig driver;
-    driver.warmup_ops = 100;
-    driver.measure_ops = kOps;
-    driver.concurrency = 8;
-    auto result = run_closed_loop(
+    auto result = serve::run_closed_loop(
         cluster.queue(), cluster.submitter(core::SystemKind::kPulse),
         [&](std::uint64_t) {
             const std::uint64_t user = rng.next_below(kProfiles);
@@ -86,10 +82,10 @@ main()
             found++;
             return op;
         },
-        driver);
+        serve::closed_loop(100, kOps, 8));
 
     std::printf("\npulse: %llu ops (%llu lookups, %llu updates)\n",
-                (unsigned long long)result.completed,
+                (unsigned long long)result.finished(),
                 (unsigned long long)found,
                 (unsigned long long)updated);
     std::printf("  mean latency  : %s\n",
@@ -97,10 +93,10 @@ main()
     std::printf("  p99 latency   : %s\n",
                 format_time(result.latency.percentile(0.99)).c_str());
     std::printf("  throughput    : %.1f K ops/s\n",
-                result.throughput / 1e3);
+                result.throughput() / 1e3);
     std::printf("  avg chain hops: %.1f\n",
                 static_cast<double>(result.iterations) /
-                    static_cast<double>(result.completed));
+                    static_cast<double>(result.finished()));
 
     // Verify one updated profile read back through the accelerator.
     {
@@ -132,18 +128,14 @@ main()
 
     // --- Cache-based baseline on the same store ---------------------
     Rng cache_rng(2026);
-    workloads::DriverConfig cache_driver;
-    cache_driver.warmup_ops = 50;
-    cache_driver.measure_ops = 300;
-    cache_driver.concurrency = 8;
-    auto cache_result = run_closed_loop(
+    auto cache_result = serve::run_closed_loop(
         cluster.queue(), cluster.submitter(core::SystemKind::kCache),
         [&](std::uint64_t) {
             return profiles.make_find(
                 workloads::key_of(cache_rng.next_below(kProfiles)),
                 nullptr);
         },
-        cache_driver);
+        serve::closed_loop(50, 300, 8));
     std::printf("\nCache-based far memory (Fastswap-like), same "
                 "lookups:\n");
     std::printf("  mean latency  : %s (%.0fx pulse)\n",
@@ -153,7 +145,7 @@ main()
     std::printf("  page faults   : %llu over %llu ops\n",
                 (unsigned long long)
                     cluster.cache_client().stats().faults.value(),
-                (unsigned long long)cache_result.completed);
+                (unsigned long long)cache_result.finished());
     std::printf("\npointer chasing defeats page caching: nearly every "
                 "hop faults.\n");
     return 0;

@@ -17,7 +17,7 @@
 
 #include "core/cluster.h"
 #include "ds/bptree.h"
-#include "workloads/driver.h"
+#include "serve/fleet.h"
 #include "workloads/workloads.h"
 
 using namespace pulse;
@@ -129,21 +129,18 @@ main()
     // Sustained dashboard load: random 15 s windows, random kinds.
     workloads::TsvQueries queries(trace, 15.0);
     Rng rng(7);
-    workloads::DriverConfig driver;
-    driver.warmup_ops = 100;
-    driver.measure_ops = 1500;
-    driver.concurrency = 64;
-    auto result = run_closed_loop(
+    serve::TenantLoad load = serve::closed_loop(100, 1500, 64);
+    auto result = serve::run_closed_loop(
         cluster.queue(), cluster.submitter(core::SystemKind::kPulse),
         [&](std::uint64_t) {
             const auto query = queries.next(rng);
             return index.make_aggregate(query.kind, query.lo, query.hi,
                                         nullptr);
         },
-        driver);
+        load);
     std::printf("\nsustained load (15 s windows, 64 outstanding): "
                 "%.1f K queries/s, p99 %s\n",
-                result.throughput / 1e3,
+                result.throughput() / 1e3,
                 format_time(result.latency.percentile(0.99)).c_str());
     return 0;
 }

@@ -3,7 +3,7 @@
  * The paper's three evaluation applications (section 7), packaged as
  * reusable setups: each builds its data structure into a cluster's
  * disaggregated memory and exposes an operation factory for the
- * workload driver. Scales are configurable; the defaults are scaled-
+ * closed-loop traffic generator (serve::run_closed_loop). Scales are configurable; the defaults are scaled-
  * down versions of the paper's (0.5 B keys -> hundreds of thousands)
  * with the client cache scaled proportionally (DESIGN.md).
  */
@@ -16,7 +16,6 @@
 #include "core/cluster.h"
 #include "ds/bptree.h"
 #include "ds/hash_table.h"
-#include "workloads/driver.h"
 #include "workloads/workloads.h"
 
 namespace pulse::apps {
@@ -68,7 +67,7 @@ class UpcApp
     UpcApp(core::Cluster& cluster, const AppScale& scale,
            std::uint64_t seed = 1);
 
-    /** Factory for the driver (uniform lookups of existing keys). */
+    /** Factory for the closed loop (uniform lookups of existing keys). */
     workloads::OpFactory factory();
 
     ds::HashTable& table() { return *table_; }

@@ -16,14 +16,15 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "core/cluster.h"
-#include "faults/nemesis.h"
 #include "ds/bptree.h"
 #include "ds/ds_common.h"
 #include "ds/hash_table.h"
 #include "ds/linked_list.h"
 #include "ds/prox_graph.h"
 #include "ds/search_tree.h"
+#include "faults/nemesis.h"
 #include "isa/traversal.h"
+#include "serve/fleet.h"
 
 namespace pulse::check {
 namespace {
@@ -239,20 +240,54 @@ case_config(const FuzzCase& c, core::ClusterConfig* config,
     return true;
 }
 
-/** The verdict once a case has drained: quiesce checks, the oracle's
- *  tally, and whether every operation completed. */
+/**
+ * Drive the case's c.ops operations through pulse closed-loop, c.
+ * concurrency outstanding, until the queue drains; then judge the
+ * quiesced cluster: quiesce checks, the oracle's tally, the seam
+ * counters, and whether every operation completed. @p make_op is
+ * called in issue order with each operation's index. A lost operation
+ * shows up as a short count, not as an abort.
+ */
 void
-judge_case(core::Cluster& cluster, const FuzzCase& c,
-           std::uint32_t completed, FuzzResult* result)
+drive_and_judge(core::Cluster& cluster, const FuzzCase& c,
+                const workloads::OpFactory& make_op, FuzzResult* result)
 {
+    serve::FleetConfig fleet_config;
+    fleet_config.tenants.push_back(serve::closed_loop(
+        0, c.ops, std::max<std::uint32_t>(c.concurrency, 1)));
+    const workloads::SubmitFn submit =
+        cluster.submitter(core::SystemKind::kPulse);
+    serve::Fleet fleet(
+        cluster.queue(), fleet_config,
+        [&make_op](serve::TenantId, std::uint64_t index) {
+            return make_op(index);
+        },
+        [&submit](serve::TenantId, offload::Operation&& op) {
+            submit(std::move(op));
+        });
+    fleet.start(0);
+    cluster.queue().run();
+    const serve::TenantFleetStats& stats = fleet.stats().at(0);
+    const std::uint64_t completed = stats.finished();
+
     result->violations = cluster.verify_quiesce();
     const OracleStats& oracle = cluster.checker()->oracle()->stats();
     result->oracle_exact = oracle.exact;
     result->oracle_weak = oracle.weak;
+    result->retransmits =
+        cluster.offload_engine().stats().retransmits.value();
+    result->retries = stats.retries();
     if (const placement::PlacementPlane* plane =
             cluster.placement_plane()) {
-        result->migrations_started =
-            plane->migration_stats().started.value();
+        const placement::MigrationStats& migration =
+            plane->migration_stats();
+        result->migrations_started = migration.started.value();
+        result->migrations_completed = migration.completed.value();
+        result->migrations_aborted = migration.aborted.value();
+    }
+    if (const replication::ReplicationPlane* plane =
+            cluster.replication_plane()) {
+        result->failovers = plane->failovers().size();
     }
     result->ok = result->violations == 0 && completed == c.ops;
     if (result->violations != 0) {
@@ -371,16 +406,6 @@ run_workload_case(const FuzzCase& c)
         std::make_shared<const isa::Program>(cas_increment_program());
     std::uint64_t cas_submitted = 0;
 
-    std::uint32_t submitted = 0;
-    std::uint32_t completed = 0;
-    const std::uint32_t window = c.concurrency == 0 ? 1 : c.concurrency;
-    auto submit = cluster.submitter(core::SystemKind::kPulse);
-
-    std::function<void()> pump;
-    offload::CompletionFn on_done = [&](offload::Completion&&) {
-        completed++;
-        pump();
-    };
     auto make_op = [&]() -> offload::Operation {
         const std::uint64_t pick = keys[rng.next_below(keys.size())];
         const std::uint64_t roll = rng.next_below(100);
@@ -391,70 +416,65 @@ run_workload_case(const FuzzCase& c)
             op.program = cas_program;
             op.start_ptr = counter;
             op.init_scratch.assign(16, 0);
-            op.done = on_done;
             return op;
         }
         if (hash) {
             if (roll < 45) {
-                return hash->make_find(pick, on_done);
+                return hash->make_find(pick, nullptr);
             }
             if (roll < 55) {
-                return hash->make_find(key_hi + 1 + roll, on_done);
+                return hash->make_find(key_hi + 1 + roll, nullptr);
             }
             std::vector<std::uint8_t> value(
                 hash->config().value_bytes);
             ds::fill_value_pattern(pick ^ 0xF00DF00Dull, value.data(),
                                    value.size());
-            return hash->make_update(pick, value, on_done);
+            return hash->make_update(pick, value, nullptr);
         }
         if (list) {
             if (roll < 40) {
-                return list->make_find(pick, on_done);
+                return list->make_find(pick, nullptr);
             }
             if (roll < 50) {
-                return list->make_find(key_hi + 1 + roll, on_done);
+                return list->make_find(key_hi + 1 + roll, nullptr);
             }
             return list->make_walk(1 + rng.next_below(list->size()),
-                                   on_done);
+                                   nullptr);
         }
         if (bptree) {
             if (roll < 40) {
-                return bptree->make_find(pick, on_done);
+                return bptree->make_find(pick, nullptr);
             }
             if (roll < 50) {
-                return bptree->make_find(key_hi + 1 + roll, on_done);
+                return bptree->make_find(key_hi + 1 + roll, nullptr);
             }
             if (bptree_inline) {
                 const std::uint64_t lo =
                     key_lo + rng.next_below(key_hi - key_lo);
                 return bptree->make_aggregate(
                     static_cast<ds::AggKind>(rng.next_below(4)), lo,
-                    lo + 1 + rng.next_below(64), on_done);
+                    lo + 1 + rng.next_below(64), nullptr);
             }
             return bptree->make_scan(pick, 1 + rng.next_below(12),
-                                     on_done);
+                                     nullptr);
         }
         if (tree) {
             return tree->make_lower_bound(
-                key_lo + rng.next_below(key_hi + 8 - key_lo), on_done);
+                key_lo + rng.next_below(key_hi + 8 - key_lo), nullptr);
         }
         return prox->make_search(
-            key_lo + rng.next_below(key_hi + 8 - key_lo), on_done);
+            key_lo + rng.next_below(key_hi + 8 - key_lo), nullptr);
     };
-    pump = [&] {
-        while (submitted < c.ops && submitted - completed < window) {
+    drive_and_judge(
+        cluster, c,
+        [&](std::uint64_t index) {
             offload::Operation op = make_op();
             if (tenants != 0) {
-                op.tenant = submitted % tenants;
+                op.tenant = static_cast<std::uint32_t>(index % tenants);
             }
-            submitted++;
-            submit(std::move(op));
-        }
-    };
-
-    pump();
-    cluster.queue().run();
-    judge_case(cluster, c, completed, &result);
+            return op;
+        },
+        &result);
     (void)cas_submitted;
     return result;
 }
@@ -673,33 +693,18 @@ run_fork_case(const FuzzCase& c)
         return result;
     }
 
-    std::uint32_t submitted = 0;
-    std::uint32_t completed = 0;
-    const std::uint32_t window = c.concurrency == 0 ? 1 : c.concurrency;
-    auto submit = cluster.submitter(core::SystemKind::kPulse);
-
-    std::function<void()> pump;
-    offload::CompletionFn on_done = [&](offload::Completion&&) {
-        completed++;
-        pump();
-    };
-    pump = [&] {
-        while (submitted < c.ops && submitted - completed < window) {
-            submitted++;
+    drive_and_judge(
+        cluster, c,
+        [&](std::uint64_t) {
             offload::Operation op;
             op.program = program;
             op.start_ptr = root;
             op.init_scratch.assign(32, 0);
             const std::uint64_t hops = depth;
             std::memcpy(op.init_scratch.data(), &hops, 8);
-            op.done = on_done;
-            submit(std::move(op));
-        }
-    };
-
-    pump();
-    cluster.queue().run();
-    judge_case(cluster, c, completed, &result);
+            return op;
+        },
+        &result);
     return result;
 }
 

@@ -126,6 +126,12 @@ struct FuzzResult
     std::uint64_t oracle_exact = 0;       ///< exact comparisons run
     std::uint64_t oracle_weak = 0;        ///< weak comparisons run
     std::uint64_t migrations_started = 0; ///< placement plane, if on
+    /** Seam counters: how far a case reached into the recovery paths. */
+    std::uint64_t migrations_completed = 0;
+    std::uint64_t migrations_aborted = 0;
+    std::uint64_t retransmits = 0;  ///< offload engine (client 0)
+    std::uint64_t retries = 0;      ///< closed-loop resubmissions
+    std::uint64_t failovers = 0;    ///< replication plane, if on
     std::string message;                  ///< first diagnostics
 };
 

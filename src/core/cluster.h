@@ -14,7 +14,7 @@
  *   - all baselines: Cache-based (page cache), RPC, RPC-W, Cache+RPC.
  *
  * Benches pick a system via submitter(SystemKind) and drive it with
- * the workload driver; every system executes the same ISA operations
+ * the closed-loop traffic generator; every system executes the same ISA operations
  * over the same memory bytes, so results are directly comparable.
  */
 #ifndef PULSE_CORE_CLUSTER_H
@@ -46,7 +46,7 @@
 #include "sim/event_queue.h"
 #include "trace/metrics_exporter.h"
 #include "trace/trace.h"
-#include "workloads/driver.h"
+#include "workloads/workloads.h"
 
 namespace pulse::core {
 
@@ -223,7 +223,7 @@ class Cluster
     const ClusterConfig& config() const { return config_; }
 
     /**
-     * Submit entry point for @p kind (bind to the workload driver).
+     * Submit entry point for @p kind (bind to the traffic generator).
      * @p client selects the issuing CPU node for pulse; the baseline
      * systems are single-client (client 0), as in the paper's testbed.
      */

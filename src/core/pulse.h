@@ -42,9 +42,9 @@
 #include "ds/search_tree.h"
 #include "ds/table3.h"
 
-// Workloads and the measurement driver.
+// Workloads and the traffic generator.
 #include "apps/apps.h"
-#include "workloads/driver.h"
+#include "serve/fleet.h"
 #include "workloads/workloads.h"
 
 // Energy accounting.

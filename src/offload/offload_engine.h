@@ -143,7 +143,7 @@ struct Completion
     bool timed_out = false;        ///< gave up after max retransmits
     /**
      * QoS admission control shed the request (kRejected response).
-     * Always paired with timed_out = true so the driver's existing
+     * Always paired with timed_out = true so the fleet's existing
      * retry/backoff path re-submits without a special case; rejected
      * distinguishes "load-shed, retry later" from "gave up after max
      * retransmits" for callers that care (fleet sessions, tests).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <type_traits>
 #include <utility>
 
 #include "common/logging.h"
@@ -23,12 +24,34 @@ tenant_seed(std::uint64_t fleet_seed, TenantId tenant)
     return z ^ (z >> 31);
 }
 
+/** Closed-loop backoff jitter: each delay is scaled by
+ *  1 + kRetryJitter * U[0,1) from a fixed-seed stream per tenant. */
+constexpr double kRetryJitter = 0.1;
+constexpr std::uint64_t kRetryJitterSeed = 0x7e7247;
+
 }  // namespace
+
+TenantLoad
+closed_loop(std::uint64_t warmup_ops, std::uint64_t measure_ops,
+            std::uint32_t concurrency)
+{
+    TenantLoad load;
+    load.arrivals = ArrivalKind::kClosedLoop;
+    load.window = concurrency;
+    load.max_retries = 0;
+    load.retry_backoff = micros(500.0);
+    load.total_ops = warmup_ops + measure_ops;
+    load.warmup_ops = warmup_ops;
+    return load;
+}
 
 Fleet::Session::Session(const TenantLoad& l, std::uint64_t seed)
     : load(l),
       rng(seed),
-      zipf(std::max<std::uint64_t>(l.keyspace, 1), l.zipf_theta)
+      zipf(std::max<std::uint64_t>(l.keyspace, 1), l.zipf_theta),
+      slots(l.arrivals == ArrivalKind::kClosedLoop ? l.window : 0),
+      jitter(kRetryJitterSeed),
+      measuring(l.arrivals != ArrivalKind::kClosedLoop)
 {
     rate_max = l.rate_ops_per_s *
                (1.0 + std::max(0.0, l.diurnal_amplitude)) *
@@ -43,12 +66,21 @@ Fleet::Fleet(sim::EventQueue& queue, const FleetConfig& config,
       submit_(std::move(submit))
 {
     for (const TenantLoad& load : config_.tenants) {
-        PULSE_ASSERT(load.rate_ops_per_s > 0.0,
-                     "tenant %u has a non-positive arrival rate",
-                     load.id);
-        PULSE_ASSERT(load.diurnal_amplitude < 1.0,
-                     "tenant %u diurnal amplitude must stay below 1",
-                     load.id);
+        if (load.arrivals == ArrivalKind::kClosedLoop) {
+            PULSE_ASSERT(load.window >= 1,
+                         "closed-loop tenant %u needs window >= 1",
+                         load.id);
+        } else {
+            PULSE_ASSERT(load.warmup_ops == 0,
+                         "tenant %u: warmup needs a closed loop",
+                         load.id);
+            PULSE_ASSERT(load.rate_ops_per_s > 0.0,
+                         "tenant %u has a non-positive arrival rate",
+                         load.id);
+            PULSE_ASSERT(load.diurnal_amplitude < 1.0,
+                         "tenant %u diurnal amplitude must stay below 1",
+                         load.id);
+        }
         sessions_.emplace(
             load.id,
             Session(load, tenant_seed(config_.seed, load.id)));
@@ -110,6 +142,16 @@ Fleet::start(Time horizon)
 {
     horizon_ = horizon;
     for (auto& [tenant, session] : sessions_) {
+        if (session.load.arrivals == ArrivalKind::kClosedLoop) {
+            if (session.load.warmup_ops == 0) {
+                open_measurement(session);
+            }
+            for (std::uint32_t slot = 0; slot < session.load.window;
+                 slot++) {
+                issue_closed(tenant, slot);
+            }
+            continue;
+        }
         session.next_arrival = draw_next(session, queue_.now());
         schedule_arrival(tenant);
     }
@@ -228,29 +270,18 @@ Fleet::on_completion(TenantId tenant, std::uint64_t token,
     KeyEntry& entry = it->second;
     session.outstanding--;
 
+    if (const auto backoff =
+            retry_after(tenant, session, completion, entry.attempts)) {
+        queue_.schedule_after(*backoff, [this, tenant, token]() {
+            issue_token(tenant, token);
+        });
+        // Keep the window slot across the backoff (issue_token itself
+        // does not touch outstanding), so new arrivals cannot starve a
+        // backing-off key of its slot.
+        session.outstanding++;
+        return;
+    }
     if (completion.timed_out) {
-        // Load-shed (kRejected) or gave up retransmitting: retry with
-        // deterministic exponential backoff, then drop the key.
-        if (entry.attempts < session.load.max_retries) {
-            entry.attempts++;
-            if (completion.rejected) {
-                stats.shed_retries++;
-            } else {
-                stats.timeout_retries++;
-            }
-            const std::uint32_t shift =
-                std::min<std::uint32_t>(entry.attempts - 1, 20);
-            const Time backoff = std::max<Time>(
-                session.load.retry_backoff << shift, 1);
-            queue_.schedule_after(backoff, [this, tenant, token]() {
-                issue_token(tenant, token);
-            });
-            // Keep the window slot across the backoff (issue_token
-            // itself does not touch outstanding), so new arrivals
-            // cannot starve a backing-off key of its slot.
-            session.outstanding++;
-            return;
-        }
         stats.failed++;
         retire(session, token);
         try_issue(tenant);
@@ -278,6 +309,131 @@ Fleet::retire(Session& session, std::uint64_t token)
         session.active_by_key.erase(it->second.key);
     }
     session.entries.erase(it);
+}
+
+std::optional<Time>
+Fleet::retry_after(TenantId tenant, Session& session,
+                   const offload::Completion& completion,
+                   std::uint32_t& attempt)
+{
+    // Load-shed (kRejected) or gave up retransmitting: retry with
+    // exponential backoff until the budget runs out.
+    if (!completion.timed_out || attempt >= session.load.max_retries) {
+        return std::nullopt;
+    }
+    if (session.measuring) {
+        TenantFleetStats& stats = stats_[tenant];
+        if (completion.rejected) {
+            stats.shed_retries++;
+        } else {
+            stats.timeout_retries++;
+        }
+    }
+    Time delay = session.load.retry_backoff
+                 << std::min<std::uint32_t>(attempt, 20);
+    attempt++;
+    if (session.load.arrivals == ArrivalKind::kClosedLoop) {
+        const double jitter =
+            1.0 + kRetryJitter * session.jitter.next_double();
+        delay = static_cast<Time>(static_cast<double>(delay) * jitter);
+    }
+    return std::max<Time>(delay, 1);
+}
+
+void
+Fleet::open_measurement(Session& session)
+{
+    session.measuring = true;
+    session.measure_start = queue_.now();
+    if (session.load.on_measure_start) {
+        session.load.on_measure_start();
+    }
+}
+
+void
+Fleet::issue_closed(TenantId tenant, std::uint32_t slot)
+{
+    Session& session = sessions_.at(tenant);
+    TenantFleetStats& stats = stats_[tenant];
+    if (stats.arrivals >= session.load.total_ops) {
+        session.exhausted = true;
+        return;
+    }
+    Session::Slot& state = session.slots[slot];
+    state.key = stats.arrivals++;
+    state.attempt = 0;
+    session.outstanding++;
+    submit_closed(tenant, slot, make_op_(tenant, state.key));
+}
+
+void
+Fleet::submit_closed(TenantId tenant, std::uint32_t slot,
+                     offload::Operation&& op)
+{
+    Session& session = sessions_.at(tenant);
+    // Keep a resubmittable copy only when retrying is on (taken before
+    // `done` is set: program pointer + inline start state).
+    if (session.load.max_retries > 0) {
+        session.slots[slot].retry_copy = op;
+    }
+    auto done = [this, tenant, slot](offload::Completion&& completion) {
+        on_closed_completion(tenant, slot, std::move(completion));
+    };
+    // The closure must stay inside std::function's inline buffer so
+    // the closed loop's submit path never heap-allocates.
+    static_assert(sizeof(done) <= 16 &&
+                      std::is_trivially_copyable_v<decltype(done)>,
+                  "completion capture must fit the SBO buffer");
+    op.done = done;
+    stats_[tenant].issued++;
+    submit_(tenant, std::move(op));
+}
+
+void
+Fleet::on_closed_completion(TenantId tenant, std::uint32_t slot,
+                            offload::Completion&& completion)
+{
+    Session& session = sessions_.at(tenant);
+    TenantFleetStats& stats = stats_[tenant];
+    Session::Slot& state = session.slots[slot];
+    if (const auto backoff =
+            retry_after(tenant, session, completion, state.attempt)) {
+        // The slot stays occupied across the backoff.
+        queue_.schedule_after(*backoff, [this, tenant, slot] {
+            submit_closed(tenant, slot,
+                          offload::Operation(
+                              sessions_.at(tenant).slots[slot].retry_copy));
+        });
+        return;
+    }
+    session.outstanding--;
+    session.finished++;
+    if (session.measuring) {
+        if (completion.timed_out) {
+            // The give-up "latency" is an artifact of the timeout
+            // ladder, so it stays out of the histogram.
+            stats.failed++;
+        } else {
+            stats.completed++;
+            stats.latency.add(completion.latency);
+            mix_digest(tenant);
+            mix_digest(state.key);
+            mix_digest(static_cast<std::uint64_t>(completion.latency));
+        }
+        stats.iterations += completion.iterations;
+        if (completion.status != isa::TraversalStatus::kDone ||
+            completion.timed_out) {
+            stats.errors++;
+        }
+    }
+    if (!session.measuring && session.finished == session.load.warmup_ops) {
+        open_measurement(session);
+    }
+    if (session.finished == session.load.total_ops) {
+        stats.measure_time = queue_.now() - session.measure_start;
+        return;
+    }
+    issue_closed(tenant, slot);
 }
 
 void
@@ -308,6 +464,9 @@ Fleet::checkpoint(StateIo& io)
     io.expect(static_cast<std::uint32_t>(sessions_.size()),
               "tenant count");
     for (auto& [tenant, session] : sessions_) {
+        PULSE_ASSERT(session.load.arrivals != ArrivalKind::kClosedLoop,
+                     "closed-loop tenant %u does not checkpoint",
+                     tenant);
         PULSE_ASSERT(session.outstanding == 0 &&
                          session.queued.empty() &&
                          session.entries.empty(),
@@ -333,6 +492,33 @@ Fleet::checkpoint(StateIo& io)
         }
         stats.latency.checkpoint(io);
     }
+}
+
+TenantFleetStats
+run_closed_loop(sim::EventQueue& queue, const workloads::SubmitFn& submit,
+                const workloads::OpFactory& factory,
+                const TenantLoad& load)
+{
+    PULSE_ASSERT(load.arrivals == ArrivalKind::kClosedLoop,
+                 "run_closed_loop needs a closed-loop tenant");
+    FleetConfig config;
+    config.tenants.push_back(load);
+    Fleet fleet(
+        queue, config,
+        [&factory](TenantId, std::uint64_t key) { return factory(key); },
+        [&submit](TenantId, offload::Operation&& op) {
+            submit(std::move(op));
+        });
+    fleet.start(0);
+    queue.run();
+    TenantFleetStats stats = std::move(fleet.stats_.at(load.id));
+    PULSE_ASSERT(fleet.outstanding() == 0 &&
+                     stats.arrivals == load.total_ops,
+                 "closed loop drained before completion (%llu of %llu "
+                 "ops issued)",
+                 static_cast<unsigned long long>(stats.arrivals),
+                 static_cast<unsigned long long>(load.total_ops));
+    return stats;
 }
 
 }  // namespace pulse::serve

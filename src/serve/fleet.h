@@ -1,30 +1,38 @@
 /**
  * @file
- * Client-fleet generator for the multi-tenant serving plane.
+ * Traffic generator: the client fleet that drives every workload.
  *
- * Models a production client fleet driving the cluster *open loop*:
- * each tenant's requests arrive on their own clock (Poisson or
- * deterministic) regardless of how fast earlier ones complete, so
- * overload shows up as queueing/shedding instead of silently slowing
- * the generator down — the difference between closed-loop benches
- * (bench/fig*) and what a serving deployment actually sees.
+ * Each tenant runs one of two arrival disciplines:
  *
- * Per tenant the generator supports:
+ *   - *open loop* (kPoisson, kDeterministic): requests arrive on their
+ *     own clock regardless of how fast earlier ones complete, so
+ *     overload shows up as queueing/shedding instead of silently
+ *     slowing the generator down — what a serving deployment sees;
+ *   - *closed loop* (kClosedLoop): `window` operations stay
+ *     outstanding and each completion issues the next, the paper's
+ *     latency/throughput methodology (Figs. 4-9, Table 2). Arrival i
+ *     asks for key i; the first `warmup_ops` completions are not
+ *     measured, and on_measure_start fires when the measured window
+ *     opens (benches reset bandwidth/energy counters there).
+ *
+ * Per open-loop tenant the generator supports:
  *   - a diurnal load curve (sinusoidal rate multiplier),
  *   - a flash-crowd window (step rate multiplier),
  *   - time-shifting Zipf key skew (the hot set rotates through the
  *     keyspace on a fixed period),
  *   - client-side batching: a bounded window of outstanding traversals
  *     with request coalescing (concurrent arrivals for one key share a
- *     single in-flight traversal),
- *   - retry with deterministic exponential backoff when a request is
- *     load-shed (kRejected) or times out.
+ *     single in-flight traversal).
+ *
+ * Both disciplines retry a load-shed (kRejected) or timed-out request
+ * on one exponential backoff ladder; a closed-loop tenant's delays
+ * carry a seeded jitter.
  *
  * Everything is driven by seeded Rngs and simulated time only, so a
  * run is bit-reproducible, and checkpoint() saves or restores a
- * quiesced fleet mid-schedule (tests/test_serving.cc round-trips a
- * checkpoint taken mid-flash-crowd and proves the continuation
- * bit-identical via the completion digest).
+ * quiesced open-loop fleet mid-schedule (tests/test_serving.cc
+ * round-trips a checkpoint taken mid-flash-crowd and proves the
+ * continuation bit-identical via the completion digest).
  */
 #ifndef PULSE_SERVE_FLEET_H
 #define PULSE_SERVE_FLEET_H
@@ -33,6 +41,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "common/histogram.h"
@@ -42,6 +51,7 @@
 #include "offload/offload_engine.h"
 #include "serve/serve_config.h"
 #include "sim/event_queue.h"
+#include "workloads/workloads.h"
 
 namespace pulse::serve {
 
@@ -49,6 +59,7 @@ namespace pulse::serve {
 enum class ArrivalKind : std::uint8_t {
     kPoisson,        ///< open-loop Poisson process (thinning for NHPP)
     kDeterministic,  ///< evenly spaced at the instantaneous rate
+    kClosedLoop,     ///< each completion issues the next arrival
 };
 
 /** Load shape of one tenant's client fleet. */
@@ -86,7 +97,8 @@ struct TenantLoad
     Time skew_shift = 0;
     std::uint64_t skew_stride = 1;
 
-    /** Max outstanding traversals (client-side batching window). */
+    /** Max outstanding traversals (client-side batching window; a
+     *  closed-loop tenant's concurrency). */
     std::uint32_t window = 64;
 
     /** Coalesce concurrent arrivals for one key onto one traversal. */
@@ -95,12 +107,28 @@ struct TenantLoad
     /** Retries after a shed/timeout before giving up on a key. */
     std::uint32_t max_retries = 4;
 
-    /** Backoff before retry attempt k: retry_backoff << k. */
+    /** Backoff before retry attempt k: retry_backoff << min(k, 20). */
     Time retry_backoff = micros(50.0);
 
-    /** Stop after this many arrivals (0 = until the horizon). */
+    /** Stop after this many arrivals (0 = until the horizon; a closed
+     *  loop's warmup plus measured operations). */
     std::uint64_t total_ops = 0;
+
+    /** Closed loop: completions before the measured window opens. */
+    std::uint64_t warmup_ops = 0;
+
+    /** Closed loop: invoked when the measured window opens. */
+    std::function<void()> on_measure_start;
 };
+
+/**
+ * A closed-loop tenant: @p concurrency outstanding operations, @p
+ * warmup_ops unmeasured then @p measure_ops measured, no retry unless
+ * the caller sets max_retries.
+ */
+TenantLoad closed_loop(std::uint64_t warmup_ops,
+                       std::uint64_t measure_ops,
+                       std::uint32_t concurrency);
 
 /** Fleet-wide knobs. */
 struct FleetConfig
@@ -109,7 +137,10 @@ struct FleetConfig
     std::vector<TenantLoad> tenants;
 };
 
-/** Per-tenant serving telemetry. */
+/**
+ * Per-tenant telemetry. Everything but arrivals and issued covers the
+ * measured window only (an open-loop tenant's opens at start()).
+ */
 struct TenantFleetStats
 {
     std::uint64_t arrivals = 0;   ///< generated requests
@@ -119,18 +150,48 @@ struct TenantFleetStats
     std::uint64_t shed_retries = 0;     ///< re-issues after kRejected
     std::uint64_t timeout_retries = 0;  ///< re-issues after timeout
     std::uint64_t failed = 0;     ///< keys dropped after max_retries
-    Histogram latency;            ///< arrival -> completion
+    /**
+     * Open loop: arrival -> completion. Closed loop: the answering
+     * attempt's Completion::latency (a retried operation's backoff and
+     * a join's wait after the response are not in it).
+     */
+    Histogram latency;
+    /** Closed loop: interpreter iterations of terminal completions. */
+    std::uint64_t iterations = 0;
+    /** Closed loop: terminal completions that were not kDone. */
+    std::uint64_t errors = 0;
+    /** Closed loop: measured window length. */
+    Time measure_time = 0;
+
+    std::uint64_t retries() const
+    {
+        return shed_retries + timeout_retries;
+    }
+
+    /** Closed loop: terminal completions, answered or given up. */
+    std::uint64_t finished() const { return completed + failed; }
+
+    /** Closed loop: terminal completions per second of the window. */
+    double
+    throughput() const
+    {
+        return measure_time > 0 ? static_cast<double>(finished()) /
+                                      to_seconds(measure_time)
+                                : 0.0;
+    }
 };
 
 /**
- * The fleet: one open-loop arrival process per tenant, feeding
- * operations through the cluster's per-client offload engines.
+ * The fleet: one arrival process per tenant, open or closed loop,
+ * feeding operations through the cluster's per-client offload engines.
  */
 class Fleet
 {
   public:
     /** Build the traversal for (tenant, key): program + start pointer.
-     *  The fleet stamps Operation::tenant and owns the completion. */
+     *  The fleet owns the completion, and stamps Operation::tenant on
+     *  open-loop tenants' operations (a closed-loop tenant keeps the
+     *  tenant the builder chose). */
     using MakeOpFn =
         std::function<offload::Operation(TenantId, std::uint64_t)>;
 
@@ -145,7 +206,8 @@ class Fleet
      * Start every tenant's arrival process and generate arrivals up to
      * @p horizon (exclusive); arrivals past it park until extend().
      * Completions of issued work still drain after the horizon — run
-     * the event queue until quiesced.
+     * the event queue until quiesced. A closed-loop tenant issues its
+     * first window here and ignores the horizon.
      */
     void start(Time horizon);
 
@@ -182,11 +244,17 @@ class Fleet
      * the horizon (i.e. the event queue drained). Mid-schedule state
      * (each tenant's Rng, next arrival time, counters, histograms, the
      * digest) round-trips bit-exactly. Restoring needs a fleet built
-     * from the same tenant list.
+     * from the same tenant list. Closed-loop tenants do not
+     * checkpoint.
      */
     void checkpoint(StateIo& io);
 
   private:
+    /** Moves its tenant's stats out (no histogram copy). */
+    friend TenantFleetStats run_closed_loop(
+        sim::EventQueue& queue, const workloads::SubmitFn& submit,
+        const workloads::OpFactory& factory, const TenantLoad& load);
+
     /**
      * One logical traversal: the key it reads, the arrival times it
      * answers (several when coalescing piggybacks later arrivals onto
@@ -219,6 +287,21 @@ class Fleet
         /** key -> token of its active entry (coalescing index). */
         std::map<std::uint64_t, std::uint64_t> active_by_key;
 
+        /** Closed loop: one slot per window position. A completion
+         *  either resubmits into its slot (retry) or issues the next
+         *  arrival into it, so slots need no free list. */
+        struct Slot
+        {
+            offload::Operation retry_copy;  ///< only when retrying
+            std::uint64_t key = 0;
+            std::uint32_t attempt = 0;
+        };
+        std::vector<Slot> slots;
+        Rng jitter;               ///< closed-loop backoff jitter
+        std::uint64_t finished = 0;  ///< closed-loop terminal ops
+        bool measuring = false;
+        Time measure_start = 0;
+
         Session(const TenantLoad& l, std::uint64_t seed);
     };
 
@@ -231,6 +314,15 @@ class Fleet
     void on_completion(TenantId tenant, std::uint64_t token,
                        offload::Completion&& completion);
     void retire(Session& session, std::uint64_t token);
+    std::optional<Time> retry_after(TenantId tenant, Session& session,
+                                    const offload::Completion& completion,
+                                    std::uint32_t& attempt);
+    void open_measurement(Session& session);
+    void issue_closed(TenantId tenant, std::uint32_t slot);
+    void submit_closed(TenantId tenant, std::uint32_t slot,
+                       offload::Operation&& op);
+    void on_closed_completion(TenantId tenant, std::uint32_t slot,
+                              offload::Completion&& completion);
     void mix_digest(std::uint64_t value);
 
     sim::EventQueue& queue_;
@@ -242,6 +334,15 @@ class Fleet
     std::map<TenantId, TenantFleetStats> stats_;
     std::uint64_t digest_ = 0xcbf29ce484222325ull;  ///< FNV-1a basis
 };
+
+/**
+ * Drive one closed-loop tenant through @p submit until it finishes
+ * (drains @p queue) and return its telemetry.
+ */
+TenantFleetStats run_closed_loop(sim::EventQueue& queue,
+                                 const workloads::SubmitFn& submit,
+                                 const workloads::OpFactory& factory,
+                                 const TenantLoad& load);
 
 }  // namespace pulse::serve
 

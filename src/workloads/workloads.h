@@ -20,12 +20,20 @@
 #define PULSE_WORKLOADS_WORKLOADS_H
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/random.h"
 #include "ds/bptree.h"
+#include "offload/offload_engine.h"
 
 namespace pulse::workloads {
+
+/** Any system's operation entry point. */
+using SubmitFn = std::function<void(offload::Operation&&)>;
+
+/** Produces the @p index-th operation (without a done callback). */
+using OpFactory = std::function<offload::Operation(std::uint64_t)>;
 
 /** Key of record index @p i (shared by builders and generators). */
 constexpr std::uint64_t

@@ -12,7 +12,7 @@
 #include "core/cluster.h"
 #include "ds/hash_table.h"
 #include "ds/linked_list.h"
-#include "workloads/driver.h"
+#include "serve/fleet.h"
 
 namespace pulse::baselines {
 namespace {
@@ -161,18 +161,15 @@ TEST(CacheClient, FaultHandlersBoundConcurrency)
             values[i] = i;
             list.build({i}, 0);
         }
-        workloads::DriverConfig driver;
-        driver.warmup_ops = 0;
-        driver.measure_ops = 8;
-        driver.concurrency = 8;
+        serve::TenantLoad load = serve::closed_loop(0, 8, 8);
         Rng rng(1);
-        auto result = run_closed_loop(
+        auto result = serve::run_closed_loop(
             cluster.queue(),
             cluster.submitter(core::SystemKind::kCache),
             [&](std::uint64_t i) {
                 return list.make_find(i % 8, {});
             },
-            driver);
+            load);
         return result.measure_time;
     };
     EXPECT_GT(run(1), run(8));
@@ -277,17 +274,14 @@ TEST(RpcRuntime, WorkersParallelizeThroughput)
             table.insert(k);
         }
         Rng rng(3);
-        workloads::DriverConfig driver;
-        driver.warmup_ops = 32;
-        driver.measure_ops = 400;
-        driver.concurrency = 64;
-        auto result = run_closed_loop(
+        serve::TenantLoad load = serve::closed_loop(32, 400, 64);
+        auto result = serve::run_closed_loop(
             cluster.queue(), cluster.submitter(core::SystemKind::kRpc),
             [&](std::uint64_t) {
                 return table.make_find(1 + rng.next_below(512), {});
             },
-            driver);
-        return result.throughput;
+            load);
+        return result.throughput();
     };
     const double one = run(1);
     const double four = run(4);
@@ -356,14 +350,11 @@ TEST(RpcRuntime, QuenchedTimersLeaveTheQueue)
     for (std::uint64_t k = 1; k <= 512; k++) {
         table.insert(k);
     }
-    workloads::DriverConfig driver;
-    driver.warmup_ops = 0;
-    driver.measure_ops = 2000;
-    driver.concurrency = kConcurrency;
-    const workloads::DriverResult result = run_closed_loop(
+    serve::TenantLoad load = serve::closed_loop(0, 2000, kConcurrency);
+    const serve::TenantFleetStats result = serve::run_closed_loop(
         cluster.queue(), cluster.submitter(core::SystemKind::kRpc),
         [&](std::uint64_t i) { return table.make_find(1 + i % 512, {}); },
-        driver);
+        load);
     EXPECT_EQ(result.completed, 2000u);
     EXPECT_EQ(result.errors, 0u);
     EXPECT_EQ(cluster.rpc().stats().retransmits.value(), 0u);

@@ -28,9 +28,9 @@
 #include "common/random.h"
 #include "ds/bptree.h"
 #include "ds/ds_common.h"
-#include "trace/metrics_exporter.h"
-#include "workloads/driver.h"
 #include "golden_digest.h"
+#include "serve/fleet.h"
+#include "trace/metrics_exporter.h"
 
 namespace pulse {
 namespace {
@@ -66,23 +66,20 @@ indexed_factory(apps::UpcApp& app, std::uint64_t offset)
     };
 }
 
-workloads::DriverResult
+serve::TenantFleetStats
 run_ops(core::Cluster& cluster, apps::UpcApp& app, std::uint64_t offset,
         std::uint64_t ops, std::uint32_t concurrency)
 {
-    workloads::DriverConfig driver;
-    driver.warmup_ops = 0;
-    driver.measure_ops = ops;
-    driver.concurrency = concurrency;
-    return run_closed_loop(cluster.queue(),
+    serve::TenantLoad load = serve::closed_loop(0, ops, concurrency);
+    return serve::run_closed_loop(cluster.queue(),
                            cluster.submitter(core::SystemKind::kPulse),
-                           indexed_factory(app, offset), driver);
+                           indexed_factory(app, offset), load);
 }
 
 /** Everything observable about a finished continuation, including the
  *  full metrics export (every registered counter, bit-exact). */
 std::tuple<std::uint64_t, std::uint64_t, Time, Time, Time, std::string>
-digest(const workloads::DriverResult& result, core::Cluster& cluster)
+digest(const serve::TenantFleetStats& result, core::Cluster& cluster)
 {
     trace::MetricsExporter exporter;
     cluster.export_metrics(exporter);
@@ -115,22 +112,19 @@ build_tree(core::Cluster& cluster)
 }
 
 /** Forked-sum stream deterministic by op index. */
-workloads::DriverResult
+serve::TenantFleetStats
 run_forked(core::Cluster& cluster, ds::BPTree& tree, std::uint64_t ops)
 {
     constexpr std::uint64_t kKeySpan = 20'000;
-    workloads::DriverConfig driver;
-    driver.warmup_ops = 0;
-    driver.measure_ops = ops;
-    driver.concurrency = 6;
-    return run_closed_loop(
+    serve::TenantLoad load = serve::closed_loop(0, ops, 6);
+    return serve::run_closed_loop(
         cluster.queue(), cluster.submitter(core::SystemKind::kPulse),
         [&tree](std::uint64_t index) {
             const std::uint64_t mixed = index * 0x9E3779B97F4A7C15ull;
             const std::uint64_t lo = 100 + mixed % kKeySpan;
             return tree.make_aggregate_forked(lo, lo + 4000, nullptr);
         },
-        driver);
+        load);
 }
 
 TEST(Checkpoint, RestoredContinuationIsBitIdentical)
@@ -216,10 +210,7 @@ TEST(Checkpoint, FuzzCorpusSeedReplaysThroughRestore)
 
     const auto fuzz_run = [&](core::Cluster& cluster,
                               apps::UpcApp& app) {
-        workloads::DriverConfig driver;
-        driver.warmup_ops = 0;
-        driver.measure_ops = 64;
-        driver.concurrency = 4;
+        serve::TenantLoad load = serve::closed_loop(0, 64, 4);
         const workloads::OpFactory factory =
             [&app, &program](std::uint64_t index) {
                 const std::uint64_t key = workloads::key_of(
@@ -229,10 +220,10 @@ TEST(Checkpoint, FuzzCorpusSeedReplaysThroughRestore)
                 op.program = program;  // corpus program, app memory
                 return op;
             };
-        const workloads::DriverResult result = run_closed_loop(
+        const serve::TenantFleetStats result = serve::run_closed_loop(
             cluster.queue(),
             cluster.submitter(core::SystemKind::kPulse), factory,
-            driver);
+            load);
         return digest(result, cluster);
     };
 

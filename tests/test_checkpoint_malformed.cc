@@ -19,7 +19,7 @@
 #include "apps/apps.h"
 #include "common/random.h"
 #include "core/cluster.h"
-#include "workloads/driver.h"
+#include "serve/fleet.h"
 
 namespace pulse {
 namespace {
@@ -53,18 +53,15 @@ warm_blob()
         apps::AppScale scale;
         scale.upc_keys = 2'000;
         apps::UpcApp app(cluster, scale);
-        workloads::DriverConfig driver;
-        driver.warmup_ops = 0;
-        driver.measure_ops = 64;
-        driver.concurrency = 4;
-        run_closed_loop(cluster.queue(),
+        serve::TenantLoad load = serve::closed_loop(0, 64, 4);
+        serve::run_closed_loop(cluster.queue(),
                         cluster.submitter(core::SystemKind::kPulse),
                         [&app](std::uint64_t index) {
                             return app.table().make_find(
                                 workloads::key_of(index % app.num_keys()),
                                 nullptr);
                         },
-                        driver);
+                        load);
         return cluster.save_checkpoint();
     }();
     return blob;

@@ -14,7 +14,7 @@
 #include "ds/bptree.h"
 #include "ds/hash_table.h"
 #include "ds/linked_list.h"
-#include "workloads/driver.h"
+#include "serve/fleet.h"
 
 namespace pulse::core {
 namespace {
@@ -317,20 +317,17 @@ TEST(ClusterDriver, ClosedLoopMeasuresThroughput)
     table.insert_many(keys);
 
     Rng rng(3);
-    workloads::DriverConfig driver;
-    driver.warmup_ops = 50;
-    driver.measure_ops = 500;
-    driver.concurrency = 16;
-    auto result = run_closed_loop(
+    serve::TenantLoad load = serve::closed_loop(50, 500, 16);
+    auto result = serve::run_closed_loop(
         cluster.queue(), cluster.submitter(SystemKind::kPulse),
         [&](std::uint64_t) {
             return table.make_find(keys[rng.next_below(keys.size())],
                                    {});
         },
-        driver);
+        load);
     EXPECT_EQ(result.completed, 500u);
     EXPECT_EQ(result.errors, 0u);
-    EXPECT_GT(result.throughput, 0.0);
+    EXPECT_GT(result.throughput(), 0.0);
     EXPECT_GT(result.latency.mean(), 0);
     EXPECT_LE(result.latency.percentile(0.5),
               result.latency.percentile(0.99));
@@ -391,31 +388,28 @@ TEST(ClusterStats, ResetThenRerunReproducesStatsExactly)
     }
     list.build(values, 0);
 
-    workloads::DriverConfig driver;
-    driver.warmup_ops = 50;
-    driver.measure_ops = 200;
-    driver.concurrency = 4;
-    driver.on_measure_start = [&cluster] { cluster.reset_stats(); };
+    serve::TenantLoad load = serve::closed_loop(50, 200, 4);
+    load.on_measure_start = [&cluster] { cluster.reset_stats(); };
     const auto factory = [&](std::uint64_t op) {
         return list.make_walk(6 + op % 10, {});
     };
 
     const auto measure = [&] {
-        return run_closed_loop(cluster.queue(),
+        return serve::run_closed_loop(cluster.queue(),
                                cluster.submitter(SystemKind::kPulse),
-                               factory, driver);
+                               factory, load);
     };
     // Priming run (discarded): absorbs one-time program-code
     // installation so the two compared runs begin from the same
     // steady state — fully drained, code installed.
     measure();
-    const workloads::DriverResult first = measure();
+    const serve::TenantFleetStats first = measure();
     StatRegistry registry;
     cluster.register_stats(registry);
     const auto snapshot1 = registry.snapshot();
     const std::uint64_t spans1 = cluster.tracer().recorded();
 
-    const workloads::DriverResult second = measure();
+    const serve::TenantFleetStats second = measure();
     const auto snapshot2 = registry.snapshot();
 
     ASSERT_EQ(snapshot1.size(), snapshot2.size());

@@ -10,7 +10,7 @@
 #include <cmath>
 
 #include "apps/apps.h"
-#include "workloads/driver.h"
+#include "serve/fleet.h"
 
 namespace pulse {
 namespace {
@@ -40,14 +40,11 @@ run_once(core::SystemKind system, std::uint32_t concurrency)
     scale.upc_keys = 25'000;
     apps::UpcApp app(cluster, scale);
 
-    workloads::DriverConfig driver;
-    driver.warmup_ops = 30;
-    driver.measure_ops = 300;
-    driver.concurrency = concurrency;
-    driver.on_measure_start = [&cluster] { cluster.reset_stats(); };
+    serve::TenantLoad load = serve::closed_loop(30, 300, concurrency);
+    load.on_measure_start = [&cluster] { cluster.reset_stats(); };
     const auto result =
-        run_closed_loop(cluster.queue(), cluster.submitter(system),
-                        app.factory(), driver);
+        serve::run_closed_loop(cluster.queue(), cluster.submitter(system),
+                        app.factory(), load);
 
     RunDigest digest;
     digest.completed = result.completed;
@@ -96,14 +93,11 @@ TEST(Determinism, LossyNetworkIsSeededDeterministic)
         apps::AppScale scale;
         scale.upc_keys = 5'000;
         apps::UpcApp app(cluster, scale);
-        workloads::DriverConfig driver;
-        driver.warmup_ops = 0;
-        driver.measure_ops = 100;
-        driver.concurrency = 4;
-        const auto result = run_closed_loop(
+        serve::TenantLoad load = serve::closed_loop(0, 100, 4);
+        const auto result = serve::run_closed_loop(
             cluster.queue(),
             cluster.submitter(core::SystemKind::kPulse),
-            app.factory(), driver);
+            app.factory(), load);
         return std::make_tuple(
             result.completed, result.errors,
             result.latency.mean(),

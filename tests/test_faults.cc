@@ -17,7 +17,7 @@
 #include "ds/linked_list.h"
 #include "isa/assembler.h"
 #include "offload/rto_estimator.h"
-#include "workloads/driver.h"
+#include "serve/fleet.h"
 
 namespace pulse::faults {
 namespace {
@@ -434,16 +434,13 @@ TEST(FaultGiveUp, DriverExcludesFailedOpsFromLatency)
     ds::LinkedList list(cluster.memory(), cluster.allocator());
     list.build({1}, 0);
 
-    workloads::DriverConfig driver;
-    driver.warmup_ops = 1;
-    driver.measure_ops = 4;
-    driver.concurrency = 1;
-    const workloads::DriverResult result = workloads::run_closed_loop(
+    serve::TenantLoad load = serve::closed_loop(1, 4, 1);
+    const serve::TenantFleetStats result = serve::run_closed_loop(
         cluster.queue(), cluster.submitter(core::SystemKind::kPulse),
-        [&](std::uint64_t) { return list.make_find(1, {}); }, driver);
+        [&](std::uint64_t) { return list.make_find(1, {}); }, load);
 
-    EXPECT_EQ(result.completed, 4u);
-    EXPECT_EQ(result.failed_ops, 4u);
+    EXPECT_EQ(result.finished(), 4u);
+    EXPECT_EQ(result.failed, 4u);
     EXPECT_EQ(result.errors, 4u);
     // Give-up "latencies" are timeout-ladder artifacts, not service
     // times; they must not pollute the histogram.

@@ -11,7 +11,7 @@
 #include "core/cluster.h"
 #include "ds/linked_list.h"
 #include "isa/analysis.h"
-#include "workloads/driver.h"
+#include "serve/fleet.h"
 
 namespace pulse::offload {
 namespace {
@@ -199,7 +199,7 @@ TEST(OffloadRetransmit, GivesUpAfterMaxRetries)
 }
 
 /** Closed loop of @p ops list walks, @p concurrency outstanding. */
-workloads::DriverResult
+serve::TenantFleetStats
 run_walks(core::Cluster& cluster, std::uint32_t concurrency,
           std::uint64_t ops)
 {
@@ -209,14 +209,11 @@ run_walks(core::Cluster& cluster, std::uint32_t concurrency,
         values[i] = i;
     }
     list.build(values, 0);
-    workloads::DriverConfig driver;
-    driver.warmup_ops = 0;
-    driver.measure_ops = ops;
-    driver.concurrency = concurrency;
-    return workloads::run_closed_loop(
+    serve::TenantLoad load = serve::closed_loop(0, ops, concurrency);
+    return serve::run_closed_loop(
         cluster.queue(), cluster.submitter(core::SystemKind::kPulse),
         [&](std::uint64_t i) { return list.make_walk(8 + i % 32, {}); },
-        driver);
+        load);
 }
 
 TEST(OffloadTimers, HealthyLoopHoldsOnlyLiveEvents)
@@ -227,7 +224,7 @@ TEST(OffloadTimers, HealthyLoopHoldsOnlyLiveEvents)
     // operation in flight, not every timer armed in the last 20 ms.
     constexpr std::uint32_t kConcurrency = 64;
     core::Cluster cluster{core::ClusterConfig{}};
-    const workloads::DriverResult result =
+    const serve::TenantFleetStats result =
         run_walks(cluster, kConcurrency, 4000);
     EXPECT_EQ(result.completed, 4000u);
     EXPECT_EQ(result.errors, 0u);
@@ -247,7 +244,7 @@ TEST(OffloadTimers, LossyLoopRetransmitsExactlyAsBefore)
     config.faults.links.loss = 0.02;
     config.offload.retransmit_timeout = micros(200.0);
     core::Cluster cluster(config);
-    const workloads::DriverResult result = run_walks(cluster, 32, 2000);
+    const serve::TenantFleetStats result = run_walks(cluster, 32, 2000);
     EXPECT_EQ(result.completed, 2000u);
     EXPECT_EQ(result.errors, 0u);
     EXPECT_EQ(cluster.offload_engine().stats().retransmits.value(),

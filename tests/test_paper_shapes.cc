@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/apps.h"
-#include "workloads/driver.h"
+#include "serve/fleet.h"
 
 namespace pulse {
 namespace {
@@ -38,18 +38,17 @@ base_config(std::uint32_t nodes, Bytes data_bytes)
     return config;
 }
 
-workloads::DriverResult
+serve::TenantFleetStats
 run_upc(Cluster& cluster, SystemKind system, std::uint32_t concurrency,
         std::uint64_t ops)
 {
     apps::UpcApp app(cluster, tiny_scale());
-    workloads::DriverConfig driver;
-    driver.warmup_ops = std::min<std::uint64_t>(concurrency, 64);
-    driver.measure_ops = ops;
-    driver.concurrency = concurrency;
-    driver.on_measure_start = [&cluster] { cluster.reset_stats(); };
-    return run_closed_loop(cluster.queue(), cluster.submitter(system),
-                           app.factory(), driver);
+    serve::TenantLoad load =
+        serve::closed_loop(std::min<std::uint64_t>(concurrency, 64), ops,
+                           concurrency);
+    load.on_measure_start = [&cluster] { cluster.reset_stats(); };
+    return serve::run_closed_loop(cluster.queue(), cluster.submitter(system),
+                           app.factory(), load);
 }
 
 TEST(PaperShapes, Fig4_PulseBeatsCacheByAtLeast10x)
@@ -92,7 +91,7 @@ TEST(PaperShapes, Fig5_PulseMatchesRpcThroughputSingleNode)
         run_upc(cluster, SystemKind::kPulse, 256, 800);
     const auto rpc_run =
         run_upc(cluster, SystemKind::kRpc, 256, 800);
-    const double ratio = pulse_run.throughput / rpc_run.throughput;
+    const double ratio = pulse_run.throughput() / rpc_run.throughput();
     EXPECT_GT(ratio, 0.8);
     EXPECT_LT(ratio, 1.3);
 }
@@ -124,13 +123,10 @@ TEST(PaperShapes, Fig4_InNetworkContinuationBeatsRpcMultiNode)
     apps::TsvApp app(cluster, tiny_scale(), 15.0,
                      /*uniform_alloc=*/true);
     const auto run = [&](SystemKind system) {
-        workloads::DriverConfig driver;
-        driver.warmup_ops = 20;
-        driver.measure_ops = 120;
-        driver.concurrency = 1;
-        return run_closed_loop(cluster.queue(),
+        serve::TenantLoad load = serve::closed_loop(20, 120, 1);
+        return serve::run_closed_loop(cluster.queue(),
                                cluster.submitter(system),
-                               app.factory(), driver);
+                               app.factory(), load);
     };
     const auto pulse_run = run(SystemKind::kPulse);
     const auto rpc_run = run(SystemKind::kRpc);
@@ -148,22 +144,19 @@ TEST(PaperShapes, Table2_IterationCounts)
         base_config(1, apps::tsv_data_bytes(tiny_scale()));
     Cluster cluster(config);
     apps::UpcApp upc(cluster, tiny_scale());
-    workloads::DriverConfig driver;
-    driver.warmup_ops = 10;
-    driver.measure_ops = 80;
-    driver.concurrency = 4;
-    const auto upc_run = run_closed_loop(
+    serve::TenantLoad load = serve::closed_loop(10, 80, 4);
+    const auto upc_run = serve::run_closed_loop(
         cluster.queue(), cluster.submitter(SystemKind::kPulse),
-        upc.factory(), driver);
+        upc.factory(), load);
     const double upc_iters =
         static_cast<double>(upc_run.iterations) /
         static_cast<double>(upc_run.completed);
     EXPECT_NEAR(upc_iters, 100.0, 30.0);  // paper: ~100
 
     apps::TsvApp tsv(cluster, tiny_scale(), 30.0);
-    const auto tsv_run = run_closed_loop(
+    const auto tsv_run = serve::run_closed_loop(
         cluster.queue(), cluster.submitter(SystemKind::kPulse),
-        tsv.factory(), driver);
+        tsv.factory(), load);
     const double tsv_iters =
         static_cast<double>(tsv_run.iterations) /
         static_cast<double>(tsv_run.completed);

@@ -21,7 +21,7 @@
 #include "core/cluster.h"
 #include "isa/program.h"
 #include "replication/replication_plane.h"
-#include "workloads/driver.h"
+#include "serve/fleet.h"
 
 namespace pulse::replication {
 namespace {
@@ -362,13 +362,10 @@ run_cas_soak_with_outage_at(Time outage_start, int total)
 
     auto program = std::make_shared<const isa::Program>(
         cas_increment_program());
-    workloads::DriverConfig driver;
-    driver.warmup_ops = 0;
-    driver.measure_ops = total;
-    driver.concurrency = 8;
-    driver.max_retries = 16;
-    driver.retry_backoff = micros(200.0);
-    const workloads::DriverResult result = workloads::run_closed_loop(
+    serve::TenantLoad load = serve::closed_loop(0, total, 8);
+    load.max_retries = 16;
+    load.retry_backoff = micros(200.0);
+    const serve::TenantFleetStats result = serve::run_closed_loop(
         cluster.queue(), cluster.submitter(core::SystemKind::kPulse),
         [&](std::uint64_t index) {
             offload::Operation op;
@@ -377,12 +374,12 @@ run_cas_soak_with_outage_at(Time outage_start, int total)
             op.init_scratch.assign(16, 0);
             return op;
         },
-        driver);
+        load);
 
     // Every operation eventually completed, exactly once.
     EXPECT_EQ(result.completed, static_cast<std::uint64_t>(total));
     EXPECT_EQ(result.errors, 0u);
-    EXPECT_EQ(result.retries_exhausted, 0u);
+    EXPECT_EQ(result.failed, 0u);  // no retry budget exhausted
     const std::uint64_t sum =
         cluster.memory().read_as<std::uint64_t>(va0) +
         cluster.memory().read_as<std::uint64_t>(va1);

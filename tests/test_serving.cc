@@ -19,12 +19,12 @@
 #include "core/cluster.h"
 #include "ds/hash_table.h"
 #include "ds/linked_list.h"
+#include "golden_digest.h"
+#include "serve/fleet.h"
 #include "serve/fleet.h"
 #include "serve/qos.h"
 #include "sim/event_queue.h"
 #include "trace/metrics_exporter.h"
-#include "workloads/driver.h"
-#include "golden_digest.h"
 
 namespace pulse {
 namespace {
@@ -321,13 +321,10 @@ TEST(Serving, OnRegistersCountersAndChargesFreshRootsOnly)
     ASSERT_NE(cluster.serve_plane(), nullptr);
 
     apps::UpcApp app(cluster, small_scale());
-    workloads::DriverConfig driver;
-    driver.warmup_ops = 0;
-    driver.measure_ops = 100;
-    driver.concurrency = 8;
-    run_closed_loop(cluster.queue(),
+    serve::TenantLoad load = serve::closed_loop(0, 100, 8);
+    serve::run_closed_loop(cluster.queue(),
                     cluster.submitter(SystemKind::kPulse),
-                    app.factory(), driver);
+                    app.factory(), load);
 
     // No quota configured: every root admits, and the admitted count
     // is exactly the op count — continuations of a traversal are never

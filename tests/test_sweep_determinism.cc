@@ -79,11 +79,11 @@ TEST(SweepDeterminism, ParallelMatchesSerialBitForBit)
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); i++) {
         SCOPED_TRACE("cell " + std::to_string(i));
-        EXPECT_EQ(serial[i].driver.completed,
-                  parallel[i].driver.completed);
-        EXPECT_EQ(serial[i].driver.iterations,
-                  parallel[i].driver.iterations);
-        EXPECT_EQ(serial[i].driver.errors, parallel[i].driver.errors);
+        EXPECT_EQ(serial[i].stats.completed,
+                  parallel[i].stats.completed);
+        EXPECT_EQ(serial[i].stats.iterations,
+                  parallel[i].stats.iterations);
+        EXPECT_EQ(serial[i].stats.errors, parallel[i].stats.errors);
         EXPECT_TRUE(same_bits(serial[i].mean_us,
                               parallel[i].mean_us));
         EXPECT_TRUE(same_bits(serial[i].p99_us, parallel[i].p99_us));
@@ -115,8 +115,8 @@ TEST(SweepDeterminism, RepeatedSerialRunsAreIdentical)
     ASSERT_EQ(first.size(), second.size());
     for (std::size_t i = 0; i < first.size(); i++) {
         EXPECT_TRUE(same_bits(first[i].mean_us, second[i].mean_us));
-        EXPECT_EQ(first[i].driver.completed,
-                  second[i].driver.completed);
+        EXPECT_EQ(first[i].stats.completed,
+                  second[i].stats.completed);
     }
 }
 

@@ -15,9 +15,9 @@
 
 #include "core/cluster.h"
 #include "ds/linked_list.h"
+#include "serve/fleet.h"
 #include "trace/metrics_exporter.h"
 #include "trace/trace.h"
-#include "workloads/driver.h"
 
 namespace pulse {
 namespace {
@@ -182,7 +182,7 @@ TEST(MetricsExporter, HistogramSummary)
 
 struct TracedRun
 {
-    workloads::DriverResult result;
+    serve::TenantFleetStats result;
     std::string trace_csv;
     accel::AccelStats stats;
 };
@@ -200,18 +200,15 @@ run_list_walk(bool tracing)
     }
     list.build(values, 0);
 
-    workloads::DriverConfig driver;
-    driver.warmup_ops = 10;
-    driver.measure_ops = 100;
-    driver.concurrency = 4;
-    driver.on_measure_start = [&cluster] { cluster.reset_stats(); };
+    serve::TenantLoad load = serve::closed_loop(10, 100, 4);
+    load.on_measure_start = [&cluster] { cluster.reset_stats(); };
     TracedRun run;
-    run.result = run_closed_loop(
+    run.result = serve::run_closed_loop(
         cluster.queue(), cluster.submitter(core::SystemKind::kPulse),
         [&](std::uint64_t op) {
             return list.make_walk(8 + op % 16, {});
         },
-        driver);
+        load);
     run.trace_csv = cluster.tracer().to_csv();
     run.stats = cluster.accelerator(0).stats();
     return run;
@@ -250,17 +247,14 @@ TEST(TraceEndToEnd, BreakdownMatchesAccountingExactly)
     }
     list.build(values, 0);
 
-    workloads::DriverConfig driver;
-    driver.warmup_ops = 10;
-    driver.measure_ops = 150;
-    driver.concurrency = 2;
-    driver.on_measure_start = [&cluster] { cluster.reset_stats(); };
-    run_closed_loop(
+    serve::TenantLoad load = serve::closed_loop(10, 150, 2);
+    load.on_measure_start = [&cluster] { cluster.reset_stats(); };
+    serve::run_closed_loop(
         cluster.queue(), cluster.submitter(core::SystemKind::kPulse),
         [&](std::uint64_t op) {
             return list.make_walk(4 + op % 8, {});
         },
-        driver);
+        load);
 
     const trace::Breakdown breakdown =
         trace::aggregate_breakdown(cluster.tracer().events());

@@ -7,7 +7,7 @@
 
 #include "core/cluster.h"
 #include "ds/linked_list.h"
-#include "workloads/driver.h"
+#include "serve/fleet.h"
 #include "workloads/workloads.h"
 
 namespace pulse::workloads {
@@ -136,51 +136,42 @@ struct DriverFixture : ::testing::Test
 
 TEST_F(DriverFixture, CountsAndThroughput)
 {
-    DriverConfig config;
-    config.warmup_ops = 10;
-    config.measure_ops = 50;
-    config.concurrency = 4;
+    serve::TenantLoad load = serve::closed_loop(10, 50, 4);
     bool measure_hook_fired = false;
-    config.on_measure_start = [&] { measure_hook_fired = true; };
-    const auto result = run_closed_loop(
+    load.on_measure_start = [&] { measure_hook_fired = true; };
+    const auto result = serve::run_closed_loop(
         cluster.queue(), cluster.submitter(core::SystemKind::kPulse),
         [&](std::uint64_t) { return list->make_find(31, {}); },
-        config);
+        load);
     EXPECT_TRUE(measure_hook_fired);
     EXPECT_EQ(result.completed, 50u);
     EXPECT_EQ(result.errors, 0u);
     EXPECT_EQ(result.latency.count(), 50u);
-    EXPECT_GT(result.throughput, 0.0);
+    EXPECT_GT(result.throughput(), 0.0);
     EXPECT_EQ(result.iterations, 50u * 32u);
 }
 
 TEST_F(DriverFixture, ZeroWarmupMeasuresEverything)
 {
-    DriverConfig config;
-    config.warmup_ops = 0;
-    config.measure_ops = 20;
-    config.concurrency = 1;
-    const auto result = run_closed_loop(
+    serve::TenantLoad load = serve::closed_loop(0, 20, 1);
+    const auto result = serve::run_closed_loop(
         cluster.queue(), cluster.submitter(core::SystemKind::kPulse),
-        [&](std::uint64_t) { return list->make_find(5, {}); }, config);
+        [&](std::uint64_t) { return list->make_find(5, {}); }, load);
     EXPECT_EQ(result.completed, 20u);
 }
 
 TEST_F(DriverFixture, ErrorsAreCounted)
 {
     // Point every op at an unmapped address.
-    DriverConfig config;
-    config.warmup_ops = 0;
-    config.measure_ops = 10;
-    config.concurrency = 2;
-    const auto result = run_closed_loop(
+    serve::TenantLoad load = serve::closed_loop(0, 10, 2);
+    const auto result = serve::run_closed_loop(
         cluster.queue(), cluster.submitter(core::SystemKind::kPulse),
         [&](std::uint64_t) {
             auto op = list->make_find(5, {});
             op.start_ptr = 0xDEAD0000;
             return op;
         },
-        config);
+        load);
     EXPECT_EQ(result.completed, 10u);
     EXPECT_EQ(result.errors, 10u);
 }
@@ -188,18 +179,15 @@ TEST_F(DriverFixture, ErrorsAreCounted)
 TEST_F(DriverFixture, HigherConcurrencyNotSlower)
 {
     const auto run = [&](std::uint32_t concurrency) {
-        DriverConfig config;
-        config.warmup_ops = 8;
-        config.measure_ops = 64;
-        config.concurrency = concurrency;
-        return run_closed_loop(
+        serve::TenantLoad load = serve::closed_loop(8, 64, concurrency);
+        return serve::run_closed_loop(
                    cluster.queue(),
                    cluster.submitter(core::SystemKind::kPulse),
                    [&](std::uint64_t) {
                        return list->make_find(31, {});
                    },
-                   config)
-            .throughput;
+                   load)
+            .throughput();
     };
     const double serial = run(1);
     const double parallel = run(16);

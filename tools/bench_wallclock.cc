@@ -442,11 +442,10 @@ main(int argc, char** argv)
         double window_wall = 0.0;
         std::chrono::steady_clock::time_point window_start;
 
-        workloads::DriverConfig driver;
-        driver.warmup_ops = scaled.warmup_ops;
-        driver.measure_ops = scaled.measure_ops;
-        driver.concurrency = scaled.concurrency;
-        driver.on_measure_start = [&] {
+        serve::TenantLoad load =
+            serve::closed_loop(scaled.warmup_ops, scaled.measure_ops,
+                               scaled.concurrency);
+        load.on_measure_start = [&] {
             warmup_visits = visits_since_reset();
             cluster.reset_stats();
             window_allocs = allocs_now();
@@ -459,9 +458,9 @@ main(int argc, char** argv)
         };
 
         const std::uint64_t total_allocs_before = allocs_now();
-        workloads::run_closed_loop(queue,
+        serve::run_closed_loop(queue,
                                    cluster.submitter(scaled.system),
-                                   experiment.factory, driver);
+                                   experiment.factory, load);
         window_wall = seconds_since(window_start);
 
         const std::uint64_t allocs = allocs_now() - window_allocs;

@@ -31,9 +31,9 @@
 #include "core/cluster.h"
 #include "ds/hash_table.h"
 #include "replication/replication_plane.h"
+#include "serve/fleet.h"
 #include "trace/metrics_exporter.h"
 #include "trace/trace.h"
-#include "workloads/driver.h"
 #include "workloads/workloads.h"
 
 namespace {
@@ -121,19 +121,16 @@ main(int argc, char** argv)
     table.insert_many(keys);
 
     Rng rng(17);
-    workloads::DriverConfig driver;
-    driver.warmup_ops = 20;
-    driver.measure_ops = 400;
-    driver.concurrency = 1;
-    driver.on_measure_start = [&cluster] { cluster.reset_stats(); };
+    serve::TenantLoad load = serve::closed_loop(20, 400, 1);
+    load.on_measure_start = [&cluster] { cluster.reset_stats(); };
 
-    const workloads::DriverResult result = run_closed_loop(
+    const serve::TenantFleetStats result = serve::run_closed_loop(
         cluster.queue(), cluster.submitter(core::SystemKind::kPulse),
         [&](std::uint64_t) {
             return table.make_find(keys[rng.next_below(keys.size())],
                                    nullptr);
         },
-        driver);
+        load);
 
     // Trace-derived decomposition.
     const std::vector<trace::SpanEvent> events =
@@ -163,7 +160,7 @@ main(int argc, char** argv)
 
     std::printf("=== trace_report: Fig. 9 latency breakdown "
                 "(hash-table find, %" PRIu64 " ops) ===\n",
-                result.completed);
+                result.finished());
     std::printf("%-14s %12s %12s %9s\n", "component", "stats_ns",
                 "trace_ns", "delta_%");
     bool ok = true;
