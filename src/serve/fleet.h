@@ -24,10 +24,6 @@
  *     with request coalescing (concurrent arrivals for one key share a
  *     single in-flight traversal).
  *
- * Both disciplines retry a load-shed (kRejected) or timed-out request
- * on one exponential backoff ladder; a closed-loop tenant's delays
- * carry a seeded jitter.
- *
  * Everything is driven by seeded Rngs and simulated time only, so a
  * run is bit-reproducible, and checkpoint() saves or restores a
  * quiesced open-loop fleet mid-schedule (tests/test_serving.cc
@@ -121,11 +117,8 @@ struct TenantLoad
     std::function<void()> on_measure_start;
 };
 
-/**
- * A closed-loop tenant: @p concurrency outstanding operations, @p
- * warmup_ops unmeasured then @p measure_ops measured, no retry unless
- * the caller sets max_retries.
- */
+/** A closed-loop tenant: @p concurrency outstanding, @p warmup_ops
+ *  unmeasured then @p measure_ops measured, retry off. */
 TenantLoad closed_loop(std::uint64_t warmup_ops,
                        std::uint64_t measure_ops,
                        std::uint32_t concurrency);
@@ -150,23 +143,14 @@ struct TenantFleetStats
     std::uint64_t shed_retries = 0;     ///< re-issues after kRejected
     std::uint64_t timeout_retries = 0;  ///< re-issues after timeout
     std::uint64_t failed = 0;     ///< keys dropped after max_retries
-    /**
-     * Open loop: arrival -> completion. Closed loop: the answering
-     * attempt's Completion::latency (a retried operation's backoff and
-     * a join's wait after the response are not in it).
-     */
+    /** Open loop: arrival -> completion. Closed loop: the answering
+     *  attempt's Completion::latency (no backoff, no join wait). */
     Histogram latency;
-    /** Closed loop: interpreter iterations of terminal completions. */
-    std::uint64_t iterations = 0;
-    /** Closed loop: terminal completions that were not kDone. */
-    std::uint64_t errors = 0;
-    /** Closed loop: measured window length. */
-    Time measure_time = 0;
+    std::uint64_t iterations = 0;  ///< closed loop: terminal ops' iters
+    std::uint64_t errors = 0;      ///< closed loop: terminal, not kDone
+    Time measure_time = 0;         ///< closed loop: window length
 
-    std::uint64_t retries() const
-    {
-        return shed_retries + timeout_retries;
-    }
+    std::uint64_t retries() const { return shed_retries + timeout_retries; }
 
     /** Closed loop: terminal completions, answered or given up. */
     std::uint64_t finished() const { return completed + failed; }
@@ -250,8 +234,7 @@ class Fleet
     void checkpoint(StateIo& io);
 
   private:
-    /** Moves its tenant's stats out (no histogram copy). */
-    friend TenantFleetStats run_closed_loop(
+    friend TenantFleetStats run_closed_loop(  // moves its stats out
         sim::EventQueue& queue, const workloads::SubmitFn& submit,
         const workloads::OpFactory& factory, const TenantLoad& load);
 
