@@ -1,5 +1,9 @@
 #include "mem/physical_memory.h"
 
+#include <sys/mman.h>
+// After <sys/mman.h>: glibc's header lacks MADV_COLLAPSE (Linux 6.1).
+#include <linux/mman.h>
+
 #include <algorithm>
 #include <cstring>
 
@@ -7,58 +11,65 @@
 
 namespace pulse::mem {
 
-PhysicalMemory::PhysicalMemory(Bytes capacity) : capacity_(capacity)
+PhysicalMemory::PhysicalMemory(Bytes capacity)
+    : capacity_(capacity),
+      mapped_((capacity + kExtentSize - 1) / kExtentSize * kExtentSize),
+      committed_((capacity + kChunkSize - 1) / kChunkSize)
 {
     PULSE_ASSERT(capacity > 0, "zero-capacity memory node");
-    chunks_.resize((capacity + kChunkSize - 1) / kChunkSize);
+    // Reserve one extent more than needed and trim both ends, so the
+    // base is extent-aligned and every full extent can be a huge page.
+    void* raw = mmap(nullptr, mapped_ + kExtentSize, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    PULSE_ASSERT(raw != MAP_FAILED, "cannot reserve %llu bytes of node memory",
+                 static_cast<unsigned long long>(mapped_));
+    auto* start = static_cast<std::uint8_t*>(raw);
+    const auto head = (kExtentSize - reinterpret_cast<std::uintptr_t>(raw) %
+                                         kExtentSize) % kExtentSize;
+    base_ = start + head;
+    if (head > 0) {
+        munmap(start, head);
+    }
+    munmap(base_ + mapped_, kExtentSize - head);
+}
+
+PhysicalMemory::~PhysicalMemory()
+{
+    munmap(base_, mapped_);
 }
 
 Bytes
 PhysicalMemory::committed() const
 {
-    Bytes total = 0;
-    for (const auto& chunk : chunks_) {
-        if (chunk) {
-            total += kChunkSize;
-        }
-    }
-    return total;
+    return static_cast<Bytes>(
+               std::count(committed_.begin(), committed_.end(), true)) *
+           kChunkSize;
 }
 
-std::uint8_t*
-PhysicalMemory::chunk_for(PhysAddr addr, bool commit) const
+void
+PhysicalMemory::commit(std::uint64_t chunk)
 {
-    const auto index = addr / kChunkSize;
-    PULSE_ASSERT(index < chunks_.size(),
-                 "physical address 0x%llx out of range",
-                 static_cast<unsigned long long>(addr));
-    if (!chunks_[index]) {
-        if (!commit) {
-            return nullptr;
-        }
-        // make_unique<T[]> value-initializes: the chunk starts zeroed.
-        chunks_[index] = std::make_unique<std::uint8_t[]>(kChunkSize);
+    static_assert(kExtentSize == 2 * kChunkSize);
+    committed_[chunk] = true;
+    // The commit that completes an extent copies its pages into one
+    // huge page. The host may refuse, which leaves them on small pages
+    // and changes only speed.
+    const std::uint64_t other = chunk ^ 1;
+    if (other < committed_.size() && committed_[other] &&
+        madvise(base_ + chunk / 2 * kExtentSize, kExtentSize,
+                MADV_COLLAPSE) == 0) {
+        huge_extents_++;
     }
-    return chunks_[index].get();
 }
 
 void
 PhysicalMemory::read(PhysAddr addr, void* out, Bytes len) const
 {
     PULSE_ASSERT(addr + len <= capacity_, "read past end of memory");
-    auto* dst = static_cast<std::uint8_t*>(out);
-    while (len > 0) {
-        const Bytes offset = addr % kChunkSize;
-        const Bytes take = std::min(len, kChunkSize - offset);
-        const std::uint8_t* chunk = chunk_for(addr, /*commit=*/false);
-        if (chunk) {
-            std::memcpy(dst, chunk + offset, take);
-        } else {
-            std::memset(dst, 0, take);  // never-written memory reads 0
-        }
-        dst += take;
-        addr += take;
-        len -= take;
+    if (len > 0) {
+        // An uncommitted chunk is never-touched (or dropped) mapping,
+        // which reads 0 without taking host memory.
+        std::memcpy(out, base_ + addr, len);
     }
 }
 
@@ -68,10 +79,7 @@ PhysicalMemory::prefetch(PhysAddr addr, Bytes len) const
     constexpr Bytes kLine = 64;
     const PhysAddr end = std::min<PhysAddr>(addr + len, capacity_);
     for (PhysAddr line = addr & ~(kLine - 1); line < end; line += kLine) {
-        const std::uint8_t* chunk = chunks_[line / kChunkSize].get();
-        if (chunk != nullptr) {
-            __builtin_prefetch(chunk + line % kChunkSize);
-        }
+        __builtin_prefetch(base_ + line);
     }
 }
 
@@ -80,16 +88,16 @@ PhysicalMemory::write(PhysAddr addr, const void* in, Bytes len)
 {
     PULSE_ASSERT(addr + len <= capacity_, "write past end of memory");
     mutations_++;
-    const auto* src = static_cast<const std::uint8_t*>(in);
-    while (len > 0) {
-        const Bytes offset = addr % kChunkSize;
-        const Bytes take = std::min(len, kChunkSize - offset);
-        std::uint8_t* chunk = chunk_for(addr, /*commit=*/true);
-        std::memcpy(chunk + offset, src, take);
-        src += take;
-        addr += take;
-        len -= take;
+    if (len == 0) {
+        return;
     }
+    const std::uint64_t last = (addr + len - 1) / kChunkSize;
+    for (std::uint64_t chunk = addr / kChunkSize; chunk <= last; chunk++) {
+        if (!committed_[chunk]) {
+            commit(chunk);
+        }
+    }
+    std::memcpy(base_ + addr, in, len);
 }
 
 void
@@ -98,32 +106,32 @@ PhysicalMemory::checkpoint(StateIo& io)
     io.tag("PMEM");
     io.expect(capacity_, "node capacity");
     io.u64(mutations_);
-    std::uint64_t committed_chunks = 0;
-    for (auto& chunk : chunks_) {
-        if (io.reading()) {
-            // A chunk committed by the current run but absent from the
-            // snapshot must read zeros again.
-            chunk.reset();
-        } else if (chunk) {
-            committed_chunks++;
-        }
+    std::uint64_t committed_chunks = committed() / kChunkSize;
+    if (io.reading()) {
+        // A chunk committed by the current run but absent from the
+        // snapshot must read zeros again: the whole node is dropped,
+        // and the snapshot's chunks are committed afresh.
+        const int dropped = madvise(base_, mapped_, MADV_DONTNEED);
+        PULSE_ASSERT(dropped == 0, "cannot drop node memory");
+        committed_.assign(committed_.size(), false);
+        huge_extents_ = 0;
     }
     io.count(committed_chunks, 2 * sizeof(std::uint64_t) + kChunkSize);
     std::uint64_t index = 0;
     for (std::uint64_t c = 0; c < committed_chunks; c++, index++) {
-        while (!io.reading() && !chunks_[index]) {
+        while (!io.reading() && !committed_[index]) {
             index++;
         }
         io.u64(index);
-        if (index >= chunks_.size()) {
+        if (index >= committed_.size()) {
             io.fail("chunk index %llu out of range",
                     static_cast<unsigned long long>(index));
             return;
         }
-        if (io.reading()) {
-            chunks_[index] = std::make_unique<std::uint8_t[]>(kChunkSize);
+        if (io.reading() && !committed_[index]) {
+            commit(index);
         }
-        io.bytes(chunks_[index].get(), kChunkSize);
+        io.bytes(base_ + index * kChunkSize, kChunkSize);
     }
 }
 

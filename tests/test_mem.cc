@@ -82,6 +82,91 @@ TEST(PhysicalMemory, PrefetchIsOnlyAHint)
     EXPECT_EQ(memory.read_as<std::uint64_t>(kMiB - 8), 1u);
 }
 
+/** Zero bytes among the first @p len of @p bytes. */
+Bytes
+zeros(const std::vector<std::uint8_t>& bytes, Bytes len)
+{
+    return static_cast<Bytes>(
+        std::count(bytes.begin(), bytes.begin() + len, 0));
+}
+
+TEST(PhysicalMemory, AlignedNodeSpansFourHostLines)
+{
+    // Heap-allocated chunks sat 16 B past a cache line, so every 256 B
+    // node touched a fifth line that the prefetch never fetched.
+    PhysicalMemory memory(8 * kMiB);
+    for (const PhysAddr addr :
+         {PhysAddr{0}, PhysAddr{256}, kMiB - 256, 5 * kMiB + 0x1300}) {
+        memory.write_as<std::uint64_t>(addr, 1);
+        const auto first =
+            reinterpret_cast<std::uintptr_t>(memory.host_address(addr));
+        EXPECT_EQ((first + 255) / 64 - first / 64 + 1, 4u) << addr;
+    }
+}
+
+TEST(PhysicalMemory, UnwrittenBytesOfACommittedExtentReadZero)
+{
+    PhysicalMemory memory(8 * kMiB);
+    memory.write_as<std::uint64_t>(8, 7);
+    memory.write_as<std::uint64_t>(kMiB + 4096, 9);  // fills extent 0
+    memory.write_as<std::uint64_t>(2 * kMiB, 5);     // half of extent 1
+    std::vector<std::uint8_t> extent(2 * kMiB);
+    memory.read(0, extent.data(), extent.size());
+    std::uint64_t word = 0;
+    std::memcpy(&word, &extent[8], 8);
+    EXPECT_EQ(word, 7u);
+    std::memcpy(&word, &extent[kMiB + 4096], 8);
+    EXPECT_EQ(word, 9u);
+    std::memset(&extent[8], 0, 8);
+    std::memset(&extent[kMiB + 4096], 0, 8);
+    EXPECT_EQ(zeros(extent, 2 * kMiB), 2 * kMiB);
+    // Extent 1's other chunk was never written.
+    memory.read(3 * kMiB, extent.data(), kMiB);
+    EXPECT_EQ(zeros(extent, kMiB), kMiB);
+    EXPECT_EQ(memory.committed(), 3 * kMiB);
+    // A collapse is tried once per full extent; the host may refuse it.
+    EXPECT_LE(memory.huge_extents(), 1u);
+}
+
+TEST(PhysicalMemory, RestoreOverACollapsedExtentDropsChunksAbsentFromIt)
+{
+    PhysicalMemory memory(8 * kMiB);
+    memory.write_as<std::uint64_t>(64, 1);
+    StateIo save;
+    memory.checkpoint(save);
+    const std::vector<std::uint8_t> blob = save.take();
+
+    memory.write_as<std::uint64_t>(64, 2);
+    memory.write_as<std::uint64_t>(kMiB + 64, 3);  // fills extent 0
+    memory.write_as<std::uint64_t>(6 * kMiB, 4);
+    StateIo restore(blob);
+    memory.checkpoint(restore);
+    ASSERT_TRUE(restore.finish()) << restore.error();
+
+    EXPECT_EQ(memory.read_as<std::uint64_t>(64), 1u);
+    EXPECT_EQ(memory.committed(), kMiB);
+    EXPECT_EQ(memory.huge_extents(), 0u);
+    std::vector<std::uint8_t> chunk(kMiB, 0xFF);
+    for (const PhysAddr dropped : {kMiB, 6 * kMiB}) {
+        memory.read(dropped, chunk.data(), kMiB);
+        EXPECT_EQ(zeros(chunk, kMiB), kMiB) << dropped;
+    }
+}
+
+TEST(PhysicalMemory, CommittedCountsWholeChunks)
+{
+    PhysicalMemory memory(3 * kMiB + 4096);
+    memory.write_as<std::uint8_t>(0, 1);
+    EXPECT_EQ(memory.committed(), kMiB);
+    memory.write_as<std::uint8_t>(kMiB - 1, 1);
+    EXPECT_EQ(memory.committed(), kMiB);
+    std::vector<std::uint8_t> span(4096, 1);
+    memory.write(2 * kMiB - 2048, span.data(), span.size());
+    EXPECT_EQ(memory.committed(), 3 * kMiB);
+    memory.write_as<std::uint8_t>(3 * kMiB + 4095, 1);  // the tail chunk
+    EXPECT_EQ(memory.committed(), 4 * kMiB);
+}
+
 TEST(PhysicalMemoryDeath, OutOfRangePanics)
 {
     PhysicalMemory memory(1 * kMiB);

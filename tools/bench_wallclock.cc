@@ -547,9 +547,18 @@ main(int argc, char** argv)
                             static_cast<double>(loads)
                       : 0.0;
         exporter.set("sim.mem.prefetches_per_load", prefetches_per_load);
+        // Host telemetry: 2 MiB extents of node memory the host turned
+        // into huge pages. It depends on the host's huge-page settings.
+        std::uint64_t huge_extents = 0;
+        for (NodeId node = 0; node < cluster.config().num_mem_nodes;
+             node++) {
+            huge_extents += cluster.memory().node(node).huge_extents();
+        }
+        exporter.set("sim.mem.huge_extents",
+                     static_cast<double>(huge_extents));
         std::printf("node memory: %.4f prefetches/load over %" PRIu64
-                    " loads\n",
-                    prefetches_per_load, loads);
+                    " loads, %" PRIu64 " huge-page extents\n",
+                    prefetches_per_load, loads, huge_extents);
         // Packet arena: the run drained, so every slot must be back.
         const net::PacketArena& arena = cluster.packets();
         exporter.set("sim.arena.peak_slots",
