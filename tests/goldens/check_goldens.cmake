@@ -1,12 +1,14 @@
 # Golden gate for the paper's main figures. Runs fig4_latency,
-# fig5_throughput, fig8_distributed, fig9_breakdown and table2_workloads
-# at --ops-scale=0.1 and compares
+# fig5_throughput, fig8_distributed, fig9_breakdown, table2_workloads
+# and ablation_eta at --ops-scale=0.1 and compares
 # their "=== " tables byte for byte with <bench>.txt here, and the
 # SHA-256 of their PULSE_METRICS_OUT JSON with metrics.sha256. The
 # runs are deterministic across thread counts, build types and the
 # ASan/UBSan build, so one golden set serves every build. fig8 (pulse
 # vs pulse-ACC routing) and table2 (eta and the offload decision) pin
-# the switch-continuation path and the cost model.
+# the switch-continuation path and the cost model; ablation_eta's low
+# thresholds send every traversal down the client-side fallback (one
+# one-sided read per load), a path no other gated figure runs.
 #
 #   cmake -DBENCH_DIR=build/bench -DGOLDEN_DIR=tests/goldens
 #         -DWORK_DIR=build/golden [-DREGEN=ON]
@@ -17,7 +19,7 @@ set(failures "")
 set(digests "")
 file(MAKE_DIRECTORY ${WORK_DIR})
 foreach(bench fig4_latency fig5_throughput fig8_distributed fig9_breakdown
-              table2_workloads)
+              table2_workloads ablation_eta)
     set(json ${WORK_DIR}/${bench}.json)
     file(REMOVE ${json})
     execute_process(

@@ -11,7 +11,7 @@ here=$(cd "$(dirname "$0")" && pwd)
 build=${1:-build}
 unset PULSE_CHECK PULSE_PLACEMENT PULSE_REPLICATION PULSE_SERVING
 cmake --build "$build" --target fig4_latency fig5_throughput fig8_distributed \
-      fig9_breakdown table2_workloads test_checkpoint test_serving
+      fig9_breakdown table2_workloads ablation_eta test_checkpoint test_serving
 cmake -DBENCH_DIR="$build/bench" -DGOLDEN_DIR="$here" \
       -DWORK_DIR="$build/golden" -DREGEN=ON -P "$here/check_goldens.cmake"
 {
