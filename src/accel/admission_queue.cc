@@ -23,7 +23,7 @@ AdmissionQueue::flow_key(net::PacketHandle packet) const
 std::uint32_t
 AdmissionQueue::quantum_of(std::uint32_t flow) const
 {
-    if (qos_ == nullptr) {
+    if (policy_ == SchedPolicy::kFairShare || qos_ == nullptr) {
         return 1;
     }
     return std::max<std::uint32_t>(qos_->weight_of(flow), 1);
@@ -67,20 +67,9 @@ AdmissionQueue::pop()
     const net::PacketHandle packet = pos->second.front();
     pos->second.pop_front();
 
-    if (policy_ == SchedPolicy::kFairShare) {
-        // Strict round-robin: serve one packet, rotate.
-        ring_.pop_front();
-        if (pos->second.empty()) {
-            per_flow_.erase(pos);
-        } else {
-            ring_.push_back(flow);
-        }
-        return packet;
-    }
-
-    // kWeightedDrr: cost 1 per packet against the flow's deficit; the
-    // flow keeps the front of the ring until its round (quantum =
-    // tenant weight) is spent or its queue drains.
+    // Deficit round-robin, cost 1 per packet: the flow keeps the front
+    // of the ring until its round (quantum = tenant weight; 1 under
+    // kFairShare, a strict round-robin) is spent or its queue drains.
     std::uint32_t& deficit = deficit_[flow];
     if (deficit == 0) {
         deficit = quantum_of(flow);

@@ -11,13 +11,15 @@
  * and kWeightedDrr (weighted deficit round-robin across tenants, the
  * serving plane's QoS scheduler — see src/serve).
  *
- * The non-FIFO policies share one mechanism: per-flow FIFOs plus an
- * explicit service ring of flows with queued work. A flow joins the
- * ring's *tail* when its first packet arrives and leaves when it
- * drains, so a flow that drains and re-arrives deterministically waits
- * one full rotation — the cursor-based round-robin this replaces could
- * re-serve such a flow immediately (its key sat just after the cursor),
- * letting a fast re-arriving client starve slower peers of their turn.
+ * The non-FIFO policies are one mechanism: per-flow FIFOs, an
+ * explicit service ring of flows with queued work, and a per-flow
+ * deficit (kFairShare is kWeightedDrr with quantum 1, keyed by
+ * origin). A flow joins the ring's *tail* when its first packet
+ * arrives and leaves when it drains, so a flow that drains and
+ * re-arrives deterministically waits one full rotation — the
+ * cursor-based round-robin this replaces could re-serve such a flow
+ * immediately (its key sat just after the cursor), letting a fast
+ * re-arriving client starve slower peers of their turn.
  */
 #ifndef PULSE_ACCEL_ADMISSION_QUEUE_H
 #define PULSE_ACCEL_ADMISSION_QUEUE_H
@@ -68,7 +70,8 @@ class AdmissionQueue
      *  (kWeightedDrr). */
     std::uint32_t flow_key(net::PacketHandle packet) const;
 
-    /** WDRR quantum of @p flow (its tenant weight; 1 without QoS). */
+    /** DRR quantum of @p flow: its tenant weight under kWeightedDrr
+     *  with QoS attached, else 1. */
     std::uint32_t quantum_of(std::uint32_t flow) const;
 
     SchedPolicy policy_;
@@ -79,8 +82,8 @@ class AdmissionQueue
     std::map<std::uint32_t, PacketDeque> per_flow_;
     /** Flows with queued work, in service order (see file comment). */
     std::deque<std::uint32_t> ring_;
-    /** kWeightedDrr: remaining deficit of each flow's current round.
-     *  Erased with the flow, so re-arrival starts a fresh round. */
+    /** Remaining deficit of each flow's current round. Erased with
+     *  the flow, so re-arrival starts a fresh round. */
     std::map<std::uint32_t, std::uint32_t> deficit_;
     const serve::QosController* qos_ = nullptr;
 };
