@@ -252,22 +252,11 @@ void
 drive_and_judge(core::Cluster& cluster, const FuzzCase& c,
                 const workloads::OpFactory& make_op, FuzzResult* result)
 {
-    serve::FleetConfig fleet_config;
-    fleet_config.tenants.push_back(serve::closed_loop(
-        0, c.ops, std::max<std::uint32_t>(c.concurrency, 1)));
-    const workloads::SubmitFn submit =
-        cluster.submitter(core::SystemKind::kPulse);
-    serve::Fleet fleet(
-        cluster.queue(), fleet_config,
-        [&make_op](serve::TenantId, std::uint64_t index) {
-            return make_op(index);
-        },
-        [&submit](serve::TenantId, offload::Operation&& op) {
-            submit(std::move(op));
-        });
-    fleet.start(0);
-    cluster.queue().run();
-    const serve::TenantFleetStats& stats = fleet.stats().at(0);
+    const serve::TenantFleetStats stats = serve::drive_closed_loop(
+        cluster.queue(), cluster.submitter(core::SystemKind::kPulse),
+        make_op,
+        serve::closed_loop(0, c.ops,
+                           std::max<std::uint32_t>(c.concurrency, 1)));
     const std::uint64_t completed = stats.finished();
 
     result->violations = cluster.verify_quiesce();

@@ -234,7 +234,7 @@ class Fleet
     void checkpoint(StateIo& io);
 
   private:
-    friend TenantFleetStats run_closed_loop(  // moves its stats out
+    friend TenantFleetStats drive_closed_loop(  // moves its stats out
         sim::EventQueue& queue, const workloads::SubmitFn& submit,
         const workloads::OpFactory& factory, const TenantLoad& load);
 
@@ -319,9 +319,16 @@ class Fleet
 };
 
 /**
- * Drive one closed-loop tenant through @p submit until it finishes
- * (drains @p queue) and return its telemetry.
+ * Drive one closed-loop tenant through @p submit until @p queue drains
+ * and return its telemetry. An operation lost in flight shows up as a
+ * short finished() count, not as an abort (the fuzzer judges it).
  */
+TenantFleetStats drive_closed_loop(sim::EventQueue& queue,
+                                   const workloads::SubmitFn& submit,
+                                   const workloads::OpFactory& factory,
+                                   const TenantLoad& load);
+
+/** drive_closed_loop(), asserting that every operation finished. */
 TenantFleetStats run_closed_loop(sim::EventQueue& queue,
                                  const workloads::SubmitFn& submit,
                                  const workloads::OpFactory& factory,
