@@ -16,14 +16,6 @@ constexpr Bytes kPageRequestBytes = net::kNetHeaderBytes + 16;
 
 }  // namespace
 
-struct CacheClient::OpState
-{
-    offload::Operation op;
-    isa::Workspace workspace;
-    Time submit_time = 0;
-    std::uint64_t iterations = 0;
-};
-
 CacheClient::CacheClient(sim::EventQueue& queue, net::Network& network,
                          mem::GlobalMemory& memory, ClientId client,
                          const CacheClientConfig& config,
@@ -54,15 +46,7 @@ CacheClient::submit(offload::Operation&& op)
 {
     stats_.operations.increment();
     inflight_++;
-    auto state = std::make_shared<OpState>();
-    state->op = std::move(op);
-    state->submit_time = queue_.now();
-    state->workspace.configure(*state->op.program);
-    state->workspace.cur_ptr = state->op.start_ptr;
-    std::copy_n(state->op.init_scratch.begin(),
-                std::min(state->op.init_scratch.size(),
-                         state->workspace.scratch.size()),
-                state->workspace.scratch.begin());
+    auto state = std::make_shared<OpState>(std::move(op), queue_.now());
     queue_.schedule_after(
         state->op.init_cpu_time + config_.op_software_overhead,
         [this, state] { step(state); });
@@ -72,15 +56,11 @@ void
 CacheClient::step(const std::shared_ptr<OpState>& state)
 {
     const std::uint32_t load_bytes = state->op.program->load_bytes();
-    const VirtAddr ptr = state->workspace.cur_ptr;
-
-    if (load_bytes == 0 || ptr == kNullAddr) {
-        if (load_bytes > 0) {
-            std::fill_n(state->workspace.data.begin(), load_bytes, 0);
-        }
+    if (state->walk.null_page_load(load_bytes)) {
         run_logic(state);
         return;
     }
+    const VirtAddr ptr = state->walk.workspace.cur_ptr;
 
     // Collect the pages this aggregated load touches (node alignment
     // keeps this to one page except for unaligned slot loads).
@@ -94,8 +74,8 @@ CacheClient::step(const std::shared_ptr<OpState>& state)
     if (missing.empty()) {
         stats_.hits.increment();
         queue_.schedule_after(config_.hit_latency, [this, state] {
-            memory_.read(state->workspace.cur_ptr,
-                         state->workspace.data.data(),
+            memory_.read(state->walk.workspace.cur_ptr,
+                         state->walk.workspace.data.data(),
                          state->op.program->load_bytes());
             run_logic(state);
         });
@@ -126,15 +106,15 @@ CacheClient::fetch_pages(const std::shared_ptr<OpState>& state,
 
     const auto node = memory_.address_map().node_for(page);
     if (!node.has_value()) {
-        // Unmapped pointer: surface a memory fault to the caller.
-        offload::Completion completion;
-        completion.status = TraversalStatus::kMemFault;
-        completion.iterations = state->iterations;
-        completion.latency = queue_.now() - state->submit_time;
+        // Unmapped pointer: a segfault, not a result — the memory fault
+        // reaches the caller without a final pointer or scratch_pad.
+        offload::Completion completion = state->completion(
+            TraversalStatus::kMemFault, isa::ExecFault::kNone,
+            queue_.now());
+        completion.final_ptr = kNullAddr;
+        completion.scratch.clear();
         inflight_--;
-        if (state->op.done) {
-            state->op.done(std::move(completion));
-        }
+        state->finish(std::move(completion));
         return;
     }
 
@@ -186,11 +166,12 @@ CacheClient::run_logic(const std::shared_ptr<OpState>& state)
 {
     // CAS at the client is safe in this model: measured workloads are
     // single-client, and event-level execution is atomic.
-    const VirtAddr cas_base = state->workspace.cur_ptr;
-    isa::CasFn cas = [this, cas_base](std::uint64_t mem_off,
+    isa::Walk& walk = state->walk;
+    const VirtAddr iter_ptr = walk.workspace.cur_ptr;
+    isa::CasFn cas = [this, iter_ptr](std::uint64_t mem_off,
                                       std::uint64_t expected,
                                       std::uint64_t desired) {
-        const VirtAddr addr = cas_base + mem_off;
+        const VirtAddr addr = iter_ptr + mem_off;
         if (!memory_.address_map().node_for(addr)) {
             return false;
         }
@@ -200,44 +181,32 @@ CacheClient::run_logic(const std::shared_ptr<OpState>& state)
         memory_.write_as<std::uint64_t>(addr, desired);
         return true;
     };
-    isa::IterationResult iter =
-        run_iteration(*state->op.program, state->workspace, cas);
-    state->iterations++;
+    const isa::IterationResult iter =
+        run_iteration(*state->op.program, walk.workspace, cas);
     const Time logic_time =
         static_cast<Time>(iter.instructions_executed) *
         config_.cpu_time_per_insn;
 
     // Client-resident execution applies stores directly (write-through
     // happens on eviction in real swap systems; measured workloads are
-    // read-only, so presence-only caching stays coherent).
-    const VirtAddr iter_ptr = state->workspace.cur_ptr;
+    // read-only, so presence-only caching stays coherent). Offsets are
+    // relative to the pointer the iteration loaded, as everywhere.
     for (const isa::PendingStore& st : iter.stores) {
         memory_.write(iter_ptr + st.mem_offset,
-                      state->workspace.data.data() + st.data_offset,
+                      walk.workspace.data.data() + st.data_offset,
                       st.length);
     }
 
-    // No fork coordinator here: the chain ends as on the RPC runtime.
-    const isa::ChainEnd end = isa::chain_end(iter);
-    const bool resume =
-        !end.ended && state->iterations < offload::kGlobalIterationGuard;
-    queue_.schedule_after(logic_time, [this, state, resume, end] {
-        if (resume) {
+    const isa::ChainEnd end =
+        walk.advance(iter, offload::kGlobalIterationGuard);
+    queue_.schedule_after(logic_time, [this, state, end] {
+        if (!end.ended) {
             step(state);
             return;
         }
-        offload::Completion completion;
-        completion.status =
-            end.ended ? end.status : TraversalStatus::kMaxIter;
-        completion.fault = end.fault;
-        completion.final_ptr = state->workspace.cur_ptr;
-        completion.scratch = state->workspace.scratch;
-        completion.iterations = state->iterations;
-        completion.latency = queue_.now() - state->submit_time;
         inflight_--;
-        if (state->op.done) {
-            state->op.done(std::move(completion));
-        }
+        state->finish(
+            state->completion(end.status, end.fault, queue_.now()));
     });
 }
 

@@ -91,7 +91,7 @@ class CacheClient
     std::size_t inflight() const { return inflight_; }
 
   private:
-    struct OpState;
+    using OpState = offload::WalkRecord;
 
     void step(const std::shared_ptr<OpState>& state);
     void fetch_pages(const std::shared_ptr<OpState>& state,

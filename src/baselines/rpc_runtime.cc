@@ -10,22 +10,20 @@ namespace pulse::baselines {
 
 using isa::TraversalStatus;
 
-struct RpcRuntime::OpState
+struct RpcRuntime::OpState : offload::WalkRecord
 {
-    offload::Operation op;
-    isa::Workspace workspace;
-    Time submit_time = 0;
-    std::uint64_t iterations = 0;
+    using WalkRecord::WalkRecord;
+
     std::uint32_t bounces = 0;
     Bytes scratch_wire = 0;  ///< scratch bytes shipped per message
 
     /**
-     * At-most-once phase machine (reliable mode only). One "leg" is
-     * one client -> server -> client exchange; bounces start new legs.
-     * Server side: a duplicate arriving in kServing is ignored (the
-     * original will answer), in kResponded it triggers a cached
-     * response replay. Client side: responses for a superseded leg are
-     * ignored, and kDone makes completion idempotent.
+     * At-most-once phase machine. One "leg" is one client -> server ->
+     * client exchange; bounces start new legs. Server side: a
+     * duplicate arriving in kServing is ignored (the original will
+     * answer), in kResponded it triggers a cached response replay.
+     * Client side: responses for a superseded leg are ignored, and
+     * kDone makes completion idempotent.
      */
     enum class Phase : std::uint8_t {
         kTravel,     ///< request on the wire (or lost)
@@ -64,15 +62,7 @@ void
 RpcRuntime::submit(offload::Operation&& op)
 {
     inflight_++;
-    auto state = std::make_shared<OpState>();
-    state->op = std::move(op);
-    state->submit_time = queue_.now();
-    state->workspace.configure(*state->op.program);
-    state->workspace.cur_ptr = state->op.start_ptr;
-    std::copy_n(state->op.init_scratch.begin(),
-                std::min(state->op.init_scratch.size(),
-                         state->workspace.scratch.size()),
-                state->workspace.scratch.begin());
+    auto state = std::make_shared<OpState>(std::move(op), queue_.now());
     state->scratch_wire =
         std::max<Bytes>(state->op.program->analysis().scratch_footprint,
                         state->op.init_scratch.size());
@@ -88,7 +78,7 @@ void
 RpcRuntime::issue(const std::shared_ptr<OpState>& state)
 {
     const auto node =
-        memory_.address_map().node_for(state->workspace.cur_ptr);
+        memory_.address_map().node_for(state->walk.workspace.cur_ptr);
     if (!node.has_value()) {
         state->phase = OpState::Phase::kDone;
         complete(state, TraversalStatus::kMemFault,
@@ -99,9 +89,7 @@ RpcRuntime::issue(const std::shared_ptr<OpState>& state)
     state->phase = OpState::Phase::kTravel;
     state->target_node = *node;
     send_request(state, *node);
-    if (reliable()) {
-        arm_timer(state);
-    }
+    arm_timer(state);
 }
 
 void
@@ -151,24 +139,21 @@ void
 RpcRuntime::on_request(const std::shared_ptr<OpState>& state,
                        NodeId node, std::uint64_t leg)
 {
-    if (reliable()) {
-        if (leg != state->leg ||
-            state->phase == OpState::Phase::kDone) {
-            return;  // duplicate from a superseded leg
-        }
-        if (state->phase == OpState::Phase::kServing) {
-            return;  // executing: the original run will answer
-        }
-        if (state->phase == OpState::Phase::kResponded) {
-            // Already executed: replay the recorded response (the
-            // response itself must have been lost or delayed).
-            stats_.replays.increment();
-            send_response(state, node, state->resp_status,
-                          state->resp_fault);
-            return;
-        }
-        state->phase = OpState::Phase::kServing;
+    if (leg != state->leg || state->phase == OpState::Phase::kDone) {
+        return;  // duplicate from a superseded leg
     }
+    if (state->phase == OpState::Phase::kServing) {
+        return;  // executing: the original run will answer
+    }
+    if (state->phase == OpState::Phase::kResponded) {
+        // Already executed: replay the recorded response (the response
+        // itself must have been lost or delayed).
+        stats_.replays.increment();
+        send_response(state, node, state->resp_status,
+                      state->resp_fault);
+        return;
+    }
+    state->phase = OpState::Phase::kServing;
     serve(state, node);
 }
 
@@ -206,10 +191,11 @@ RpcRuntime::execute_step(const std::shared_ptr<OpState>& state,
 {
     // One iteration per event: load (DRAM latency + channel occupancy
     // shared with every other worker), then the logic on this core.
+    isa::Walk& walk = state->walk;
     const std::uint32_t load_bytes = state->op.program->load_bytes();
-    const VirtAddr ptr = state->workspace.cur_ptr;
+    const VirtAddr ptr = walk.workspace.cur_ptr;
     Time iter_done = queue_.now();
-    if (ptr != kNullAddr && load_bytes > 0) {
+    if (!walk.null_page_load(load_bytes)) {
         const auto owner = memory_.address_map().node_for(ptr);
         if (!owner.has_value()) {
             finish_execution(state, node, worker, start,
@@ -227,9 +213,7 @@ RpcRuntime::execute_step(const std::shared_ptr<OpState>& state,
             node_channels_[node]->access(queue_.now(), load_bytes);
         iter_done =
             std::max(queue_.now() + config_.dram_latency, channel_done);
-        memory_.read(ptr, state->workspace.data.data(), load_bytes);
-    } else if (load_bytes > 0) {
-        std::fill_n(state->workspace.data.begin(), load_bytes, 0);
+        memory_.read(ptr, walk.workspace.data.data(), load_bytes);
     }
 
     isa::CasFn cas = [this, ptr, node](std::uint64_t mem_off,
@@ -249,35 +233,27 @@ RpcRuntime::execute_step(const std::shared_ptr<OpState>& state,
         memory_.write_as<std::uint64_t>(addr, desired);
         return true;
     };
-    isa::IterationResult iter =
-        run_iteration(*state->op.program, state->workspace, cas);
-    state->iterations++;
+    const isa::IterationResult iter =
+        run_iteration(*state->op.program, walk.workspace, cas);
     stats_.iterations.increment();
     iter_done += config_.cpu_time(iter.instructions_executed);
     for (const isa::PendingStore& st : iter.stores) {
         node_channels_[node]->access(iter_done, st.length);
         memory_.write(ptr + st.mem_offset,
-                      state->workspace.data.data() + st.data_offset,
+                      walk.workspace.data.data() + st.data_offset,
                       st.length);
     }
 
-    // The RPC baseline has no fork coordinator (chain_end, as in the
-    // single-chain path of isa/traversal.cc).
-    const isa::ChainEnd end = isa::chain_end(iter);
-    if (!end.ended &&
-        state->iterations < offload::kGlobalIterationGuard) {
-        queue_.schedule_at(iter_done,
-                           [this, state, node, worker, start] {
-                               execute_step(state, node, worker, start);
-                           });
-        return;
-    }
-    const TraversalStatus status =
-        end.ended ? end.status : TraversalStatus::kMaxIter;
-    const isa::ExecFault fault = end.fault;
+    const isa::ChainEnd end =
+        walk.advance(iter, offload::kGlobalIterationGuard);
     queue_.schedule_at(iter_done, [this, state, node, worker, start,
-                                   status, fault] {
-        finish_execution(state, node, worker, start, status, fault);
+                                   end] {
+        if (!end.ended) {
+            execute_step(state, node, worker, start);
+            return;
+        }
+        finish_execution(state, node, worker, start, end.status,
+                         end.fault);
     });
 }
 
@@ -298,17 +274,15 @@ RpcRuntime::finish_execution(const std::shared_ptr<OpState>& state,
         begin_execution(next, node, worker);
     }
 
-    if (reliable()) {
-        if (state->phase == OpState::Phase::kDone) {
-            // The client already gave up on this operation; don't
-            // resurrect it with a late response.
-            return;
-        }
-        // Record the outcome for cached-response replays.
-        state->phase = OpState::Phase::kResponded;
-        state->resp_status = status;
-        state->resp_fault = fault;
+    if (state->phase == OpState::Phase::kDone) {
+        // The client already gave up on this operation; don't
+        // resurrect it with a late response.
+        return;
     }
+    // Record the outcome for cached-response replays.
+    state->phase = OpState::Phase::kResponded;
+    state->resp_status = status;
+    state->resp_fault = fault;
     send_response(state, node, status, fault);
 }
 
@@ -327,17 +301,15 @@ RpcRuntime::send_response(const std::shared_ptr<OpState>& state,
         net::EndpointAddr::mem_node(node),
         net::EndpointAddr::client(client_), response_bytes,
         [this, state, status, fault, leg] {
-            if (reliable()) {
-                if (leg != state->leg ||
-                    state->phase == OpState::Phase::kDone) {
-                    return;  // duplicate/stale response at the client
-                }
-                // Quench the timer; cancelling also drops its
-                // reference to this state.
-                queue_.cancel(state->timer);
+            if (leg != state->leg ||
+                state->phase == OpState::Phase::kDone) {
+                return;  // duplicate/stale response at the client
             }
+            // Quench the timer; cancelling also drops its reference to
+            // this state.
+            queue_.cancel(state->timer);
             if (status == TraversalStatus::kNotLocal &&
-                state->iterations < offload::kGlobalIterationGuard) {
+                state->walk.iterations < offload::kGlobalIterationGuard) {
                 // Continuation bounce: the client re-issues to the
                 // owning node after its software overhead.
                 stats_.node_bounces.increment();
@@ -365,21 +337,14 @@ RpcRuntime::complete(const std::shared_ptr<OpState>& state,
         config_.transport_overhead_factor / 2.0);
     queue_.schedule_after(finish_cost, [this, state, status, fault,
                                         timed_out] {
-        offload::Completion completion;
-        completion.status = status;
-        completion.fault = fault;
-        completion.final_ptr = state->workspace.cur_ptr;
-        completion.scratch = state->workspace.scratch;
-        completion.iterations = state->iterations;
+        offload::Completion completion =
+            state->completion(status, fault, queue_.now());
         completion.client_bounces = state->bounces;
         completion.retransmits = state->retransmits;
         completion.offloaded = true;
         completion.timed_out = timed_out;
-        completion.latency = queue_.now() - state->submit_time;
         inflight_--;
-        if (state->op.done) {
-            state->op.done(std::move(completion));
-        }
+        state->finish(std::move(completion));
     });
 }
 

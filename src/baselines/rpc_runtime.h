@@ -68,17 +68,15 @@ struct RpcConfig
     Bytes request_header_bytes = 64;
 
     /**
-     * Opt-in reliable delivery (for fault-injection runs): when > 0,
-     * the client stub retransmits a request after this timeout
+     * Reliable delivery, as eRPC-style transports always run: the
+     * client stub retransmits a request after this timeout
      * (exponential backoff), and servers keep an at-most-once phase
      * machine per operation — a retransmit of an executing request is
      * ignored, a retransmit of a finished one gets the cached response
-     * re-sent. 0 (the default) keeps the original fire-and-forget
-     * behaviour, which hangs under loss — eRPC-style transports always
-     * run with reliability on; the knob exists so healthy-network runs
-     * stay bit-identical to the seed model.
+     * re-sent. The offload engine's 20 ms default: on a healthy
+     * network every response quenches its timer long before it fires.
      */
-    Time retransmit_timeout = 0;
+    Time retransmit_timeout = micros(20000.0);
 
     /** Give up (timed-out completion) after this many retransmits. */
     std::uint32_t max_retransmits = 8;
@@ -144,7 +142,7 @@ class RpcRuntime
     void send_request(const std::shared_ptr<OpState>& state,
                       NodeId node);
 
-    /** Arm the per-operation retransmission timer (reliable mode). */
+    /** Arm the per-operation retransmission timer. */
     void arm_timer(const std::shared_ptr<OpState>& state);
 
     /** Request arrival at @p node: dedupe, then claim a worker. */
@@ -176,8 +174,6 @@ class RpcRuntime
     void complete(const std::shared_ptr<OpState>& state,
                   isa::TraversalStatus status, isa::ExecFault fault,
                   bool timed_out = false);
-
-    bool reliable() const { return config_.retransmit_timeout > 0; }
 
     sim::EventQueue& queue_;
     net::Network& network_;

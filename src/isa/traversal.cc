@@ -28,6 +28,43 @@ chain_end(const IterationResult& iter)
     return {};
 }
 
+void
+Walk::seed(const Program& program, VirtAddr start_ptr,
+           const std::uint8_t* init, std::size_t init_len)
+{
+    workspace.configure(program);
+    workspace.cur_ptr = start_ptr;
+    std::copy_n(init, std::min(init_len, workspace.scratch.size()),
+                workspace.scratch.begin());
+    iterations = 0;
+}
+
+bool
+Walk::null_page_load(std::uint32_t load_bytes)
+{
+    if (load_bytes == 0) {
+        return true;
+    }
+    if (workspace.cur_ptr != kNullAddr) {
+        return false;
+    }
+    std::fill_n(workspace.data.begin(), load_bytes, 0);
+    return true;
+}
+
+ChainEnd
+Walk::advance(const IterationResult& iter, std::uint64_t guard)
+{
+    iterations++;
+    const ChainEnd end = chain_end(iter);
+    if (!end.ended && iterations >= guard) {
+        // The CPU node can resume from final_ptr + scratch_pad
+        // (section 3.1).
+        return {true, TraversalStatus::kMaxIter, ExecFault::kNone};
+    }
+    return end;
+}
+
 namespace {
 
 TraversalOutcome
@@ -39,33 +76,20 @@ run_traversal_impl(const Program& program, VirtAddr start_ptr,
     PULSE_ASSERT(program.load_bytes() == 0 ||
                      static_cast<bool>(hooks.load),
                  "program LOADs but no load hook supplied");
-    if (max_iters == 0) {
-        max_iters = program.max_iters();
-    }
-
-    Workspace workspace;
-    workspace.configure(program);
-    workspace.cur_ptr = start_ptr;
-    std::copy_n(init_scratch,
-                std::min(init_len, workspace.scratch.size()),
-                workspace.scratch.begin());
+    const std::uint64_t guard =
+        max_iters == 0 ? program.max_iters() : max_iters;
+    Walk walk;
+    walk.seed(program, start_ptr, init_scratch, init_len);
+    Workspace& workspace = walk.workspace;
 
     TraversalOutcome outcome;
     const std::uint32_t load_bytes = program.load_bytes();
-
-    while (outcome.iterations < max_iters) {
+    while (walk.iterations < guard) {
         const VirtAddr iter_ptr = workspace.cur_ptr;
-        if (load_bytes > 0) {
-            if (iter_ptr == kNullAddr) {
-                // Null-page semantics: loading at the null pointer
-                // yields zeros so programs can test cur_ptr == 0 as a
-                // termination condition (e.g. map lower_bound).
-                std::fill_n(workspace.data.begin(), load_bytes, 0);
-            } else if (!hooks.load(iter_ptr, load_bytes,
-                                   workspace.data.data())) {
-                outcome.status = TraversalStatus::kMemFault;
-                break;
-            }
+        if (!walk.null_page_load(load_bytes) &&
+            !hooks.load(iter_ptr, load_bytes, workspace.data.data())) {
+            outcome.status = TraversalStatus::kMemFault;
+            break;
         }
         CasFn cas;
         if (hooks.cas) {
@@ -76,9 +100,9 @@ run_traversal_impl(const Program& program, VirtAddr start_ptr,
                                  desired);
             };
         }
-        IterationResult iter = run_iteration(program, workspace, cas);
-        outcome.iterations++;
+        const IterationResult iter = run_iteration(program, workspace, cas);
         outcome.instructions += iter.instructions_executed;
+        const ChainEnd end = walk.advance(iter, guard);
 
         bool store_fault = false;
         for (const PendingStore& st : iter.stores) {
@@ -94,20 +118,13 @@ run_traversal_impl(const Program& program, VirtAddr start_ptr,
             outcome.status = TraversalStatus::kMemFault;
             break;
         }
-        const ChainEnd end = chain_end(iter);
         if (end.ended) {
             outcome.status = end.status;
             outcome.fault = end.fault;
             break;
         }
-        // NEXT_ITER: follow cur_ptr into the next iteration, unless the
-        // iteration budget is exhausted (section 3.1: the CPU node can
-        // resume from final_ptr + scratch_pad).
-        if (outcome.iterations == max_iters) {
-            outcome.status = TraversalStatus::kMaxIter;
-            break;
-        }
     }
+    outcome.iterations = walk.iterations;
     outcome.final_ptr = workspace.cur_ptr;
     outcome.scratch = std::move(workspace.scratch);
     return outcome;

@@ -1,18 +1,23 @@
 /**
  * @file
- * The complete traversal loop (the execute() of Listing 1), with
- * pluggable memory access.
+ * The single-chain traversal loop (the execute() of Listing 1): one
+ * walk, and the one rule for how it loads and how each iteration ends.
  *
- * run_traversal() drives a verified program to completion: per iteration
- * it performs the aggregated LOAD through the supplied memory callbacks,
- * runs the logic via the interpreter, applies pending STOREs, and either
- * follows cur_ptr into the next iteration or finishes. Its callers are
- * the program fuzzer (check/fuzzer.cc, production side of the
- * differential run) and tests, which wire the callbacks to plain
- * GlobalMemory. The timed execution sites — the accelerator, the RPC
- * runtime and the cache-based client — step run_iteration() themselves,
- * one event per iteration; the two baselines end their chains with
- * chain_end(), as this loop does.
+ * A Walk is one chain in progress: its workspace and the iterations it
+ * has run. seed() starts it from a program, a start pointer and the
+ * initial scratch_pad; null_page_load() gives a load at the null
+ * pointer its zeros; advance() counts an iteration and decides whether
+ * the walk resumes at cur_ptr, ends (chain_end()), or stops at an
+ * iteration guard with kMaxIter.
+ *
+ * run_traversal() drives a Walk to completion with pluggable memory
+ * callbacks; the program fuzzer (check/fuzzer.cc, production side of
+ * the differential run) and tests wire them to plain GlobalMemory. The
+ * timed client-side executors — the offload engine's fallback, the RPC
+ * runtime and the cache client — step the same Walk one event per
+ * iteration, each adding its own memory timing and store policy.
+ * Only the accelerator, which coordinates forks, ends iterations its
+ * own way.
  */
 #ifndef PULSE_ISA_TRAVERSAL_H
 #define PULSE_ISA_TRAVERSAL_H
@@ -84,12 +89,42 @@ struct ChainEnd
 
 /**
  * The end of @p iter at an execution site with no fork coordinator
- * (run_traversal, the RPC runtime, the cache client): a SPAWN that
- * fired is kExecFault / kIllegalInstruction, a logic fault kExecFault,
- * and RETURN — or a JOIN that spawned nothing — kDone. Iteration caps
- * stay the caller's.
+ * (every Walk): a SPAWN that fired is kExecFault / kIllegalInstruction,
+ * a logic fault kExecFault, and RETURN — or a JOIN that spawned
+ * nothing — kDone. Iteration caps are Walk::advance()'s.
  */
 ChainEnd chain_end(const IterationResult& iter);
+
+/** One single-chain traversal in progress. */
+struct Walk
+{
+    Workspace workspace;
+    std::uint64_t iterations = 0;  ///< iterations run so far
+
+    /**
+     * Size the workspace for @p program and start at @p start_ptr with
+     * the @p init_len bytes at @p init as the scratch_pad (zero-padded;
+     * bytes past the program's scratch_pad are dropped).
+     */
+    void seed(const Program& program, VirtAddr start_ptr,
+              const std::uint8_t* init, std::size_t init_len);
+
+    /**
+     * Null-page semantics for the iteration's aggregated load of
+     * @p load_bytes at cur_ptr: true when it needs no memory access —
+     * the program loads nothing, or cur_ptr is kNullAddr and the data
+     * registers read zeros (programs test cur_ptr == 0 to terminate,
+     * e.g. map lower_bound). False: the caller loads from cur_ptr.
+     */
+    bool null_page_load(std::uint32_t load_bytes);
+
+    /**
+     * Count @p iter and decide how the walk continues: chain_end()'s
+     * end, else kMaxIter once @p guard iterations have run, else not
+     * ended (resume at cur_ptr).
+     */
+    ChainEnd advance(const IterationResult& iter, std::uint64_t guard);
+};
 
 /**
  * Run @p program from @p start_ptr with initial scratch_pad contents
@@ -101,10 +136,8 @@ TraversalOutcome run_traversal(const Program& program, VirtAddr start_ptr,
                                const MemoryHooks& hooks,
                                std::uint32_t max_iters = 0);
 
-/**
- * Same, seeded from an inline ScratchBuffer (what Operation carries).
- * Avoids materializing a vector just to seed the workspace.
- */
+/** Same, seeded from an inline ScratchBuffer (what Operation
+ *  carries). */
 TraversalOutcome run_traversal(const Program& program, VirtAddr start_ptr,
                                const ScratchBuffer& init_scratch,
                                const MemoryHooks& hooks,

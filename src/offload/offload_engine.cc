@@ -52,8 +52,8 @@ OffloadEngine::OffloadEngine(sim::EventQueue& queue,
     : queue_(queue), network_(network), packets_(network.packets()),
       memory_(memory), client_(client), config_(config), t_i_(t_i),
       t_d_(t_d),
-      rto_(config.retransmit_timeout, config.rto_min,
-           config.retransmit_timeout, config.rto_srtt_multiplier)
+      rto_(config.retransmit_timeout, kRtoMin, config.retransmit_timeout,
+           kRtoSrttMultiplier)
 {
     network_.attach_traversal_sink(
         net::EndpointAddr::client(client_),
@@ -154,7 +154,11 @@ OffloadEngine::submit(Operation&& op)
     }
     if (!should_offload(analysis)) {
         stats_.fallback.increment();
-        run_fallback(std::move(op));
+        auto record =
+            std::make_shared<WalkRecord>(std::move(op), queue_.now());
+        queue_.schedule_after(record->op.init_cpu_time +
+                                  config_.fallback_software_overhead,
+                              [this, record] { fallback_step(record); });
         return;
     }
 
@@ -269,17 +273,15 @@ OffloadEngine::arm_timer(std::uint64_t key)
                                            : config_.retransmit_timeout;
     Time delay =
         base << std::min<std::uint32_t>(it->second.retransmits, 6);
-    if (config_.rto_jitter_fraction > 0.0) {
-        // Deterministic jitter from a per-(op, attempt) hash: spreads
-        // simultaneous timeouts without consuming any RNG stream.
-        const std::uint64_t h = jitter_hash(
-            (static_cast<std::uint64_t>(client_) << 40) ^ (key << 8) ^
-            generation);
-        const double unit =
-            static_cast<double>(h >> 11) * 0x1.0p-53;  // [0, 1)
-        delay += static_cast<Time>(static_cast<double>(delay) *
-                                   config_.rto_jitter_fraction * unit);
-    }
+    // Deterministic jitter from a per-(op, attempt) hash: spreads
+    // simultaneous timeouts without consuming any RNG stream.
+    const std::uint64_t h = jitter_hash(
+        (static_cast<std::uint64_t>(client_) << 40) ^ (key << 8) ^
+        generation);
+    const double unit =
+        static_cast<double>(h >> 11) * 0x1.0p-53;  // [0, 1)
+    delay += static_cast<Time>(static_cast<double>(delay) *
+                               kRtoJitterFraction * unit);
     it->second.timer = queue_.schedule_after(delay, [this, key] {
         // A response, a newer leg or completion cancels the timer, so
         // it only ever fires for a leg still awaiting its response.
@@ -627,122 +629,84 @@ OffloadEngine::child_joined(std::uint64_t parent_key,
     }
 }
 
-void
-OffloadEngine::run_fallback(Operation&& op)
+WalkRecord::WalkRecord(Operation&& operation, Time submitted)
+    : op(std::move(operation)), submit_time(submitted)
 {
-    // Client-side execution with one-sided remote reads: one network
-    // round trip per aggregated load, interpreter on the client CPU.
-    struct FallbackState
-    {
-        Operation op;
-        isa::Workspace workspace;
-        Time submit_time = 0;
-        std::uint64_t iterations = 0;
-    };
-    auto state = std::make_shared<FallbackState>();
-    state->op = std::move(op);
-    state->submit_time = queue_.now();
-    state->workspace.configure(*state->op.program);
-    state->workspace.cur_ptr = state->op.start_ptr;
-    std::copy_n(state->op.init_scratch.begin(),
-                std::min(state->op.init_scratch.size(),
-                         state->workspace.scratch.size()),
-                state->workspace.scratch.begin());
+    walk.seed(*op.program, op.start_ptr, op.init_scratch.data(),
+              op.init_scratch.size());
+}
 
-    auto finish = [this, state](TraversalStatus status,
-                                isa::ExecFault fault) {
-        Completion completion;
-        completion.status = status;
-        completion.fault = fault;
-        completion.final_ptr = state->workspace.cur_ptr;
-        completion.scratch = state->workspace.scratch;
-        completion.iterations = state->iterations;
-        completion.offloaded = false;
-        completion.latency = queue_.now() - state->submit_time;
-        if (state->op.done) {
-            state->op.done(std::move(completion));
-        }
-    };
+Completion
+WalkRecord::completion(TraversalStatus status, isa::ExecFault fault,
+                       Time now) const
+{
+    Completion completion;
+    completion.status = status;
+    completion.fault = fault;
+    completion.final_ptr = walk.workspace.cur_ptr;
+    completion.scratch = walk.workspace.scratch;
+    completion.iterations = walk.iterations;
+    completion.latency = now - submit_time;
+    return completion;
+}
 
-    // One iteration step; re-schedules itself until termination. The
-    // lambda holds itself only weakly — strong references live in the
-    // scheduled continuations — so the chain frees once it terminates.
-    auto step = std::make_shared<std::function<void()>>();
-    *step = [this, state, finish,
-             weak_step = std::weak_ptr<std::function<void()>>(step)] {
-        auto step = weak_step.lock();
-        PULSE_ASSERT(step != nullptr, "fallback step outlived itself");
-        const std::uint32_t load_bytes = state->op.program->load_bytes();
-        const VirtAddr ptr = state->workspace.cur_ptr;
-        if (ptr == kNullAddr && load_bytes > 0) {
-            // Null-page semantics: zeros, no network access.
-            std::fill_n(state->workspace.data.begin(), load_bytes, 0);
-            isa::IterationResult iter = run_iteration(
-                *state->op.program, state->workspace);
-            state->iterations++;
-            if (iter.end == isa::IterEnd::kReturn) {
-                finish(TraversalStatus::kDone, isa::ExecFault::kNone);
-            } else if (iter.end == isa::IterEnd::kFault) {
-                finish(TraversalStatus::kExecFault, iter.fault);
-            } else {
-                queue_.schedule_after(
-                    config_.fallback_software_overhead,
-                    [step] { (*step)(); });
-            }
-            return;
-        }
-        const auto node = memory_.address_map().node_for(ptr);
-        if (!node.has_value()) {
-            finish(TraversalStatus::kMemFault, isa::ExecFault::kNone);
-            return;
-        }
-        // One-sided read: request to the node, data-sized response.
-        network_.send_message(
-            net::EndpointAddr::client(client_),
-            net::EndpointAddr::mem_node(*node), kRemoteReadRequestBytes,
-            [this, state, finish, step, ptr, load_bytes,
-             node = *node] {
-                network_.send_message(
-                    net::EndpointAddr::mem_node(node),
-                    net::EndpointAddr::client(client_),
-                    net::kNetHeaderBytes + load_bytes,
-                    [this, state, finish, step, ptr, load_bytes] {
-                        if (load_bytes > 0) {
-                            memory_.read(ptr,
-                                         state->workspace.data.data(),
-                                         load_bytes);
-                        }
-                        isa::IterationResult iter = run_iteration(
-                            *state->op.program, state->workspace);
-                        state->iterations++;
-                        // Fallback path is read-only: STOREs would need
-                        // a write round trip; none of the adapted
-                        // operations store on this path.
-                        if (iter.end == isa::IterEnd::kFault) {
-                            finish(TraversalStatus::kExecFault,
-                                   iter.fault);
-                            return;
-                        }
-                        if (iter.end == isa::IterEnd::kReturn) {
-                            finish(TraversalStatus::kDone,
-                                   isa::ExecFault::kNone);
-                            return;
-                        }
-                        if (state->iterations >=
-                            kGlobalIterationGuard) {
-                            finish(TraversalStatus::kMaxIter,
-                                   isa::ExecFault::kNone);
-                            return;
-                        }
-                        queue_.schedule_after(
-                            config_.fallback_software_overhead,
-                            [step] { (*step)(); });
-                    });
-            });
-    };
-    queue_.schedule_after(state->op.init_cpu_time +
-                              config_.fallback_software_overhead,
-                          [step] { (*step)(); });
+void
+WalkRecord::finish(Completion&& completion)
+{
+    if (op.done) {
+        op.done(std::move(completion));
+    }
+}
+
+void
+OffloadEngine::fallback_step(const std::shared_ptr<WalkRecord>& record)
+{
+    const std::uint32_t load_bytes = record->op.program->load_bytes();
+    if (record->walk.null_page_load(load_bytes)) {
+        fallback_iterate(record);  // no network access
+        return;
+    }
+    const VirtAddr ptr = record->walk.workspace.cur_ptr;
+    const auto node = memory_.address_map().node_for(ptr);
+    if (!node.has_value()) {
+        record->finish(record->completion(TraversalStatus::kMemFault,
+                                          isa::ExecFault::kNone,
+                                          queue_.now()));
+        return;
+    }
+    // One-sided read: request to the node, data-sized response.
+    network_.send_message(
+        net::EndpointAddr::client(client_),
+        net::EndpointAddr::mem_node(*node), kRemoteReadRequestBytes,
+        [this, record, ptr, load_bytes, node = *node] {
+            network_.send_message(
+                net::EndpointAddr::mem_node(node),
+                net::EndpointAddr::client(client_),
+                net::kNetHeaderBytes + load_bytes,
+                [this, record, ptr, load_bytes] {
+                    memory_.read(ptr, record->walk.workspace.data.data(),
+                                 load_bytes);
+                    fallback_iterate(record);
+                });
+        });
+}
+
+void
+OffloadEngine::fallback_iterate(const std::shared_ptr<WalkRecord>& record)
+{
+    // The fallback path is read-only: STOREs would need a write round
+    // trip, and none of the adapted operations store on this path.
+    const isa::IterationResult iter =
+        run_iteration(*record->op.program, record->walk.workspace);
+    const isa::ChainEnd end =
+        record->walk.advance(iter, kGlobalIterationGuard);
+    if (end.ended) {
+        record->finish(
+            record->completion(end.status, end.fault, queue_.now()));
+        return;
+    }
+    queue_.schedule_after(config_.fallback_software_overhead,
+                          [this, record] { fallback_step(record); });
 }
 
 }  // namespace pulse::offload

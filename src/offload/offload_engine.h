@@ -32,6 +32,7 @@
 #include "common/serial.h"
 #include "common/stats.h"
 #include "isa/analysis.h"
+#include "isa/traversal.h"
 #include "mem/global_memory.h"
 #include "net/network.h"
 #include "offload/fork_join.h"
@@ -47,6 +48,25 @@ namespace pulse::offload {
  * Exposed so the golden oracle replays the same resume discipline.
  */
 inline constexpr std::uint64_t kGlobalIterationGuard = 1u << 20;
+
+/** Lower clamp for the adaptive retransmission timeout. */
+inline constexpr Time kRtoMin = micros(100.0);
+
+/**
+ * Adaptive-timeout floor as a multiple of srtt: guards against variance
+ * collapse when simulated RTTs are near-constant (then srtt + 4*rttvar
+ * barely exceeds srtt and any queueing excursion would fire a spurious
+ * retransmit).
+ */
+inline constexpr double kRtoSrttMultiplier = 2.0;
+
+/**
+ * Deterministic jitter added to each armed timeout, as a fraction of
+ * the delay: de-synchronizes retransmit storms across clients after a
+ * blackout. Drawn from a hash of (client, op, attempt) — no shared RNG
+ * stream, so it cannot perturb any other random decision in the run.
+ */
+inline constexpr double kRtoJitterFraction = 0.1;
 
 /** Offload-engine tunables. */
 struct OffloadConfig
@@ -87,26 +107,6 @@ struct OffloadConfig
      * bench/ablation_faults) turn it on for fast loss recovery.
      */
     bool adaptive_rto = false;
-
-    /** Lower clamp for the adaptive timeout. */
-    Time rto_min = micros(100.0);
-
-    /**
-     * Adaptive-timeout floor as a multiple of srtt: guards against
-     * variance collapse when simulated RTTs are near-constant (then
-     * srtt + 4*rttvar barely exceeds srtt and any queueing excursion
-     * would fire a spurious retransmit).
-     */
-    double rto_srtt_multiplier = 2.0;
-
-    /**
-     * Deterministic jitter added to each armed timeout, as a fraction
-     * of the delay: de-synchronizes retransmit storms across clients
-     * after a blackout. Drawn from a hash of (client, op, attempt) —
-     * no shared RNG stream, so enabling it cannot perturb any other
-     * random decision in the run.
-     */
-    double rto_jitter_fraction = 0.1;
 
     /**
      * pulse (true): a kNotLocal traversal is re-routed by the switch
@@ -184,6 +184,32 @@ struct Operation
     std::uint32_t tenant = 0;
 
     CompletionFn done;
+};
+
+/**
+ * One operation on a client-side executor (the engine's fallback, the
+ * RPC runtime, the cache client): the operation, its single-chain walk
+ * seeded from it, and when it was submitted.
+ */
+struct WalkRecord
+{
+    WalkRecord(Operation&& op, Time submit_time);
+
+    Operation op;
+    isa::Walk walk;
+    Time submit_time = 0;
+
+    /**
+     * The completion of a walk that ended with @p status / @p fault at
+     * @p now: final pointer, scratch_pad and iterations from the walk.
+     * Executor-specific fields (offloaded, retransmits, ...) stay at
+     * their defaults for the caller to set.
+     */
+    Completion completion(isa::TraversalStatus status,
+                          isa::ExecFault fault, Time now) const;
+
+    /** Hand @p completion to op.done. */
+    void finish(Completion&& completion);
 };
 
 /** Offload-engine statistics. */
@@ -333,7 +359,12 @@ class OffloadEngine
     void arm_timer(std::uint64_t key);
     void on_response(net::PacketHandle handle);
     void complete(std::uint64_t key, Completion&& completion);
-    void run_fallback(Operation&& op);
+
+    /** Client-side execution with one-sided remote reads: one network
+     *  round trip per aggregated load, the interpreter on the client
+     *  CPU. */
+    void fallback_step(const std::shared_ptr<WalkRecord>& record);
+    void fallback_iterate(const std::shared_ptr<WalkRecord>& record);
 
     /** Fork/join coordination (see offload_engine.cc for the flow). */
     ForkState& ensure_fork(std::uint64_t key);

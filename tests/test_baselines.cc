@@ -193,6 +193,51 @@ TEST(CacheClient, UnmappedPointerFaults)
     EXPECT_EQ(result.status, TraversalStatus::kMemFault);
 }
 
+TEST(CacheClient, StoresLandAtTheNodeTheIterationLoaded)
+{
+    // Each iteration stamps 42 into word 1 of the node it loaded and
+    // then moves cur_ptr on; the STORE's offset is relative to the
+    // pointer it loaded from, on the cache client as on the RPC
+    // workers.
+    isa::ProgramBuilder b;
+    b.load(16)
+        .move(isa::dat(8), isa::imm(42))
+        .store(8, 8, 8)
+        .compare(isa::dat(0), isa::imm(0))
+        .jump_eq("done")
+        .move(isa::cur(), isa::dat(0))
+        .next_iter()
+        .label("done")
+        .ret();
+    const auto program = std::make_shared<const isa::Program>(b.build());
+    core::ClusterConfig config;
+    core::Cluster cluster(config);
+    const VirtAddr first = cluster.allocator().alloc_on(0, 16, 64);
+    const VirtAddr second = cluster.allocator().alloc_on(0, 16, 64);
+    const auto run = [&](auto& system) {
+        cluster.memory().write_as<std::uint64_t>(first, second);
+        cluster.memory().write_as<std::uint64_t>(first + 8, 1);
+        cluster.memory().write_as<std::uint64_t>(second, 0);
+        cluster.memory().write_as<std::uint64_t>(second + 8, 2);
+        offload::Operation op;
+        op.program = program;
+        op.start_ptr = first;
+        offload::Completion result;
+        op.done = [&](offload::Completion&& completion) {
+            result = std::move(completion);
+        };
+        system.submit(std::move(op));
+        cluster.queue().run();
+        EXPECT_EQ(result.status, TraversalStatus::kDone);
+        EXPECT_EQ(result.iterations, 2u);
+        EXPECT_EQ(cluster.memory().read_as<std::uint64_t>(first + 8), 42u);
+        EXPECT_EQ(cluster.memory().read_as<std::uint64_t>(second + 8),
+                  42u);
+    };
+    run(cluster.cache_client());
+    run(cluster.rpc());
+}
+
 // ------------------------------------ fork/join outcome parity
 
 /**
@@ -338,12 +383,11 @@ TEST(RpcRuntime, TcpTransportSlowerThanErpc)
 
 TEST(RpcRuntime, QuenchedTimersLeaveTheQueue)
 {
-    // Reliable mode arms a 20 ms timer per leg; the response cancels
-    // it, dropping the timer's reference to the operation's state, so
-    // the queue holds only the legs in flight.
+    // Every leg arms a 20 ms retransmit timer (the default); the
+    // response cancels it, dropping the timer's reference to the
+    // operation's state, so the queue holds only the legs in flight.
     constexpr std::uint32_t kConcurrency = 32;
     core::ClusterConfig config;
-    config.rpc.retransmit_timeout = micros(20000.0);
     core::Cluster cluster(config);
     ds::HashTable table(cluster.memory(), cluster.allocator(),
                         ds::HashTableConfig{.num_buckets = 32});
@@ -359,6 +403,33 @@ TEST(RpcRuntime, QuenchedTimersLeaveTheQueue)
     EXPECT_EQ(result.errors, 0u);
     EXPECT_EQ(cluster.rpc().stats().retransmits.value(), 0u);
     EXPECT_LE(cluster.queue().peak_pending(), 2 * kConcurrency + 16);
+}
+
+TEST(RpcRuntime, RecoversFromLossWithTheDefaultConfig)
+{
+    // Reliable delivery is always on: a lost request or response is
+    // retransmitted after the default timeout instead of leaving the
+    // operation hanging.
+    core::ClusterConfig config;
+    config.faults.links.loss = 0.05;
+    core::Cluster cluster(config);
+    ds::LinkedList list(cluster.memory(), cluster.allocator());
+    list.build({1, 2, 3, 4}, 0);
+    const int n = 40;
+    int done = 0;
+    for (int i = 0; i < n; i++) {
+        auto op = list.make_find(4, {});
+        op.done = [&](offload::Completion&& completion) {
+            EXPECT_EQ(completion.status, TraversalStatus::kDone);
+            EXPECT_FALSE(completion.timed_out);
+            done++;
+        };
+        cluster.rpc().submit(std::move(op));
+    }
+    cluster.queue().run();
+    EXPECT_EQ(done, n);
+    EXPECT_GT(cluster.rpc().stats().retransmits.value(), 0u);
+    EXPECT_EQ(cluster.rpc().inflight(), 0u);
 }
 
 // -------------------------------------------------------------- aifm

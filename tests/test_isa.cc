@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "isa/analysis.h"
@@ -341,6 +342,50 @@ TEST(Traversal, NullPointerLoadsZeros)
     std::uint64_t marker = 0;
     std::memcpy(&marker, outcome.scratch.data() + 8, 8);
     EXPECT_EQ(marker, 7u);
+}
+
+TEST(Walk, GuardEndsOnlyAChainThatWouldResume)
+{
+    ProgramBuilder b;
+    b.load(16).move(cur(), dat(0)).next_iter();
+    Program program = b.build();
+    Walk walk;
+    const std::uint8_t init[2] = {1, 2};
+    walk.seed(program, 0x1000, init, sizeof(init));
+    EXPECT_EQ(walk.workspace.cur_ptr, 0x1000u);
+    EXPECT_EQ(walk.workspace.scratch[1], 2u);
+
+    IterationResult next;
+    next.end = IterEnd::kNextIter;
+    EXPECT_FALSE(walk.advance(next, 2).ended);
+    const ChainEnd capped = walk.advance(next, 2);
+    EXPECT_TRUE(capped.ended);
+    EXPECT_EQ(capped.status, TraversalStatus::kMaxIter);
+
+    // RETURN at the guard is still kDone: the chain end wins.
+    IterationResult done;
+    done.end = IterEnd::kReturn;
+    const ChainEnd end = walk.advance(done, 3);
+    EXPECT_EQ(end.status, TraversalStatus::kDone);
+    EXPECT_EQ(walk.iterations, 3u);
+}
+
+TEST(Walk, OnlyANonNullLoadNeedsMemory)
+{
+    ProgramBuilder b;
+    b.load(16).move(cur(), dat(0)).next_iter();
+    Program program = b.build();
+    Walk walk;
+    walk.seed(program, 0x1000, nullptr, 0);
+    EXPECT_FALSE(walk.null_page_load(16));
+    EXPECT_TRUE(walk.null_page_load(0));  // nothing to load
+    std::fill(walk.workspace.data.begin(), walk.workspace.data.end(),
+              0xAB);
+    walk.workspace.cur_ptr = kNullAddr;
+    EXPECT_TRUE(walk.null_page_load(16));
+    EXPECT_EQ(walk.workspace.data[0], 0u);
+    EXPECT_EQ(walk.workspace.data[15], 0u);
+    EXPECT_EQ(walk.workspace.data[16], 0xABu);  // past the load
 }
 
 TEST(Traversal, LoadFailureReportsMemFault)

@@ -153,6 +153,36 @@ TEST(OffloadFallback, PaysOneRoundTripPerLoad)
     EXPECT_GT(fallback.latency, offloaded.latency * 10);
 }
 
+TEST(OffloadFallback, NullPointerLoopStopsAtTheGlobalGuard)
+{
+    // A load at kNullAddr reads zeros without a round trip, so a
+    // program that never leaves the null pointer loops on the client
+    // until the global iteration guard ends it, as on every path.
+    core::ClusterConfig config;
+    config.offload.eta_threshold = 0.0;  // force the fallback
+    core::Cluster cluster(config);
+    isa::ProgramBuilder b;
+    b.load(8).next_iter();
+    Operation op;
+    op.program = std::make_shared<const isa::Program>(b.build());
+    op.start_ptr = kNullAddr;
+    Completion result;
+    bool done = false;
+    op.done = [&](Completion&& completion) {
+        result = std::move(completion);
+        done = true;
+    };
+    cluster.offload_engine().submit(std::move(op));
+    // Bounded: without the guard the loop never drains the queue. The
+    // guard's 2^20 iterations take about 0.6 s at 600 ns each.
+    cluster.queue().run_until(micros(2e6));
+    ASSERT_TRUE(done);
+    EXPECT_EQ(result.status, TraversalStatus::kMaxIter);
+    EXPECT_EQ(result.iterations, kGlobalIterationGuard);
+    EXPECT_FALSE(result.offloaded);
+    EXPECT_EQ(result.final_ptr, kNullAddr);
+}
+
 TEST(OffloadWire, CodeShipsOnlyUntilInstalled)
 {
     core::ClusterConfig config;
